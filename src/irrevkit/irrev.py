@@ -188,42 +188,68 @@ def _qr_retract(a: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """J(V) = sum_k p_k F^2(rho_k, tr_env V sigma_k V') and its gradient."""
+    """J(V) = sum_k p_k F^2(rho_k, tr_env V sigma_k V^H) and its gradient.
+
+    V has shape (d_in * d_env, d_out) with V[j * d_env + e, o] = K_e[j, o],
+    the recovery's Kraus operators stacked as in _isometry_from_channel; its
+    row view reshapes it to (d_in, d_env * d_out). The ensemble is split once,
+    at construction, into two stacked groups, each evaluated per call with one
+    batched matmul chain:
+
+    - pure members, rho_k = |psi_k><psi_k|: amplitudes psi (n_p, d_in) and
+      sigma_k (n_p, d_out, d_out), with F^2 = <psi_k| R(sigma_k) |psi_k>;
+    - mixed members: sqrt(rho_k) (n_m, d_in, d_in) and sigma_k
+      (n_m, d_out, d_out), with F^2 = (tr sqrt M_k)^2 for
+      M_k = sqrt(rho_k) R(sigma_k) sqrt(rho_k), all M_k in one stacked eigh.
+
+    value_and_grad returns J and G = dJ/d(conj V), shaped like V, so that
+    dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV).
+    """
 
     def __init__(self, omega: TestEnsemble, sigmas: list, d_env: int):
         self.d_env = d_env
-        self.terms = []
-        for (p, rho), sig in zip(omega.entries, sigmas):
-            vals, vecs = np.linalg.eigh(rho.data)
-            pure_vec = None
-            if np.count_nonzero(vals > 1e-12) == 1:
-                pure_vec = vecs[:, int(np.argmax(vals))]
-            self.terms.append((p, rho.data, pure_vec, sig.data))
         self.d_in = omega.entries[0][1].dim
         self.d_out = sigmas[0].dim
+        pure, mixed = [], []
+        for (p, rho), sig in zip(omega.entries, sigmas):
+            vals, vecs = np.linalg.eigh(rho.data)
+            if np.count_nonzero(vals > 1e-12) == 1:
+                pure.append((p, vecs[:, int(np.argmax(vals))], sig.data))
+            else:
+                mixed.append((p, _psd_sqrt(rho.data), sig.data))
+        self.pure = _stack_group(pure)
+        self.mixed = _stack_group(mixed)
 
     def value_and_grad(self, v: np.ndarray):
-        vr = v.reshape(self.d_in, self.d_env, self.d_out)
+        rows = v.reshape(self.d_in, -1)
         total = 0.0
-        grad = np.zeros_like(vr)
-        for p, rho, psi, sig in self.terms:
-            if psi is not None:
-                a = np.einsum("j,jeo->eo", psi.conj(), vr)
-                asig = a @ sig
-                total += p * float(np.real(np.einsum("eo,eo->", asig, a.conj())))
-                grad += p * np.einsum("j,eo->jeo", psi, asig)
-            else:
-                tau = np.einsum("jeo,op,kep->jk", vr, sig, vr.conj())
-                rh = _psd_sqrt(rho)
-                m = rh @ tau @ rh
-                mv, mw = np.linalg.eigh((m + m.conj().T) / 2)
-                mv = np.clip(mv, 0.0, None)
-                f = float(np.sum(np.sqrt(mv)))
-                inv_half = (mw * _safe_inv_sqrt(mv)) @ mw.conj().T
-                w = f * (rh @ inv_half @ rh)
-                total += p * f * f
-                grad += p * np.einsum("jk,keo,op->jeo", w, vr, sig)
+        grad = np.zeros_like(rows)
+        if self.pure is not None:
+            p, psi, sig = self.pure
+            a = (psi.conj() @ rows).reshape(len(p), self.d_env, self.d_out)
+            asig = a @ sig
+            total += float(p @ np.real(np.sum(asig * a.conj(), axis=(1, 2))))
+            grad += (psi.T * p) @ asig.reshape(len(p), -1)
+        if self.mixed is not None:
+            p, rh, sig = self.mixed
+            vs = (v @ sig).reshape(len(p), self.d_in, -1)
+            m = rh @ (vs @ rows.conj().T) @ rh
+            mv, mw = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
+            mv = np.clip(mv, 0.0, None)
+            f = np.sum(np.sqrt(mv), axis=1)
+            inv_half = (mw * _safe_inv_sqrt(mv)[:, None, :]) @ mw.conj().swapaxes(1, 2)
+            w = (p * f)[:, None, None] * (rh @ inv_half @ rh)
+            total += float(p @ (f * f))
+            grad += np.sum(w @ vs, axis=0)
         return total, grad.reshape(v.shape)
+
+
+def _stack_group(group: list):
+    """(weights, per-member arrays, sigmas) stacked along a leading axis."""
+    if not group:
+        return None
+    p, x, sig = zip(*group)
+    return np.array(p), np.stack(x), np.stack(sig)
 
 
 def _safe_inv_sqrt(vals: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@ import pytest
 
 from irrevkit import (
     BranchProbabilityError,
+    DensityMatrix,
     KrausChannel,
     Label,
     OptimizerConfig,
     TestEnsemble,
+    apply,
     choi,
     delta_cp,
     delta_min,
@@ -19,7 +21,16 @@ from irrevkit import (
     unitary_channel,
     validate_channel,
 )
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, rand_instrument, rand_state, rand_unitary
+from irrevkit.irrev import _Objective, _qr_retract
+from conftest import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    rand_instrument,
+    rand_pure,
+    rand_state,
+    rand_unitary,
+)
 
 S = Label("S", 2)
 Q = Label("Q", 2)
@@ -119,6 +130,62 @@ class TestDeltaMin:
     def test_recovery_used_is_cptp(self):
         rep = delta_min(depolarizing(Q), omega_pm(Q), OptimizerConfig(max_iters=50, restarts=0))
         assert validate_channel(rep.recovery_used)["ok"]
+
+    def test_pure_full_rank_and_rank_two_members(self):
+        # the rank-2 member takes the mixed path with a singular sqrt(rho)
+        rng = np.random.default_rng(21)
+        d = 4
+        lab = Label("S", d)
+        u = rand_unitary(rng, d)
+        rank2 = DensityMatrix((lab,), u @ np.diag([0.7, 0.3, 0.0, 0.0]) @ u.conj().T)
+        omega = _ensemble(rng, [rand_pure(rng, d, lab), rand_state(rng, d, lab), rank2])
+        loss = instrument_channel(rand_instrument(rng, d, 3, lab))
+        petz = delta_with_recovery(loss, petz_recovery(loss, DeltaHelpers.average(omega)), omega)
+        rep = delta_min(loss, omega, OptimizerConfig(max_iters=40, restarts=0))
+        assert rep.delta <= petz.delta + 1e-9
+        assert 0.0 <= rep.delta <= 1.0
+        assert validate_channel(rep.recovery_used)["ok"]
+
+
+def _ensemble(rng, members) -> TestEnsemble:
+    p = rng.random(len(members)) + 0.1
+    return TestEnsemble(tuple(zip((p / p.sum()).tolist(), members)))
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("d", (2, 4, 6))
+    # one character per member: p pure, m full-rank mixed
+    @pytest.mark.parametrize("kinds", ("pp", "mm", "pmm"))
+    def test_gradient_matches_central_difference(self, d, kinds):
+        rng = np.random.default_rng(100 + d)
+        lab = Label("S", d)
+        loss = instrument_channel(rand_instrument(rng, d, 3, lab))
+        members = [(rand_pure if c == "p" else rand_state)(rng, d, lab) for c in kinds]
+        omega = _ensemble(rng, members)
+        sigmas = [apply(loss, rho) for rho in members]
+        obj = _Objective(omega, sigmas, d * d)
+        shape = (d * d * d, d)
+        v = _qr_retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        dv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        j, g = obj.value_and_grad(v)
+        # per-member reference from the Kraus operators K_e[j, o] = V[j * d_env + e, o]:
+        # F^2 = tr(rho tau) for pure rho, (tr sqrt(sqrt(rho) tau sqrt(rho)))^2 otherwise
+        kraus = v.reshape(d, d * d, d).transpose(1, 0, 2)
+        ref = 0.0
+        for c, (p, rho), sig in zip(kinds, omega.entries, sigmas):
+            tau = sum(k @ sig.data @ k.conj().T for k in kraus)
+            if c == "p":
+                ref += p * np.trace(rho.data @ tau).real
+            else:
+                vals, vecs = np.linalg.eigh(rho.data)
+                rh = (vecs * np.sqrt(vals)) @ vecs.conj().T
+                ref += p * np.sum(np.sqrt(np.linalg.eigvalsh(rh @ tau @ rh))) ** 2
+        assert abs(j - ref) <= 1e-12
+        h = 1e-5
+        fd = (obj.value_and_grad(v + h * dv)[0] - obj.value_and_grad(v - h * dv)[0]) / (2 * h)
+        # G = dJ/d(conj V), so the directional derivative is 2 Re <G, dV>
+        analytic = 2 * np.real(np.vdot(g, dv))
+        assert abs(analytic - fd) <= 1e-6 * abs(fd)
 
 
 class DeltaHelpers:
