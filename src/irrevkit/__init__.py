@@ -62,6 +62,7 @@ from .irrev import (
 from .comb import (
     OPTIMIZE,
     CanonicalRecovery,
+    Comb,
     ExtractionConfig,
     IepResult,
     LossProcess,
@@ -69,6 +70,7 @@ from .comb import (
     build_loss_error,
     build_loss_two_copy,
     canonical_recovery,
+    extract,
     extract_epsilon,
     extract_eta,
     extract_two_copy,

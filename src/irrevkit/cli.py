@@ -30,9 +30,9 @@ from .errors import (
 )
 from .fixtures import write_fixtures
 from .irrev import OptimizerConfig, delta_min, delta_with_recovery, petz_recovery
-from .oracles import lt_disturbance, lt_error, outcome_values
+from .oracles import lt_disturbance, lt_error
 from .otoc import ScramblingScenario, otoc_direct, otoc_iep, otoc_iep_cp, pauli_string, way_bound_otoc
-from .qcore import DensityMatrix, Label, Observable
+from .qcore import DensityMatrix, Observable
 from .serialize import (
     atomic_write_text,
     canonical_json,
@@ -433,15 +433,6 @@ def _run_epsilon(payload: dict, seed: int, which: str):
         "recovery": spec,
         "extraction": cfg.to_json(),
     }
-    if recovery == "canonical":
-        if which == "error":
-            _, fstar = lt_error(rho, obs, inst)
-            p_label = Label("P", len(inst.branches))
-            x = Observable((p_label,), np.diag(outcome_values(inst, fstar)).astype(complex))
-            recovery = canonical_recovery(x, (p_label,), 0.0)
-        else:
-            _, x_lt = lt_disturbance(rho, obs, inst)
-            recovery = canonical_recovery(x_lt, x_lt.space, 0.0)
     extract = extract_epsilon if which == "error" else extract_eta
     rep = extract(rho, obs, inst, recovery, cfg)
     return inputs, rep.to_json(), None
@@ -487,16 +478,28 @@ def _run_lt(payload: dict, seed: int):
     return inputs, result, None
 
 
+def _run_bound(payload: dict, inputs: dict, bound):
+    """Decode the optional charges, run bound(charges), and add the pass verdict."""
+    charges = None
+    if "charges" in payload:
+        charges = {k: decode_observable(v) for k, v in payload["charges"].items()}
+        inputs["charges"] = {k: encode_observable(v) for k, v in charges.items()}
+    tolerance = float(payload.get("tolerance", 1e-9))
+    inputs["tolerance"] = tolerance
+    rep = bound(charges)
+    passed = rep.slack >= -tolerance
+    result = rep.to_json()
+    result["pass"] = passed
+    result["tolerance"] = tolerance
+    return inputs, result, passed
+
+
 def _run_way(payload: dict, seed: int, which: str):
     rho = decode_state(payload["state"])
     obs = decode_observable(payload["observable"])
     inst = decode_instrument(payload["instrument"])
     impl = decode_implementation(payload["implementation"])
-    charges = None
-    if "charges" in payload:
-        charges = {k: decode_observable(v) for k, v in payload["charges"].items()}
     lhs = payload.get("lhs", "canonical")
-    tolerance = float(payload.get("tolerance", 1e-9))
     cfg = _extraction_config(payload, seed) if "extraction" in payload else None
     inputs = {
         "state": encode_state(rho),
@@ -504,20 +507,14 @@ def _run_way(payload: dict, seed: int, which: str):
         "instrument": encode_instrument(inst),
         "implementation": encode_implementation(impl),
         "lhs": lhs,
-        "tolerance": tolerance,
     }
-    if charges is not None:
-        inputs["charges"] = {k: encode_observable(v) for k, v in charges.items()}
     if cfg is not None:
         inputs["extraction"] = cfg.to_json()
     bound = way_bound_error if which == "error" else way_bound_disturbance
     lhs_arg = OPTIMIZE if lhs == "optimize" else lhs
-    rep = bound(rho, obs, inst, charges, impl, lhs=lhs_arg, cfg=cfg)
-    passed = rep.slack >= -tolerance
-    result = rep.to_json()
-    result["pass"] = passed
-    result["tolerance"] = tolerance
-    return inputs, result, passed
+    return _run_bound(
+        payload, inputs, lambda charges: bound(rho, obs, inst, charges, impl, lhs=lhs_arg, cfg=cfg)
+    )
 
 
 def _decode_local_op(obj, sites: int | None):
@@ -593,23 +590,8 @@ def _run_otoc_cp(payload: dict, seed: int):
 def _run_way_otoc(payload: dict, seed: int):
     s = _decode_scenario(payload["scenario"])
     impl = decode_implementation(payload["implementation"])
-    charges = None
-    if "charges" in payload:
-        charges = {k: decode_observable(v) for k, v in payload["charges"].items()}
-    tolerance = float(payload.get("tolerance", 1e-9))
-    inputs = {
-        "scenario": _echo_scenario(s),
-        "implementation": encode_implementation(impl),
-        "tolerance": tolerance,
-    }
-    if charges is not None:
-        inputs["charges"] = {k: encode_observable(v) for k, v in charges.items()}
-    rep = way_bound_otoc(s, charges, impl)
-    passed = rep.slack >= -tolerance
-    result = rep.to_json()
-    result["pass"] = passed
-    result["tolerance"] = tolerance
-    return inputs, result, passed
+    inputs = {"scenario": _echo_scenario(s), "implementation": encode_implementation(impl)}
+    return _run_bound(payload, inputs, lambda charges: way_bound_otoc(s, charges, impl))
 
 
 _RUNNERS = {

@@ -1,23 +1,26 @@
 """Measurement combs and the theta -> 0 extraction of error and disturbance.
 
-A loss process couples an ancilla qubit Q weakly (strength theta) to a fresh
-system copy through a generator A or B, then measures. A canonical recovery
-uncouples with a generator on the measurement output and dephases Q. The
-squared irreversibility of the pair vanishes as c2 * theta^2, and c2 is the
-squared error (or disturbance). Extraction is either a least-squares fit on
-a theta grid or the exact second derivative (canonical recoveries only).
+A comb appends a block state to an ancilla qubit Q, couples them weakly
+(strength theta) through a generator, then measures or conjugates the
+block. A canonical recovery uncouples with a generator on the stage output
+and dephases Q. The squared irreversibility of the pair vanishes as
+c2 * theta^2, and c2 is the squared error, disturbance or OTOC. `extract`
+gets c2 for any comb, either from a least-squares fit on a theta grid or
+from the exact second derivative (canonical recoveries only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ExtractionError
-from .irrev import OptimizerConfig, delta_min, delta_with_recovery
+from .irrev import OptimizerConfig, delta_cp, delta_min, delta_with_recovery
 from .oracles import lt_disturbance, lt_error, outcome_values
 from .qcore import (
+    SIGMA_Z,
     DensityMatrix,
     Instrument,
     KrausChannel,
@@ -25,6 +28,8 @@ from .qcore import (
     Observable,
     TestEnsemble,
     _as_space,
+    _basis_permutation,
+    _expm_herm,
     _names,
     apply_raw,
     compose,
@@ -40,6 +45,7 @@ from .qcore import (
 __all__ = [
     "Q_LABEL",
     "OPTIMIZE",
+    "Comb",
     "LossProcess",
     "CanonicalRecovery",
     "IepResult",
@@ -53,6 +59,7 @@ __all__ = [
     "build_loss_disturbance",
     "build_loss_two_copy",
     "canonical_recovery",
+    "extract",
     "extract_epsilon",
     "extract_eta",
     "extract_two_copy",
@@ -96,7 +103,6 @@ class LossProcess:
     theta: float
     meas: Instrument
     channel: KrausChannel = field(repr=False)
-    q: Label = Q_LABEL
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,6 @@ class CanonicalRecovery:
     target: tuple
     theta: float
     channel: KrausChannel = field(repr=False)
-    q: Label = Q_LABEL
 
 
 @dataclass(frozen=True)
@@ -163,37 +168,27 @@ class ExtractionConfig:
         )
 
 
-def _expm_herm(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) for Hermitian H via its eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
-
-
-def append_channel(rho: DensityMatrix, q: Label = Q_LABEL) -> KrausChannel:
+def append_channel(rho: DensityMatrix) -> KrausChannel:
     """A_rho: X_Q -> rho (x) X_Q, as a CPTP map from Q into system + Q."""
     vals, vecs = np.linalg.eigh(rho.data)
     ops = []
-    iq = np.eye(q.dim, dtype=complex)
+    iq = np.eye(Q_LABEL.dim, dtype=complex)
     for lam, v in zip(vals, vecs.T):
         if lam > 1e-14:
             ops.append(np.sqrt(lam) * np.kron(v.reshape(-1, 1), iq))
-    return KrausChannel((q,), tuple(rho.space) + (q,), tuple(ops))
+    return KrausChannel((Q_LABEL,), tuple(rho.space) + (Q_LABEL,), tuple(ops))
 
 
-def weak_coupling(
-    gen: Observable, theta: float, q: Label = Q_LABEL, dagger: bool = False
-) -> KrausChannel:
+def weak_coupling(gen: Observable, theta: float, dagger: bool = False) -> KrausChannel:
     """Unitary conjugation by exp(-i theta gen (x) sigma_z) on gen's space + Q."""
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    h = np.kron(gen.data, sz)
-    u = _expm_herm(h, -theta if dagger else theta)
-    sp = tuple(gen.space) + (q,)
+    u = _expm_herm(np.kron(gen.data, SIGMA_Z), -theta if dagger else theta)
+    sp = tuple(gen.space) + (Q_LABEL,)
     return KrausChannel(sp, sp, (u,))
 
 
-def dephase_pm(q: Label = Q_LABEL) -> KrausChannel:
+def dephase_pm() -> KrausChannel:
     ops = (np.outer(KET_PLUS, KET_PLUS.conj()), np.outer(KET_MINUS, KET_MINUS.conj()))
-    return KrausChannel((q,), (q,), ops)
+    return KrausChannel((Q_LABEL,), (Q_LABEL,), ops)
 
 
 def trace_out_channel(sp, drop) -> KrausChannel:
@@ -208,11 +203,7 @@ def trace_out_channel(sp, drop) -> KrausChannel:
     d_keep = space_dim(keep)
     names = _names(sp)
     order = [names.index(l.name) for l in dropped] + [names.index(l.name) for l in keep]
-    dims = [l.dim for l in sp]
-    d = space_dim(sp)
-    idx = np.arange(d).reshape(dims).transpose(order).reshape(d)
-    perm = np.zeros((d, d))
-    perm[np.arange(d), idx] = 1.0
+    perm = _basis_permutation([l.dim for l in sp], order)
     ops = tuple(
         np.kron(ket(t, d_drop).conj().reshape(1, -1), np.eye(d_keep)) @ perm
         for t in range(d_drop)
@@ -220,19 +211,42 @@ def trace_out_channel(sp, drop) -> KrausChannel:
     return KrausChannel(sp, keep, ops)
 
 
-def canonical_recovery(
-    x: Observable, target, theta: float, q: Label = Q_LABEL, in_space=None
-) -> CanonicalRecovery:
-    """Build R_{X,target}: undo the X coupling, trace out target, dephase Q.
-
-    in_space defaults to target + (q,); pass it explicitly when the loss
-    output orders its factors differently.
-    """
+def canonical_recovery(x: Observable, target, theta: float) -> CanonicalRecovery:
+    """Build R_{X,target} on target + Q: undo the X coupling, trace out target, dephase Q."""
     target = _as_space(target)
-    sp = _as_space(in_space) if in_space is not None else tuple(target) + (q,)
-    undo = embed(weak_coupling(x, theta, q, dagger=True), sp)
-    j = compose(dephase_pm(q), trace_out_channel(sp, target))
-    return CanonicalRecovery(x, tuple(target), float(theta), compose(j, undo), q)
+    sp = tuple(target) + (Q_LABEL,)
+    undo = embed(weak_coupling(x, theta, dagger=True), sp)
+    j = compose(dephase_pm(), trace_out_channel(sp, target))
+    return CanonicalRecovery(x, tuple(target), float(theta), compose(j, undo))
+
+
+@dataclass(frozen=True)
+class Comb:
+    """Q -> stage(U_{gen,theta}(block (x) Q)), with its canonical recoveries.
+
+    block is the appended state (everything but Q), gen the coupling
+    generator on some of its factors, stage the measurement or conjugation,
+    already embedded on block + Q (once per comb). recoveries() returns the
+    canonical (x, target) pairs: the first is the "canonical" recovery and
+    every pair warm-starts OPTIMIZE, in order. It is called only by those
+    two modes, since some pairs cost an oracle solve. A sub-normalised
+    stage, whose Kraus operator was scaled by branch_scale, is renormalised
+    per state and its curvature divided by branch_scale^2.
+    """
+
+    block: DensityMatrix
+    gen: Observable
+    stage: KrausChannel = field(repr=False)
+    recoveries: Callable[[], tuple] = field(repr=False)
+    branch_scale: float | None = None
+
+    @property
+    def full(self) -> tuple:
+        return tuple(self.block.space) + (Q_LABEL,)
+
+    def loss(self, theta: float) -> KrausChannel:
+        u = embed(weak_coupling(self.gen, theta), self.full)
+        return compose(self.stage, compose(u, append_channel(self.block)))
 
 
 def _check_meas(rho: DensityMatrix, gen: Observable, meas: Instrument):
@@ -242,40 +256,37 @@ def _check_meas(rho: DensityMatrix, gen: Observable, meas: Instrument):
         raise ValueError("instrument input must match the state space")
 
 
-def build_loss_error(
-    rho: DensityMatrix,
-    a: Observable,
-    theta: float,
-    meas: Instrument,
-    q: Label = Q_LABEL,
-    pointer_name: str = "P",
-) -> LossProcess:
-    """P_M o U_{A,theta} o A_rho from Q to (P, Q)."""
+def _pointer(meas: Instrument) -> Label:
+    return Label("P", len(meas.branches))
+
+
+def _pointer_observable(meas: Instrument, f) -> Observable:
+    """sum_m f(m) |m><m| on the pointer P."""
+    return Observable((_pointer(meas),), np.diag(outcome_values(meas, f)).astype(complex))
+
+
+def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
+    """P_M o U_{A,theta} o A_rho from Q to (P, Q); recovery at the pushforward values."""
     _check_meas(rho, a, meas)
-    full = tuple(rho.space) + (q,)
-    app = append_channel(rho, q)
-    u = embed(weak_coupling(a, theta, q), full)
-    p_label = Label(pointer_name, len(meas.branches))
-    pm = embed(pointer_channel(meas, p_label), full)
-    channel = compose(pm, compose(u, app))
-    return LossProcess("error", rho, a, float(theta), meas, channel, q)
+    p_label = _pointer(meas)
+    stage = embed(pointer_channel(meas, p_label), tuple(rho.space) + (Q_LABEL,))
+    pushforward = lambda: ((_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,)),)
+    return Comb(rho, a, stage, pushforward)
 
 
-def build_loss_disturbance(
-    rho: DensityMatrix,
-    b: Observable,
-    theta: float,
-    meas: Instrument,
-    q: Label = Q_LABEL,
-) -> LossProcess:
-    """I_M o U_{B,theta} o A_rho from Q to (S', Q)."""
+def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Comb:
+    """I_M o U_{B,theta} o A_rho from Q to (S', Q); LT recovery, then B itself."""
     _check_meas(rho, b, meas)
-    full = tuple(rho.space) + (q,)
-    app = append_channel(rho, q)
-    u = embed(weak_coupling(b, theta, q), full)
-    im = embed(instrument_channel(meas), full)
-    channel = compose(im, compose(u, app))
-    return LossProcess("disturbance", rho, b, float(theta), meas, channel, q)
+    out_sp = meas.out_space
+
+    def recoveries():
+        pairs = [(lt_disturbance(rho, b, meas)[1], out_sp)]
+        if meas.dim_in == space_dim(out_sp):
+            pairs.append((Observable(out_sp, b.data), out_sp))
+        return tuple(pairs)
+
+    stage = embed(instrument_channel(meas), tuple(rho.space) + (Q_LABEL,))
+    return Comb(rho, b, stage, recoveries)
 
 
 def _two_copy_labels(rho: DensityMatrix):
@@ -294,37 +305,49 @@ def _relabel_instrument(meas: Instrument, new_in: Label) -> Instrument:
     return Instrument((new_in,), out, meas.branches)
 
 
-def build_loss_two_copy(
-    rho: DensityMatrix,
-    gen: Observable,
-    theta: float,
-    meas: Instrument,
-    kind: str,
-    q: Label = Q_LABEL,
-    pointer_name: str = "P",
-) -> LossProcess:
+def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: str, f=None) -> Comb:
     """Calibration comb on two copies: couple copy 1, measure copy 2.
 
-    error: P_M on copy 2 -> (P, S1, Q); disturbance: I_M on copy 2
-    -> (S2, S1, Q).
+    error: P_M on copy 2 -> (P, S1, Q), recovered through the pointer values
+    f; disturbance: I_M on copy 2 -> (S2, S1, Q), recovered through gen.
     """
     _check_meas(rho, gen, meas)
     s2, s1 = _two_copy_labels(rho)
-    rho2 = DensityMatrix((s2, s1), np.kron(rho.data, rho.data))
-    full = (s2, s1, q)
-    app = append_channel(rho2, q)
-    gen1 = Observable((s1,), gen.data)
-    u = embed(weak_coupling(gen1, theta, q), full)
+    block = DensityMatrix((s2, s1), np.kron(rho.data, rho.data))
     meas2 = _relabel_instrument(meas, s2)
     if kind == "error":
-        p_label = Label(pointer_name, len(meas.branches))
-        stage = embed(pointer_channel(meas2, p_label), full)
+        p_label = _pointer(meas)
+        stage = pointer_channel(meas2, p_label)
+        recoveries = lambda: ((_pointer_observable(meas, f), (p_label, s1)),)
     elif kind == "disturbance":
-        stage = embed(instrument_channel(meas2), full)
+        stage = instrument_channel(meas2)
+        out2 = meas2.out_space
+        recoveries = lambda: ((Observable(out2, gen.data), tuple(out2) + (s1,)),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
-    channel = compose(stage, compose(u, app))
-    return LossProcess(kind, rho, gen, float(theta), meas, channel, q)
+    return Comb(block, Observable((s1,), gen.data), embed(stage, (s2, s1, Q_LABEL)), recoveries)
+
+
+def build_loss_error(rho: DensityMatrix, a: Observable, theta: float, meas: Instrument) -> LossProcess:
+    """P_M o U_{A,theta} o A_rho from Q to (P, Q)."""
+    channel = _error_comb(rho, a, meas).loss(theta)
+    return LossProcess("error", rho, a, float(theta), meas, channel)
+
+
+def build_loss_disturbance(
+    rho: DensityMatrix, b: Observable, theta: float, meas: Instrument
+) -> LossProcess:
+    """I_M o U_{B,theta} o A_rho from Q to (S', Q)."""
+    channel = _disturbance_comb(rho, b, meas).loss(theta)
+    return LossProcess("disturbance", rho, b, float(theta), meas, channel)
+
+
+def build_loss_two_copy(
+    rho: DensityMatrix, gen: Observable, theta: float, meas: Instrument, kind: str
+) -> LossProcess:
+    """Two-copy calibration comb: (P, S1, Q) for error, (S2, S1, Q) for disturbance."""
+    channel = _two_copy_comb(rho, gen, meas, kind).loss(theta)
+    return LossProcess(kind, rho, gen, float(theta), meas, channel)
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +382,21 @@ def _check_value(value: float, grid, method: str) -> None:
         )
 
 
-def _analytic_c2(
-    sys_state: np.ndarray,
-    g1: np.ndarray,
-    phi: KrausChannel,
-    g2: np.ndarray,
-    q: Label = Q_LABEL,
-) -> float:
-    """Exact lim delta^2/theta^2 for a canonical recovery.
+def _analytic_c2(comb: Comb, x: Observable) -> float:
+    """Exact lim delta^2/theta^2 for the canonical recovery through x.
 
-    sys_state is the appended block (everything but Q) on phi's input space;
-    g1/g2 are the full coupling generators on phi's input/output spaces. Only
-    the +/- diagonal matrix elements on Q survive the final dephasing, which
-    gives c2 = -(a+'' + a-'')/4 with a_k'' the second derivative of the
-    recovered overlap.
+    g1/g2 are the full coupling generators on the stage's input/output
+    spaces. Only the +/- diagonal matrix elements on Q survive the final
+    dephasing, which gives c2 = -(a+'' + a-'')/4 with a_k'' the second
+    derivative of the recovered overlap.
     """
+    phi = comb.stage
+    g1 = embed_matrix(np.kron(comb.gen.data, SIGMA_Z), tuple(comb.gen.space) + (Q_LABEL,), comb.full)
+    g2 = embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q_LABEL,), phi.out_space)
     total = 0.0
     for vec in (KET_PLUS, KET_MINUS):
         kk = np.outer(vec, vec.conj())
-        rho_t = np.kron(sys_state, kk)
+        rho_t = np.kron(comb.block.data, kk)
         m0 = apply_raw(phi, rho_t)
         c1 = g1 @ rho_t - rho_t @ g1
         m1 = apply_raw(phi, c1)
@@ -385,44 +404,62 @@ def _analytic_c2(
         m2 = apply_raw(phi, c11)
         inner = g2 @ m0 - m0 @ g2
         gpp = -(g2 @ inner - inner @ g2) + 2 * (g2 @ m1 - m1 @ g2) - m2
-        e = embed_matrix(kk, (q,), phi.out_space)
+        e = embed_matrix(kk, (Q_LABEL,), phi.out_space)
         total += float(np.real(np.trace(e @ gpp)))
     return -total / 4.0
 
 
-def _grid_extract(loss_at, recovery_at, cfg: ExtractionConfig, q: Label):
-    omega = omega_pm(q)
+def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = None) -> IepResult:
+    """lim delta^2/theta^2 of a comb under a recovery.
+
+    recovery: "canonical" (the comb's first canonical recovery) or a
+    CanonicalRecovery, both rebuilt per grid theta; an explicit
+    KrausChannel held fixed across the grid, or OPTIMIZE to minimize over
+    recoveries at each theta, warm-started from every canonical recovery of
+    the comb. cfg.method="analytic" differentiates exactly and needs a
+    canonical recovery.
+    """
+    cfg = cfg or ExtractionConfig()
+    if isinstance(recovery, CanonicalRecovery):
+        pair = (recovery.x, recovery.target)
+    elif isinstance(recovery, str) and recovery == "canonical":
+        pair = comb.recoveries()[0]
+    elif recovery is OPTIMIZE or isinstance(recovery, KrausChannel):
+        pair = None
+    else:
+        raise TypeError(f"unsupported recovery {recovery!r}")
+    scale = comb.branch_scale
+
+    if cfg.method == "analytic":
+        if pair is None:
+            raise ValueError("analytic extraction needs a canonical recovery")
+        c2 = _analytic_c2(comb, pair[0])
+        if scale is not None:
+            c2 = c2 / (scale * scale)
+        _check_value(c2, (), "analytic")
+        return IepResult(c2, (), 0.0, "analytic")
+
+    omega = omega_pm()
+    warm_pairs = comb.recoveries() if recovery is OPTIMIZE else ()
     grid = []
+    probs = []
     for theta in cfg.thetas:
-        loss = loss_at(theta)
-        rec = recovery_at(theta)
-        if rec is OPTIMIZE:
-            raise TypeError("internal: OPTIMIZE must be resolved before _grid_extract")
-        rep = delta_with_recovery(loss, rec, omega)
+        loss = comb.loss(theta)
+        if recovery is OPTIMIZE:
+            warm = tuple(canonical_recovery(x, target, theta).channel for x, target in warm_pairs)
+            rep = delta_min(loss, omega, cfg.optimizer, warm_starts=warm)
+        else:
+            rec = recovery if pair is None else canonical_recovery(*pair, theta).channel
+            if scale is None:
+                rep = delta_with_recovery(loss, rec, omega)
+            else:
+                rep = delta_cp(loss, omega, rec)
+                probs.extend(p / (scale * scale) for p in rep.branch_probabilities)
         grid.append((float(theta), rep.delta**2))
     c2, residual = _fit_c2(grid, cfg.fit_tol)
     _check_value(c2, grid, "extrapolated")
-    return IepResult(c2, tuple(grid), residual, "extrapolated")
-
-
-def _grid_extract_optimized(loss_at, warm_at, cfg: ExtractionConfig, q: Label):
-    omega = omega_pm(q)
-    grid = []
-    for theta in cfg.thetas:
-        loss = loss_at(theta)
-        warm = tuple(w for w in warm_at(theta) if w is not None)
-        rep = delta_min(loss, omega, cfg.optimizer, warm_starts=warm)
-        grid.append((float(theta), rep.delta**2))
-    c2, residual = _fit_c2(grid, cfg.fit_tol)
-    _check_value(c2, grid, "extrapolated")
-    return IepResult(c2, tuple(grid), residual, "extrapolated")
-
-
-def _pushforward_x(rho: DensityMatrix, a: Observable, meas: Instrument, p_label: Label):
-    """Pointer observable sum_m f*(m) |m><m|_P at the pushforward values."""
-    _, fstar = lt_error(rho, a, meas)
-    vals = outcome_values(meas, fstar)
-    return Observable((p_label,), np.diag(vals).astype(complex))
+    branch = float(np.mean(probs)) if probs else None
+    return IepResult(c2, tuple(grid), residual, "extrapolated", branch_probability=branch)
 
 
 def extract_epsilon(
@@ -431,47 +468,13 @@ def extract_epsilon(
     meas: Instrument,
     recovery,
     cfg: ExtractionConfig | None = None,
-    q: Label = Q_LABEL,
 ) -> IepResult:
     """Squared error: lim delta^2/theta^2 of the error comb.
 
-    recovery: a CanonicalRecovery (rebuilt per grid theta), an explicit
-    KrausChannel held fixed across the grid, or OPTIMIZE to minimize over
-    recoveries at each theta (warm-started from the pushforward canonical
-    recovery).
+    recovery is as in `extract`; "canonical" and the OPTIMIZE warm start are
+    the recovery at the pushforward (least-squares) pointer values.
     """
-    cfg = cfg or ExtractionConfig()
-    p_label = Label("P", len(meas.branches))
-
-    if cfg.method == "analytic":
-        if not isinstance(recovery, CanonicalRecovery):
-            raise ValueError("analytic extraction needs a canonical recovery")
-        full = tuple(rho.space) + (q,)
-        g1 = np.kron(a.data, np.diag([1.0, -1.0]))
-        phi = embed(pointer_channel(meas, p_label), full)
-        g2 = embed_matrix(
-            np.kron(recovery.x.data, np.diag([1.0, -1.0])),
-            tuple(recovery.x.space) + (q,),
-            phi.out_space,
-        )
-        c2 = _analytic_c2(rho.data, g1, phi, g2, q)
-        _check_value(c2, (), "analytic")
-        return IepResult(c2, (), 0.0, "analytic")
-
-    loss_at = lambda t: build_loss_error(rho, a, t, meas, q).channel
-    if recovery is OPTIMIZE:
-        x_star = _pushforward_x(rho, a, meas, p_label)
-        warm_at = lambda t: (canonical_recovery(x_star, (p_label,), t, q).channel,)
-        return _grid_extract_optimized(loss_at, warm_at, cfg, q)
-    if isinstance(recovery, CanonicalRecovery):
-        rec_at = lambda t: canonical_recovery(
-            recovery.x, recovery.target, t, q
-        ).channel
-    elif isinstance(recovery, KrausChannel):
-        rec_at = lambda t: recovery
-    else:
-        raise TypeError(f"unsupported recovery {recovery!r}")
-    return _grid_extract(loss_at, rec_at, cfg, q)
+    return extract(_error_comb(rho, a, meas), recovery, cfg)
 
 
 def extract_eta(
@@ -480,47 +483,14 @@ def extract_eta(
     meas: Instrument,
     recovery,
     cfg: ExtractionConfig | None = None,
-    q: Label = Q_LABEL,
 ) -> IepResult:
-    """Squared disturbance: lim delta^2/theta^2 of the disturbance comb."""
-    cfg = cfg or ExtractionConfig()
+    """Squared disturbance: lim delta^2/theta^2 of the disturbance comb.
 
-    if cfg.method == "analytic":
-        if not isinstance(recovery, CanonicalRecovery):
-            raise ValueError("analytic extraction needs a canonical recovery")
-        full = tuple(rho.space) + (q,)
-        g1 = np.kron(b.data, np.diag([1.0, -1.0]))
-        phi = embed(instrument_channel(meas), full)
-        g2 = embed_matrix(
-            np.kron(recovery.x.data, np.diag([1.0, -1.0])),
-            tuple(recovery.x.space) + (q,),
-            phi.out_space,
-        )
-        c2 = _analytic_c2(rho.data, g1, phi, g2, q)
-        _check_value(c2, (), "analytic")
-        return IepResult(c2, (), 0.0, "analytic")
-
-    loss_at = lambda t: build_loss_disturbance(rho, b, t, meas, q).channel
-    if recovery is OPTIMIZE:
-        out_sp = meas.out_space
-
-        def warm_at(t):
-            warms = []
-            _, x_lt = lt_disturbance(rho, b, meas)
-            warms.append(canonical_recovery(x_lt, out_sp, t, q).channel)
-            if meas.dim_in == space_dim(out_sp):
-                b_out = Observable(out_sp, b.data)
-                warms.append(canonical_recovery(b_out, out_sp, t, q).channel)
-            return tuple(warms)
-
-        return _grid_extract_optimized(loss_at, warm_at, cfg, q)
-    if isinstance(recovery, CanonicalRecovery):
-        rec_at = lambda t: canonical_recovery(recovery.x, recovery.target, t, q).channel
-    elif isinstance(recovery, KrausChannel):
-        rec_at = lambda t: recovery
-    else:
-        raise TypeError(f"unsupported recovery {recovery!r}")
-    return _grid_extract(loss_at, rec_at, cfg, q)
+    recovery is as in `extract`; "canonical" is the LT-optimal recovery
+    generator, and OPTIMIZE is warm-started from it and, when the
+    instrument keeps the dimension, from B itself.
+    """
+    return extract(_disturbance_comb(rho, b, meas), recovery, cfg)
 
 
 def extract_two_copy(
@@ -530,46 +500,12 @@ def extract_two_copy(
     kind: str,
     f=None,
     cfg: ExtractionConfig | None = None,
-    q: Label = Q_LABEL,
 ) -> IepResult:
     """Squared calibration error/disturbance from the two-copy comb.
 
     error kind: f gives the pointer values (defaults required); disturbance
     kind: the recovery couples the measured copy back through `gen`.
     """
-    cfg = cfg or ExtractionConfig()
-    s2, s1 = _two_copy_labels(rho)
-    rho2 = np.kron(rho.data, rho.data)
-    full = (s2, s1, q)
-    meas2 = _relabel_instrument(meas, s2)
-
-    if kind == "error":
-        if f is None:
-            raise ValueError("two-copy error extraction needs outcome values f")
-        vals = outcome_values(meas, f)
-        p_label = Label("P", len(meas.branches))
-        x = Observable((p_label,), np.diag(vals).astype(complex))
-        target = (p_label, s1)
-        phi = embed(pointer_channel(meas2, p_label), full)
-    elif kind == "disturbance":
-        out2 = meas2.out_space
-        x = Observable(out2, gen.data)
-        target = tuple(out2) + (s1,)
-        phi = embed(instrument_channel(meas2), full)
-    else:
-        raise ValueError(f"unknown two-copy kind {kind!r}")
-
-    if cfg.method == "analytic":
-        g1 = embed_matrix(
-            np.kron(gen.data, np.diag([1.0, -1.0])), (s1, q), full
-        )
-        g2 = embed_matrix(
-            np.kron(x.data, np.diag([1.0, -1.0])), tuple(x.space) + (q,), phi.out_space
-        )
-        c2 = _analytic_c2(rho2, g1, phi, g2, q)
-        _check_value(c2, (), "analytic")
-        return IepResult(c2, (), 0.0, "analytic")
-
-    loss_at = lambda t: build_loss_two_copy(rho, gen, t, meas, kind, q).channel
-    rec_at = lambda t: canonical_recovery(x, target, t, q).channel
-    return _grid_extract(loss_at, rec_at, cfg, q)
+    if kind == "error" and f is None:
+        raise ValueError("two-copy error extraction needs outcome values f")
+    return extract(_two_copy_comb(rho, gen, meas, kind, f), "canonical", cfg)

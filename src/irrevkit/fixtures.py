@@ -97,7 +97,7 @@ def _fx_epsilon() -> dict:
         "observable": encode_observable(_obs(SIGMA_X)),
         "instrument": encode_instrument(_sz_instrument()),
         "recovery": {
-            "x": encode_observable(Observable((p_label,), np.diag([1.0, -1.0]).astype(complex))),
+            "x": encode_observable(Observable((p_label,), SIGMA_Z)),
             "target": [{"name": "P", "dim": 2}],
         },
     }

@@ -10,34 +10,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comb import (
-    ExtractionConfig,
-    IepResult,
-    OPTIMIZE,
-    Q_LABEL,
-    _analytic_c2,
-    _check_value,
-    _fit_c2,
-    _grid_extract,
-    _grid_extract_optimized,
-    append_channel,
-    canonical_recovery,
-    omega_pm,
-    weak_coupling,
-)
+from .comb import Q_LABEL, Comb, ExtractionConfig, IepResult, extract
 from .errors import AssumptionError, CompositeSpaceError
-from .irrev import delta_cp
+from .irrev import _qr_retract
 from .qcore import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     KrausChannel,
     Label,
     Observable,
+    _expm_herm,
     _names,
-    compose,
     embed,
     maximally_mixed,
     qfi,
@@ -57,12 +47,7 @@ __all__ = [
     "ising_chain_scenario",
 ]
 
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+PAULI = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
 @dataclass(frozen=True)
@@ -93,8 +78,7 @@ class ScramblingScenario:
 
 def heisenberg(w0: Observable, h: Observable, tau: float) -> Observable:
     """W(tau) = e^{iH tau} W0 e^{-iH tau} by exact eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h.data)
-    u = (vecs * np.exp(1j * vals * tau)) @ vecs.conj().T
+    u = _expm_herm(h.data, -tau)
     w = u @ w0.data @ u.conj().T
     return Observable(w0.space, (w + w.conj().T) / 2)
 
@@ -112,47 +96,31 @@ def _unitary_self_adjoint(w: np.ndarray, what: str) -> None:
         raise AssumptionError(f"{what} must square to the identity within 1e-9")
 
 
+def _scenario_comb(s: ScramblingScenario, stage: KrausChannel, branch_scale=None) -> Comb:
+    """Couple through V, apply `stage` to the system; the recovery uncouples V."""
+    stage = embed(stage, tuple(s.rho.space) + (Q_LABEL,))
+    return Comb(s.rho, s.v0, stage, lambda: ((s.v0, s.v0.space),), branch_scale)
+
+
 def otoc_iep(
     s: ScramblingScenario,
     cfg: ExtractionConfig | None = None,
     recovery="canonical",
-    q: Label = Q_LABEL,
 ) -> IepResult:
     """Extract C_T(tau) as the curvature of the ancilla irreversibility.
 
-    Loss: conjugation by W(tau) after the weak V coupling; recovery: undo the
-    coupling, trace out the system, dephase the ancilla. recovery="canonical"
-    uses that closed form (exact with cfg.method="analytic"); OPTIMIZE
-    minimizes over recoveries per grid point instead.
+    Loss: conjugation by W(tau) after the weak V coupling. recovery is as in
+    `extract`: "canonical" undoes the coupling, traces out the system and
+    dephases the ancilla (exact with cfg.method="analytic"); OPTIMIZE
+    minimizes over recoveries per grid point instead, and a KrausChannel is
+    held fixed across the grid.
     """
-    cfg = cfg or ExtractionConfig()
     _unitary_self_adjoint(s.w0.data, "W0")
     w_tau = heisenberg(s.w0, s.h, s.tau)
-    dw = unitary_channel(w_tau.data, s.rho.space)
-    full = tuple(s.rho.space) + (q,)
-    phi = embed(dw, full)
-
-    if cfg.method == "analytic":
-        if recovery is OPTIMIZE:
-            raise ValueError("analytic extraction needs the canonical recovery")
-        g = np.kron(s.v0.data, np.diag([1.0, -1.0]))
-        c2 = _analytic_c2(s.rho.data, g, phi, g, q)
-        _check_value(c2, (), "analytic")
-        return IepResult(c2, (), 0.0, "analytic")
-
-    def loss_at(theta):
-        return compose(phi, compose(weak_coupling(s.v0, theta, q), append_channel(s.rho, q)))
-
-    if recovery is OPTIMIZE:
-        warm_at = lambda t: (canonical_recovery(s.v0, s.v0.space, t, q).channel,)
-        return _grid_extract_optimized(loss_at, warm_at, cfg, q)
-    rec_at = lambda t: canonical_recovery(s.v0, s.v0.space, t, q).channel
-    return _grid_extract(loss_at, rec_at, cfg, q)
+    return extract(_scenario_comb(s, unitary_channel(w_tau.data, s.rho.space)), recovery, cfg)
 
 
-def otoc_iep_cp(
-    s: ScramblingScenario, cfg: ExtractionConfig | None = None, q: Label = Q_LABEL
-) -> IepResult:
+def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> IepResult:
     """CP-branch extraction for Hermitian, not necessarily unitary, W.
 
     W(tau) is rescaled so that Tr[W~^2] = d, which pins the branch
@@ -176,36 +144,10 @@ def otoc_iep_cp(
     wt = w_tau / rms
     t = 1.0 / max(1.0, float(np.linalg.norm(wt, 2)))
     branch = KrausChannel(s.rho.space, s.rho.space, (t * wt,), trace_preserving=False)
-    full = tuple(s.rho.space) + (q,)
-    phi = embed(branch, full)
-    rescale = rms**2
-    q_prob = float(np.real(np.trace(wt @ s.rho.data @ wt)))
-
-    if cfg.method == "analytic":
-        g = np.kron(s.v0.data, np.diag([1.0, -1.0]))
-        c2 = _analytic_c2(s.rho.data, g, phi, g, q) / (t * t)
-        _check_value(c2, (), "analytic")
-        return IepResult(c2, (), 0.0, "analytic", rescale=rescale, branch_probability=q_prob)
-
-    omega = omega_pm(q)
-    grid = []
-    probs = []
-    for theta in cfg.thetas:
-        loss = compose(phi, compose(weak_coupling(s.v0, theta, q), append_channel(s.rho, q)))
-        rec = canonical_recovery(s.v0, s.v0.space, theta, q).channel
-        rep = delta_cp(loss, omega, rec)
-        grid.append((float(theta), rep.delta**2))
-        probs.extend(p / (t * t) for p in rep.branch_probabilities)
-    c2, residual = _fit_c2(grid, cfg.fit_tol)
-    _check_value(c2, grid, "extrapolated")
-    return IepResult(
-        c2,
-        tuple(grid),
-        residual,
-        "extrapolated",
-        rescale=rescale,
-        branch_probability=float(np.mean(probs)),
-    )
+    rep = extract(_scenario_comb(s, branch, t), "canonical", cfg)
+    if rep.branch_probability is None:  # analytic: no grid samples, so Tr[W~ rho W~]
+        rep = replace(rep, branch_probability=float(np.real(np.trace(wt @ s.rho.data @ wt))))
+    return replace(rep, rescale=rms**2)
 
 
 def way_bound_otoc(s: ScramblingScenario, charges: dict | None, impl: Implementation) -> WayReport:
@@ -267,10 +209,7 @@ def conserving_otoc_implementation(
     w = heisenberg(s.w0, s.h, s.tau).data
     n = x_beta.dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    qmat, r = np.linalg.qr(g)
-    ph = np.diag(r).copy()
-    ph[np.abs(ph) < 1e-12] = 1.0
-    u = qmat * (ph / np.abs(ph))
+    u = _qr_retract(g)
     d = x_s.dim
     x_out_a = w @ (x_s.data + lam * np.eye(d)) @ w.conj().T
     x_out_b = u @ (x_beta.data - lam * np.eye(n)) @ u.conj().T

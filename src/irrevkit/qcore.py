@@ -374,6 +374,12 @@ def _basis_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     return p
 
 
+def _expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(-i t H) for Hermitian H via its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
 def embed_matrix(mat: np.ndarray, sub, full) -> np.ndarray:
     """Operator acting as `mat` on the sub labels and identity elsewhere."""
     sub = _as_space(sub)
@@ -433,7 +439,7 @@ def embed(ch: KrausChannel, full_space) -> KrausChannel:
     return KrausChannel(tuple(full), target_space, ops, ch.trace_preserving)
 
 
-def compose(second: KrausChannel, first: KrausChannel, compress: bool = True) -> KrausChannel:
+def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     """Channel second o first; spaces must match label for label."""
     if _names(second.in_space) != _names(first.out_space) or [
         l.dim for l in second.in_space
@@ -444,7 +450,7 @@ def compose(second: KrausChannel, first: KrausChannel, compress: bool = True) ->
     ops = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
     tp = second.trace_preserving and first.trace_preserving
     ch = KrausChannel(first.in_space, second.out_space, ops, tp)
-    if compress and len(ops) > ch.dim_in * ch.dim_out:
+    if len(ops) > ch.dim_in * ch.dim_out:
         ch = minimal_kraus(ch)
     return ch
 

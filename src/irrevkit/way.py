@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comb import (
-    CanonicalRecovery,
-    ExtractionConfig,
-    canonical_recovery,
-    extract_epsilon,
-    extract_eta,
-)
+from .comb import CanonicalRecovery, ExtractionConfig, extract_epsilon, extract_eta
 from .errors import ConservationError, YanaseConditionError
-from .oracles import lt_disturbance, lt_error, outcome_values
 from .qcore import (
     DensityMatrix,
     Instrument,
@@ -31,6 +24,8 @@ from .qcore import (
     Label,
     Observable,
     _as_space,
+    _basis_permutation,
+    _expm_herm,
     _names,
     apply,
     choi,
@@ -180,31 +175,42 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _lhs_epsilon(rho, a, meas, lhs, cfg):
-    if isinstance(lhs, str):
-        if lhs != "canonical":
-            raise ValueError(f"unknown lhs mode {lhs!r}")
-        _, fstar = lt_error(rho, a, meas)
-        vals = outcome_values(meas, fstar)
-        p_label = Label("P", len(meas.branches))
-        x = Observable((p_label,), np.diag(vals).astype(complex))
-        lhs = canonical_recovery(x, (p_label,), 0.0)
+def _lhs(extract, rho, obs, meas, lhs, cfg) -> float:
+    """sqrt of the extracted error or disturbance; canonical recoveries go analytic."""
     if cfg is None:
-        method = "analytic" if isinstance(lhs, CanonicalRecovery) else "extrapolated"
-        cfg = ExtractionConfig(method=method)
-    return math.sqrt(max(extract_epsilon(rho, a, meas, lhs, cfg).value, 0.0))
+        canonical = lhs == "canonical" or isinstance(lhs, CanonicalRecovery)
+        cfg = ExtractionConfig(method="analytic" if canonical else "extrapolated")
+    return math.sqrt(max(extract(rho, obs, meas, lhs, cfg).value, 0.0))
 
 
-def _lhs_eta(rho, b, meas, lhs, cfg):
-    if isinstance(lhs, str):
-        if lhs != "canonical":
-            raise ValueError(f"unknown lhs mode {lhs!r}")
-        _, x_lt = lt_disturbance(rho, b, meas)
-        lhs = canonical_recovery(x_lt, x_lt.space, 0.0)
-    if cfg is None:
-        method = "analytic" if isinstance(lhs, CanonicalRecovery) else "extrapolated"
-        cfg = ExtractionConfig(method=method)
-    return math.sqrt(max(extract_eta(rho, b, meas, lhs, cfg).value, 0.0))
+def _way_bound(rho, obs, meas, charges, impl, target, extract, lhs, cfg) -> WayReport:
+    """|<[Y,O]>| / (sqrt(F_beta) + sqrt(F_rho(X)) + 2 sqrt(V_out)) against the extracted lhs."""
+    charges = charges or impl.charges
+    _require_valid(impl, target, charges)
+
+    y = y_operator(target, charges)
+    num = _commutator_expectation(rho, y, obs)
+    fisher_beta = qfi(impl.rho_beta, charges["beta"])
+    fisher_state = qfi(rho, charges["alpha"])
+    out_state = apply(target, rho)
+    x_out = Observable(out_state.space, charges["alpha_out"].data)
+    var_out = variance(out_state, x_out)
+    den = math.sqrt(max(fisher_beta, 0.0)) + math.sqrt(max(fisher_state, 0.0)) + 2 * math.sqrt(
+        max(var_out, 0.0)
+    )
+    rhs = _ratio(num, den)
+    lhs_val = _lhs(extract, rho, obs, meas, lhs, cfg)
+    return WayReport(
+        lhs_val,
+        rhs,
+        lhs_val - rhs,
+        {
+            "commutator_expectation": num,
+            "fisher_cost_upper": fisher_beta,
+            "qfi_state": fisher_state,
+            "variance_out": var_out,
+        },
+    )
 
 
 def way_bound_error(
@@ -222,34 +228,8 @@ def way_bound_error(
     which can only overestimate the optimized error, keeping the check valid.
     Pass OPTIMIZE (with a cfg) to evaluate the minimized error instead.
     """
-    charges = charges or impl.charges
-    p_label = Label("P", len(meas.branches))
-    target = pointer_channel(meas, p_label)
-    _require_valid(impl, target, charges)
-
-    y = y_operator(target, charges)
-    num = _commutator_expectation(rho, y, a)
-    fisher_beta = qfi(impl.rho_beta, charges["beta"])
-    fisher_state = qfi(rho, charges["alpha"])
-    out_state = apply(target, rho)
-    x_out = Observable(out_state.space, charges["alpha_out"].data)
-    var_out = variance(out_state, x_out)
-    den = math.sqrt(max(fisher_beta, 0.0)) + math.sqrt(max(fisher_state, 0.0)) + 2 * math.sqrt(
-        max(var_out, 0.0)
-    )
-    rhs = _ratio(num, den)
-    lhs_val = _lhs_epsilon(rho, a, meas, lhs, cfg)
-    return WayReport(
-        lhs_val,
-        rhs,
-        lhs_val - rhs,
-        {
-            "commutator_expectation": num,
-            "fisher_cost_upper": fisher_beta,
-            "qfi_state": fisher_state,
-            "variance_out": var_out,
-        },
-    )
+    target = pointer_channel(meas, Label("P", len(meas.branches)))
+    return _way_bound(rho, a, meas, charges, impl, target, extract_epsilon, lhs, cfg)
 
 
 def way_bound_disturbance(
@@ -262,33 +242,8 @@ def way_bound_disturbance(
     cfg: ExtractionConfig | None = None,
 ) -> WayReport:
     """Disturbance bound with Y' = X - I'(X_out) and the disturbed-state variance."""
-    charges = charges or impl.charges
     target = instrument_channel(meas)
-    _require_valid(impl, target, charges)
-
-    y = y_operator(target, charges)
-    num = _commutator_expectation(rho, y, b)
-    fisher_beta = qfi(impl.rho_beta, charges["beta"])
-    fisher_state = qfi(rho, charges["alpha"])
-    out_state = apply(target, rho)
-    x_out = Observable(out_state.space, charges["alpha_out"].data)
-    var_out = variance(out_state, x_out)
-    den = math.sqrt(max(fisher_beta, 0.0)) + math.sqrt(max(fisher_state, 0.0)) + 2 * math.sqrt(
-        max(var_out, 0.0)
-    )
-    rhs = _ratio(num, den)
-    lhs_val = _lhs_eta(rho, b, meas, lhs, cfg)
-    return WayReport(
-        lhs_val,
-        rhs,
-        lhs_val - rhs,
-        {
-            "commutator_expectation": num,
-            "fisher_cost_upper": fisher_beta,
-            "qfi_state": fisher_state,
-            "variance_out": var_out,
-        },
-    )
+    return _way_bound(rho, b, meas, charges, impl, target, extract_eta, lhs, cfg)
 
 
 def way_bound_error_yanase(
@@ -321,7 +276,7 @@ def way_bound_error_yanase(
     fisher_state = qfi(rho, charges["alpha"])
     den = math.sqrt(max(fisher_beta + fisher_state, 0.0))
     rhs = _ratio(num, den)
-    lhs_val = _lhs_epsilon(rho, a, meas, lhs, cfg)
+    lhs_val = _lhs(extract_epsilon, rho, a, meas, lhs, cfg)
     return WayReport(
         lhs_val,
         rhs,
@@ -346,11 +301,6 @@ def commutant_projection(h: np.ndarray, x_tot: np.ndarray, tol: float = 1e-9) ->
     hm = hm * mask
     out = vecs @ hm @ vecs.conj().T
     return (out + out.conj().T) / 2
-
-
-def _expm_herm(h: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
 def _induced_instrument(u_meas: np.ndarray, chi: np.ndarray, d: int, n: int, sp) -> Instrument:
@@ -408,12 +358,7 @@ def conserving_error_implementation(
     u_total = np.kron(np.eye(d), u_copy) @ np.kron(u_meas, np.eye(n))
 
     # reorder output rows from (S, B1, B2) to (P=B2, S, B1)
-    dims = (d, n, n)
-    dd = d * n * n
-    idx = np.arange(dd).reshape(dims).transpose((2, 0, 1)).reshape(dd)
-    perm = np.zeros((dd, dd))
-    perm[np.arange(dd), idx] = 1.0
-    u_out = perm @ u_total
+    u_out = _basis_permutation((d, n, n), (2, 0, 1)) @ u_total
 
     rho_beta = DensityMatrix(
         (b1, b2), np.kron(np.outer(chi, chi.conj()), np.outer(ket(0, n), ket(0, n).conj()))

@@ -12,6 +12,7 @@ from irrevkit import (
     extract_epsilon,
     extract_eta,
     extract_two_copy,
+    lt_disturbance,
     lt_error,
     omega_pm,
     ozawa_disturbance,
@@ -92,8 +93,14 @@ class TestEpsilonExtraction:
         lt, fstar = lt_error(RHO0, obs(SIGMA_X, S), proj_z(S))
         x = Observable((P,), np.diag([fstar["0"], fstar["1"]]).astype(complex))
         cfg = ExtractionConfig(method="analytic")
-        rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), canonical_recovery(x, (P,), 0.0), cfg)
-        assert abs(rep.value - lt) < 1e-9
+        for rec in (canonical_recovery(x, (P,), 0.0), "canonical"):
+            rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), rec, cfg)
+            assert abs(rep.value - lt) < 1e-9
+
+    def test_unknown_recovery_rejected(self):
+        for cfg in (ExtractionConfig(), ExtractionConfig(method="analytic")):
+            with pytest.raises(TypeError):
+                extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), "petz", cfg)
 
     def test_optimized_never_exceeds_canonical(self):
         cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=120, restarts=1))
@@ -120,6 +127,18 @@ class TestEtaExtraction:
             rec = canonical_recovery(b, (lab,), 0.0)
             rep = extract_eta(rho, b, meas, rec, cfg)
             assert abs(rep.value - ozawa_disturbance(rho, b, meas)) < 1e-9
+
+    def test_canonical_is_the_lt_recovery(self):
+        rng = np.random.default_rng(24)
+        for cfg in (ExtractionConfig(), ExtractionConfig(method="analytic")):
+            d = int(rng.integers(2, 4))
+            lab = Label("S", d)
+            rho = rand_state(rng, d, lab)
+            b = Observable((lab,), rand_herm(rng, d, norm=1.0))
+            meas = rand_instrument(rng, d, 2, lab)
+            _, x_lt = lt_disturbance(rho, b, meas)
+            explicit = extract_eta(rho, b, meas, canonical_recovery(x_lt, x_lt.space, 0.0), cfg)
+            assert extract_eta(rho, b, meas, "canonical", cfg).value == explicit.value
 
 
 class TestTwoCopy:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from irrevkit import (
+    OPTIMIZE,
     AssumptionError,
     ExtractionConfig,
     Label,
     Observable,
     ScramblingScenario,
     check_conservation,
+    compose,
     conserving_otoc_implementation,
     heisenberg,
     ising_chain_scenario,
@@ -19,8 +21,10 @@ from irrevkit import (
     otoc_iep_cp,
     pauli_string,
     pure_state,
+    variance,
     way_bound_otoc,
 )
+from irrevkit.comb import Q_LABEL, dephase_pm, trace_out_channel
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, rand_herm, rand_state, rand_unitary
 
 S = Label("S", 2)
@@ -129,6 +133,31 @@ class TestIep:
         )
         rep = otoc_iep(s, ANALYTIC)
         assert abs(rep.value - otoc_direct(s)) < 1e-9
+
+
+class TestIepRecovery:
+    def test_fixed_kraus_recovery_is_honoured(self):
+        # dephasing Q alone never undoes the V coupling: c2 = <V^2> - <V>^2
+        s = ising_chain_scenario(0.4, 2)
+        full = tuple(s.rho.space) + (Q_LABEL,)
+        fixed = compose(dephase_pm(), trace_out_channel(full, s.rho.space))
+        rep = otoc_iep(s, recovery=fixed)
+        assert abs(rep.value - variance(s.rho, s.v0)) < 1e-6
+        assert abs(rep.value - 1.0) < 1e-6
+        assert abs(otoc_iep(s).value - otoc_direct(s)) < 1e-6
+
+    def test_unknown_recovery_rejected(self):
+        s = ising_chain_scenario(0.4, 2)
+        with pytest.raises(TypeError):
+            otoc_iep(s, recovery="petz")
+        with pytest.raises(TypeError):
+            otoc_iep(s, ANALYTIC, recovery="petz")
+
+    def test_optimized_never_exceeds_canonical(self):
+        s = ising_chain_scenario(0.4, 2)
+        canonical = otoc_iep(s).value
+        optimized = otoc_iep(s, recovery=OPTIMIZE).value
+        assert -1e-9 <= optimized <= canonical + 1e-6
 
 
 class TestIepCp:
