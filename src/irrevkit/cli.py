@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
 from .comb import ExtractionConfig, OPTIMIZE, canonical_recovery, extract_epsilon, extract_eta, extract_two_copy
@@ -96,6 +96,41 @@ _MATRIX = {
         },
     },
 }
+
+_NUMBERS = {float, int}  # exact types: bool is not a JSON Schema number
+
+
+def _is_matrix(x) -> bool:
+    """True only for values _MATRIX accepts, in one pass over the entries.
+
+    False means "undecided": numpy scalars, list subclasses and every
+    rejection go to the standard schema, which reports the error.
+    """
+    if type(x) is not list or not x:
+        return False
+    for row in x:
+        if type(row) is not list or not row:
+            return False
+        for v in row:
+            t = type(v)
+            if t is list:
+                if len(v) != 2 or type(v[0]) not in _NUMBERS or type(v[1]) not in _NUMBERS:
+                    return False
+            elif t not in _NUMBERS:
+                return False
+    return True
+
+
+def _matrix_keyword(validator, matrix_schema, instance, schema):
+    """Keyword behind _MATRIX_NODE: errors, and their messages, come from _MATRIX."""
+    if not _is_matrix(instance):
+        yield from validator.descend(instance, matrix_schema)
+
+
+_Validator = validators.extend(Draft202012Validator, {"irrevkitMatrix": _matrix_keyword})
+# every matrix field; a plain Draft202012Validator ignores the keyword, so
+# tests swap _MATRIX back in to get the reference schemas
+_MATRIX_NODE = {"irrevkitMatrix": _MATRIX}
 _SPACE = {
     "type": "array",
     "minItems": 1,
@@ -109,7 +144,7 @@ _SPACE = {
 _OPERATOR = {
     "type": "object",
     "required": ["space", "matrix"],
-    "properties": {"space": _SPACE, "matrix": _MATRIX},
+    "properties": {"space": _SPACE, "matrix": _MATRIX_NODE},
     "additionalProperties": False,
 }
 _CHANNEL = {
@@ -118,7 +153,7 @@ _CHANNEL = {
     "properties": {
         "in_space": _SPACE,
         "out_space": _SPACE,
-        "kraus": {"type": "array", "minItems": 1, "items": _MATRIX},
+        "kraus": {"type": "array", "minItems": 1, "items": _MATRIX_NODE},
         "trace_preserving": {"type": "boolean"},
     },
     "additionalProperties": False,
@@ -135,7 +170,7 @@ _INSTRUMENT = {
             "items": {
                 "type": "object",
                 "required": ["outcome", "kraus"],
-                "properties": {"outcome": {"type": "string"}, "kraus": _MATRIX},
+                "properties": {"outcome": {"type": "string"}, "kraus": _MATRIX_NODE},
                 "additionalProperties": False,
             },
         },
@@ -193,7 +228,7 @@ _IMPLEMENTATION = {
     "required": ["rho_beta", "u", "charges", "partition"],
     "properties": {
         "rho_beta": _OPERATOR,
-        "u": _MATRIX,
+        "u": _MATRIX_NODE,
         "charges": _CHARGES,
         "partition": {
             "type": "object",
@@ -313,7 +348,7 @@ PAYLOAD_SCHEMAS = {
         "properties": {
             "scenario": _SCRAMBLING,
             "extraction": _EXTRACTION,
-            "recovery": {"enum": ["canonical", "optimize"]},
+            "recovery": {"enum": ["canonical"]},
         },
         "additionalProperties": False,
     },
@@ -352,14 +387,16 @@ TOP_SCHEMA = {
 }
 
 
+_TOP_VALIDATOR = _Validator(TOP_SCHEMA)
+_PAYLOAD_VALIDATORS = {kind: _Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
+
+
 def validate_document(doc) -> str | None:
     """Return a human-readable pointer to the first failing field, or None."""
-    err = best_match(Draft202012Validator(TOP_SCHEMA).iter_errors(doc))
+    err = best_match(_TOP_VALIDATOR.iter_errors(doc))
     if err is not None:
         return f"{err.json_path}: {err.message}"
-    err = best_match(
-        Draft202012Validator(PAYLOAD_SCHEMAS[doc["kind"]]).iter_errors(doc["payload"])
-    )
+    err = best_match(_PAYLOAD_VALIDATORS[doc["kind"]].iter_errors(doc["payload"]))
     if err is not None:
         path = err.json_path.replace("$", "$.payload", 1)
         return f"{path}: {err.message}"
@@ -561,10 +598,8 @@ def _echo_scenario(s: ScramblingScenario) -> dict:
 def _run_otoc(payload: dict, seed: int):
     s = _decode_scenario(payload["scenario"])
     cfg = _extraction_config(payload, seed)
-    mode = payload.get("recovery", "canonical")
-    recovery = OPTIMIZE if mode == "optimize" else "canonical"
-    inputs = {"scenario": _echo_scenario(s), "extraction": cfg.to_json(), "recovery": mode}
-    rep = otoc_iep(s, cfg, recovery=recovery)
+    inputs = {"scenario": _echo_scenario(s), "extraction": cfg.to_json(), "recovery": "canonical"}
+    rep = otoc_iep(s, cfg)
     direct = otoc_direct(s)
     result = {"iep": rep.to_json(), "direct": direct, "gap": abs(rep.value - direct)}
     return inputs, result, None
@@ -616,13 +651,17 @@ def compute(kind: str, payload: dict, seed: int):
 # commands
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not JSON")
+
+
 def _load(path: str):
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         return None, f"{path}: cannot read: {exc}"
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or _reject_constant
         return None, f"{path}: invalid JSON: {exc}"
     problem = validate_document(doc)
     if problem is not None:

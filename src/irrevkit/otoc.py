@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comb import Q_LABEL, Comb, ExtractionConfig, IepResult, extract
+from .comb import OPTIMIZE, Q_LABEL, Comb, ExtractionConfig, IepResult, extract
 from .errors import AssumptionError, CompositeSpaceError
 from .irrev import _qr_retract
 from .qcore import (
@@ -111,10 +111,13 @@ def otoc_iep(
 
     Loss: conjugation by W(tau) after the weak V coupling. recovery is as in
     `extract`: "canonical" undoes the coupling, traces out the system and
-    dephases the ancilla (exact with cfg.method="analytic"); OPTIMIZE
-    minimizes over recoveries per grid point instead, and a KrausChannel is
-    held fixed across the grid.
+    dephases the ancilla (exact with cfg.method="analytic"), and a
+    KrausChannel is held fixed across the grid. OPTIMIZE is rejected: the
+    stage keeps the whole system, so a free recovery undoes W and the
+    coupling, and the value is 0 for every unitary W.
     """
+    if recovery is OPTIMIZE:
+        raise ValueError("otoc_iep does not take OPTIMIZE: a recovery on the whole system undoes W")
     _unitary_self_adjoint(s.w0.data, "W0")
     w_tau = heisenberg(s.w0, s.h, s.tau)
     return extract(_scenario_comb(s, unitary_channel(w_tau.data, s.rho.space)), recovery, cfg)

@@ -154,13 +154,13 @@ class DensityMatrix:
     def __post_init__(self):
         sp = _as_space(self.space)
         a = _as_matrix(self.data, space_dim(sp))
-        if _herm_defect(a) > TOL_HERM:
+        if not _herm_defect(a) <= TOL_HERM:
             raise StateValidityError(f"state not Hermitian within {TOL_HERM}")
         tr = a.trace()
-        if abs(tr - 1.0) > TOL_TRACE:
+        if not abs(tr - 1.0) <= TOL_TRACE:
             raise StateValidityError(f"state trace {tr} differs from 1 beyond {TOL_TRACE}")
         lo = float(np.linalg.eigvalsh(a)[0])
-        if lo < -TOL_EIG_NEG:
+        if not lo >= -TOL_EIG_NEG:
             raise StateValidityError(f"state has eigenvalue {lo} below -{TOL_EIG_NEG}")
         object.__setattr__(self, "space", sp)
         object.__setattr__(self, "data", _freeze(a))
@@ -180,7 +180,7 @@ class Observable:
     def __post_init__(self):
         sp = _as_space(self.space)
         a = _as_matrix(self.data, space_dim(sp))
-        if _herm_defect(a) > TOL_HERM:
+        if not _herm_defect(a) <= TOL_HERM:
             raise StateValidityError(f"observable not Hermitian within {TOL_HERM}")
         object.__setattr__(self, "space", sp)
         object.__setattr__(self, "data", _freeze(a))
@@ -215,11 +215,13 @@ class KrausChannel:
                 raise ShapeError(f"Kraus operator shape {k.shape} != ({dout}, {din})")
         acc = sum(k.conj().T @ k for k in ops)
         if self.trace_preserving:
-            if np.max(np.abs(acc - np.eye(din))) > TOL_TP:
+            if not np.max(np.abs(acc - np.eye(din))) <= TOL_TP:
                 raise ShapeError(f"channel not trace preserving within {TOL_TP}")
         else:
-            hi = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2)[-1])
-            if hi > 1.0 + TOL_TP:
+            # non-finite iff some Kraus entry is; eigvalsh returns finite garbage on NaN input
+            tr = acc.trace().real
+            hi = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2)[-1]) if np.isfinite(tr) else tr
+            if not hi <= 1.0 + TOL_TP:
                 raise ShapeError(f"CP branch exceeds trace preservation: max eig {hi}")
         object.__setattr__(self, "in_space", sin)
         object.__setattr__(self, "out_space", sout)
@@ -259,7 +261,7 @@ class Instrument:
         if not brs:
             raise ShapeError("instrument needs at least one branch")
         acc = sum(op.conj().T @ op for _, op in brs)
-        if np.max(np.abs(acc - np.eye(din))) > TOL_TP:
+        if not np.max(np.abs(acc - np.eye(din))) <= TOL_TP:
             raise ShapeError(f"instrument branches do not sum to identity within {TOL_TP}")
         object.__setattr__(self, "in_space", sin)
         object.__setattr__(self, "out_space", sout)
@@ -285,7 +287,7 @@ class TestEnsemble:
         if not ents:
             raise StateValidityError("ensemble must be non-empty")
         total = sum(p for p, _ in ents)
-        if any(p < -TOL_PROB for p, _ in ents) or abs(total - 1.0) > TOL_PROB:
+        if not (all(p >= -TOL_PROB for p, _ in ents) and abs(total - 1.0) <= TOL_PROB):
             raise StateValidityError("ensemble weights must be >= 0 and sum to 1 within 1e-12")
         sp = ents[0][1].space
         for _, rho in ents:

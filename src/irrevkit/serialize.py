@@ -9,6 +9,7 @@ files; timestamps never enter report bodies.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -50,7 +51,7 @@ __all__ = [
 
 def encode_matrix(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -71,6 +72,8 @@ def decode_matrix(obj) -> np.ndarray:
         raise ShapeError(f"matrix rows have inconsistent lengths: {exc}") from exc
     if m.ndim != 2:
         raise ShapeError("matrix must be two-dimensional")
+    if not np.isfinite(m).all():
+        raise ShapeError("matrix entries must be finite")
     return m
 
 
@@ -170,7 +173,82 @@ def decode_implementation(obj) -> Implementation:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n", byte for byte."""
+    out = []
+    _emit(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)  # NaN, Infinity, -Infinity
+
+
+def _key(k) -> str:
+    """A dict key as json converts it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _floats(seq, sep: str, nl: str) -> str | None:
+    """The items of seq joined by sep when they are all finite floats or all
+    [re, im] pairs of them (nl: newline and indent of a pair's line), else None."""
+    try:
+        if type(seq[0]) is float:
+            text = sep.join(map(float.__repr__, seq))
+        elif set(map(type, seq)) <= {list, tuple}:
+            pair = "[" + nl + "  %s," + nl + "  %s" + nl + "]"
+            text = sep.join([pair % (float.__repr__(re), float.__repr__(im)) for re, im in seq])
+        else:
+            return None
+    except (TypeError, ValueError):  # not a float, or not a pair
+        return None
+    return None if "n" in text else text  # no finite float's repr has an "n"; nan and inf go to _float
+
+
+def _emit(o, out: list, nl: str) -> None:
+    """Append the JSON of o to out; nl is the newline and indent of o's line."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif isinstance(o, (list, tuple, dict)) and not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        out.append("[" + inner)
+        text = _floats(o, "," + inner, inner)
+        if text is not None:
+            out.append(text)
+        else:
+            for i, v in enumerate(o):
+                if i:
+                    out.append("," + inner)
+                _emit(v, out, inner)
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        out.append("{")
+        for i, (k, v) in enumerate(sorted(o.items())):
+            out.append(("," if i else "") + inner + _quote(_key(k)) + ": ")
+            _emit(v, out, inner)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -1,11 +1,19 @@
 import json
 import os
+import random
+import shutil
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
-from irrevkit import fixture_names
-from irrevkit.cli import main
+from irrevkit import cli, fixture_names
+from irrevkit.cli import PAYLOAD_SCHEMAS, TOP_SCHEMA, _MATRIX, _MATRIX_NODE, _is_matrix, main, validate_document
+from irrevkit.serialize import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +79,41 @@ class TestRun:
         assert main(["run", src, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_multiple_scenarios_threaded(self, corpus, monkeypatch):
-        monkeypatch.setenv("IRREVKIT_THREADS", "2")
-        paths = [str(corpus / "lt-error-qubit.json"), str(corpus / "blw-error-qubit.json")]
-        assert main(["run", *paths]) == 0
+    def test_multiple_scenarios_threaded(self, corpus, tmp_path, monkeypatch):
+        # the validators and the emitter are shared by the pool; four workers on
+        # two cores, with frequent thread switches, must write the one-file reports
+        alone = {}
+        for n in fixture_names():
+            out = tmp_path / f"{n}.alone.json"
+            assert main(["run", str(corpus / f"{n}.json"), "-o", str(out)]) == 0
+            alone[n] = out.read_bytes()
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for n in fixture_names():
+            shutil.copy(corpus / f"{n}.json", batch / f"{n}.json")
+        monkeypatch.setenv("IRREVKIT_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert main(["run", *(str(batch / f"{n}.json") for n in fixture_names())]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        for n in fixture_names():
+            assert (batch / f"{n}.report.json").read_bytes() == alone[n], n
+
+    def test_emitted_json_matches_json_dumps(self, corpus, tmp_path, monkeypatch):
+        emitted = []
+
+        def checked(obj):
+            text = canonical_json(obj)
+            assert text == json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+            emitted.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "canonical_json", checked)
+        for n in fixture_names():
+            assert main(["run", str(corpus / f"{n}.json"), "-o", str(tmp_path / f"{n}.json")]) == 0
+        assert len(emitted) == 20  # each report and its .meta.json
 
     def test_output_flag_rejected_for_batches(self, corpus, tmp_path):
         paths = [str(corpus / "lt-error-qubit.json"), str(corpus / "blw-error-qubit.json")]
@@ -101,6 +140,28 @@ class TestExitCodes:
         doc = load_report(corpus / "lt-error-qubit.json")
         doc["payload"]["state"]["matrix"] = [[2.0, 0.0], [0.0, -1.0]]
         assert main(["run", write_doc(tmp_path, "s.json", doc)]) == 2
+
+    @pytest.mark.parametrize("field, literal", [("state", "NaN"), ("observable", "1e400")])
+    def test_non_finite_number_is_2(self, corpus, tmp_path, capsys, field, literal):
+        # NaN passes every "defect > tol" check, and 1e400 parses as inf
+        doc = load_report(corpus / "lt-error-qubit.json")
+        doc["payload"][field]["matrix"][0][0] = "NUMBER"
+        p = tmp_path / "nf.json"
+        p.write_text(json.dumps(doc).replace('"NUMBER"', literal))
+        assert main(["run", str(p)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_undecodable_file_is_2(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_otoc_optimize_recovery_is_2(self, corpus, tmp_path):
+        doc = load_report(corpus / "otoc-ising-chain.json")
+        doc["payload"]["recovery"] = "optimize"
+        assert main(["validate", write_doc(tmp_path, "o.json", doc)]) == 2
 
     def test_conservation_failure_is_3(self, corpus, tmp_path):
         doc = load_report(corpus / "way-error-tight.json")
@@ -183,3 +244,116 @@ class TestScenarioForms:
         doc = load_report(corpus / "otoc-ising-chain.json")
         doc["payload"]["scenario"]["w0"] = "XI"
         assert main(["run", write_doc(tmp_path, "w.json", doc)]) == 2
+
+
+def standard_schema(schema):
+    """schema with the plain _MATRIX in place of each fast-path matrix node."""
+    if schema is _MATRIX_NODE:
+        return _MATRIX
+    if isinstance(schema, dict):
+        return {k: standard_schema(v) for k, v in schema.items()}
+    if isinstance(schema, list):
+        return [standard_schema(v) for v in schema]
+    return schema
+
+
+def reference_problem(doc):
+    """validate_document's answer from plain Draft202012Validator instances."""
+    err = best_match(Draft202012Validator(TOP_SCHEMA).iter_errors(doc))
+    if err is not None:
+        return f"{err.json_path}: {err.message}"
+    schema = standard_schema(PAYLOAD_SCHEMAS[doc["kind"]])
+    err = best_match(Draft202012Validator(schema).iter_errors(doc["payload"]))
+    if err is not None:
+        return f"{err.json_path.replace('$', '$.payload', 1)}: {err.message}"
+    return None
+
+
+REPLACEMENTS = [None, True, 0, 1, -2.5, "x", [], [1], [1, 2], [1, 2, 3], [[1]], [[1, 2]],
+                [[[1, 2]]], [["a"]], [[True]], [[1, [1, 2, 3]]], {}, {"a": 1}, [[1.0, 2.0], [3.0]]]
+
+
+def node_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield from node_paths(v, prefix + (k,))
+
+
+def mutated(doc, rng):
+    """doc with one to three nodes deleted or replaced; most nodes are matrix entries."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(node_paths(doc))[1:])
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        if rng.random() < 0.2:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(rng.choice(REPLACEMENTS)))
+    return doc
+
+
+class TestValidation:
+    def test_messages_match_plain_jsonschema(self, corpus):
+        rng = random.Random(0)
+        docs = [load_report(corpus / f"{n}.json") for n in fixture_names()]
+        problems = []
+        for i in range(300):
+            doc = docs[i % len(docs)] if i < len(docs) else mutated(docs[i % len(docs)], rng)
+            problem = validate_document(doc)
+            assert problem == reference_problem(doc), doc
+            problems.append(problem)
+        assert problems[: len(docs)] == [None] * len(docs)
+        assert sum(p is not None and "matrix" in p for p in problems) > 75
+
+
+NUMBERS = st.one_of(st.integers(), st.floats())
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+JSON_VALUES = st.one_of(
+    NUMBERS,
+    PAIRS,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.one_of(NUMBERS, st.booleans(), st.text(max_size=1), st.lists(NUMBERS)), max_size=3),
+    st.dictionaries(st.text(max_size=1), NUMBERS, max_size=1),
+)
+FOREIGN_VALUES = st.one_of(
+    st.floats().map(np.float64),
+    st.integers(-9, 9).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.tuples(NUMBERS, NUMBERS),
+    PAIRS.map(type("ListSubclass", (list,), {})),
+)
+MATRIX_SCHEMA = Draft202012Validator(_MATRIX)
+
+
+@st.composite
+def matrices(draw, values):
+    """A valid matrix, or one with the whole, a row or an entry replaced by a drawn value."""
+    m = draw(st.lists(st.lists(st.one_of(NUMBERS, PAIRS), min_size=1, max_size=3), min_size=1, max_size=3))
+    where = draw(st.sampled_from(["none", "matrix", "row", "entry"]))
+    if where == "matrix":
+        return draw(values)
+    if where != "none":
+        row = draw(st.integers(0, len(m) - 1))
+        if where == "row":
+            m[row] = draw(st.one_of(values, st.lists(values, max_size=2)))
+        else:
+            m[row][draw(st.integers(0, len(m[row]) - 1))] = draw(values)
+    return m
+
+
+class TestMatrixPredicate:
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(matrices(JSON_VALUES))
+    def test_agrees_with_schema_on_json_values(self, x):
+        assert _is_matrix(x) == MATRIX_SCHEMA.is_valid(x)
+
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(matrices(st.one_of(JSON_VALUES, FOREIGN_VALUES)))
+    def test_accepts_only_what_the_schema_accepts(self, x):
+        if _is_matrix(x):
+            assert MATRIX_SCHEMA.is_valid(x)

@@ -153,11 +153,12 @@ class TestIepRecovery:
         with pytest.raises(TypeError):
             otoc_iep(s, ANALYTIC, recovery="petz")
 
-    def test_optimized_never_exceeds_canonical(self):
+    def test_optimize_rejected(self):
+        # a free recovery on the whole system undoes W: the value would be ~0 for every W
         s = ising_chain_scenario(0.4, 2)
-        canonical = otoc_iep(s).value
-        optimized = otoc_iep(s, recovery=OPTIMIZE).value
-        assert -1e-9 <= optimized <= canonical + 1e-6
+        for cfg in (None, ANALYTIC):
+            with pytest.raises(ValueError):
+                otoc_iep(s, cfg, recovery=OPTIMIZE)
 
 
 class TestIepCp:

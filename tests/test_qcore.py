@@ -89,6 +89,38 @@ class TestStates:
             TestEnsemble(((0.7, rho), (0.7, rho)))
 
 
+NAN = float("nan")
+MIXED = np.eye(2) / 2
+
+
+class TestNonFinite:
+    # a check written "defect > tol" lets NaN through, since every comparison with NaN is false
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: DensityMatrix((S,), np.diag([NAN, 1.0])), id="state-diagonal"),
+            pytest.param(lambda: DensityMatrix((S,), MIXED + NAN * SIGMA_X), id="state-coherence"),
+            pytest.param(lambda: Observable((S,), np.diag([1.0, NAN])), id="observable"),
+            pytest.param(lambda: KrausChannel((S,), (S,), (np.diag([1.0, NAN]),)), id="channel"),
+            pytest.param(
+                lambda: KrausChannel((S,), (S,), (np.diag([0.5, NAN]),), trace_preserving=False),
+                id="cp-branch",
+            ),
+            pytest.param(
+                lambda: Instrument((S,), (S,), (("0", np.diag([1.0, NAN])), ("1", np.diag([0.0, 1.0])))),
+                id="instrument",
+            ),
+            pytest.param(
+                lambda: TestEnsemble(((NAN, maximally_mixed((S,))), (1.0, maximally_mixed((S,))))),
+                id="ensemble-weight",
+            ),
+        ],
+    )
+    def test_nan_rejected(self, build):
+        with pytest.raises((ShapeError, StateValidityError)):
+            build()
+
+
 class TestChannels:
     def test_tp_violation_rejected(self):
         with pytest.raises(ShapeError):

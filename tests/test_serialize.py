@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irrevkit import Label, Observable, ShapeError, TestEnsemble, choi
 from irrevkit.serialize import (
@@ -41,6 +43,11 @@ class TestCodecs:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ShapeError):
             decode_matrix([[1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), [0.0, float("-inf")]], ids=["nan", "inf", "pair"])
+    def test_non_finite_matrix_rejected(self, entry):
+        with pytest.raises(ShapeError):
+            decode_matrix([[1.0, 0.0], [0.0, entry]])
 
     def test_state_roundtrip(self):
         rho = rand_state(np.random.default_rng(0), 3, Label("B", 3))
@@ -95,6 +102,56 @@ class TestCanonicalJson:
     def test_deterministic(self):
         doc = {"x": [1, 2, 3], "nested": {"k": 0.1}}
         assert canonical_json(doc) == canonical_json(dict(reversed(list(doc.items()))))
+
+
+def reference_json(obj):
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def emitted_json(obj):
+    try:
+        return canonical_json(obj)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+FLOATS = st.floats(allow_subnormal=True)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    FLOATS,
+    st.text(),
+    st.lists(FLOATS),
+    st.lists(st.lists(FLOATS, min_size=2, max_size=2)),  # rows of [re, im] pairs
+    st.lists(st.tuples(FLOATS, FLOATS)),
+    st.lists(st.one_of(FLOATS, st.integers(), st.booleans(), st.lists(FLOATS, max_size=3)), max_size=4),
+)
+KEYS = [st.text(), st.integers(), FLOATS, st.booleans(), st.none(), st.one_of(st.text(), st.integers())]
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.tuples(kids, kids),
+        *(st.dictionaries(k, kids, max_size=4) for k in KEYS),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJsonIdentity:
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(TREES)
+    def test_matches_json_dumps(self, obj):
+        assert emitted_json(obj) == reference_json(obj)
+
+    @pytest.mark.parametrize("obj", [{1j: 0}, [{1.0, 2.0}], [[0.5, {1.0, 2.0}]], [[0.5, 1.5], {1.0, 2.0}]])
+    def test_unsupported_types_raise_as_json_does(self, obj):
+        assert emitted_json(obj) == reference_json(obj)
+        assert emitted_json(obj).startswith("TypeError")
 
 
 class TestAtomicWrite:
