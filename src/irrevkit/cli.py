@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -651,17 +652,21 @@ def compute(kind: str, payload: dict, seed: int):
 # commands
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name} is not JSON")
+def _finite_float(text: str) -> float:
+    """float(text), rejecting NaN/Infinity and a literal such as 1e400 that overflows to inf."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"number {text} is not a finite double")
+    return x
 
 
 def _load(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         return None, f"{path}: cannot read: {exc}"
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or _reject_constant
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a non-finite number
         return None, f"{path}: invalid JSON: {exc}"
     problem = validate_document(doc)
     if problem is not None:
@@ -781,21 +786,41 @@ def cmd_sweep(args) -> int:
         print("empty sweep grid", file=sys.stderr)
         return EX_INPUT
     try:
-        values = [float(g) for g in grid]
+        values = [_finite_float(g) for g in grid]
     except ValueError as exc:
-        print(f"non-numeric grid entry: {exc}", file=sys.stderr)
+        print(f"invalid grid entry: {exc}", file=sys.stderr)
         return EX_INPUT
     kind = doc["kind"]
     seed = int(doc.get("seed", 0))
     out_path = args.output or os.path.splitext(os.path.abspath(args.scenario))[0] + ".sweep.csv"
 
-    rows = []
-    violation = False
+    # one payload for the theta grid, else one per grid value
     if args.parameter == "theta":
         payload = json.loads(json.dumps(doc["payload"]))
         payload.setdefault("extraction", {})["thetas"] = values
+        payloads = [payload]
+    else:
+        param = args.parameter
+        if kind in ("otoc", "otoc-cp", "way-otoc") and param == "tau":
+            param = "scenario.tau"
+        payloads = []
+        for v in values:
+            payload = json.loads(json.dumps(doc["payload"]))
+            if not _set_parameter(payload, param, v):
+                print(f"parameter {args.parameter!r} not found in payload", file=sys.stderr)
+                return EX_INPUT
+            payloads.append(payload)
+    for payload in payloads:
+        problem = validate_document(dict(doc, payload=payload))
+        if problem is not None:
+            print(f"{args.scenario}: schema violation at {problem}", file=sys.stderr)
+            return EX_INPUT
+
+    rows = []
+    violation = False
+    if args.parameter == "theta":
         try:
-            _, result, passed = compute(kind, payload, seed)
+            _, result, passed = compute(kind, payloads[0], seed)
         except _NUMERIC_ERRORS as exc:
             print(f"{args.scenario}: numerical failure: {exc}", file=sys.stderr)
             return EX_NUMERIC
@@ -810,16 +835,9 @@ def cmd_sweep(args) -> int:
         rows = [[t, v] for t, v in grid_pairs]
         violation = passed is False
     else:
-        param = args.parameter
-        if kind in ("otoc", "otoc-cp", "way-otoc") and param == "tau":
-            param = "scenario.tau"
         columns = _SWEEP_COLUMNS[kind]
         header = [args.parameter] + [name for name, _ in columns]
-        for v in values:
-            payload = json.loads(json.dumps(doc["payload"]))
-            if not _set_parameter(payload, param, v):
-                print(f"parameter {args.parameter!r} not found in payload", file=sys.stderr)
-                return EX_INPUT
+        for v, payload in zip(values, payloads):
             try:
                 _, result, passed = compute(kind, payload, seed)
             except _NUMERIC_ERRORS as exc:

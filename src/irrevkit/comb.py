@@ -28,15 +28,14 @@ from .qcore import (
     Observable,
     TestEnsemble,
     _as_space,
-    _basis_permutation,
     _expm_herm,
     _names,
+    _reorder,
     apply_raw,
     compose,
     embed,
     embed_matrix,
     instrument_channel,
-    ket,
     pointer_channel,
     pure_state,
     space_dim,
@@ -171,12 +170,12 @@ class ExtractionConfig:
 def append_channel(rho: DensityMatrix) -> KrausChannel:
     """A_rho: X_Q -> rho (x) X_Q, as a CPTP map from Q into system + Q."""
     vals, vecs = np.linalg.eigh(rho.data)
-    ops = []
+    keep = vals > 1e-14
     iq = np.eye(Q_LABEL.dim, dtype=complex)
-    for lam, v in zip(vals, vecs.T):
-        if lam > 1e-14:
-            ops.append(np.sqrt(lam) * np.kron(v.reshape(-1, 1), iq))
-    return KrausChannel((Q_LABEL,), tuple(rho.space) + (Q_LABEL,), tuple(ops))
+    # sqrt(lam) kron(|v>, 1_Q) for each kept eigenpair
+    ops = (vecs.T[keep][:, :, None, None] * iq).reshape(-1, rho.dim * Q_LABEL.dim, Q_LABEL.dim)
+    ops = np.sqrt(vals[keep])[:, None, None] * ops
+    return KrausChannel((Q_LABEL,), tuple(rho.space) + (Q_LABEL,), ops)
 
 
 def weak_coupling(gen: Observable, theta: float, dagger: bool = False) -> KrausChannel:
@@ -199,16 +198,12 @@ def trace_out_channel(sp, drop) -> KrausChannel:
     dropped = tuple(l for l in sp if l.name in drop_names)
     if len(dropped) != len(drop_names):
         raise ValueError(f"labels {drop_names} not all present in {_names(sp)}")
-    d_drop = space_dim(dropped)
-    d_keep = space_dim(keep)
     names = _names(sp)
     order = [names.index(l.name) for l in dropped] + [names.index(l.name) for l in keep]
-    perm = _basis_permutation([l.dim for l in sp], order)
-    ops = tuple(
-        np.kron(ket(t, d_drop).conj().reshape(1, -1), np.eye(d_keep)) @ perm
-        for t in range(d_drop)
-    )
-    return KrausChannel(sp, keep, ops)
+    d = space_dim(sp)
+    # rows of the identity reordered to (dropped, kept); K_t = (<t| (x) 1) P
+    perm = _reorder(np.eye(d, dtype=complex), [l.dim for l in sp], order, 0)
+    return KrausChannel(sp, keep, perm.reshape(space_dim(dropped), space_dim(keep), d))
 
 
 def canonical_recovery(x: Observable, target, theta: float) -> CanonicalRecovery:

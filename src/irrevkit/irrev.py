@@ -147,36 +147,35 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
         else:
             kernel.append(v)
     s_half = _psd_sqrt(sigma_ref.data)
-    ops = [s_half @ k.conj().T @ inv_half for k in loss.kraus]
+    ops = s_half @ loss.kraus.conj().transpose(0, 2, 1) @ inv_half
     if kernel:
         svals, svecs = np.linalg.eigh(sigma_ref.data)
-        for s, v in zip(svals, svecs.T):
-            if s <= TOL_EIG_SKIP:
-                continue
-            for kv in kernel:
-                ops.append(math.sqrt(s) * np.outer(v, kv.conj()))
-    ch = KrausChannel(loss.out_space, loss.in_space, tuple(ops))
+        keep = svals > TOL_EIG_SKIP
+        # sqrt(s) |v><kv| for each kept eigenpair of sigma_ref (outer) and kernel vector kv
+        kv = np.conj(kernel)
+        rep = svecs.T[keep][:, None, :, None] * kv[None, :, None, :]
+        rep = np.sqrt(svals[keep])[:, None, None, None] * rep
+        ops = np.concatenate([ops, rep.reshape(-1, *ops.shape[1:])])
+    ch = KrausChannel(loss.out_space, loss.in_space, ops)
     return minimal_kraus(ch)
 
 
 def _isometry_from_channel(ch: KrausChannel, d_env: int) -> np.ndarray:
     """Stack Kraus operators into V with V[i*d_env + e, o] = K_e[i, o]."""
-    ch = minimal_kraus(ch)
-    ops = list(ch.kraus)
-    if len(ops) > d_env:
-        raise ShapeError(f"channel Kraus rank {len(ops)} exceeds environment dim {d_env}")
-    while len(ops) < d_env:
-        ops.append(np.zeros_like(ops[0]))
-    v = np.stack(ops, axis=1)  # (d_in, d_env, d_out)
-    return v.reshape(-1, v.shape[2])
+    ops = minimal_kraus(ch).kraus
+    r, d_in, d_out = ops.shape
+    if r > d_env:
+        raise ShapeError(f"channel Kraus rank {r} exceeds environment dim {d_env}")
+    v = np.zeros((d_in, d_env, d_out), dtype=complex)
+    v[:, :r] = ops.transpose(1, 0, 2)
+    return v.reshape(-1, d_out)
 
 
 def _channel_from_isometry(v: np.ndarray, template: KrausChannel) -> KrausChannel:
     d_out_r = v.shape[1]
     d_in_r = template.dim_out  # recovery output dim = loss input dim
     d_env = v.shape[0] // d_in_r
-    vr = v.reshape(d_in_r, d_env, d_out_r)
-    ops = tuple(vr[:, e, :] for e in range(d_env))
+    ops = v.reshape(d_in_r, d_env, d_out_r).transpose(1, 0, 2)
     return minimal_kraus(KrausChannel(template.in_space, template.out_space, ops))
 
 

@@ -19,6 +19,10 @@ from .errors import (
     ShapeError,
 )
 from .qcore import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     TOL_EIG_SKIP,
     TOL_PROB,
     DensityMatrix,
@@ -227,10 +231,5 @@ def state_from_bloch(r, label: Label = Label("S", 2)) -> DensityMatrix:
     rv = np.asarray(r, dtype=float).reshape(3)
     if np.linalg.norm(rv) > 1.0 + 1e-12:
         raise BlochError("Bloch vector outside the unit ball")
-    m = 0.5 * (
-        np.eye(2, dtype=complex)
-        + rv[0] * np.array([[0, 1], [1, 0]])
-        + rv[1] * np.array([[0, -1j], [1j, 0]])
-        + rv[2] * np.array([[1, 0], [0, -1]])
-    )
+    m = 0.5 * (ID2 + rv[0] * SIGMA_X + rv[1] * SIGMA_Y + rv[2] * SIGMA_Z)
     return DensityMatrix((label,), m)

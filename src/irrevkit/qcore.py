@@ -190,42 +190,52 @@ class Observable:
         return space_dim(self.space)
 
 
+def _kraus_stack(ops, din: int, dout: int, trace_preserving: bool = True) -> np.ndarray:
+    """Frozen (r, dout, din) stack of Kraus operators, checked as KrausChannel documents."""
+    try:
+        k = np.asarray(ops, dtype=complex)
+    except ValueError as exc:  # ragged, or not numbers
+        raise ShapeError(f"Kraus operators do not form one stack: {exc}") from None
+    if k.ndim != 3 or k.shape[1:] != (dout, din):
+        raise ShapeError(f"Kraus stack shape {k.shape} != (r, {dout}, {din})")
+    if not len(k):
+        raise ShapeError("at least one Kraus operator is needed")
+    m = k.reshape(-1, din)
+    gram = m.conj().T @ m
+    if trace_preserving:
+        if not np.max(np.abs(gram - np.eye(din))) <= TOL_TP:
+            raise ShapeError(f"Kraus operators not trace preserving within {TOL_TP}")
+    else:
+        # non-finite iff some Kraus entry is; eigvalsh returns finite garbage on NaN input
+        tr = gram.trace().real
+        hi = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) if np.isfinite(tr) else tr
+        if not hi <= 1.0 + TOL_TP:
+            raise ShapeError(f"CP branch exceeds trace preservation: max eig {hi}")
+    return _freeze(k)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """CP map given by Kraus operators K_i: in_space -> out_space.
 
-    trace_preserving=True enforces sum K'K = 1 within 1e-9; False allows a
-    sub-normalized CP branch (sum K'K <= 1 + 1e-9).
+    kraus (a sequence of (d_out, d_in) operators, or one array) is stored as
+    one read-only (r, d_out, d_in) stack. trace_preserving=True enforces
+    sum K'K = 1 within 1e-9; False allows a sub-normalized CP branch
+    (sum K'K <= 1 + 1e-9).
     """
 
     in_space: Space
     out_space: Space
-    kraus: tuple = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
     trace_preserving: bool = True
 
     def __post_init__(self):
         sin = _as_space(self.in_space)
         sout = _as_space(self.out_space)
-        din, dout = space_dim(sin), space_dim(sout)
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise ShapeError("channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (dout, din):
-                raise ShapeError(f"Kraus operator shape {k.shape} != ({dout}, {din})")
-        acc = sum(k.conj().T @ k for k in ops)
-        if self.trace_preserving:
-            if not np.max(np.abs(acc - np.eye(din))) <= TOL_TP:
-                raise ShapeError(f"channel not trace preserving within {TOL_TP}")
-        else:
-            # non-finite iff some Kraus entry is; eigvalsh returns finite garbage on NaN input
-            tr = acc.trace().real
-            hi = float(np.linalg.eigvalsh((acc + acc.conj().T) / 2)[-1]) if np.isfinite(tr) else tr
-            if not hi <= 1.0 + TOL_TP:
-                raise ShapeError(f"CP branch exceeds trace preservation: max eig {hi}")
+        ops = _kraus_stack(self.kraus, space_dim(sin), space_dim(sout), self.trace_preserving)
         object.__setattr__(self, "in_space", sin)
         object.__setattr__(self, "out_space", sout)
-        object.__setattr__(self, "kraus", tuple(_freeze(k) for k in ops))
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def dim_in(self) -> int:
@@ -238,34 +248,28 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class Instrument:
-    """Outcome-labeled measurement {M_m}, one Kraus operator per outcome."""
+    """Outcome-labeled measurement {M_m}, one Kraus operator per outcome.
+
+    Each M_m in branches is a read-only view into one (n, d_out, d_in) stack.
+    """
 
     in_space: Space
     out_space: Space
     branches: tuple = field(repr=False)  # tuple[(outcome, M_m), ...]
+    _kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sin = _as_space(self.in_space)
         sout = _as_space(self.out_space)
-        din, dout = space_dim(sin), space_dim(sout)
-        brs = []
-        seen = set()
-        for m, op in self.branches:
-            a = np.asarray(op, dtype=complex)
-            if a.shape != (dout, din):
-                raise ShapeError(f"branch {m!r}: operator shape {a.shape} != ({dout}, {din})")
-            if m in seen:
-                raise ShapeError(f"duplicate outcome label {m!r}")
-            seen.add(m)
-            brs.append((m, _freeze(a)))
-        if not brs:
-            raise ShapeError("instrument needs at least one branch")
-        acc = sum(op.conj().T @ op for _, op in brs)
-        if not np.max(np.abs(acc - np.eye(din))) <= TOL_TP:
-            raise ShapeError(f"instrument branches do not sum to identity within {TOL_TP}")
+        brs = tuple(self.branches)
+        outcomes = tuple(m for m, _ in brs)
+        if len(set(outcomes)) != len(outcomes):
+            raise ShapeError(f"duplicate outcome labels in {list(outcomes)}")
+        ops = _kraus_stack([op for _, op in brs], space_dim(sin), space_dim(sout))
         object.__setattr__(self, "in_space", sin)
         object.__setattr__(self, "out_space", sout)
-        object.__setattr__(self, "branches", tuple(brs))
+        object.__setattr__(self, "branches", tuple(zip(outcomes, ops)))
+        object.__setattr__(self, "_kraus", ops)
 
     @property
     def outcomes(self) -> tuple:
@@ -329,7 +333,10 @@ def tensor(a, b):
     if isinstance(a, KrausChannel) and isinstance(b, KrausChannel):
         sin = _joined_space(a.in_space, b.in_space)
         sout = _joined_space(a.out_space, b.out_space)
-        ops = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
+        ka, kb = a.kraus, b.kraus
+        # kron of every pair, a's operator outer: (ra, rb, oa, ob, ia, ib)
+        ops = ka[:, None, :, None, :, None] * kb[None, :, None, :, None, :]
+        ops = ops.reshape(len(ka) * len(kb), a.dim_out * b.dim_out, a.dim_in * b.dim_in)
         return KrausChannel(sin, sout, ops, a.trace_preserving and b.trace_preserving)
     raise ShapeError(f"tensor: unsupported operand kinds {type(a).__name__}, {type(b).__name__}")
 
@@ -367,13 +374,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(new_space, t.reshape(d, d))
 
 
-def _basis_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Permutation matrix P with (P v) the tensor reordering old factors -> old[order]."""
-    d = math.prod(dims)
-    idx = np.arange(d).reshape(dims).transpose(order).reshape(d)
-    p = np.zeros((d, d))
-    p[np.arange(d), idx] = 1.0
-    return p
+def _reorder(a: np.ndarray, dims: Sequence[int], order: Sequence[int], axis: int) -> np.ndarray:
+    """Reorder the tensor factors of one axis of `a`: factors `dims` -> dims[order]."""
+    t = a.reshape(a.shape[:axis] + tuple(dims) + a.shape[axis + 1 :])
+    n = len(dims)
+    perm = [*range(axis), *(axis + o for o in order), *range(axis + n, t.ndim)]
+    return t.transpose(perm).reshape(a.shape)
 
 
 def _expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -382,21 +388,42 @@ def _expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
 
 
+def _lift(ops: np.ndarray, sub_in: Space, sub_out: Space, full: Space):
+    """(output space, stack) of (r, d_out, d_in) operators sub_in -> sub_out
+    tensored with the identity on the other labels of `full`; see embed."""
+    full_names = _names(full)
+    for l in sub_in:
+        if l.name not in full_names:
+            raise CompositeSpaceError(f"label {l.name!r} missing from space {list(full_names)}")
+        if full[full_names.index(l.name)].dim != l.dim:
+            raise ShapeError(f"label {l.name!r}: dimension mismatch with the space")
+    in_names = _names(sub_in)
+    rest = tuple(l for l in full if l.name not in in_names)
+    if sub_out == sub_in:
+        target = full
+    else:
+        first = min(full_names.index(n) for n in in_names)
+        cut = sum(1 for l in full[:first] if l.name not in in_names)
+        target = rest[:cut] + tuple(sub_out) + rest[cut:]
+        _check_unique(target)
+    r, d_out, d_in = ops.shape
+    d_rest = space_dim(rest)
+    # kron(K, 1_rest) for each operator: rows (sub_out, rest), columns (sub_in, rest)
+    big = ops[:, :, None, :, None] * np.eye(d_rest)[:, None, :]
+    big = big.reshape(r, d_out * d_rest, d_in * d_rest)
+    rows = _names(sub_out) + _names(rest)
+    cols = in_names + _names(rest)
+    big = _reorder(big, [l.dim for l in sub_out + rest], [rows.index(n) for n in _names(target)], 1)
+    big = _reorder(big, [l.dim for l in sub_in + rest], [cols.index(n) for n in full_names], 2)
+    # + 0.0 turns -0.0 into 0.0: zero entries carry no sign, as in a product with permutation matrices
+    return target, big + 0.0
+
+
 def embed_matrix(mat: np.ndarray, sub, full) -> np.ndarray:
     """Operator acting as `mat` on the sub labels and identity elsewhere."""
     sub = _as_space(sub)
-    full = _as_space(full)
-    full_names = _names(full)
-    positions = []
-    for l in sub:
-        if l.name not in full_names:
-            raise CompositeSpaceError(f"label {l.name!r} missing from space {list(full_names)}")
-        positions.append(full_names.index(l.name))
-    rest = [i for i in range(len(full)) if i not in positions]
-    dims = [l.dim for l in full]
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-    p = _basis_permutation(dims, positions + rest)
-    return p.T @ np.kron(np.asarray(mat, dtype=complex), np.eye(d_rest)) @ p
+    _, lifted = _lift(np.asarray(mat, dtype=complex)[None], sub, sub, _as_space(full))
+    return lifted[0]
 
 
 def embed(ch: KrausChannel, full_space) -> KrausChannel:
@@ -408,37 +435,8 @@ def embed(ch: KrausChannel, full_space) -> KrausChannel:
     full = _as_space(full_space)
     if ch.in_space == full:
         return ch
-    in_names = _names(ch.in_space)
-    full_names = _names(full)
-    for i, n in enumerate(in_names):
-        if n not in full_names:
-            raise CompositeSpaceError(f"channel label {n!r} missing from space {list(full_names)}")
-        if full[full_names.index(n)].dim != ch.in_space[i].dim:
-            raise ShapeError(f"label {n!r}: dimension mismatch between channel and space")
-    positions = [full_names.index(n) for n in in_names]
-    rest = [i for i in range(len(full)) if i not in positions]
-    dims = [l.dim for l in full]
-    d_rest = math.prod(dims[i] for i in rest) if rest else 1
-
-    p_in = _basis_permutation(dims, positions + rest)
-    # output layout before reordering: (out labels..., untouched labels...)
-    pre_out = tuple(ch.out_space) + tuple(full[i] for i in rest)
-    if ch.out_space == ch.in_space:
-        # same-space channel: keep the original factor order
-        target_space = tuple(full)
-    else:
-        insert_at = min(positions)
-        target = list(full[i] for i in range(len(full)) if i not in positions)
-        cut = sum(1 for i in rest if i < insert_at)
-        target_space = tuple(target[:cut]) + tuple(ch.out_space) + tuple(target[cut:])
-    _check_unique(target_space)
-    pre_names = _names(pre_out)
-    order_out = [pre_names.index(n) for n in _names(target_space)]
-    p_out = _basis_permutation([l.dim for l in pre_out], order_out)
-
-    ident = np.eye(d_rest)
-    ops = tuple(p_out @ np.kron(k, ident) @ p_in for k in ch.kraus)
-    return KrausChannel(tuple(full), target_space, ops, ch.trace_preserving)
+    target, ops = _lift(ch.kraus, ch.in_space, ch.out_space, full)
+    return KrausChannel(full, target, ops, ch.trace_preserving)
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
@@ -449,7 +447,9 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
         raise ShapeError(
             f"cannot compose: {_names(first.out_space)} -> {_names(second.in_space)}"
         )
-    ops = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
+    # every product K2 K1, second's operator outer
+    ops = second.kraus[:, None] @ first.kraus
+    ops = ops.reshape(-1, second.dim_out, first.dim_in)
     tp = second.trace_preserving and first.trace_preserving
     ch = KrausChannel(first.in_space, second.out_space, ops, tp)
     if len(ops) > ch.dim_in * ch.dim_out:
@@ -459,7 +459,8 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 def apply_raw(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
     """sum_i K_i M K_i' on a bare matrix already laid out on ch.in_space."""
-    return sum(k @ mat @ k.conj().T for k in ch.kraus)
+    # streamed in operator order: a stacked (r, d_out, d_out) sum holds r outputs at once
+    return sum(t @ k.conj().T for t, k in zip(ch.kraus @ mat, ch.kraus))
 
 
 def apply(ch, rho: DensityMatrix):
@@ -480,12 +481,12 @@ def apply(ch, rho: DensityMatrix):
 
 
 def apply_instrument(inst: Instrument, rho: DensityMatrix):
+    lifted = embed(instrument_channel(inst), rho.space)
+    k = lifted.kraus
+    raws = k @ rho.data @ k.conj().transpose(0, 2, 1)
+    probs = np.real(np.trace(raws, axis1=1, axis2=2))
     results = []
-    for m, op in inst.branches:
-        branch = KrausChannel(inst.in_space, inst.out_space, (op,), trace_preserving=False)
-        lifted = embed(branch, rho.space)
-        raw = apply_raw(lifted, rho.data)
-        p = float(np.real(raw.trace()))
+    for m, p, raw in zip(inst.outcomes, probs.tolist(), raws):
         if p > TOL_PROB:
             results.append((m, p, DensityMatrix(lifted.out_space, (raw + raw.conj().T) / (2 * p))))
         else:
@@ -499,7 +500,7 @@ def dual(ch: KrausChannel) -> Callable[[Observable], Observable]:
     def adjoint(obs: Observable) -> Observable:
         if _names(obs.space) != _names(ch.out_space):
             raise CompositeSpaceError("observable must live on the channel output space")
-        acc = sum(k.conj().T @ obs.data @ k for k in ch.kraus)
+        acc = sum(ch.kraus.conj().transpose(0, 2, 1) @ obs.data @ ch.kraus)
         return Observable(ch.in_space, (acc + acc.conj().T) / 2)
 
     return adjoint
@@ -507,34 +508,29 @@ def dual(ch: KrausChannel) -> Callable[[Observable], Observable]:
 
 def choi(ch: KrausChannel) -> np.ndarray:
     """Choi matrix sum_i vec(K_i) vec(K_i)' with row-major vec, shape (do*di, do*di)."""
-    vecs = [k.reshape(-1) for k in ch.kraus]
-    d = ch.dim_in * ch.dim_out
-    c = np.zeros((d, d), dtype=complex)
-    for v in vecs:
-        c += np.outer(v, v.conj())
-    return c
+    v = ch.kraus.reshape(len(ch.kraus), -1)
+    # the builtin sum adds in operator order; np.add.reduce goes pairwise on 1x1 items
+    return sum(v[:, :, None] * v.conj()[:, None, :])
 
 
-def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = 1e-14) -> list:
+def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = 1e-14) -> np.ndarray:
+    """(r, dim_out, dim_in) Kraus stack from the eigenvectors of c above tol."""
     vals, vecs = np.linalg.eigh((c + c.conj().T) / 2)
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > tol:
-            ops.append(np.sqrt(lam) * v.reshape(dim_out, dim_in))
-    if not ops:
-        ops.append(np.zeros((dim_out, dim_in), dtype=complex))
-    return ops
+    keep = vals > tol
+    if not keep.any():
+        return np.zeros((1, dim_out, dim_in), dtype=complex)
+    return (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, dim_out, dim_in)
 
 
 def minimal_kraus(ch: KrausChannel) -> KrausChannel:
     """Re-extract at most dim_in*dim_out Kraus operators from the Choi matrix."""
     ops = kraus_from_choi(choi(ch), ch.dim_in, ch.dim_out)
-    return KrausChannel(ch.in_space, ch.out_space, tuple(ops), ch.trace_preserving)
+    return KrausChannel(ch.in_space, ch.out_space, ops, ch.trace_preserving)
 
 
 def validate_channel(ch: KrausChannel) -> dict:
     """Trace-preservation and Choi positivity diagnostics for tests and reports."""
-    acc = sum(k.conj().T @ k for k in ch.kraus)
+    acc = sum(ch.kraus.conj().transpose(0, 2, 1) @ ch.kraus)
     tp_defect = float(np.max(np.abs(acc - np.eye(ch.dim_in))))
     c = choi(ch)
     lo = float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
@@ -555,7 +551,7 @@ def unitary_channel(u: np.ndarray, in_space, out_space=None) -> KrausChannel:
 
 def instrument_channel(inst: Instrument) -> KrausChannel:
     """Sum over branches: the CPTP map rho -> sum_m M_m rho M_m'."""
-    return KrausChannel(inst.in_space, inst.out_space, tuple(op for _, op in inst.branches))
+    return KrausChannel(inst.in_space, inst.out_space, inst._kraus)
 
 
 def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
@@ -564,11 +560,10 @@ def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
     if pointer.dim != n:
         raise ShapeError(f"pointer dim {pointer.dim} != number of outcomes {n}")
     dout = space_dim(inst.out_space)
-    ops = []
-    for slot, (_, op) in enumerate(inst.branches):
-        for s in range(dout):
-            ops.append(np.outer(ket(slot, n), ket(s, dout).conj()) @ op)
-    return KrausChannel(inst.in_space, (pointer,), tuple(ops))
+    # |m><s| M_m for every outcome slot m and output basis state s, slot outer
+    kets = np.eye(n * dout, dtype=complex).reshape(n, dout, n, dout)
+    ops = (kets @ inst._kraus[:, None]).reshape(n * dout, n, inst.dim_in)
+    return KrausChannel(inst.in_space, (pointer,), ops)
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:

@@ -24,9 +24,9 @@ from .qcore import (
     Label,
     Observable,
     _as_space,
-    _basis_permutation,
     _expm_herm,
     _names,
+    _reorder,
     apply,
     choi,
     dual,
@@ -121,14 +121,14 @@ def realized_channel(impl: Implementation) -> KrausChannel:
     db_o = space_dim(impl.out_beta)
     ur = impl.u.reshape(da_o, db_o, da, db)
     vals, vecs = np.linalg.eigh(impl.rho_beta.data)
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= 1e-14:
-            continue
-        block = np.tensordot(ur, v, axes=([3], [0]))  # (da_o, db_o, da)
-        for j in range(db_o):
-            ops.append(math.sqrt(lam) * block[:, j, :])
-    return KrausChannel(impl.in_alpha, impl.out_alpha, tuple(ops))
+    keep = vals > 1e-14
+    # sqrt(lam) (1 (x) <j|) U (1 (x) |v>) for each kept ancilla eigenpair (outer) and j;
+    # one tensordot per vector, since a matrix tensordot signs zero entries differently
+    blocks = [
+        math.sqrt(lam) * np.tensordot(ur, v, axes=([3], [0])) for lam, v in zip(vals[keep], vecs.T[keep])
+    ]
+    ops = np.stack(blocks).transpose(0, 2, 1, 3).reshape(-1, da_o, da)
+    return KrausChannel(impl.in_alpha, impl.out_alpha, ops)
 
 
 def y_operator(meas_channel: KrausChannel, charges: dict) -> Observable:
@@ -358,7 +358,7 @@ def conserving_error_implementation(
     u_total = np.kron(np.eye(d), u_copy) @ np.kron(u_meas, np.eye(n))
 
     # reorder output rows from (S, B1, B2) to (P=B2, S, B1)
-    u_out = _basis_permutation((d, n, n), (2, 0, 1)) @ u_total
+    u_out = _reorder(u_total, (d, n, n), (2, 0, 1), 0)
 
     rho_beta = DensityMatrix(
         (b1, b2), np.kron(np.outer(chi, chi.conj()), np.outer(ket(0, n), ket(0, n).conj()))
@@ -431,17 +431,8 @@ def conserving_disturbance_implementation(
     vals, vecs = np.linalg.eigh(rho_beta.data)
     order = int(np.argmax(vals))
     if vals[order] < 1.0 - 1e-12:
-        branches = []
-        k = 0
-        for lam, v in zip(vals, vecs.T):
-            if lam <= 1e-14:
-                continue
-            ur = u.reshape(d, n, d, n)
-            amp = np.tensordot(ur, v, axes=([3], [0]))
-            for j in range(n):
-                branches.append((f"{k}", math.sqrt(lam) * amp[:, j, :]))
-                k += 1
-        meas = Instrument(sp, sp, tuple(branches))
+        ops = realized_channel(impl).kraus
+        meas = Instrument(sp, sp, tuple((str(k), op) for k, op in enumerate(ops)))
     else:
         meas = _induced_instrument(u, vecs[:, order], d, n, sp)
     return impl, meas
@@ -452,10 +443,7 @@ def swap_implementation(x: Observable, sigma: DensityMatrix):
     sp = x.space
     d = x.dim
     b = tuple(Label(l.name + "b", l.dim) for l in sp)
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
+    swap = _reorder(np.eye(d * d), (d, d), (1, 0), 0)
     charges = {
         "alpha": x,
         "beta": Observable(b, x.data),

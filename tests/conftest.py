@@ -1,8 +1,10 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and reference implementations shared across the test modules."""
+
+import math
 
 import numpy as np
 
-from irrevkit import DensityMatrix, Instrument, Label, Observable, TestEnsemble, pure_state
+from irrevkit import DensityMatrix, Instrument, KrausChannel, Label, Observable, TestEnsemble, pure_state
 
 # library type whose name matches the pytest collector pattern
 TestEnsemble.__test__ = False
@@ -81,3 +83,126 @@ def obs(mat, label: Label | None = None) -> Observable:
     mat = np.asarray(mat, dtype=complex)
     label = label or Label("S", mat.shape[0])
     return Observable((label,), mat)
+
+
+# ---------------------------------------------------------------------------
+# reference channel algebra: dense permutation matrices and one loop per
+# Kraus operator, in the operator order the stacked library code must keep
+
+
+def basis_permutation(dims, order) -> np.ndarray:
+    """Permutation matrix P with (P v) the tensor reordering old factors -> old[order]."""
+    d = math.prod(dims)
+    idx = np.arange(d).reshape(dims).transpose(order).reshape(d)
+    p = np.zeros((d, d))
+    p[np.arange(d), idx] = 1.0
+    return p
+
+
+def _names(sp) -> tuple:
+    return tuple(l.name for l in sp)
+
+
+def ref_embed(ch: KrausChannel, full) -> tuple:
+    """(output space, list of lifted Kraus operators) of embed(ch, full)."""
+    full = tuple(full)
+    if ch.in_space == full:
+        return ch.out_space, list(ch.kraus)
+    full_names = _names(full)
+    positions = [full_names.index(n) for n in _names(ch.in_space)]
+    rest = [i for i in range(len(full)) if i not in positions]
+    dims = [l.dim for l in full]
+    d_rest = math.prod(dims[i] for i in rest)
+    p_in = basis_permutation(dims, positions + rest)
+    pre_out = tuple(ch.out_space) + tuple(full[i] for i in rest)
+    if ch.out_space == ch.in_space:
+        target = full
+    else:
+        kept = [full[i] for i in rest]
+        cut = sum(1 for i in rest if i < min(positions))
+        target = tuple(kept[:cut]) + tuple(ch.out_space) + tuple(kept[cut:])
+    order_out = [_names(pre_out).index(n) for n in _names(target)]
+    p_out = basis_permutation([l.dim for l in pre_out], order_out)
+    return target, [p_out @ np.kron(k, np.eye(d_rest)) @ p_in for k in ch.kraus]
+
+
+def ref_embed_matrix(mat, sub, full) -> np.ndarray:
+    full_names = _names(full)
+    positions = [full_names.index(l.name) for l in sub]
+    rest = [i for i in range(len(full)) if i not in positions]
+    dims = [l.dim for l in full]
+    d_rest = math.prod(dims[i] for i in rest)
+    p = basis_permutation(dims, positions + rest)
+    return p.T @ np.kron(np.asarray(mat, dtype=complex), np.eye(d_rest)) @ p
+
+
+def ref_choi(ops) -> np.ndarray:
+    d = ops[0].size
+    c = np.zeros((d, d), dtype=complex)
+    for k in ops:
+        v = k.reshape(-1)
+        c += np.outer(v, v.conj())
+    return c
+
+
+def ref_kraus_from_choi(c, dim_in: int, dim_out: int, tol: float = 1e-14) -> list:
+    vals, vecs = np.linalg.eigh((c + c.conj().T) / 2)
+    ops = [np.sqrt(lam) * v.reshape(dim_out, dim_in) for lam, v in zip(vals, vecs.T) if lam > tol]
+    return ops or [np.zeros((dim_out, dim_in), dtype=complex)]
+
+
+def ref_compose(second: KrausChannel, first: KrausChannel) -> list:
+    ops = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
+    if len(ops) > first.dim_in * second.dim_out:
+        ops = ref_kraus_from_choi(ref_choi(ops), first.dim_in, second.dim_out)
+    return ops
+
+
+def ref_tensor(a: KrausChannel, b: KrausChannel) -> list:
+    return [np.kron(ka, kb) for ka in a.kraus for kb in b.kraus]
+
+
+def ref_apply_raw(ops, mat) -> np.ndarray:
+    return sum(k @ mat @ k.conj().T for k in ops)
+
+
+def ref_dual(ops, obs: np.ndarray) -> np.ndarray:
+    acc = sum(k.conj().T @ obs @ k for k in ops)
+    return (acc + acc.conj().T) / 2
+
+
+def ref_apply_instrument(inst: Instrument, rho: DensityMatrix) -> list:
+    results = []
+    for m, op in inst.branches:
+        branch = KrausChannel(inst.in_space, inst.out_space, (op,), trace_preserving=False)
+        out_space, lifted = ref_embed(branch, rho.space)
+        raw = ref_apply_raw(lifted, rho.data)
+        p = float(np.real(raw.trace()))
+        if p > 1e-12:
+            results.append((m, p, out_space, (raw + raw.conj().T) / (2 * p)))
+        else:
+            results.append((m, max(p, 0.0), None, None))
+    return results
+
+
+def ref_trace_out(sp, drop) -> list:
+    drop_names = {l.name for l in drop}
+    keep = [l for l in sp if l.name not in drop_names]
+    dropped = [l for l in sp if l.name in drop_names]
+    d_drop = math.prod(l.dim for l in dropped)
+    d_keep = math.prod(l.dim for l in keep)
+    names = _names(sp)
+    order = [names.index(l.name) for l in dropped] + [names.index(l.name) for l in keep]
+    perm = basis_permutation([l.dim for l in sp], order)
+    ket = np.eye(d_drop, dtype=complex)
+    return [np.kron(ket[t].conj().reshape(1, -1), np.eye(d_keep)) @ perm for t in range(d_drop)]
+
+
+def rand_kraus(rng, d_in: int, d_out: int, r: int) -> tuple:
+    """r random Kraus operators: trace preserving when r * d_out >= d_in, else a
+    sub-normalised CP branch. Returns (ops, trace_preserving)."""
+    m = rng.standard_normal((r * d_out, d_in)) + 1j * rng.standard_normal((r * d_out, d_in))
+    if r * d_out >= d_in:
+        m, _ = np.linalg.qr(m)
+        return m.reshape(r, d_out, d_in), True
+    return m.reshape(r, d_out, d_in) / (1.01 * np.linalg.norm(m, 2)), False

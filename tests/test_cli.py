@@ -141,13 +141,24 @@ class TestExitCodes:
         doc["payload"]["state"]["matrix"] = [[2.0, 0.0], [0.0, -1.0]]
         assert main(["run", write_doc(tmp_path, "s.json", doc)]) == 2
 
-    @pytest.mark.parametrize("field, literal", [("state", "NaN"), ("observable", "1e400")])
-    def test_non_finite_number_is_2(self, corpus, tmp_path, capsys, field, literal):
+    @pytest.mark.parametrize(
+        "name, path, literal",
+        [
+            pytest.param("lt-error-qubit", ("state", "matrix", 0, 0), "NaN", id="state-NaN"),
+            pytest.param("lt-error-qubit", ("observable", "matrix", 0, 0), "1e400", id="observable-1e400"),
+            pytest.param("way-error-tight", ("tolerance",), "1e400", id="tolerance-1e400"),
+        ],
+    )
+    def test_non_finite_number_is_2(self, corpus, tmp_path, capsys, name, path, literal):
         # NaN passes every "defect > tol" check, and 1e400 parses as inf
-        doc = load_report(corpus / "lt-error-qubit.json")
-        doc["payload"][field]["matrix"][0][0] = "NUMBER"
+        doc = load_report(corpus / f"{name}.json")
+        field = doc["payload"]
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = "NUMBER"
         p = tmp_path / "nf.json"
         p.write_text(json.dumps(doc).replace('"NUMBER"', literal))
+        assert main(["validate", str(p)]) == 2
         assert main(["run", str(p)]) == 2
         assert "finite" in capsys.readouterr().err
 
@@ -216,6 +227,25 @@ class TestSweep:
 
     def test_non_numeric_grid_is_2(self, corpus):
         assert main(["sweep", str(corpus / "otoc-ising-chain.json"), "-p", "tau", "-g", "a,b"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, param, grid, message",
+        [
+            pytest.param(
+                "epsilon-projective-qubit",
+                "theta",
+                "-0.01,0.005,0.0025",
+                "$.payload.extraction.thetas[0]: -0.01 is less than or equal to the minimum of 0",
+                id="theta-below-schema",
+            ),
+            pytest.param("otoc-ising-chain", "tau", "0,nan", "nan is not a finite double", id="tau-nan"),
+        ],
+    )
+    def test_grid_outside_schema_is_2(self, corpus, tmp_path, capsys, name, param, grid, message):
+        out = tmp_path / "bad.csv"
+        assert main(["sweep", str(corpus / f"{name}.json"), "-p", param, f"-g={grid}", "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_parameter_is_2(self, corpus):
         assert main(["sweep", str(corpus / "otoc-ising-chain.json"), "-p", "no.such", "-g", "1"]) == 2

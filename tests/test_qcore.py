@@ -37,7 +37,26 @@ from irrevkit import (
     validate_channel,
     variance,
 )
-from conftest import SIGMA_X, SIGMA_Z, proj_z, rand_herm, rand_state, rand_unitary
+from irrevkit.comb import trace_out_channel
+from irrevkit.qcore import apply_raw, embed_matrix, space_dim
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    proj_z,
+    rand_herm,
+    rand_kraus,
+    rand_state,
+    rand_unitary,
+    ref_apply_instrument,
+    ref_apply_raw,
+    ref_choi,
+    ref_compose,
+    ref_dual,
+    ref_embed,
+    ref_embed_matrix,
+    ref_tensor,
+    ref_trace_out,
+)
 
 S = Label("S", 2)
 B = Label("B", 3)
@@ -183,6 +202,122 @@ class TestChannels:
         assert rep["ok"]
         assert rep["tp_defect"] < 1e-12
         assert rep["choi_min_eig"] > -1e-12
+
+
+@st.composite
+def channel_cases(draw):
+    """A full space of 1-3 labels of dimension 1-3, a channel with 1-5 Kraus
+    operators on a random subset of them in random order, to the same labels
+    or to 1-2 new ones, and a seed."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    full = tuple(Label(f"L{i}", d) for i, d in enumerate(dims))
+    order = draw(st.permutations(range(len(full))))
+    sub = tuple(full[i] for i in order[: draw(st.integers(1, len(full)))])
+    if draw(st.booleans()):
+        out = sub
+    else:
+        out = tuple(Label(f"O{i}", d) for i, d in enumerate(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))))
+    r = draw(st.integers(1, 5))
+    return draw(st.integers(0, 2**32 - 1)), full, sub, out, r
+
+
+def rand_channel(rng, sub, out, r) -> KrausChannel:
+    ops, tp = rand_kraus(rng, space_dim(sub), space_dim(out), r)
+    return KrausChannel(sub, out, ops, tp)
+
+
+def full_rank_state(rng, sp) -> DensityMatrix:
+    d = space_dim(sp)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = a @ a.conj().T + 0.02 * d * np.eye(d)
+    return DensityMatrix(sp, m / np.trace(m).real)
+
+
+class TestStackedCore:
+    """The stacked Kraus algebra equals the dense-permutation, per-operator references."""
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(channel_cases())
+    def test_embed_matches_reference(self, case):
+        seed, full, sub, out, r = case
+        rng = np.random.default_rng(seed)
+        ch = rand_channel(rng, sub, out, r)
+        target, ops = ref_embed(ch, full)
+        lifted = embed(ch, full)
+        assert lifted.out_space == target
+        assert np.array_equal(lifted.kraus, ops)
+        if lifted is not ch:
+            parts = np.concatenate([lifted.kraus.real.ravel(), lifted.kraus.imag.ravel()])
+            assert not np.signbit(parts[parts == 0]).any()
+        mat = rng.standard_normal((space_dim(sub),) * 2) + 1j * rng.standard_normal((space_dim(sub),) * 2)
+        assert np.array_equal(embed_matrix(mat, sub, full), ref_embed_matrix(mat, sub, full))
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(channel_cases(), st.integers(1, 3))
+    def test_compose_and_tensor_match_reference(self, case, r2):
+        seed, full, sub, out, r = case
+        rng = np.random.default_rng(seed)
+        first = rand_channel(rng, sub, out, r)
+        second = rand_channel(rng, out, (Label("R", int(rng.integers(1, 4))),), r2)
+        assert np.array_equal(compose(second, first).kraus, ref_compose(second, first))
+        other = rand_channel(rng, (Label("T", 2),), (Label("U", 3),), r2)
+        for a, b in ((first, other), (other, first)):
+            assert np.array_equal(tensor(a, b).kraus, ref_tensor(a, b))
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(channel_cases())
+    def test_dual_choi_apply_raw_match_reference(self, case):
+        seed, full, sub, out, r = case
+        rng = np.random.default_rng(seed)
+        ch = rand_channel(rng, sub, out, r)
+        h = rand_herm(rng, space_dim(out))
+        assert np.array_equal(dual(ch)(Observable(out, h)).data, ref_dual(ch.kraus, h))
+        assert np.array_equal(choi(ch), ref_choi(ch.kraus))
+        mat = full_rank_state(rng, sub).data
+        assert np.array_equal(apply_raw(ch, mat), ref_apply_raw(ch.kraus, mat))
+
+    @settings(deadline=None, derandomize=True, max_examples=80)
+    @given(channel_cases())
+    def test_apply_instrument_and_trace_out_match_reference(self, case):
+        seed, full, sub, out, r = case
+        rng = np.random.default_rng(seed)
+        n = max(r, -(-space_dim(sub) // space_dim(out)))  # enough outcomes to be trace preserving
+        ops, _ = rand_kraus(rng, space_dim(sub), space_dim(out), n)
+        inst = Instrument(sub, out, tuple((str(m), op) for m, op in enumerate(ops)))
+        rho = full_rank_state(rng, full)
+        got = apply_instrument(inst, rho)
+        want = ref_apply_instrument(inst, rho)
+        assert [(m, p) for m, p, _ in got] == [(m, p) for m, p, _, _ in want]
+        for (_, _, state), (_, _, sp, data) in zip(got, want):
+            assert (state is None) == (data is None)
+            if state is not None:
+                assert state.space == sp and np.array_equal(state.data, data)
+        assert np.array_equal(trace_out_channel(full, sub).kraus, ref_trace_out(full, sub))
+
+    def test_kraus_forms_give_one_read_only_stack(self):
+        ops, _ = rand_kraus(np.random.default_rng(17), 2, 3, 2)
+        chans = [KrausChannel((S,), (B,), form) for form in (tuple(ops), list(ops), np.array(ops))]
+        for ch in chans:
+            assert ch.kraus.shape == (2, 3, 2) and not ch.kraus.flags.writeable
+            assert np.array_equal(ch.kraus, chans[0].kraus)
+        inst = proj_z(S)
+        assert not any(op.flags.writeable for _, op in inst.branches)
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            pytest.param((np.eye(2), np.eye(3)), id="ragged"),
+            pytest.param((), id="empty"),
+            pytest.param(np.eye(2), id="bare-matrix"),
+        ],
+    )
+    def test_malformed_stack_rejected(self, kraus):
+        with pytest.raises(ShapeError):
+            KrausChannel((S,), (S,), kraus)
+
+    def test_duplicate_outcomes_rejected(self):
+        with pytest.raises(ShapeError):
+            Instrument((S,), (S,), (("0", np.diag([1.0, 0.0])), ("0", np.diag([0.0, 1.0]))))
 
 
 class TestInstruments:
