@@ -6,7 +6,10 @@ block. A canonical recovery uncouples with a generator on the stage output
 and dephases Q. The squared irreversibility of the pair vanishes as
 c2 * theta^2, and c2 is the squared error, disturbance or OTOC. `extract`
 gets c2 for any comb, either from a least-squares fit on a theta grid or
-from the exact second derivative (canonical recoveries only).
+from the exact second derivative (canonical recoveries only). The grid of a
+fixed or canonical recovery is one stacked evaluation over every theta, with
+delta^2 a sum of non-negative amplitude terms; only OPTIMIZE builds the loss
+and recoveries per theta.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExtractionError
-from .irrev import OptimizerConfig, delta_cp, delta_min, delta_with_recovery
+from .errors import BranchProbabilityError, ExtractionError, ShapeError
+from .irrev import OptimizerConfig, delta_min
 from .oracles import lt_disturbance, lt_error, outcome_values
 from .qcore import (
     SIGMA_Z,
+    TOL_PROB,
     DensityMatrix,
     Instrument,
     KrausChannel,
@@ -66,8 +70,7 @@ __all__ = [
 
 Q_LABEL = Label("Q", 2)
 
-KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+KETS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)  # |+>, |->
 
 
 class _OptimizeType:
@@ -89,9 +92,7 @@ OPTIMIZE = _OptimizeType()
 
 def omega_pm(q: Label = Q_LABEL) -> TestEnsemble:
     """The fixed test ensemble {(1/2, |+>), (1/2, |->)} on the ancilla."""
-    return TestEnsemble(
-        ((0.5, pure_state(KET_PLUS, (q,))), (0.5, pure_state(KET_MINUS, (q,))))
-    )
+    return TestEnsemble(tuple((0.5, pure_state(v, (q,))) for v in KETS))
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ class CanonicalRecovery:
 
     x lives on some output factor(s); target lists every non-Q output label,
     all of which are traced out. The stored channel is built at this theta;
-    extraction rebuilds the family member for each grid theta.
+    extraction evaluates the family member at each grid theta from one
+    eigendecomposition of x (x) sigma_z, without building its channel.
     """
 
     x: Observable
@@ -186,8 +188,7 @@ def weak_coupling(gen: Observable, theta: float, dagger: bool = False) -> KrausC
 
 
 def dephase_pm() -> KrausChannel:
-    ops = (np.outer(KET_PLUS, KET_PLUS.conj()), np.outer(KET_MINUS, KET_MINUS.conj()))
-    return KrausChannel((Q_LABEL,), (Q_LABEL,), ops)
+    return KrausChannel((Q_LABEL,), (Q_LABEL,), KETS[:, :, None] * KETS.conj()[:, None, :])
 
 
 def trace_out_channel(sp, drop) -> KrausChannel:
@@ -386,10 +387,10 @@ def _analytic_c2(comb: Comb, x: Observable) -> float:
     derivative of the recovered overlap.
     """
     phi = comb.stage
-    g1 = embed_matrix(np.kron(comb.gen.data, SIGMA_Z), tuple(comb.gen.space) + (Q_LABEL,), comb.full)
-    g2 = embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q_LABEL,), phi.out_space)
+    g1 = _coupling(comb.gen, comb.full)
+    g2 = _coupling(x, phi.out_space)
     total = 0.0
-    for vec in (KET_PLUS, KET_MINUS):
+    for vec in KETS:
         kk = np.outer(vec, vec.conj())
         rho_t = np.kron(comb.block.data, kk)
         m0 = apply_raw(phi, rho_t)
@@ -404,14 +405,78 @@ def _analytic_c2(comb: Comb, x: Observable) -> float:
     return -total / 4.0
 
 
+def _coupling(x: Observable, sp) -> np.ndarray:
+    """The coupling generator x (x) sigma_z, embedded on sp."""
+    return embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q_LABEL,), sp)
+
+
+def _loss_amplitudes(comb: Comb, thetas: np.ndarray) -> np.ndarray:
+    """(t, 2, r, d_out) amplitudes L_i(theta) psi_k = stage U(theta) append_i psi_k.
+
+    U(theta) comes from one eigendecomposition of the embedded generator,
+    for every grid theta at once; psi_k runs over |+>, |->.
+    """
+    u = _expm_herm(_coupling(comb.gen, comb.full), thetas)
+    cols = (append_channel(comb.block).kraus @ KETS.T).transpose(2, 1, 0)  # (2, d, r_A)
+    amp = comb.stage.kraus @ (u[:, None] @ cols)[:, :, None]  # (t, 2, r_S, d_out, r_A)
+    return amp.swapaxes(-1, -2).reshape(len(thetas), 2, -1, comb.stage.dim_out)
+
+
+def _recovery_bras(comb: Comb, pair, recovery, thetas: np.ndarray) -> np.ndarray:
+    """(t or 1, 2, m, d_out) bras <psi_k^perp| R_j of the recovery, row m over j.
+
+    A fixed recovery uses its Kraus stack. The canonical one undoes the x
+    coupling, traces out the target and dephases Q in the +/- basis; the
+    dephasing keeps <psi_k^perp|.|psi_k^perp>, so its rows are
+    (<t| (x) <psi_k^perp|) W(theta)^dag over the target basis t.
+    """
+    out = comb.stage.out_space
+    perp = KETS[::-1].conj()
+    if pair is None:
+        if (recovery.in_space, recovery.out_space) != (out, (Q_LABEL,)) or not recovery.trace_preserving:
+            raise ShapeError(f"a fixed recovery must be a trace-preserving channel {_names(out)} -> ('Q',)")
+        return (recovery.kraus.swapaxes(1, 2) @ perp.T).transpose(2, 0, 1)[None]
+    x, target = pair
+    rec_in = _as_space(target) + (Q_LABEL,)
+    g2 = _coupling(x, rec_in)
+    if rec_in != out:
+        raise ShapeError(f"recovery input space {_names(rec_in)} does not match the loss output {_names(out)}")
+    w_dag = _expm_herm(g2, -thetas).reshape(len(thetas), -1, 2, len(g2))  # Q is the last factor
+    return (w_dag.swapaxes(2, 3) @ perp.T).transpose(0, 3, 1, 2)
+
+
+def _grid(comb: Comb, pair, recovery, thetas: tuple):
+    """delta^2 at every grid theta, and the (t, 2) branch probabilities.
+
+    For the pure states psi_k of omega_pm, D_k^2 = sum_ij |<psi_k^perp| R_j
+    L_i |psi_k>|^2, a sum of non-negative terms; a branch comb divides it by
+    q_k = ||L psi_k||^2 first. delta^2 = sum_k D_k^2 / 2.
+    """
+    th = np.asarray(thetas, dtype=float)
+    amp = _loss_amplitudes(comb, th)
+    rows = _recovery_bras(comb, pair, recovery, th)
+    d2 = np.sum(np.abs(amp @ rows.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
+    q = np.sum(np.abs(amp) ** 2, axis=(-2, -1))
+    if comb.branch_scale is None:
+        if not comb.stage.trace_preserving:
+            raise ShapeError("a comb whose stage is a CP branch needs a branch_scale")
+    else:
+        t, k = np.unravel_index(np.argmin(q), q.shape)
+        if q[t, k] <= TOL_PROB:
+            raise BranchProbabilityError(f"branch probability {q[t, k]} for state {k} below 1e-12")
+        d2 = d2 / q
+    return d2.sum(axis=1) / 2, q
+
+
 def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = None) -> IepResult:
     """lim delta^2/theta^2 of a comb under a recovery.
 
     recovery: "canonical" (the comb's first canonical recovery) or a
-    CanonicalRecovery, both rebuilt per grid theta; an explicit
+    CanonicalRecovery, both evaluated at each grid theta; an explicit
     KrausChannel held fixed across the grid, or OPTIMIZE to minimize over
     recoveries at each theta, warm-started from every canonical recovery of
-    the comb. cfg.method="analytic" differentiates exactly and needs a
+    the comb. Every grid but OPTIMIZE's is one stacked amplitude evaluation
+    over all theta. cfg.method="analytic" differentiates exactly and needs a
     canonical recovery.
     """
     cfg = cfg or ExtractionConfig()
@@ -434,26 +499,21 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
         _check_value(c2, (), "analytic")
         return IepResult(c2, (), 0.0, "analytic")
 
-    omega = omega_pm()
-    warm_pairs = comb.recoveries() if recovery is OPTIMIZE else ()
-    grid = []
-    probs = []
-    for theta in cfg.thetas:
-        loss = comb.loss(theta)
-        if recovery is OPTIMIZE:
+    branch = None
+    if recovery is OPTIMIZE:
+        omega = omega_pm()
+        warm_pairs = comb.recoveries()
+        values = []
+        for theta in cfg.thetas:
             warm = tuple(canonical_recovery(x, target, theta).channel for x, target in warm_pairs)
-            rep = delta_min(loss, omega, cfg.optimizer, warm_starts=warm)
-        else:
-            rec = recovery if pair is None else canonical_recovery(*pair, theta).channel
-            if scale is None:
-                rep = delta_with_recovery(loss, rec, omega)
-            else:
-                rep = delta_cp(loss, omega, rec)
-                probs.extend(p / (scale * scale) for p in rep.branch_probabilities)
-        grid.append((float(theta), rep.delta**2))
+            values.append(delta_min(comb.loss(theta), omega, cfg.optimizer, warm_starts=warm).delta ** 2)
+    else:
+        values, q = _grid(comb, pair, recovery, cfg.thetas)
+        if scale is not None:
+            branch = float(np.mean(q / (scale * scale)))
+    grid = [(float(t), float(v)) for t, v in zip(cfg.thetas, values)]
     c2, residual = _fit_c2(grid, cfg.fit_tol)
     _check_value(c2, grid, "extrapolated")
-    branch = float(np.mean(probs)) if probs else None
     return IepResult(c2, tuple(grid), residual, "extrapolated", branch_probability=branch)
 
 

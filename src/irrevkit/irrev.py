@@ -101,26 +101,36 @@ class DeltaReport:
 
 
 def _check_recovery_spaces(loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble):
-    if _names(omega.space) != _names(loss.in_space):
+    if omega.space != loss.in_space:
         raise ShapeError("ensemble space does not match the loss input space")
-    if _names(recovery.in_space) != _names(loss.out_space):
+    if recovery.in_space != loss.out_space:
         raise ShapeError("recovery input space does not match the loss output space")
-    if _names(recovery.out_space) != _names(loss.in_space):
+    if recovery.out_space != loss.in_space:
         raise ShapeError("recovery output space does not match the loss input space")
 
 
 def delta_with_recovery(
     loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble
 ) -> DeltaReport:
-    """Root-mean-square purified distance after loss followed by recovery."""
+    """Root-mean-square purified distance after loss followed by recovery.
+
+    A pure member psi_k contributes sum_ij ||(1 - |psi_k><psi_k|) R_j L_i
+    psi_k||^2, non-negative terms that do not cancel near zero as 1 - F^2
+    does; a mixed member its round trip's squared purified distance.
+    """
     _check_recovery_spaces(loss, recovery, omega)
+    if not (loss.trace_preserving and recovery.trace_preserving):
+        raise ShapeError("delta_with_recovery needs trace-preserving channels; use delta_cp for a CP branch")
     per = []
     acc = 0.0
     for k, (p, rho) in enumerate(omega.entries):
-        back = apply(recovery, apply(loss, rho))
-        # recovery may relabel; distances only need matching dimensions
-        back = DensityMatrix(rho.space, back.data)
-        dk = purified_distance(rho, back)
+        vals, vecs = np.linalg.eigh(rho.data)
+        if np.count_nonzero(vals > TOL_EIG_SKIP) == 1:
+            # bras of the complement of psi_k, then of R_j onto it: (r_R * (d - 1), d_out)
+            bras = (vecs[:, :-1].conj().T @ recovery.kraus).reshape(-1, loss.dim_out)
+            dk = math.sqrt(float(np.sum(np.abs((loss.kraus @ vecs[:, -1]) @ bras.T) ** 2)))
+        else:
+            dk = purified_distance(rho, apply(recovery, apply(loss, rho)))
         per.append((k, dk))
         acc += p * dk * dk
     return DeltaReport(math.sqrt(max(acc, 0.0)), tuple(per), recovery_used=recovery)

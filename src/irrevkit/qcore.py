@@ -134,8 +134,12 @@ def _as_matrix(data, dim: int | None = None) -> np.ndarray:
     return a
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray, src) -> np.ndarray:
+    """Read-only contiguous `a`, copied first while it is still the caller's
+    writable `src` (np.asarray hands such an array back unchanged)."""
     a = np.ascontiguousarray(a)
+    if a.flags.writeable and isinstance(src, np.ndarray) and np.may_share_memory(a, src):
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -163,7 +167,7 @@ class DensityMatrix:
         if not lo >= -TOL_EIG_NEG:
             raise StateValidityError(f"state has eigenvalue {lo} below -{TOL_EIG_NEG}")
         object.__setattr__(self, "space", sp)
-        object.__setattr__(self, "data", _freeze(a))
+        object.__setattr__(self, "data", _freeze(a, self.data))
 
     @property
     def dim(self) -> int:
@@ -183,7 +187,7 @@ class Observable:
         if not _herm_defect(a) <= TOL_HERM:
             raise StateValidityError(f"observable not Hermitian within {TOL_HERM}")
         object.__setattr__(self, "space", sp)
-        object.__setattr__(self, "data", _freeze(a))
+        object.__setattr__(self, "data", _freeze(a, self.data))
 
     @property
     def dim(self) -> int:
@@ -211,7 +215,7 @@ def _kraus_stack(ops, din: int, dout: int, trace_preserving: bool = True) -> np.
         hi = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) if np.isfinite(tr) else tr
         if not hi <= 1.0 + TOL_TP:
             raise ShapeError(f"CP branch exceeds trace preservation: max eig {hi}")
-    return _freeze(k)
+    return _freeze(k, ops)
 
 
 @dataclass(frozen=True)
@@ -382,10 +386,11 @@ def _reorder(a: np.ndarray, dims: Sequence[int], order: Sequence[int], axis: int
     return t.transpose(perm).reshape(a.shape)
 
 
-def _expm_herm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i t H) for Hermitian H via its eigendecomposition."""
+def _expm_herm(h: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """exp(-i t H) for Hermitian H via one eigendecomposition; an array of
+    times gives the (len(t), d, d) stack of exponentials."""
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * t * vals)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * np.asarray(t)[..., None, None] * vals)) @ vecs.conj().T
 
 
 def _lift(ops: np.ndarray, sub_in: Space, sub_out: Space, full: Space):

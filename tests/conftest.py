@@ -4,7 +4,19 @@ import math
 
 import numpy as np
 
-from irrevkit import DensityMatrix, Instrument, KrausChannel, Label, Observable, TestEnsemble, pure_state
+from irrevkit import (
+    DensityMatrix,
+    Instrument,
+    KrausChannel,
+    Label,
+    Observable,
+    TestEnsemble,
+    canonical_recovery,
+    delta_cp,
+    delta_with_recovery,
+    omega_pm,
+    pure_state,
+)
 
 # library type whose name matches the pytest collector pattern
 TestEnsemble.__test__ = False
@@ -206,3 +218,21 @@ def rand_kraus(rng, d_in: int, d_out: int, r: int) -> tuple:
         m, _ = np.linalg.qr(m)
         return m.reshape(r, d_out, d_in), True
     return m.reshape(r, d_out, d_in) / (1.01 * np.linalg.norm(m, 2)), False
+
+
+def ref_grid(comb, recovery, thetas) -> list:
+    """delta^2 at each theta, one channel pipeline per point: Comb.loss, the
+    canonical recovery rebuilt at theta ("canonical" or an (x, target) pair)
+    or a fixed KrausChannel, then delta_with_recovery, or delta_cp for a
+    branch comb."""
+    if isinstance(recovery, str):
+        recovery = comb.recoveries()[0]
+    out = []
+    for theta in thetas:
+        loss = comb.loss(theta)
+        rec = recovery if isinstance(recovery, KrausChannel) else canonical_recovery(*recovery, theta).channel
+        if comb.branch_scale is None:
+            out.append(delta_with_recovery(loss, rec, omega_pm()).delta ** 2)
+        else:
+            out.append(delta_cp(loss, omega_pm(), rec).delta ** 2)
+    return out

@@ -3,12 +3,18 @@ import pytest
 
 from irrevkit import (
     OPTIMIZE,
+    BranchProbabilityError,
     CanonicalRecovery,
+    Comb,
     ExtractionConfig,
+    KrausChannel,
     Label,
     Observable,
     OptimizerConfig,
+    ShapeError,
     canonical_recovery,
+    embed,
+    extract,
     extract_epsilon,
     extract_eta,
     extract_two_copy,
@@ -20,7 +26,7 @@ from irrevkit import (
     pure_state,
     validate_channel,
 )
-from irrevkit.comb import Q_LABEL
+from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _grid, _two_copy_comb, trace_out_channel
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
@@ -29,7 +35,9 @@ from conftest import (
     proj_z,
     rand_herm,
     rand_instrument,
+    rand_kraus,
     rand_state,
+    ref_grid,
 )
 
 S = Label("S", 2)
@@ -159,6 +167,72 @@ class TestTwoCopy:
 def proj_x():
     basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     return proj_instrument(basis, S)
+
+
+def rand_combs(seed: int, n: int = 3):
+    """(name, comb) for the error, disturbance and both two-copy combs of n random meters."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        d, k = (int(v) for v in rng.integers(2, 4, size=2))
+        lab = Label("S", d)
+        rho = rand_state(rng, d, lab)
+        a = Observable((lab,), rand_herm(rng, d, norm=1.0))
+        meas = rand_instrument(rng, d, k, lab)
+        f = list(rng.standard_normal(k))
+        yield "error", _error_comb(rho, a, meas)
+        yield "disturbance", _disturbance_comb(rho, a, meas)
+        yield "two-copy error", _two_copy_comb(rho, a, meas, "error", f)
+        yield "two-copy disturbance", _two_copy_comb(rho, a, meas, "disturbance")
+
+
+class TestStackedGrid:
+    """The theta-stacked grid against one channel pipeline per theta."""
+
+    THETAS = ExtractionConfig().thetas
+
+    def test_canonical_grid_matches_per_theta_reference(self):
+        for name, comb in rand_combs(31):
+            got = [v for _, v in extract(comb, "canonical").theta_grid]
+            want = ref_grid(comb, "canonical", self.THETAS)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13, name
+
+    def test_fixed_kraus_recovery_matches_per_theta_reference(self):
+        for name, comb in rand_combs(32, n=2):
+            fixed = canonical_recovery(*comb.recoveries()[0], 0.0).channel
+            got = [v for _, v in extract(comb, fixed).theta_grid]
+            assert np.max(np.abs(np.subtract(got, ref_grid(comb, fixed, self.THETAS)))) <= 1e-13, name
+
+    def test_random_fixed_recovery_at_large_theta(self):
+        # _grid itself: under a random recovery delta^2 is not O(theta^2), so the fit would reject it
+        rng = np.random.default_rng(33)
+        thetas = (0.7, 0.3, 1e-2)
+        for name, comb in rand_combs(33, n=1):
+            d_out = comb.stage.dim_out
+            ops, _ = rand_kraus(rng, d_out, 2, d_out)
+            fixed = KrausChannel(comb.stage.out_space, (Q_LABEL,), ops)
+            got, _ = _grid(comb, None, fixed, thetas)
+            assert np.max(np.abs(got - ref_grid(comb, fixed, thetas))) <= 1e-13, name
+
+    def test_mismatched_recovery_space_rejected(self):
+        rng = np.random.default_rng(34)
+        rho = rand_state(rng, 2, S)
+        pointer = canonical_recovery(Observable((P,), SIGMA_Z), (P,), 0.0)
+        with pytest.raises(ShapeError):  # pointer recovery on the disturbance comb's (S, Q)
+            extract_eta(rho, obs(SIGMA_X, S), proj_z(S), pointer)
+        comb = _two_copy_comb(rho, obs(SIGMA_X, S), proj_z(S), "disturbance")
+        x, target = comb.recoveries()[0]
+        with pytest.raises(ShapeError):  # right labels, wrong order
+            extract(comb, canonical_recovery(x, tuple(reversed(target)), 0.0))
+        with pytest.raises(ShapeError):  # a fixed recovery from (S, Q) on the error comb's (P, Q)
+            extract_epsilon(rho, obs(SIGMA_X, S), proj_z(S), trace_out_channel((S, Q_LABEL), (S,)))
+
+    def test_zero_probability_branch_rejected(self):
+        # the branch keeps |1> only, and the coupling never moves the block off |0>
+        keep_one = KrausChannel((S,), (S,), (np.diag([0.0, 1.0]),), trace_preserving=False)
+        z = obs(SIGMA_Z, S)
+        comb = Comb(RHO0, z, embed(keep_one, (S, Q_LABEL)), lambda: ((z, (S,)),), branch_scale=1.0)
+        with pytest.raises(BranchProbabilityError):
+            extract(comb, "canonical")
 
 
 class TestConfig:

@@ -7,6 +7,7 @@ from irrevkit import (
     KrausChannel,
     Label,
     OptimizerConfig,
+    ShapeError,
     TestEnsemble,
     apply,
     choi,
@@ -18,6 +19,7 @@ from irrevkit import (
     maximally_mixed,
     omega_pm,
     petz_recovery,
+    purified_distance,
     unitary_channel,
     validate_channel,
 )
@@ -27,6 +29,7 @@ from conftest import (
     SIGMA_Y,
     SIGMA_Z,
     rand_instrument,
+    rand_kraus,
     rand_pure,
     rand_state,
     rand_unitary,
@@ -69,6 +72,33 @@ class TestDeltaWithRecovery:
         rep = delta_with_recovery(depolarizing(Q), identity_channel((Q,)), omega_pm(Q))
         acc = sum(0.5 * d * d for _, d in rep.per_state)
         assert abs(rep.delta**2 - acc) < 1e-12
+
+    def test_pure_amplitude_form_matches_closed_forms(self):
+        # pure members use sum ||(1 - |psi><psi|) R_j L_i psi||^2 = 1 - <psi|R(L(psi))|psi>,
+        # mixed ones the purified distance itself
+        rng = np.random.default_rng(5)
+        for d_in, d_out in ((2, 2), (3, 2), (2, 4)):
+            a, b = Label("A", d_in), Label("B", d_out)
+            loss = KrausChannel((a,), (b,), rand_kraus(rng, d_in, d_out, 3)[0])
+            rec = KrausChannel((b,), (a,), rand_kraus(rng, d_out, d_in, 2)[0])
+            pure, mixed = rand_pure(rng, d_in, a), rand_state(rng, d_in, a)
+            rep = delta_with_recovery(loss, rec, TestEnsemble(((0.3, pure), (0.7, mixed))))
+            psi = np.linalg.eigh(pure.data)[1][:, -1]
+            back = apply(rec, apply(loss, pure)).data
+            assert abs(rep.per_state[0][1] ** 2 - (1 - np.real(psi.conj() @ back @ psi))) < 1e-14
+            assert rep.per_state[1][1] == purified_distance(mixed, apply(rec, apply(loss, mixed)))
+
+    def test_exact_recovery_has_no_fidelity_floor(self):
+        u = rand_unitary(np.random.default_rng(6), 2)
+        rep = delta_with_recovery(
+            unitary_channel(u, (Q,)), unitary_channel(u.conj().T, (Q,)), omega_pm(Q)
+        )
+        assert rep.delta < 1e-15
+
+    def test_cp_branch_loss_rejected(self):
+        half = KrausChannel((Q,), (Q,), (0.5 * np.eye(2),), trace_preserving=False)
+        with pytest.raises(ShapeError):
+            delta_with_recovery(half, identity_channel((Q,)), omega_pm(Q))
 
 
 class TestPetz:

@@ -24,8 +24,9 @@ from irrevkit import (
     variance,
     way_bound_otoc,
 )
-from irrevkit.comb import Q_LABEL, dephase_pm, trace_out_channel
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, rand_herm, rand_state, rand_unitary
+import irrevkit.otoc as otoc_module
+from irrevkit.comb import Q_LABEL, dephase_pm, extract, trace_out_channel
+from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, rand_herm, rand_state, rand_unitary, ref_grid
 
 S = Label("S", 2)
 ANALYTIC = ExtractionConfig(method="analytic")
@@ -114,6 +115,12 @@ class TestIep:
         rep = otoc_iep(s)
         assert abs(rep.value - otoc_direct(s)) < 1e-6
 
+    def test_chain_near_zero_tau_matches_direct(self):
+        # delta^2 is a sum of non-negative amplitude terms: no 1 - F^2 floor near zero
+        assert abs(otoc_iep(ising_chain_scenario(0.0)).value) <= 1e-20
+        s = ising_chain_scenario(0.05)
+        assert abs(otoc_iep(s).value - otoc_direct(s)) <= 1e-6 * otoc_direct(s)
+
     def test_non_unitary_w_rejected(self):
         zero = Observable((S,), np.zeros((2, 2), dtype=complex))
         s = ScramblingScenario(
@@ -159,6 +166,60 @@ class TestIepRecovery:
         for cfg in (None, ANALYTIC):
             with pytest.raises(ValueError):
                 otoc_iep(s, cfg, recovery=OPTIMIZE)
+
+
+def spied_comb(monkeypatch, protocol, s, **kwargs):
+    """(report, comb) of one protocol call: the comb it hands to extract."""
+    combs = []
+
+    def spy(comb, recovery="canonical", cfg=None):
+        combs.append(comb)
+        return extract(comb, recovery, cfg)
+
+    monkeypatch.setattr(otoc_module, "extract", spy)
+    return protocol(s, **kwargs), combs[0]
+
+
+class TestStackedGrid:
+    """The theta-stacked grid against one channel pipeline per theta."""
+
+    THETAS = ExtractionConfig().thetas
+
+    def test_otoc_iep_grid_matches_per_theta_reference(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        lab = Label("S", 3)
+        scenarios = [
+            ising_chain_scenario(0.3, 3),
+            ScramblingScenario(
+                Observable((lab,), rand_herm(rng, 3)),
+                Observable((lab,), rand_self_adjoint_unitary(rng, 3)),
+                Observable((lab,), rand_herm(rng, 3)),
+                0.6,
+                rand_state(rng, 3, lab),
+            ),
+        ]
+        for s in scenarios:
+            full = tuple(s.rho.space) + (Q_LABEL,)
+            fixed = compose(dephase_pm(), trace_out_channel(full, s.rho.space))
+            for recovery in ("canonical", fixed):
+                rep, comb = spied_comb(monkeypatch, otoc_iep, s, recovery=recovery)
+                got = [v for _, v in rep.theta_grid]
+                assert np.max(np.abs(np.subtract(got, ref_grid(comb, recovery, self.THETAS)))) <= 1e-13
+
+    def test_otoc_iep_cp_grid_matches_per_theta_reference(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        for d in (2, 3):
+            lab = Label("S", d)
+            s = ScramblingScenario(
+                Observable((lab,), rand_herm(rng, d)),
+                Observable((lab,), rand_herm(rng, d)),
+                Observable((lab,), rand_herm(rng, d)),
+                0.4,
+            )
+            rep, comb = spied_comb(monkeypatch, otoc_iep_cp, s)
+            assert comb.branch_scale is not None
+            got = [v for _, v in rep.theta_grid]
+            assert np.max(np.abs(np.subtract(got, ref_grid(comb, "canonical", self.THETAS)))) <= 1e-13
 
 
 class TestIepCp:

@@ -304,6 +304,23 @@ class TestStackedCore:
         assert not any(op.flags.writeable for _, op in inst.branches)
 
     @pytest.mark.parametrize(
+        "build, array",
+        [
+            pytest.param(lambda a: DensityMatrix((S,), a), np.eye(2, dtype=complex) / 2, id="state"),
+            pytest.param(lambda a: Observable((S,), a), np.diag([1.0, -1.0]).astype(complex), id="observable"),
+            pytest.param(lambda a: KrausChannel((S,), (S,), a), np.eye(2, dtype=complex)[None], id="channel"),
+        ],
+    )
+    def test_caller_array_stays_writable_and_detached(self, build, array):
+        # complex and contiguous, so np.asarray hands the caller's array back unchanged
+        obj = build(array)
+        stored = obj.kraus if isinstance(obj, KrausChannel) else obj.data
+        before = stored.copy()
+        assert array.flags.writeable and not stored.flags.writeable
+        array[...] = 7.0
+        assert np.array_equal(stored, before)
+
+    @pytest.mark.parametrize(
         "kraus",
         [
             pytest.param((np.eye(2), np.eye(3)), id="ragged"),
