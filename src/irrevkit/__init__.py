@@ -54,7 +54,6 @@ from .qcore import (
 from .irrev import (
     DeltaReport,
     OptimizerConfig,
-    delta_cp,
     delta_min,
     delta_with_recovery,
     petz_recovery,

@@ -6,15 +6,18 @@ block. A canonical recovery uncouples with a generator on the stage output
 and dephases Q. The squared irreversibility of the pair vanishes as
 c2 * theta^2, and c2 is the squared error, disturbance or OTOC. `extract`
 gets c2 for any comb, either from a least-squares fit on a theta grid or
-from the exact second derivative (canonical recoveries only). The grid of a
-fixed or canonical recovery is one stacked evaluation over every theta, with
-delta^2 a sum of non-negative amplitude terms; only OPTIMIZE builds the loss
-and recoveries per theta.
+from the exact second derivative (canonical recoveries only). A comb's loss
+and canonical recovery have one theta-stacked form each: one
+eigendecomposition of the coupling, and one of each recovery's undo
+generator, serve a whole grid. The grid of a fixed or canonical recovery
+reads their amplitudes, with delta^2 a sum of non-negative terms; OPTIMIZE
+reads their Kraus stacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,6 +26,7 @@ from .errors import BranchProbabilityError, ExtractionError, ShapeError
 from .irrev import OptimizerConfig, delta_min
 from .oracles import lt_disturbance, lt_error, outcome_values
 from .qcore import (
+    ID2,
     SIGMA_Z,
     TOL_PROB,
     DensityMatrix,
@@ -34,9 +38,7 @@ from .qcore import (
     _as_space,
     _expm_herm,
     _names,
-    _reorder,
     apply_raw,
-    compose,
     embed,
     embed_matrix,
     instrument_channel,
@@ -54,10 +56,6 @@ __all__ = [
     "IepResult",
     "ExtractionConfig",
     "omega_pm",
-    "append_channel",
-    "weak_coupling",
-    "dephase_pm",
-    "trace_out_channel",
     "build_loss_error",
     "build_loss_disturbance",
     "build_loss_two_copy",
@@ -109,16 +107,41 @@ class LossProcess:
 class CanonicalRecovery:
     """R_{X,target} = dephase Q in {|+>,|->} after undoing the X coupling.
 
-    x lives on some output factor(s); target lists every non-Q output label,
-    all of which are traced out. The stored channel is built at this theta;
-    extraction evaluates the family member at each grid theta from one
-    eigendecomposition of x (x) sigma_z, without building its channel.
+    x lives on some input factor(s); target lists every non-Q input label,
+    all of which are traced out. Construction only embeds x (x) sigma_z on
+    target + Q, checking x's labels. `undo` serves every grid theta from one
+    eigendecomposition, as do `channels`; `channel`, the member at this theta,
+    is built when it is first read.
     """
 
     x: Observable
     target: tuple
     theta: float
-    channel: KrausChannel = field(repr=False)
+    gen: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "target", _as_space(self.target))
+        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "gen", _coupling(self.x, self.in_space))
+
+    @property
+    def in_space(self) -> tuple:
+        return self.target + (Q_LABEL,)
+
+    def undo(self, thetas) -> np.ndarray:
+        """(t, n_t, 2, d) stack of W(theta)^dag = exp(i theta gen), rows split as (target, Q)."""
+        w_dag = _expm_herm(self.gen, -np.asarray(thetas, dtype=float))
+        return w_dag.reshape(len(w_dag), -1, Q_LABEL.dim, len(self.gen))  # Q is the last factor
+
+    def channels(self, thetas) -> list:
+        """The member at each theta, Kraus operators |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
+        rows = KETS.conj() @ self.undo(thetas)  # (t, n_t, 2, d): <t, psi_k| W(theta)^dag
+        ops = KETS[:, None, :, None] * rows.swapaxes(1, 2)[:, :, :, None]
+        return [KrausChannel(self.in_space, (Q_LABEL,), k.reshape(-1, Q_LABEL.dim, len(self.gen))) for k in ops]
+
+    @cached_property
+    def channel(self) -> KrausChannel:
+        return self.channels((self.theta,))[0]
 
 
 @dataclass(frozen=True)
@@ -169,51 +192,9 @@ class ExtractionConfig:
         )
 
 
-def append_channel(rho: DensityMatrix) -> KrausChannel:
-    """A_rho: X_Q -> rho (x) X_Q, as a CPTP map from Q into system + Q."""
-    vals, vecs = np.linalg.eigh(rho.data)
-    keep = vals > 1e-14
-    iq = np.eye(Q_LABEL.dim, dtype=complex)
-    # sqrt(lam) kron(|v>, 1_Q) for each kept eigenpair
-    ops = (vecs.T[keep][:, :, None, None] * iq).reshape(-1, rho.dim * Q_LABEL.dim, Q_LABEL.dim)
-    ops = np.sqrt(vals[keep])[:, None, None] * ops
-    return KrausChannel((Q_LABEL,), tuple(rho.space) + (Q_LABEL,), ops)
-
-
-def weak_coupling(gen: Observable, theta: float, dagger: bool = False) -> KrausChannel:
-    """Unitary conjugation by exp(-i theta gen (x) sigma_z) on gen's space + Q."""
-    u = _expm_herm(np.kron(gen.data, SIGMA_Z), -theta if dagger else theta)
-    sp = tuple(gen.space) + (Q_LABEL,)
-    return KrausChannel(sp, sp, (u,))
-
-
-def dephase_pm() -> KrausChannel:
-    return KrausChannel((Q_LABEL,), (Q_LABEL,), KETS[:, :, None] * KETS.conj()[:, None, :])
-
-
-def trace_out_channel(sp, drop) -> KrausChannel:
-    """Trace out the labels in `drop`, keeping the remaining factors in order."""
-    sp = _as_space(sp)
-    drop_names = {l.name if isinstance(l, Label) else str(l) for l in drop}
-    keep = tuple(l for l in sp if l.name not in drop_names)
-    dropped = tuple(l for l in sp if l.name in drop_names)
-    if len(dropped) != len(drop_names):
-        raise ValueError(f"labels {drop_names} not all present in {_names(sp)}")
-    names = _names(sp)
-    order = [names.index(l.name) for l in dropped] + [names.index(l.name) for l in keep]
-    d = space_dim(sp)
-    # rows of the identity reordered to (dropped, kept); K_t = (<t| (x) 1) P
-    perm = _reorder(np.eye(d, dtype=complex), [l.dim for l in sp], order, 0)
-    return KrausChannel(sp, keep, perm.reshape(space_dim(dropped), space_dim(keep), d))
-
-
 def canonical_recovery(x: Observable, target, theta: float) -> CanonicalRecovery:
-    """Build R_{X,target} on target + Q: undo the X coupling, trace out target, dephase Q."""
-    target = _as_space(target)
-    sp = tuple(target) + (Q_LABEL,)
-    undo = embed(weak_coupling(x, theta, dagger=True), sp)
-    j = compose(dephase_pm(), trace_out_channel(sp, target))
-    return CanonicalRecovery(x, tuple(target), float(theta), compose(j, undo))
+    """R_{X,target} on target + Q: undo the X coupling, trace out target, dephase Q."""
+    return CanonicalRecovery(x, target, theta)
 
 
 @dataclass(frozen=True)
@@ -222,10 +203,10 @@ class Comb:
 
     block is the appended state (everything but Q), gen the coupling
     generator on some of its factors, stage the measurement or conjugation,
-    already embedded on block + Q (once per comb). recoveries() returns the
-    canonical (x, target) pairs: the first is the "canonical" recovery and
-    every pair warm-starts OPTIMIZE, in order. It is called only by those
-    two modes, since some pairs cost an oracle solve. A sub-normalised
+    already embedded on block + Q (once per comb). recoveries() returns
+    CanonicalRecovery values: the first is the "canonical" recovery and
+    every one warm-starts OPTIMIZE, in order. It is called only by those
+    two modes, since some recoveries cost an oracle solve. A sub-normalised
     stage, whose Kraus operator was scaled by branch_scale, is renormalised
     per state and its curvature divided by branch_scale^2.
     """
@@ -240,9 +221,15 @@ class Comb:
     def full(self) -> tuple:
         return tuple(self.block.space) + (Q_LABEL,)
 
+    def losses(self, thetas) -> list:
+        """The loss at each theta: its Kraus operators S_s U(theta) A_a are the
+        loss amplitudes of the Q basis states, column by column."""
+        amp = _loss_amplitudes(self, np.asarray(thetas, dtype=float), ID2)
+        tp = self.stage.trace_preserving
+        return [KrausChannel((Q_LABEL,), self.stage.out_space, a.transpose(1, 2, 0), tp) for a in amp]
+
     def loss(self, theta: float) -> KrausChannel:
-        u = embed(weak_coupling(self.gen, theta), self.full)
-        return compose(self.stage, compose(u, append_channel(self.block)))
+        return self.losses((theta,))[0]
 
 
 def _check_meas(rho: DensityMatrix, gen: Observable, meas: Instrument):
@@ -266,7 +253,7 @@ def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
     _check_meas(rho, a, meas)
     p_label = _pointer(meas)
     stage = embed(pointer_channel(meas, p_label), tuple(rho.space) + (Q_LABEL,))
-    pushforward = lambda: ((_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,)),)
+    pushforward = lambda: (canonical_recovery(_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,), 0.0),)
     return Comb(rho, a, stage, pushforward)
 
 
@@ -276,10 +263,10 @@ def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Co
     out_sp = meas.out_space
 
     def recoveries():
-        pairs = [(lt_disturbance(rho, b, meas)[1], out_sp)]
+        recs = [canonical_recovery(lt_disturbance(rho, b, meas)[1], out_sp, 0.0)]
         if meas.dim_in == space_dim(out_sp):
-            pairs.append((Observable(out_sp, b.data), out_sp))
-        return tuple(pairs)
+            recs.append(canonical_recovery(Observable(out_sp, b.data), out_sp, 0.0))
+        return tuple(recs)
 
     stage = embed(instrument_channel(meas), tuple(rho.space) + (Q_LABEL,))
     return Comb(rho, b, stage, recoveries)
@@ -314,11 +301,11 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     if kind == "error":
         p_label = _pointer(meas)
         stage = pointer_channel(meas2, p_label)
-        recoveries = lambda: ((_pointer_observable(meas, f), (p_label, s1)),)
+        recoveries = lambda: (canonical_recovery(_pointer_observable(meas, f), (p_label, s1), 0.0),)
     elif kind == "disturbance":
         stage = instrument_channel(meas2)
         out2 = meas2.out_space
-        recoveries = lambda: ((Observable(out2, gen.data), tuple(out2) + (s1,)),)
+        recoveries = lambda: (canonical_recovery(Observable(out2, gen.data), tuple(out2) + (s1,), 0.0),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
     return Comb(block, Observable((s1,), gen.data), embed(stage, (s2, s1, Q_LABEL)), recoveries)
@@ -410,19 +397,23 @@ def _coupling(x: Observable, sp) -> np.ndarray:
     return embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q_LABEL,), sp)
 
 
-def _loss_amplitudes(comb: Comb, thetas: np.ndarray) -> np.ndarray:
-    """(t, 2, r, d_out) amplitudes L_i(theta) psi_k = stage U(theta) append_i psi_k.
+def _loss_amplitudes(comb: Comb, thetas: np.ndarray, kets: np.ndarray = KETS) -> np.ndarray:
+    """(t, k, r, d_out) amplitudes L_i(theta) psi_k = stage U(theta) append_i psi_k.
 
-    U(theta) comes from one eigendecomposition of the embedded generator,
-    for every grid theta at once; psi_k runs over |+>, |->.
+    Appending maps psi_k to sqrt(lam_a) |v_a> (x) psi_k over the block's
+    eigenpairs above 1e-14; U(theta) comes from one eigendecomposition of the
+    embedded generator for every grid theta; psi_k are the rows of kets.
     """
+    vals, vecs = np.linalg.eigh(comb.block.data)
+    keep = vals > 1e-14
+    m = vecs[:, keep] * np.sqrt(vals[keep])  # (d, r_A)
+    cols = (m[None, :, None] * kets[:, None, :, None]).reshape(len(kets), -1, m.shape[1])  # (k, d, r_A)
     u = _expm_herm(_coupling(comb.gen, comb.full), thetas)
-    cols = (append_channel(comb.block).kraus @ KETS.T).transpose(2, 1, 0)  # (2, d, r_A)
-    amp = comb.stage.kraus @ (u[:, None] @ cols)[:, :, None]  # (t, 2, r_S, d_out, r_A)
-    return amp.swapaxes(-1, -2).reshape(len(thetas), 2, -1, comb.stage.dim_out)
+    amp = comb.stage.kraus @ (u[:, None] @ cols)[:, :, None]  # (t, k, r_S, d_out, r_A)
+    return amp.swapaxes(-1, -2).reshape(len(thetas), len(kets), -1, comb.stage.dim_out)
 
 
-def _recovery_bras(comb: Comb, pair, recovery, thetas: np.ndarray) -> np.ndarray:
+def _recovery_bras(comb: Comb, recovery, thetas: np.ndarray) -> np.ndarray:
     """(t or 1, 2, m, d_out) bras <psi_k^perp| R_j of the recovery, row m over j.
 
     A fixed recovery uses its Kraus stack. The canonical one undoes the x
@@ -432,20 +423,16 @@ def _recovery_bras(comb: Comb, pair, recovery, thetas: np.ndarray) -> np.ndarray
     """
     out = comb.stage.out_space
     perp = KETS[::-1].conj()
-    if pair is None:
+    if isinstance(recovery, KrausChannel):
         if (recovery.in_space, recovery.out_space) != (out, (Q_LABEL,)) or not recovery.trace_preserving:
             raise ShapeError(f"a fixed recovery must be a trace-preserving channel {_names(out)} -> ('Q',)")
         return (recovery.kraus.swapaxes(1, 2) @ perp.T).transpose(2, 0, 1)[None]
-    x, target = pair
-    rec_in = _as_space(target) + (Q_LABEL,)
-    g2 = _coupling(x, rec_in)
-    if rec_in != out:
-        raise ShapeError(f"recovery input space {_names(rec_in)} does not match the loss output {_names(out)}")
-    w_dag = _expm_herm(g2, -thetas).reshape(len(thetas), -1, 2, len(g2))  # Q is the last factor
-    return (w_dag.swapaxes(2, 3) @ perp.T).transpose(0, 3, 1, 2)
+    if recovery.in_space != out:
+        raise ShapeError(f"recovery input space {_names(recovery.in_space)} does not match the loss output {_names(out)}")
+    return (recovery.undo(thetas).swapaxes(2, 3) @ perp.T).transpose(0, 3, 1, 2)
 
 
-def _grid(comb: Comb, pair, recovery, thetas: tuple):
+def _grid(comb: Comb, recovery, thetas: tuple):
     """delta^2 at every grid theta, and the (t, 2) branch probabilities.
 
     For the pure states psi_k of omega_pm, D_k^2 = sum_ij |<psi_k^perp| R_j
@@ -454,7 +441,7 @@ def _grid(comb: Comb, pair, recovery, thetas: tuple):
     """
     th = np.asarray(thetas, dtype=float)
     amp = _loss_amplitudes(comb, th)
-    rows = _recovery_bras(comb, pair, recovery, th)
+    rows = _recovery_bras(comb, recovery, th)
     d2 = np.sum(np.abs(amp @ rows.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
     q = np.sum(np.abs(amp) ** 2, axis=(-2, -1))
     if comb.branch_scale is None:
@@ -476,24 +463,21 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     KrausChannel held fixed across the grid, or OPTIMIZE to minimize over
     recoveries at each theta, warm-started from every canonical recovery of
     the comb. Every grid but OPTIMIZE's is one stacked amplitude evaluation
-    over all theta. cfg.method="analytic" differentiates exactly and needs a
-    canonical recovery.
+    over all theta; OPTIMIZE reads the stacked loss and recovery Kraus forms.
+    cfg.method="analytic" differentiates exactly and needs a canonical
+    recovery.
     """
     cfg = cfg or ExtractionConfig()
-    if isinstance(recovery, CanonicalRecovery):
-        pair = (recovery.x, recovery.target)
-    elif isinstance(recovery, str) and recovery == "canonical":
-        pair = comb.recoveries()[0]
-    elif recovery is OPTIMIZE or isinstance(recovery, KrausChannel):
-        pair = None
-    else:
+    if isinstance(recovery, str) and recovery == "canonical":
+        recovery = comb.recoveries()[0]
+    elif not (recovery is OPTIMIZE or isinstance(recovery, (CanonicalRecovery, KrausChannel))):
         raise TypeError(f"unsupported recovery {recovery!r}")
     scale = comb.branch_scale
 
     if cfg.method == "analytic":
-        if pair is None:
+        if not isinstance(recovery, CanonicalRecovery):
             raise ValueError("analytic extraction needs a canonical recovery")
-        c2 = _analytic_c2(comb, pair[0])
+        c2 = _analytic_c2(comb, recovery.x)
         if scale is not None:
             c2 = c2 / (scale * scale)
         _check_value(c2, (), "analytic")
@@ -502,13 +486,13 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     branch = None
     if recovery is OPTIMIZE:
         omega = omega_pm()
-        warm_pairs = comb.recoveries()
+        warm = [rec.channels(cfg.thetas) for rec in comb.recoveries()]
         values = []
-        for theta in cfg.thetas:
-            warm = tuple(canonical_recovery(x, target, theta).channel for x, target in warm_pairs)
-            values.append(delta_min(comb.loss(theta), omega, cfg.optimizer, warm_starts=warm).delta ** 2)
+        for i, loss in enumerate(comb.losses(cfg.thetas)):
+            starts = tuple(w[i] for w in warm)
+            values.append(delta_min(loss, omega, cfg.optimizer, warm_starts=starts).delta ** 2)
     else:
-        values, q = _grid(comb, pair, recovery, cfg.thetas)
+        values, q = _grid(comb, recovery, cfg.thetas)
         if scale is not None:
             branch = float(np.mean(q / (scale * scale)))
     grid = [(float(t), float(v)) for t, v in zip(cfg.thetas, values)]

@@ -2,9 +2,10 @@
 
 delta(L, R, Omega) = sqrt(sum_k p_k D_F(rho_k, R(L(rho_k)))^2) for a fixed
 recovery R, and delta_min optimizes that quantity over CPTP recoveries via
-projected gradient ascent on a Stinespring isometry. The Petz transpose
-channel is always evaluated as a warm start, so the optimized value never
-exceeds the Petz value. Global optimality is not claimed anywhere.
+projected gradient ascent on a Stinespring isometry. A sub-normalised CP
+branch L enters through its renormalised outputs L(rho_k) / tr L(rho_k). The
+Petz transpose channel is always evaluated as a warm start, so the optimized
+value never exceeds the Petz value. Global optimality is not claimed anywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "delta_with_recovery",
     "delta_min",
     "petz_recovery",
-    "delta_cp",
 ]
 
 
@@ -100,15 +100,6 @@ class DeltaReport:
         return d
 
 
-def _check_recovery_spaces(loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble):
-    if omega.space != loss.in_space:
-        raise ShapeError("ensemble space does not match the loss input space")
-    if recovery.in_space != loss.out_space:
-        raise ShapeError("recovery input space does not match the loss output space")
-    if recovery.out_space != loss.in_space:
-        raise ShapeError("recovery output space does not match the loss input space")
-
-
 def delta_with_recovery(
     loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble
 ) -> DeltaReport:
@@ -116,24 +107,44 @@ def delta_with_recovery(
 
     A pure member psi_k contributes sum_ij ||(1 - |psi_k><psi_k|) R_j L_i
     psi_k||^2, non-negative terms that do not cancel near zero as 1 - F^2
-    does; a mixed member its round trip's squared purified distance.
+    does; a mixed member its round trip's squared purified distance. The
+    recovery must be trace preserving. A CP-branch loss is renormalised per
+    member by its branch probability q_k = tr L(rho_k), which is reported in
+    branch_probabilities; q_k <= 1e-12 raises BranchProbabilityError.
     """
-    _check_recovery_spaces(loss, recovery, omega)
-    if not (loss.trace_preserving and recovery.trace_preserving):
-        raise ShapeError("delta_with_recovery needs trace-preserving channels; use delta_cp for a CP branch")
-    per = []
+    if omega.space != loss.in_space:
+        raise ShapeError("ensemble space does not match the loss input space")
+    if recovery.in_space != loss.out_space:
+        raise ShapeError("recovery input space does not match the loss output space")
+    if recovery.out_space != loss.in_space:
+        raise ShapeError("recovery output space does not match the loss input space")
+    if not recovery.trace_preserving:
+        raise ShapeError("delta_with_recovery needs a trace-preserving recovery")
+    branch = not loss.trace_preserving
+    per, probs = [], []
     acc = 0.0
     for k, (p, rho) in enumerate(omega.entries):
+        q = 1.0
+        if branch:
+            raw = apply_raw(loss, rho.data)
+            q = float(np.real(np.trace(raw)))
+            if q <= TOL_PROB:
+                raise BranchProbabilityError(f"branch probability {q} for state {k} below 1e-12")
         vals, vecs = np.linalg.eigh(rho.data)
         if np.count_nonzero(vals > TOL_EIG_SKIP) == 1:
             # bras of the complement of psi_k, then of R_j onto it: (r_R * (d - 1), d_out)
             bras = (vecs[:, :-1].conj().T @ recovery.kraus).reshape(-1, loss.dim_out)
-            dk = math.sqrt(float(np.sum(np.abs((loss.kraus @ vecs[:, -1]) @ bras.T) ** 2)))
+            dk = math.sqrt(float(np.sum(np.abs((loss.kraus @ vecs[:, -1]) @ bras.T) ** 2)) / q)
+        elif branch:
+            normalized = DensityMatrix(loss.out_space, (raw + raw.conj().T) / (2 * q))
+            dk = purified_distance(rho, apply(recovery, normalized))
         else:
             dk = purified_distance(rho, apply(recovery, apply(loss, rho)))
         per.append((k, dk))
+        probs.append(q)
         acc += p * dk * dk
-    return DeltaReport(math.sqrt(max(acc, 0.0)), tuple(per), recovery_used=recovery)
+    probs = tuple(probs) if branch else None
+    return DeltaReport(math.sqrt(max(acc, 0.0)), tuple(per), recovery_used=recovery, branch_probabilities=probs)
 
 
 def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
@@ -359,36 +370,4 @@ def delta_min(
         optimizer_trace=trace,
         converged=conv,
         local_optimum=True,
-    )
-
-
-def delta_cp(
-    loss_branch: KrausChannel, omega: TestEnsemble, recovery: KrausChannel
-) -> DeltaReport:
-    """Irreversibility of a sub-normalized CP branch.
-
-    Each output is renormalized by its branch probability q_k before the
-    distance to rho_k is taken; q_k <= 1e-12 is rejected.
-    """
-    _check_recovery_spaces(loss_branch, recovery, omega)
-    per = []
-    probs = []
-    acc = 0.0
-    for k, (p, rho) in enumerate(omega.entries):
-        raw = apply_raw(loss_branch, rho.data)
-        q = float(np.real(np.trace(raw)))
-        if q <= TOL_PROB:
-            raise BranchProbabilityError(f"branch probability {q} for state {k} below 1e-12")
-        normalized = DensityMatrix(loss_branch.out_space, (raw + raw.conj().T) / (2 * q))
-        back = apply(recovery, normalized)
-        back = DensityMatrix(rho.space, back.data)
-        dk = purified_distance(rho, back)
-        per.append((k, dk))
-        probs.append(q)
-        acc += p * dk * dk
-    return DeltaReport(
-        math.sqrt(max(acc, 0.0)),
-        tuple(per),
-        recovery_used=recovery,
-        branch_probabilities=tuple(probs),
     )

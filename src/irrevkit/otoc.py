@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .comb import OPTIMIZE, Q_LABEL, Comb, ExtractionConfig, IepResult, extract
+from .comb import OPTIMIZE, Q_LABEL, Comb, ExtractionConfig, IepResult, canonical_recovery, extract
 from .errors import AssumptionError, CompositeSpaceError
 from .irrev import _qr_retract
 from .qcore import (
@@ -99,7 +99,7 @@ def _unitary_self_adjoint(w: np.ndarray, what: str) -> None:
 def _scenario_comb(s: ScramblingScenario, stage: KrausChannel, branch_scale=None) -> Comb:
     """Couple through V, apply `stage` to the system; the recovery uncouples V."""
     stage = embed(stage, tuple(s.rho.space) + (Q_LABEL,))
-    return Comb(s.rho, s.v0, stage, lambda: ((s.v0, s.v0.space),), branch_scale)
+    return Comb(s.rho, s.v0, stage, lambda: (canonical_recovery(s.v0, s.v0.space, 0.0),), branch_scale)
 
 
 def otoc_iep(

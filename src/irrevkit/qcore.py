@@ -595,13 +595,20 @@ def _psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F = tr sqrt(sqrt(rho) sigma sqrt(rho)), computed as the nuclear norm
-    of sqrt(rho) sqrt(sigma)."""
+    """F = tr sqrt(sqrt(rho) sigma sqrt(rho)), computed as the nuclear norm of
+    sqrt(rho) sqrt(sigma), or as sqrt(<psi| other |psi>) when either state is
+    pure (one eigenvalue above 1e-12), whose rounding-level ones it skips."""
     if _names(rho.space) != _names(sigma.space):
         raise CompositeSpaceError("states live on different spaces")
     a = _clipped_psd(rho.data)
     b = _clipped_psd(sigma.data)
-    f = float(np.sum(np.linalg.svd(_psd_sqrt(a) @ _psd_sqrt(b), compute_uv=False)))
+    roots = []
+    for x, other in ((a, b), (b, a)):
+        vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
+        if np.count_nonzero(vals > TOL_EIG_SKIP) == 1:
+            return min(math.sqrt(max(float(np.real(vecs[:, -1].conj() @ other @ vecs[:, -1])), 0.0)), 1.0)
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    f = float(np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False)))
     return min(max(f, 0.0), 1.0)
 
 

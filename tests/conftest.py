@@ -12,9 +12,6 @@ from irrevkit import (
     Observable,
     TestEnsemble,
     canonical_recovery,
-    delta_cp,
-    delta_with_recovery,
-    omega_pm,
     pure_state,
 )
 
@@ -24,6 +21,8 @@ TestEnsemble.__test__ = False
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+PM_KETS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)  # |+>, |->
+Q = Label("Q", 2)
 
 
 def rand_herm(rng, d: int, norm: float | None = None) -> np.ndarray:
@@ -220,19 +219,64 @@ def rand_kraus(rng, d_in: int, d_out: int, r: int) -> tuple:
     return m.reshape(r, d_out, d_in) / (1.01 * np.linalg.norm(m, 2)), False
 
 
+def ref_expm(h, t: float) -> np.ndarray:
+    """exp(-i t h) for Hermitian h, from its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return vecs @ np.diag(np.exp(-1j * t * vals)) @ vecs.conj().T
+
+
+def ref_coupling(x: Observable, sp) -> np.ndarray:
+    return ref_embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q,), tuple(sp))
+
+
+def ref_loss_ops(comb, theta: float) -> list:
+    """Kraus operators S_s U(theta) A_a of a comb's loss Q -> stage output: append
+    the block (A_a = sqrt(lam_a) |v_a> (x) 1_Q), couple, then the stage."""
+    vals, vecs = np.linalg.eigh(comb.block.data)
+    append = [math.sqrt(lam) * np.kron(v.reshape(-1, 1), np.eye(2)) for lam, v in zip(vals, vecs.T) if lam > 1e-14]
+    u = ref_expm(ref_coupling(comb.gen, tuple(comb.block.space) + (Q,)), theta)
+    return [s @ u @ a for s in comb.stage.kraus for a in append]
+
+
+def ref_recovery_ops(x: Observable, target, theta: float) -> list:
+    """Kraus operators |psi_k><psi_k| (<t| (x) 1_Q) W(theta)^dag of the canonical
+    recovery: undo the x coupling, trace out the target, dephase Q in |+>, |->."""
+    sp = tuple(target) + (Q,)
+    w_dag = ref_expm(ref_coupling(x, sp), -theta)
+    return [np.outer(k, k.conj()) @ t @ w_dag for k in PM_KETS for t in ref_trace_out(sp, target)]
+
+
 def ref_grid(comb, recovery, thetas) -> list:
-    """delta^2 at each theta, one channel pipeline per point: Comb.loss, the
-    canonical recovery rebuilt at theta ("canonical" or an (x, target) pair)
-    or a fixed KrausChannel, then delta_with_recovery, or delta_cp for a
-    branch comb."""
+    """delta^2 at each theta from the dense per-point operators: the loss, and the
+    canonical recovery rebuilt at theta ("canonical" or a CanonicalRecovery) or a
+    fixed KrausChannel. For psi_k in |+>, |->, D_k^2 = sum_ij |<psi_k^perp| R_j L_i
+    psi_k>|^2, divided by q_k = sum_i ||L_i psi_k||^2 for a branch comb."""
     if isinstance(recovery, str):
         recovery = comb.recoveries()[0]
     out = []
     for theta in thetas:
-        loss = comb.loss(theta)
-        rec = recovery if isinstance(recovery, KrausChannel) else canonical_recovery(*recovery, theta).channel
-        if comb.branch_scale is None:
-            out.append(delta_with_recovery(loss, rec, omega_pm()).delta ** 2)
+        loss = ref_loss_ops(comb, theta)
+        if isinstance(recovery, KrausChannel):
+            rec = list(recovery.kraus)
         else:
-            out.append(delta_cp(loss, omega_pm(), rec).delta ** 2)
+            rec = ref_recovery_ops(recovery.x, recovery.target, theta)
+        d2 = 0.0
+        for psi, perp in zip(PM_KETS, PM_KETS[::-1]):
+            amps = [l @ psi for l in loss]
+            dk = sum(abs(perp.conj() @ r @ a) ** 2 for r in rec for a in amps)
+            q = 1.0 if comb.branch_scale is None else sum(np.vdot(a, a).real for a in amps)
+            d2 += 0.5 * dk / q
+        out.append(d2)
     return out
+
+
+def ref_choi_gaps(comb, theta: float) -> tuple:
+    """Largest Choi-matrix deviations of Comb.loss(theta) and of the comb's first
+    canonical recovery rebuilt at theta from their dense reference operators."""
+    rec = comb.recoveries()[0]
+    loss = comb.loss(theta)
+    channel = canonical_recovery(rec.x, rec.target, theta).channel
+    return (
+        np.max(np.abs(ref_choi(list(loss.kraus)) - ref_choi(ref_loss_ops(comb, theta)))),
+        np.max(np.abs(ref_choi(list(channel.kraus)) - ref_choi(ref_recovery_ops(rec.x, rec.target, theta)))),
+    )

@@ -120,6 +120,53 @@ class TestRun:
         assert main(["run", *paths, "-o", str(tmp_path / "x.json")]) == 2
 
 
+class TestExtractionModes:
+    BUDGET = {"optimizer": {"max_iters": 60, "restarts": 0}}
+
+    @pytest.mark.parametrize(
+        "name, key, field",
+        [
+            ("epsilon-projective-qubit", "recovery", "value"),
+            ("eta-projective-qubit", "recovery", "value"),
+            ("way-error-tight", "lhs", "lhs"),
+        ],
+    )
+    def test_optimize_within_canonical(self, corpus, tmp_path, name, key, field):
+        canonical = tmp_path / "canonical.json"
+        assert main(["run", str(corpus / f"{name}.json"), "-o", str(canonical)]) == 0
+        doc = load_report(corpus / f"{name}.json")
+        doc["payload"][key] = "optimize"
+        doc["payload"]["extraction"] = self.BUDGET
+        out = tmp_path / "optimize.json"
+        assert main(["run", write_doc(tmp_path, "o.json", doc), "-o", str(out)]) == 0
+        value = load_report(out)["result"][field]
+        assert -1e-9 <= value <= load_report(canonical)["result"][field] + 1e-6
+
+    @staticmethod
+    def branch_doc(corpus, recovery):
+        # the loss keeps |0> only: |+> and |-> each survive with probability 1/2
+        doc = load_report(corpus / "delta-depolarizing.json")
+        loss = doc["payload"]["loss"]
+        loss["kraus"] = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        loss["trace_preserving"] = False
+        doc["payload"]["recovery"] = recovery
+        return doc
+
+    def test_cp_branch_delta_with_fixed_recovery(self, corpus, tmp_path):
+        space = self.branch_doc(corpus, "petz")["payload"]["loss"]["in_space"]
+        identity = {"in_space": space, "out_space": space, "kraus": [[[1.0, 0.0], [0.0, 1.0]]]}
+        out = tmp_path / "branch.report.json"
+        doc = self.branch_doc(corpus, identity)
+        assert main(["run", write_doc(tmp_path, "b.json", doc), "-o", str(out)]) == 0
+        result = load_report(out)["result"]
+        assert result["branch_probabilities"] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert abs(result["delta_squared"] - 0.5) < 1e-12  # |<+|0>|^2 = 1/2 for each member
+
+    @pytest.mark.parametrize("recovery", ["petz", "optimize"])
+    def test_cp_branch_delta_needs_a_fixed_recovery(self, corpus, tmp_path, recovery):
+        assert main(["run", write_doc(tmp_path, "b.json", self.branch_doc(corpus, recovery))]) == 2
+
+
 class TestExitCodes:
     def test_malformed_json_is_2(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from irrevkit import (
     Label,
     Observable,
     OptimizerConfig,
+    CompositeSpaceError,
     ShapeError,
     canonical_recovery,
     embed,
@@ -26,7 +27,7 @@ from irrevkit import (
     pure_state,
     validate_channel,
 )
-from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _grid, _two_copy_comb, trace_out_channel
+from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _grid, _two_copy_comb
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
@@ -37,6 +38,7 @@ from conftest import (
     rand_instrument,
     rand_kraus,
     rand_state,
+    ref_choi_gaps,
     ref_grid,
 )
 
@@ -198,7 +200,7 @@ class TestStackedGrid:
 
     def test_fixed_kraus_recovery_matches_per_theta_reference(self):
         for name, comb in rand_combs(32, n=2):
-            fixed = canonical_recovery(*comb.recoveries()[0], 0.0).channel
+            fixed = comb.recoveries()[0].channel
             got = [v for _, v in extract(comb, fixed).theta_grid]
             assert np.max(np.abs(np.subtract(got, ref_grid(comb, fixed, self.THETAS)))) <= 1e-13, name
 
@@ -210,7 +212,7 @@ class TestStackedGrid:
             d_out = comb.stage.dim_out
             ops, _ = rand_kraus(rng, d_out, 2, d_out)
             fixed = KrausChannel(comb.stage.out_space, (Q_LABEL,), ops)
-            got, _ = _grid(comb, None, fixed, thetas)
+            got, _ = _grid(comb, fixed, thetas)
             assert np.max(np.abs(got - ref_grid(comb, fixed, thetas))) <= 1e-13, name
 
     def test_mismatched_recovery_space_rejected(self):
@@ -220,17 +222,32 @@ class TestStackedGrid:
         with pytest.raises(ShapeError):  # pointer recovery on the disturbance comb's (S, Q)
             extract_eta(rho, obs(SIGMA_X, S), proj_z(S), pointer)
         comb = _two_copy_comb(rho, obs(SIGMA_X, S), proj_z(S), "disturbance")
-        x, target = comb.recoveries()[0]
+        rec = comb.recoveries()[0]
         with pytest.raises(ShapeError):  # right labels, wrong order
-            extract(comb, canonical_recovery(x, tuple(reversed(target)), 0.0))
+            extract(comb, canonical_recovery(rec.x, tuple(reversed(rec.target)), 0.0))
+        on_s = canonical_recovery(obs(SIGMA_X, S), (S,), 0.0).channel
         with pytest.raises(ShapeError):  # a fixed recovery from (S, Q) on the error comb's (P, Q)
-            extract_epsilon(rho, obs(SIGMA_X, S), proj_z(S), trace_out_channel((S, Q_LABEL), (S,)))
+            extract_epsilon(rho, obs(SIGMA_X, S), proj_z(S), on_s)
+
+    def test_loss_and_recovery_channels_match_dense_reference(self):
+        for name, comb in rand_combs(35, n=2):
+            for theta in (0.0, 0.05, 0.3):
+                loss_gap, recovery_gap = ref_choi_gaps(comb, theta)
+                assert loss_gap <= 1e-13 and recovery_gap <= 1e-13, (name, theta)
+
+    def test_recovery_labels_checked_at_construction(self):
+        x = obs(SIGMA_X, S)
+        with pytest.raises(CompositeSpaceError):  # x's label is not in the target
+            canonical_recovery(x, (P,), 0.0)
+        with pytest.raises(ShapeError):  # x's label is in the target with another dimension
+            canonical_recovery(x, (Label("S", 3),), 0.0)
 
     def test_zero_probability_branch_rejected(self):
         # the branch keeps |1> only, and the coupling never moves the block off |0>
         keep_one = KrausChannel((S,), (S,), (np.diag([0.0, 1.0]),), trace_preserving=False)
         z = obs(SIGMA_Z, S)
-        comb = Comb(RHO0, z, embed(keep_one, (S, Q_LABEL)), lambda: ((z, (S,)),), branch_scale=1.0)
+        recoveries = lambda: (canonical_recovery(z, (S,), 0.0),)
+        comb = Comb(RHO0, z, embed(keep_one, (S, Q_LABEL)), recoveries, branch_scale=1.0)
         with pytest.raises(BranchProbabilityError):
             extract(comb, "canonical")
 

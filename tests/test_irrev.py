@@ -11,7 +11,6 @@ from irrevkit import (
     TestEnsemble,
     apply,
     choi,
-    delta_cp,
     delta_min,
     delta_with_recovery,
     identity_channel,
@@ -94,11 +93,6 @@ class TestDeltaWithRecovery:
             unitary_channel(u, (Q,)), unitary_channel(u.conj().T, (Q,)), omega_pm(Q)
         )
         assert rep.delta < 1e-15
-
-    def test_cp_branch_loss_rejected(self):
-        half = KrausChannel((Q,), (Q,), (0.5 * np.eye(2),), trace_preserving=False)
-        with pytest.raises(ShapeError):
-            delta_with_recovery(half, identity_channel((Q,)), omega_pm(Q))
 
 
 class TestPetz:
@@ -228,28 +222,53 @@ class DeltaHelpers:
 
 
 class TestDeltaCp:
+    """A CP-branch loss through delta_with_recovery: renormalised per member."""
+
     def test_vanishing_branch_probability_raises(self):
         zero = KrausChannel((Q,), (Q,), (1e-9 * np.eye(2),), trace_preserving=False)
         with pytest.raises(BranchProbabilityError):
-            delta_cp(zero, omega_pm(Q), identity_channel((Q,)))
+            delta_with_recovery(zero, identity_channel((Q,)), omega_pm(Q))
 
     def test_scaled_unitary_branch_matches_unscaled(self):
         # renormalization divides the scale back out of the branch state
         rng = np.random.default_rng(14)
         u = rand_unitary(rng, 2)
         rec = unitary_channel(u.conj().T, (Q,))
-        full = delta_cp(unitary_channel(u, (Q,)), omega_pm(Q), rec)
-        half = delta_cp(
-            KrausChannel((Q,), (Q,), (0.5 * u,), trace_preserving=False), omega_pm(Q), rec
+        full = delta_with_recovery(unitary_channel(u, (Q,)), rec, omega_pm(Q))
+        half = delta_with_recovery(
+            KrausChannel((Q,), (Q,), (0.5 * u,), trace_preserving=False), rec, omega_pm(Q)
         )
         assert abs(full.delta - half.delta) < 1e-12
         assert abs(half.branch_probabilities[0] - 0.25) < 1e-12
 
     def test_branch_probabilities_recorded(self):
         proj = KrausChannel((Q,), (Q,), (np.diag([1.0, 0.0]),), trace_preserving=False)
-        rep = delta_cp(proj, omega_pm(Q), identity_channel((Q,)))
+        rep = delta_with_recovery(proj, identity_channel((Q,)), omega_pm(Q))
         assert len(rep.branch_probabilities) == 2
         assert all(abs(p - 0.5) < 1e-12 for p in rep.branch_probabilities)
+
+    def test_members_match_renormalised_round_trip(self):
+        # pure members score 1 - <psi|R(L(psi)/q)|psi> without forming it, mixed ones the purified distance
+        rng = np.random.default_rng(15)
+        a, b = Label("A", 3), Label("B", 2)
+        ops, tp = rand_kraus(rng, 3, 2, 1)
+        assert not tp
+        loss = KrausChannel((a,), (b,), ops, trace_preserving=False)
+        rec = KrausChannel((b,), (a,), rand_kraus(rng, 2, 3, 2)[0])
+        pure, mixed = rand_pure(rng, 3, a), rand_state(rng, 3, a)
+        rep = delta_with_recovery(loss, rec, TestEnsemble(((0.3, pure), (0.7, mixed))))
+        psi = np.linalg.eigh(pure.data)[1][:, -1]
+        for (_, dk), rho, q in zip(rep.per_state, (pure, mixed), rep.branch_probabilities):
+            raw = sum(op @ rho.data @ op.conj().T for op in ops)
+            assert abs(q - np.trace(raw).real) < 1e-14
+            back = apply(rec, DensityMatrix((b,), raw / q))
+            want = 1 - np.real(psi.conj() @ back.data @ psi) if rho is pure else purified_distance(rho, back) ** 2
+            assert abs(dk**2 - want) < 1e-14
+
+    def test_non_trace_preserving_recovery_rejected(self):
+        half = KrausChannel((Q,), (Q,), (0.5 * np.eye(2),), trace_preserving=False)
+        with pytest.raises(ShapeError):
+            delta_with_recovery(identity_channel((Q,)), half, omega_pm(Q))
 
 
 class TestReports:

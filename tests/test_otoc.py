@@ -10,8 +10,8 @@ from irrevkit import (
     Label,
     Observable,
     ScramblingScenario,
+    KrausChannel,
     check_conservation,
-    compose,
     conserving_otoc_implementation,
     heisenberg,
     ising_chain_scenario,
@@ -25,8 +25,18 @@ from irrevkit import (
     way_bound_otoc,
 )
 import irrevkit.otoc as otoc_module
-from irrevkit.comb import Q_LABEL, dephase_pm, extract, trace_out_channel
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, rand_herm, rand_state, rand_unitary, ref_grid
+from irrevkit.comb import Q_LABEL, extract
+from conftest import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    rand_herm,
+    rand_state,
+    rand_unitary,
+    ref_choi_gaps,
+    ref_grid,
+    ref_recovery_ops,
+)
 
 S = Label("S", 2)
 ANALYTIC = ExtractionConfig(method="analytic")
@@ -147,7 +157,7 @@ class TestIepRecovery:
         # dephasing Q alone never undoes the V coupling: c2 = <V^2> - <V>^2
         s = ising_chain_scenario(0.4, 2)
         full = tuple(s.rho.space) + (Q_LABEL,)
-        fixed = compose(dephase_pm(), trace_out_channel(full, s.rho.space))
+        fixed = KrausChannel(full, (Q_LABEL,), ref_recovery_ops(s.v0, s.rho.space, 0.0))
         rep = otoc_iep(s, recovery=fixed)
         assert abs(rep.value - variance(s.rho, s.v0)) < 1e-6
         assert abs(rep.value - 1.0) < 1e-6
@@ -200,7 +210,7 @@ class TestStackedGrid:
         ]
         for s in scenarios:
             full = tuple(s.rho.space) + (Q_LABEL,)
-            fixed = compose(dephase_pm(), trace_out_channel(full, s.rho.space))
+            fixed = KrausChannel(full, (Q_LABEL,), ref_recovery_ops(s.v0, s.rho.space, 0.0))
             for recovery in ("canonical", fixed):
                 rep, comb = spied_comb(monkeypatch, otoc_iep, s, recovery=recovery)
                 got = [v for _, v in rep.theta_grid]
@@ -220,6 +230,19 @@ class TestStackedGrid:
             assert comb.branch_scale is not None
             got = [v for _, v in rep.theta_grid]
             assert np.max(np.abs(np.subtract(got, ref_grid(comb, "canonical", self.THETAS)))) <= 1e-13
+
+    def test_loss_and_recovery_channels_match_dense_reference(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        lab = Label("S", 3)
+        h, v0 = Observable((lab,), rand_herm(rng, 3)), Observable((lab,), rand_herm(rng, 3))
+        unitary_w = Observable((lab,), rand_self_adjoint_unitary(rng, 3))
+        s = ScramblingScenario(h, unitary_w, v0, 0.6, rand_state(rng, 3, lab))
+        s_cp = ScramblingScenario(h, Observable((lab,), rand_herm(rng, 3)), v0, 0.4)
+        for protocol, scenario in ((otoc_iep, s), (otoc_iep_cp, s_cp)):
+            _, comb = spied_comb(monkeypatch, protocol, scenario)
+            for theta in (0.0, 0.05, 0.3):
+                loss_gap, recovery_gap = ref_choi_gaps(comb, theta)
+                assert loss_gap <= 1e-13 and recovery_gap <= 1e-13, (protocol.__name__, theta)
 
 
 class TestIepCp:

@@ -37,7 +37,6 @@ from irrevkit import (
     validate_channel,
     variance,
 )
-from irrevkit.comb import trace_out_channel
 from irrevkit.qcore import apply_raw, embed_matrix, space_dim
 from conftest import (
     SIGMA_X,
@@ -45,6 +44,7 @@ from conftest import (
     proj_z,
     rand_herm,
     rand_kraus,
+    rand_pure,
     rand_state,
     rand_unitary,
     ref_apply_instrument,
@@ -55,7 +55,6 @@ from conftest import (
     ref_embed,
     ref_embed_matrix,
     ref_tensor,
-    ref_trace_out,
 )
 
 S = Label("S", 2)
@@ -278,7 +277,7 @@ class TestStackedCore:
 
     @settings(deadline=None, derandomize=True, max_examples=80)
     @given(channel_cases())
-    def test_apply_instrument_and_trace_out_match_reference(self, case):
+    def test_apply_instrument_matches_reference(self, case):
         seed, full, sub, out, r = case
         rng = np.random.default_rng(seed)
         n = max(r, -(-space_dim(sub) // space_dim(out)))  # enough outcomes to be trace preserving
@@ -292,7 +291,6 @@ class TestStackedCore:
             assert (state is None) == (data is None)
             if state is not None:
                 assert state.space == sp and np.array_equal(state.data, data)
-        assert np.array_equal(trace_out_channel(full, sub).kraus, ref_trace_out(full, sub))
 
     def test_kraus_forms_give_one_read_only_stack(self):
         ops, _ = rand_kraus(np.random.default_rng(17), 2, 3, 2)
@@ -371,6 +369,16 @@ class TestMetrics:
     def test_fidelity_mixed_against_pure(self):
         r0 = pure_state([1, 0], (S,))
         assert abs(uhlmann_fidelity(r0, maximally_mixed((S,))) - 1 / np.sqrt(2)) < 1e-12
+
+    def test_fidelity_with_a_pure_state_is_its_overlap(self):
+        # the square root of the pure state's rounding-level eigenvalues would add ~1e-8 to F^2
+        rng = np.random.default_rng(76)
+        psi = rand_pure(rng, 3)
+        sigma = rand_state(rng, 3, psi.space[0])
+        v = np.linalg.eigh(psi.data)[1][:, -1]
+        overlap = np.real(v.conj() @ sigma.data @ v)
+        assert abs(uhlmann_fidelity(psi, sigma) ** 2 - overlap) <= 1e-14
+        assert abs(uhlmann_fidelity(sigma, psi) ** 2 - overlap) <= 1e-14
 
     @settings(deadline=None, derandomize=True, max_examples=30)
     @given(st.integers(0, 10_000), st.integers(2, 5))
