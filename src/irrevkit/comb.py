@@ -6,12 +6,12 @@ block. A canonical recovery uncouples with a generator on the stage output
 and dephases Q. The squared irreversibility of the pair vanishes as
 c2 * theta^2, and c2 is the squared error, disturbance or OTOC. `extract`
 gets c2 for any comb, either from a least-squares fit on a theta grid or
-from the exact second derivative (canonical recoveries only). A comb's loss
-and canonical recovery have one theta-stacked form each: one
-eigendecomposition of the coupling, and one of each recovery's undo
-generator, serve a whole grid. The grid of a fixed or canonical recovery
-reads their amplitudes, with delta^2 a sum of non-negative terms; OPTIMIZE
-reads their Kraus stacks.
+exactly (canonical recoveries only). A comb's loss and canonical recovery
+have one stacked form each, built from the stack of coupling operators a
+path applies: exp(-i theta g) over a grid from one eigendecomposition, or
+(1, -i g), the value and theta-derivative at 0. Both the grid of a fixed or
+canonical recovery and the exact value read their amplitudes, as sums of
+non-negative terms; OPTIMIZE reads their Kraus stacks.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .qcore import (
     _as_space,
     _expm_herm,
     _names,
-    apply_raw,
     embed,
     embed_matrix,
     instrument_channel,
@@ -109,9 +108,9 @@ class CanonicalRecovery:
 
     x lives on some input factor(s); target lists every non-Q input label,
     all of which are traced out. Construction only embeds x (x) sigma_z on
-    target + Q, checking x's labels. `undo` serves every grid theta from one
-    eigendecomposition, as do `channels`; `channel`, the member at this theta,
-    is built when it is first read.
+    target + Q, checking x's labels. `channels` serves every grid theta from
+    one eigendecomposition; `channel`, the member at this theta, is built
+    when it is first read.
     """
 
     x: Observable
@@ -128,14 +127,14 @@ class CanonicalRecovery:
     def in_space(self) -> tuple:
         return self.target + (Q_LABEL,)
 
-    def undo(self, thetas) -> np.ndarray:
-        """(t, n_t, 2, d) stack of W(theta)^dag = exp(i theta gen), rows split as (target, Q)."""
-        w_dag = _expm_herm(self.gen, -np.asarray(thetas, dtype=float))
+    def undo(self, flow) -> np.ndarray:
+        """(t, n_t, 2, d) stack flow(-gen) of W^dag, exp(i theta gen) on a grid, rows split as (target, Q)."""
+        w_dag = flow(-self.gen)
         return w_dag.reshape(len(w_dag), -1, Q_LABEL.dim, len(self.gen))  # Q is the last factor
 
     def channels(self, thetas) -> list:
         """The member at each theta, Kraus operators |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
-        rows = KETS.conj() @ self.undo(thetas)  # (t, n_t, 2, d): <t, psi_k| W(theta)^dag
+        rows = KETS.conj() @ self.undo(_flow(thetas))  # (t, n_t, 2, d): <t, psi_k| W(theta)^dag
         ops = KETS[:, None, :, None] * rows.swapaxes(1, 2)[:, :, :, None]
         return [KrausChannel(self.in_space, (Q_LABEL,), k.reshape(-1, Q_LABEL.dim, len(self.gen))) for k in ops]
 
@@ -184,10 +183,11 @@ class ExtractionConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ExtractionConfig":
+        base = cls()
         return cls(
-            method=str(d.get("method", "extrapolated")),
-            thetas=tuple(float(t) for t in d.get("thetas", (1e-2, 5e-3, 2.5e-3, 1.25e-3))),
-            fit_tol=float(d.get("fit_tol", 1e-6)),
+            method=str(d.get("method", base.method)),
+            thetas=tuple(float(t) for t in d.get("thetas", base.thetas)),
+            fit_tol=float(d.get("fit_tol", base.fit_tol)),
             optimizer=OptimizerConfig.from_json(d.get("optimizer", {})),
         )
 
@@ -208,7 +208,8 @@ class Comb:
     every one warm-starts OPTIMIZE, in order. It is called only by those
     two modes, since some recoveries cost an oracle solve. A sub-normalised
     stage, whose Kraus operator was scaled by branch_scale, is renormalised
-    per state and its curvature divided by branch_scale^2.
+    per state by its branch probability, on the grid and in the exact value
+    alike; branch_scale only rescales the reported mean probability.
     """
 
     block: DensityMatrix
@@ -224,7 +225,7 @@ class Comb:
     def losses(self, thetas) -> list:
         """The loss at each theta: its Kraus operators S_s U(theta) A_a are the
         loss amplitudes of the Q basis states, column by column."""
-        amp = _loss_amplitudes(self, np.asarray(thetas, dtype=float), ID2)
+        amp = _loss_amplitudes(self, _flow(thetas), ID2)
         tp = self.stage.trace_preserving
         return [KrausChannel((Q_LABEL,), self.stage.out_space, a.transpose(1, 2, 0), tp) for a in amp]
 
@@ -357,69 +358,47 @@ def _fit_c2(grid: list, fit_tol: float):
     return float(coef[0]), residual
 
 
-def _check_value(value: float, grid, method: str) -> None:
-    if value < -1e-9:
-        raise ExtractionError(
-            f"extracted value {value} is negative beyond tolerance",
-            diagnostics={"theta_grid": [list(p) for p in grid], "method": method},
-        )
-
-
-def _analytic_c2(comb: Comb, x: Observable) -> float:
-    """Exact lim delta^2/theta^2 for the canonical recovery through x.
-
-    g1/g2 are the full coupling generators on the stage's input/output
-    spaces. Only the +/- diagonal matrix elements on Q survive the final
-    dephasing, which gives c2 = -(a+'' + a-'')/4 with a_k'' the second
-    derivative of the recovered overlap.
-    """
-    phi = comb.stage
-    g1 = _coupling(comb.gen, comb.full)
-    g2 = _coupling(x, phi.out_space)
-    total = 0.0
-    for vec in KETS:
-        kk = np.outer(vec, vec.conj())
-        rho_t = np.kron(comb.block.data, kk)
-        m0 = apply_raw(phi, rho_t)
-        c1 = g1 @ rho_t - rho_t @ g1
-        m1 = apply_raw(phi, c1)
-        c11 = g1 @ c1 - c1 @ g1
-        m2 = apply_raw(phi, c11)
-        inner = g2 @ m0 - m0 @ g2
-        gpp = -(g2 @ inner - inner @ g2) + 2 * (g2 @ m1 - m1 @ g2) - m2
-        e = embed_matrix(kk, (Q_LABEL,), phi.out_space)
-        total += float(np.real(np.trace(e @ gpp)))
-    return -total / 4.0
-
-
 def _coupling(x: Observable, sp) -> np.ndarray:
     """The coupling generator x (x) sigma_z, embedded on sp."""
     return embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q_LABEL,), sp)
 
 
-def _loss_amplitudes(comb: Comb, thetas: np.ndarray, kets: np.ndarray = KETS) -> np.ndarray:
-    """(t, k, r, d_out) amplitudes L_i(theta) psi_k = stage U(theta) append_i psi_k.
+def _flow(thetas):
+    """g -> the (t, d, d) stack exp(-i theta g) over the grid thetas, one eigh each."""
+    th = np.asarray(thetas, dtype=float)
+    return lambda g: _expm_herm(g, th)
+
+
+def _tangent(g: np.ndarray) -> np.ndarray:
+    """The (2, d, d) stack (1, -i g): exp(-i theta g) and its theta-derivative at 0."""
+    return np.stack([np.eye(len(g), dtype=complex), -1j * g])
+
+
+def _loss_amplitudes(comb: Comb, flow, kets: np.ndarray = KETS) -> np.ndarray:
+    """(t, k, r, d_out) amplitudes L_i psi_k = stage U append_i psi_k over U in flow(g1).
 
     Appending maps psi_k to sqrt(lam_a) |v_a> (x) psi_k over the block's
-    eigenpairs above 1e-14; U(theta) comes from one eigendecomposition of the
-    embedded generator for every grid theta; psi_k are the rows of kets.
+    eigenpairs above 1e-14; g1 is the coupling generator embedded on the
+    block and Q, and flow(g1) the stack of U the path applies; psi_k are the
+    rows of kets.
     """
     vals, vecs = np.linalg.eigh(comb.block.data)
     keep = vals > 1e-14
     m = vecs[:, keep] * np.sqrt(vals[keep])  # (d, r_A)
     cols = (m[None, :, None] * kets[:, None, :, None]).reshape(len(kets), -1, m.shape[1])  # (k, d, r_A)
-    u = _expm_herm(_coupling(comb.gen, comb.full), thetas)
+    u = flow(_coupling(comb.gen, comb.full))
     amp = comb.stage.kraus @ (u[:, None] @ cols)[:, :, None]  # (t, k, r_S, d_out, r_A)
-    return amp.swapaxes(-1, -2).reshape(len(thetas), len(kets), -1, comb.stage.dim_out)
+    return amp.swapaxes(-1, -2).reshape(len(u), len(kets), -1, comb.stage.dim_out)
 
 
-def _recovery_bras(comb: Comb, recovery, thetas: np.ndarray) -> np.ndarray:
+def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
     """(t or 1, 2, m, d_out) bras <psi_k^perp| R_j of the recovery, row m over j.
 
     A fixed recovery uses its Kraus stack. The canonical one undoes the x
     coupling, traces out the target and dephases Q in the +/- basis; the
     dephasing keeps <psi_k^perp|.|psi_k^perp>, so its rows are
-    (<t| (x) <psi_k^perp|) W(theta)^dag over the target basis t.
+    (<t| (x) <psi_k^perp|) W^dag over the target basis t and the stack of
+    W^dag = flow(-g2) the path applies.
     """
     out = comb.stage.out_space
     perp = KETS[::-1].conj()
@@ -429,30 +408,38 @@ def _recovery_bras(comb: Comb, recovery, thetas: np.ndarray) -> np.ndarray:
         return (recovery.kraus.swapaxes(1, 2) @ perp.T).transpose(2, 0, 1)[None]
     if recovery.in_space != out:
         raise ShapeError(f"recovery input space {_names(recovery.in_space)} does not match the loss output {_names(out)}")
-    return (recovery.undo(thetas).swapaxes(2, 3) @ perp.T).transpose(0, 3, 1, 2)
+    return (recovery.undo(flow).swapaxes(2, 3) @ perp.T).transpose(0, 3, 1, 2)
 
 
-def _grid(comb: Comb, recovery, thetas: tuple):
-    """delta^2 at every grid theta, and the (t, 2) branch probabilities.
+def _ensemble_average(comb: Comb, d2: np.ndarray, amp: np.ndarray):
+    """sum_k D_k^2 / 2 for each row of the (t, k) array d2 of D_k^2, and the
+    mean branch probability (None for a trace-preserving stage).
 
-    For the pure states psi_k of omega_pm, D_k^2 = sum_ij |<psi_k^perp| R_j
-    L_i |psi_k>|^2, a sum of non-negative terms; a branch comb divides it by
-    q_k = ||L psi_k||^2 first. delta^2 = sum_k D_k^2 / 2.
+    A branch comb divides each D_k^2 by q_k = ||L psi_k||^2, read from the
+    (t, k, r, d_out) loss amplitudes amp; q_k <= 1e-12 raises
+    BranchProbabilityError, and q_k / branch_scale^2 is the reported mean.
     """
-    th = np.asarray(thetas, dtype=float)
-    amp = _loss_amplitudes(comb, th)
-    rows = _recovery_bras(comb, recovery, th)
-    d2 = np.sum(np.abs(amp @ rows.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
-    q = np.sum(np.abs(amp) ** 2, axis=(-2, -1))
     if comb.branch_scale is None:
         if not comb.stage.trace_preserving:
             raise ShapeError("a comb whose stage is a CP branch needs a branch_scale")
-    else:
-        t, k = np.unravel_index(np.argmin(q), q.shape)
-        if q[t, k] <= TOL_PROB:
-            raise BranchProbabilityError(f"branch probability {q[t, k]} for state {k} below 1e-12")
-        d2 = d2 / q
-    return d2.sum(axis=1) / 2, q
+        return d2.sum(axis=1) / 2, None
+    q = np.sum(np.abs(amp) ** 2, axis=(-2, -1))
+    t, k = np.unravel_index(np.argmin(q), q.shape)
+    if q[t, k] <= TOL_PROB:
+        raise BranchProbabilityError(f"branch probability {q[t, k]} for state {k} below 1e-12")
+    return (d2 / q).sum(axis=1) / 2, float(np.mean(q / (comb.branch_scale * comb.branch_scale)))
+
+
+def _grid(comb: Comb, recovery, thetas: tuple):
+    """delta^2 at every grid theta, and the mean branch probability.
+
+    For the pure states psi_k of omega_pm, D_k^2 = sum_ij |<psi_k^perp| R_j
+    L_i |psi_k>|^2, a sum of non-negative terms; delta^2 = sum_k D_k^2 / 2.
+    """
+    flow = _flow(thetas)
+    amp = _loss_amplitudes(comb, flow)
+    rows = _recovery_bras(comb, recovery, flow)
+    return _ensemble_average(comb, np.sum(np.abs(amp @ rows.swapaxes(-1, -2)) ** 2, axis=(-2, -1)), amp)
 
 
 def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = None) -> IepResult:
@@ -464,24 +451,25 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     recoveries at each theta, warm-started from every canonical recovery of
     the comb. Every grid but OPTIMIZE's is one stacked amplitude evaluation
     over all theta; OPTIMIZE reads the stacked loss and recovery Kraus forms.
-    cfg.method="analytic" differentiates exactly and needs a canonical
-    recovery.
+    cfg.method="analytic" needs a canonical recovery and sums the squared
+    theta-derivatives of the same amplitudes at 0, exactly.
     """
     cfg = cfg or ExtractionConfig()
     if isinstance(recovery, str) and recovery == "canonical":
         recovery = comb.recoveries()[0]
     elif not (recovery is OPTIMIZE or isinstance(recovery, (CanonicalRecovery, KrausChannel))):
         raise TypeError(f"unsupported recovery {recovery!r}")
-    scale = comb.branch_scale
 
     if cfg.method == "analytic":
         if not isinstance(recovery, CanonicalRecovery):
             raise ValueError("analytic extraction needs a canonical recovery")
-        c2 = _analytic_c2(comb, recovery.x)
-        if scale is not None:
-            c2 = c2 / (scale * scale)
-        _check_value(c2, (), "analytic")
-        return IepResult(c2, (), 0.0, "analytic")
+        # the recovery returns psi_k exactly at theta = 0, so every amplitude a vanishes
+        # there and D_k^2 = theta^2 sum |a'(0)|^2 + O(theta^3), a' = R(0) L'(0) + R'(0) L(0)
+        amp = _loss_amplitudes(comb, _tangent)
+        rows = _recovery_bras(comb, recovery, _tangent).swapaxes(-1, -2)
+        da = amp[1] @ rows[0] + amp[0] @ rows[1]
+        c2, branch = _ensemble_average(comb, np.sum(np.abs(da) ** 2, axis=(-2, -1))[None], amp[:1])
+        return IepResult(float(c2[0]), (), 0.0, "analytic", branch_probability=branch)
 
     branch = None
     if recovery is OPTIMIZE:
@@ -492,12 +480,14 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
             starts = tuple(w[i] for w in warm)
             values.append(delta_min(loss, omega, cfg.optimizer, warm_starts=starts).delta ** 2)
     else:
-        values, q = _grid(comb, recovery, cfg.thetas)
-        if scale is not None:
-            branch = float(np.mean(q / (scale * scale)))
+        values, branch = _grid(comb, recovery, cfg.thetas)
     grid = [(float(t), float(v)) for t, v in zip(cfg.thetas, values)]
     c2, residual = _fit_c2(grid, cfg.fit_tol)
-    _check_value(c2, grid, "extrapolated")
+    if c2 < -1e-9:
+        raise ExtractionError(
+            f"extracted value {c2} is negative beyond tolerance",
+            diagnostics={"theta_grid": [list(p) for p in grid], "method": "extrapolated"},
+        )
     return IepResult(c2, tuple(grid), residual, "extrapolated", branch_probability=branch)
 
 

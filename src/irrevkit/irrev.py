@@ -11,7 +11,7 @@ value never exceeds the Petz value. Global optimality is not claimed anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,13 +58,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimizerConfig":
-        return cls(
-            seed=int(d.get("seed", 0)),
-            max_iters=int(d.get("max_iters", 2000)),
-            step=float(d.get("step", 0.1)),
-            restarts=int(d.get("restarts", 4)),
-            tol=float(d.get("tol", 1e-10)),
-        )
+        """Missing fields keep their defaults; given ones take their default's type."""
+        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)
@@ -152,12 +147,15 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
 
     Eigenvalues of loss(sigma_ref) below 1e-12 are pseudo-inverted as zero;
     the resulting trace deficiency on the kernel is repaired by branches that
-    reprepare sigma_ref, keeping the map exactly CPTP.
+    reprepare sigma_ref, keeping the map exactly CPTP. The loss must be trace
+    preserving.
     """
     if not isinstance(sigma_ref, DensityMatrix):
         raise StateValidityError("sigma_ref must be a DensityMatrix")
     if _names(sigma_ref.space) != _names(loss.in_space):
         raise ShapeError("sigma_ref must live on the loss input space")
+    if not loss.trace_preserving:
+        raise ShapeError("petz_recovery needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
     out = apply(loss, sigma_ref)
     vals, vecs = np.linalg.eigh(out.data)
     inv_half = np.zeros_like(out.data)
@@ -317,11 +315,13 @@ def delta_min(
     Runs gradient ascent on sum_k p_k F^2 from the Petz recovery, any caller
     warm starts, and cfg.restarts random isometries, and keeps the best. The
     returned delta never exceeds the plain Petz value; it is only certified
-    as a local optimum.
+    as a local optimum. The loss must be trace preserving.
     """
     cfg = cfg or OptimizerConfig()
     if _names(omega.space) != _names(loss.in_space):
         raise ShapeError("ensemble space does not match the loss input space")
+    if not loss.trace_preserving:
+        raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
     sigmas = [apply(loss, rho) for _, rho in omega.entries]
     d_in = loss.dim_in
     d_out = loss.dim_out

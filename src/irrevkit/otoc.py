@@ -130,8 +130,10 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
     probability at exactly 1 when rho = I/d; the result equals the direct
     commutator value for W~, and rescale = Tr[W^2]/d recovers the raw-W
     value as value * rescale. Inside the branch the operator is additionally
-    clipped to unit operator norm (the renormalized branch state, and hence
-    the extracted value, is invariant under that scaling).
+    clipped to unit operator norm t; both extraction modes renormalise the
+    branch per ancilla state, so the value is invariant under that scaling,
+    and report the mean branch probability of W~ (sampled on the grid, at
+    theta = 0 when analytic) with t divided out.
     """
     cfg = cfg or ExtractionConfig()
     d = s.rho.dim
@@ -148,8 +150,6 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
     t = 1.0 / max(1.0, float(np.linalg.norm(wt, 2)))
     branch = KrausChannel(s.rho.space, s.rho.space, (t * wt,), trace_preserving=False)
     rep = extract(_scenario_comb(s, branch, t), "canonical", cfg)
-    if rep.branch_probability is None:  # analytic: no grid samples, so Tr[W~ rho W~]
-        rep = replace(rep, branch_probability=float(np.real(np.trace(wt @ s.rho.data @ wt))))
     return replace(rep, rescale=rms**2)
 
 

@@ -270,6 +270,28 @@ def ref_grid(comb, recovery, thetas) -> list:
     return out
 
 
+def ref_analytic_c2(comb, x: Observable) -> float:
+    """lim delta^2/theta^2 of a trace-preserving comb under the canonical recovery
+    through x, as the exact second derivative of the recovered overlaps from the
+    dense operators. Only the +/- diagonal elements on Q survive the dephasing, so
+    c2 = -(a_+'' + a_-'')/4 with a_k'' the second derivative of <psi_k| R(L(psi_k))
+    |psi_k>; its O(1) terms cancel, leaving an absolute error of ~1e-16."""
+    out = tuple(comb.stage.out_space)
+    g1 = ref_coupling(comb.gen, tuple(comb.block.space) + (Q,))
+    g2 = ref_coupling(x, out)
+    ops = list(comb.stage.kraus)
+    total = 0.0
+    for ket in PM_KETS:
+        kk = np.outer(ket, ket.conj())
+        rho_t = np.kron(comb.block.data, kk)
+        c1 = g1 @ rho_t - rho_t @ g1
+        m0, m1, m2 = (ref_apply_raw(ops, m) for m in (rho_t, c1, g1 @ c1 - c1 @ g1))
+        inner = g2 @ m0 - m0 @ g2
+        gpp = -(g2 @ inner - inner @ g2) + 2 * (g2 @ m1 - m1 @ g2) - m2
+        total += float(np.real(np.trace(ref_embed_matrix(kk, (Q,), out) @ gpp)))
+    return -total / 4.0
+
+
 def ref_choi_gaps(comb, theta: float) -> tuple:
     """Largest Choi-matrix deviations of Comb.loss(theta) and of the comb's first
     canonical recovery rebuilt at theta from their dense reference operators."""

@@ -163,8 +163,11 @@ class TestExtractionModes:
         assert abs(result["delta_squared"] - 0.5) < 1e-12  # |<+|0>|^2 = 1/2 for each member
 
     @pytest.mark.parametrize("recovery", ["petz", "optimize"])
-    def test_cp_branch_delta_needs_a_fixed_recovery(self, corpus, tmp_path, recovery):
+    def test_cp_branch_delta_needs_a_fixed_recovery(self, corpus, tmp_path, capsys, recovery):
         assert main(["run", write_doc(tmp_path, "b.json", self.branch_doc(corpus, recovery))]) == 2
+        err = capsys.readouterr().err
+        assert "needs a trace-preserving loss" in err and "fixed recovery" in err
+        assert "apply_raw" not in err
 
 
 class TestExitCodes:

@@ -38,6 +38,7 @@ from conftest import (
     rand_instrument,
     rand_kraus,
     rand_state,
+    ref_analytic_c2,
     ref_choi_gaps,
     ref_grid,
 )
@@ -46,6 +47,7 @@ S = Label("S", 2)
 P = Label("P", 2)
 F_PM = {"0": 1.0, "1": -1.0}
 RHO0 = pure_state([1, 0], (S,))
+ANALYTIC = ExtractionConfig(method="analytic")
 
 
 def pm_pointer() -> CanonicalRecovery:
@@ -248,8 +250,35 @@ class TestStackedGrid:
         z = obs(SIGMA_Z, S)
         recoveries = lambda: (canonical_recovery(z, (S,), 0.0),)
         comb = Comb(RHO0, z, embed(keep_one, (S, Q_LABEL)), recoveries, branch_scale=1.0)
-        with pytest.raises(BranchProbabilityError):
-            extract(comb, "canonical")
+        for cfg in (ExtractionConfig(), ANALYTIC):
+            with pytest.raises(BranchProbabilityError):
+                extract(comb, "canonical", cfg)
+
+    def test_analytic_matches_second_derivative_reference(self):
+        # below c2 ~ 1e-3 the reference's own cancellation error dominates
+        checked = 0
+        for name, comb in rand_combs(36):
+            rec = comb.recoveries()[0]
+            want = ref_analytic_c2(comb, rec.x)
+            if want >= 1e-3:
+                assert abs(extract(comb, rec, ANALYTIC).value - want) <= 1e-12 * want, name
+                checked += 1
+        assert checked == 12
+
+    def test_analytic_branch_comb_matches_grid(self):
+        # a non-maximally-mixed block gives state-dependent branch probabilities q_k
+        rng = np.random.default_rng(37)
+        for d in (2, 2, 3):
+            lab = Label("S", d)
+            op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            t = 1.0 / np.linalg.norm(op, 2)
+            branch = KrausChannel((lab,), (lab,), (t * op,), trace_preserving=False)
+            v = Observable((lab,), rand_herm(rng, d, norm=1.0))
+            recoveries = lambda: (canonical_recovery(v, (lab,), 0.0),)
+            comb = Comb(rand_state(rng, d, lab), v, embed(branch, (lab, Q_LABEL)), recoveries, branch_scale=t)
+            grid, exact = extract(comb), extract(comb, "canonical", ANALYTIC)
+            assert abs(exact.value - grid.value) <= 1e-6 * grid.value
+            assert abs(exact.branch_probability - grid.branch_probability) <= 1e-3 * grid.branch_probability
 
 
 class TestConfig:
@@ -266,6 +295,8 @@ class TestConfig:
         cfg = ExtractionConfig.from_json({})
         assert cfg.method == "extrapolated"
         assert len(cfg.thetas) == 4
+        assert cfg == ExtractionConfig()
+        assert OptimizerConfig.from_json({}) == OptimizerConfig()
 
     def test_iep_result_json(self):
         rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), pm_pointer())

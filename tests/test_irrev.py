@@ -265,6 +265,16 @@ class TestDeltaCp:
             want = 1 - np.real(psi.conj() @ back.data @ psi) if rho is pure else purified_distance(rho, back) ** 2
             assert abs(dk**2 - want) < 1e-14
 
+    def test_petz_needs_trace_preserving_loss(self):
+        proj = KrausChannel((Q,), (Q,), (np.diag([1.0, 0.0]),), trace_preserving=False)
+        with pytest.raises(ShapeError, match="petz_recovery needs a trace-preserving loss"):
+            petz_recovery(proj, maximally_mixed((Q,)))
+
+    def test_delta_min_needs_trace_preserving_loss(self):
+        proj = KrausChannel((Q,), (Q,), (np.diag([1.0, 0.0]),), trace_preserving=False)
+        with pytest.raises(ShapeError, match="delta_min needs a trace-preserving loss"):
+            delta_min(proj, omega_pm(Q))
+
     def test_non_trace_preserving_recovery_rejected(self):
         half = KrausChannel((Q,), (Q,), (0.5 * np.eye(2),), trace_preserving=False)
         with pytest.raises(ShapeError):

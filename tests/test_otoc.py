@@ -33,6 +33,7 @@ from conftest import (
     rand_herm,
     rand_state,
     rand_unitary,
+    ref_analytic_c2,
     ref_choi_gaps,
     ref_grid,
     ref_recovery_ops,
@@ -131,6 +132,11 @@ class TestIep:
         s = ising_chain_scenario(0.05)
         assert abs(otoc_iep(s).value - otoc_direct(s)) <= 1e-6 * otoc_direct(s)
 
+    def test_chain_analytic_matches_direct(self):
+        # the analytic value sums squared first derivatives, so no O(1) terms cancel
+        s = ising_chain_scenario(0.3, 4)
+        assert abs(otoc_iep(s, ANALYTIC).value - otoc_direct(s)) <= 1e-12 * otoc_direct(s)
+
     def test_non_unitary_w_rejected(self):
         zero = Observable((S,), np.zeros((2, 2), dtype=complex))
         s = ScramblingScenario(
@@ -215,6 +221,24 @@ class TestStackedGrid:
                 rep, comb = spied_comb(monkeypatch, otoc_iep, s, recovery=recovery)
                 got = [v for _, v in rep.theta_grid]
                 assert np.max(np.abs(np.subtract(got, ref_grid(comb, recovery, self.THETAS)))) <= 1e-13
+
+    def test_otoc_iep_analytic_matches_second_derivative_reference(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        lab = Label("S", 3)
+        scenarios = [
+            ising_chain_scenario(1.0, 3),
+            ScramblingScenario(
+                Observable((lab,), rand_herm(rng, 3)),
+                Observable((lab,), rand_self_adjoint_unitary(rng, 3)),
+                Observable((lab,), rand_herm(rng, 3)),
+                0.6,
+                rand_state(rng, 3, lab),
+            ),
+        ]
+        for s in scenarios:
+            rep, comb = spied_comb(monkeypatch, otoc_iep, s, cfg=ANALYTIC)
+            want = ref_analytic_c2(comb, s.v0)
+            assert want >= 1e-3 and abs(rep.value - want) <= 1e-12 * want
 
     def test_otoc_iep_cp_grid_matches_per_theta_reference(self, monkeypatch):
         rng = np.random.default_rng(42)
