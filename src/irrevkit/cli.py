@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from jsonschema import Draft202012Validator, validators
@@ -408,27 +407,71 @@ def validate_document(doc) -> str | None:
 # kind runners: each returns (inputs_echo, result_dict, passed_or_None)
 
 
+def _seeded(opt: dict, seed: int) -> dict:
+    """Optimizer settings, with the document seed unless they give their own."""
+    return {"seed": seed, **opt}
+
+
 def _extraction_config(payload: dict, seed: int) -> ExtractionConfig:
-    ext = dict(payload.get("extraction", {}))
-    opt = dict(ext.get("optimizer", {}))
-    opt.setdefault("seed", seed)
-    ext["optimizer"] = opt
-    return ExtractionConfig.from_json(ext)
+    ext = payload.get("extraction", {})
+    return ExtractionConfig.from_json({**ext, "optimizer": _seeded(ext.get("optimizer", {}), seed)})
+
+
+def _decode_local_op(obj, sites: int | None):
+    if isinstance(obj, str):
+        if sites is not None and len(obj) != sites:
+            raise ValueError(f"pauli string {obj!r} does not span {sites} sites")
+        return pauli_string(obj)
+    return decode_observable(obj)
+
+
+def _decode_scenario(obj: dict) -> ScramblingScenario:
+    sites = obj.get("sites")
+    h = obj["h"]
+    if isinstance(h, list) and h and isinstance(h[0], list) and isinstance(h[0][0], str):
+        terms = [float(coeff) * _decode_local_op(ops, sites).data for ops, coeff in h]
+        h_obs = Observable(pauli_string(h[0][0]).space, sum(terms[1:], terms[0]))
+    else:
+        h_obs = decode_observable(h)
+    rho = decode_state(obj["rho"]) if "rho" in obj else None
+    w0, v0 = _decode_local_op(obj["w0"], sites), _decode_local_op(obj["v0"], sites)
+    return ScramblingScenario(h_obs, w0, v0, float(obj["tau"]), rho)
+
+
+def _echo_scenario(s: ScramblingScenario) -> dict:
+    return {
+        "h": encode_observable(s.h),
+        "w0": encode_observable(s.w0),
+        "v0": encode_observable(s.v0),
+        "tau": s.tau,
+        "rho": encode_state(s.rho),
+    }
+
+
+# payload field -> (decode, encode)
+_FIELDS = {
+    "loss": (decode_channel, encode_channel),
+    "ensemble": (decode_ensemble, encode_ensemble),
+    "state": (decode_state, encode_state),
+    "observable": (decode_observable, encode_observable),
+    "generator": (decode_observable, encode_observable),
+    "instrument": (decode_instrument, encode_instrument),
+    "implementation": (decode_implementation, encode_implementation),
+    "scenario": (_decode_scenario, _echo_scenario),
+}
+
+
+def _decode(payload: dict, *names: str):
+    """Decode the named payload fields, in order; return the objects and their echo."""
+    objs = [_FIELDS[name][0](payload[name]) for name in names]
+    return objs, {name: _FIELDS[name][1](obj) for name, obj in zip(names, objs)}
 
 
 def _run_delta(payload: dict, seed: int):
-    loss = decode_channel(payload["loss"])
-    omega = decode_ensemble(payload["ensemble"])
+    (loss, omega), inputs = _decode(payload, "loss", "ensemble")
     spec = payload.get("recovery", "optimize")
-    opt = dict(payload.get("optimizer", {}))
-    opt.setdefault("seed", seed)
-    cfg = OptimizerConfig.from_json(opt)
-    inputs = {
-        "loss": encode_channel(loss),
-        "ensemble": encode_ensemble(omega),
-        "recovery": spec,
-        "optimizer": cfg.to_json(),
-    }
+    cfg = OptimizerConfig.from_json(_seeded(payload.get("optimizer", {}), seed))
+    inputs.update(recovery=spec, optimizer=cfg.to_json())
     if spec == "optimize":
         rep = delta_min(loss, omega, cfg)
     elif spec == "petz":
@@ -453,43 +496,23 @@ def _decode_recovery(payload: dict):
         return "canonical", spec
     if spec == "optimize":
         return OPTIMIZE, spec
-    x = decode_observable(spec["x"])
-    target = decode_space(spec["target"])
-    return canonical_recovery(x, target, 0.0), spec
+    return canonical_recovery(decode_observable(spec["x"]), decode_space(spec["target"]), 0.0), spec
 
 
-def _run_epsilon(payload: dict, seed: int, which: str):
-    rho = decode_state(payload["state"])
-    obs = decode_observable(payload["observable"])
-    inst = decode_instrument(payload["instrument"])
+def _run_epsilon(payload: dict, seed: int, extract):
+    (rho, obs, inst), inputs = _decode(payload, "state", "observable", "instrument")
     recovery, spec = _decode_recovery(payload)
     cfg = _extraction_config(payload, seed)
-    inputs = {
-        "state": encode_state(rho),
-        "observable": encode_observable(obs),
-        "instrument": encode_instrument(inst),
-        "recovery": spec,
-        "extraction": cfg.to_json(),
-    }
-    extract = extract_epsilon if which == "error" else extract_eta
-    rep = extract(rho, obs, inst, recovery, cfg)
-    return inputs, rep.to_json(), None
+    inputs.update(recovery=spec, extraction=cfg.to_json())
+    return inputs, extract(rho, obs, inst, recovery, cfg).to_json(), None
 
 
 def _run_blw(payload: dict, seed: int):
-    rho = decode_state(payload["state"])
-    gen = decode_observable(payload["generator"])
-    inst = decode_instrument(payload["instrument"])
+    (rho, gen, inst), inputs = _decode(payload, "state", "generator", "instrument")
     kind = payload["kind"]
     f = payload.get("f")
     cfg = _extraction_config(payload, seed)
-    inputs = {
-        "kind": kind,
-        "state": encode_state(rho),
-        "generator": encode_observable(gen),
-        "instrument": encode_instrument(inst),
-        "extraction": cfg.to_json(),
-    }
+    inputs.update(kind=kind, extraction=cfg.to_json())
     if f is not None:
         inputs["f"] = dict(f)
     rep = extract_two_copy(rho, gen, inst, kind, f=f, cfg=cfg)
@@ -497,16 +520,9 @@ def _run_blw(payload: dict, seed: int):
 
 
 def _run_lt(payload: dict, seed: int):
-    rho = decode_state(payload["state"])
-    obs = decode_observable(payload["observable"])
-    inst = decode_instrument(payload["instrument"])
+    (rho, obs, inst), inputs = _decode(payload, "state", "observable", "instrument")
     which = payload["which"]
-    inputs = {
-        "which": which,
-        "state": encode_state(rho),
-        "observable": encode_observable(obs),
-        "instrument": encode_instrument(inst),
-    }
+    inputs["which"] = which
     if which == "error":
         value, fstar = lt_error(rho, obs, inst)
         result = {"value": value, "pushforward": {str(m): float(v) for m, v in fstar.items()}}
@@ -532,74 +548,21 @@ def _run_bound(payload: dict, inputs: dict, bound):
     return inputs, result, passed
 
 
-def _run_way(payload: dict, seed: int, which: str):
-    rho = decode_state(payload["state"])
-    obs = decode_observable(payload["observable"])
-    inst = decode_instrument(payload["instrument"])
-    impl = decode_implementation(payload["implementation"])
+def _run_way(payload: dict, seed: int, bound):
+    (rho, obs, inst, impl), inputs = _decode(payload, "state", "observable", "instrument", "implementation")
     lhs = payload.get("lhs", "canonical")
     cfg = _extraction_config(payload, seed) if "extraction" in payload else None
-    inputs = {
-        "state": encode_state(rho),
-        "observable": encode_observable(obs),
-        "instrument": encode_instrument(inst),
-        "implementation": encode_implementation(impl),
-        "lhs": lhs,
-    }
+    inputs["lhs"] = lhs
     if cfg is not None:
         inputs["extraction"] = cfg.to_json()
-    bound = way_bound_error if which == "error" else way_bound_disturbance
     lhs_arg = OPTIMIZE if lhs == "optimize" else lhs
-    return _run_bound(
-        payload, inputs, lambda charges: bound(rho, obs, inst, charges, impl, lhs=lhs_arg, cfg=cfg)
-    )
-
-
-def _decode_local_op(obj, sites: int | None):
-    if isinstance(obj, str):
-        if sites is not None and len(obj) != sites:
-            raise ValueError(f"pauli string {obj!r} does not span {sites} sites")
-        return pauli_string(obj)
-    return decode_observable(obj)
-
-
-def _decode_scenario(obj: dict) -> ScramblingScenario:
-    sites = obj.get("sites")
-    h = obj["h"]
-    if isinstance(h, list) and h and isinstance(h[0], list) and isinstance(h[0][0], str):
-        acc = None
-        for ops, coeff in h:
-            if sites is not None and len(ops) != sites:
-                raise ValueError(f"pauli string {ops!r} does not span {sites} sites")
-            term = float(coeff) * pauli_string(ops).data
-            acc = term if acc is None else acc + term
-        h_obs = Observable(pauli_string(h[0][0]).space, acc)
-    else:
-        h_obs = decode_observable(h)
-    rho = decode_state(obj["rho"]) if "rho" in obj else None
-    return ScramblingScenario(
-        h_obs,
-        _decode_local_op(obj["w0"], sites),
-        _decode_local_op(obj["v0"], sites),
-        float(obj["tau"]),
-        rho,
-    )
-
-
-def _echo_scenario(s: ScramblingScenario) -> dict:
-    return {
-        "h": encode_observable(s.h),
-        "w0": encode_observable(s.w0),
-        "v0": encode_observable(s.v0),
-        "tau": s.tau,
-        "rho": encode_state(s.rho),
-    }
+    return _run_bound(payload, inputs, lambda charges: bound(rho, obs, inst, charges, impl, lhs=lhs_arg, cfg=cfg))
 
 
 def _run_otoc(payload: dict, seed: int):
-    s = _decode_scenario(payload["scenario"])
+    (s,), inputs = _decode(payload, "scenario")
     cfg = _extraction_config(payload, seed)
-    inputs = {"scenario": _echo_scenario(s), "extraction": cfg.to_json(), "recovery": "canonical"}
+    inputs.update(extraction=cfg.to_json(), recovery="canonical")
     rep = otoc_iep(s, cfg)
     direct = otoc_direct(s)
     result = {"iep": rep.to_json(), "direct": direct, "gap": abs(rep.value - direct)}
@@ -607,37 +570,28 @@ def _run_otoc(payload: dict, seed: int):
 
 
 def _run_otoc_cp(payload: dict, seed: int):
-    s = _decode_scenario(payload["scenario"])
+    (s,), inputs = _decode(payload, "scenario")
     cfg = _extraction_config(payload, seed)
-    inputs = {"scenario": _echo_scenario(s), "extraction": cfg.to_json()}
+    inputs["extraction"] = cfg.to_json()
     rep = otoc_iep_cp(s, cfg)
-    if rep.rescale and rep.rescale > 0:
-        direct = otoc_direct(s) / rep.rescale
-    else:
-        direct = 0.0
-    result = {
-        "iep": rep.to_json(),
-        "direct_normalized": direct,
-        "gap": abs(rep.value - direct),
-    }
+    direct = otoc_direct(s) / rep.rescale if rep.rescale and rep.rescale > 0 else 0.0
+    result = {"iep": rep.to_json(), "direct_normalized": direct, "gap": abs(rep.value - direct)}
     return inputs, result, None
 
 
 def _run_way_otoc(payload: dict, seed: int):
-    s = _decode_scenario(payload["scenario"])
-    impl = decode_implementation(payload["implementation"])
-    inputs = {"scenario": _echo_scenario(s), "implementation": encode_implementation(impl)}
+    (s, impl), inputs = _decode(payload, "scenario", "implementation")
     return _run_bound(payload, inputs, lambda charges: way_bound_otoc(s, charges, impl))
 
 
 _RUNNERS = {
     "delta": _run_delta,
-    "epsilon": lambda p, s: _run_epsilon(p, s, "error"),
-    "eta": lambda p, s: _run_epsilon(p, s, "disturbance"),
+    "epsilon": lambda p, s: _run_epsilon(p, s, extract_epsilon),
+    "eta": lambda p, s: _run_epsilon(p, s, extract_eta),
     "blw": _run_blw,
     "lt": _run_lt,
-    "way-error": lambda p, s: _run_way(p, s, "error"),
-    "way-disturbance": lambda p, s: _run_way(p, s, "disturbance"),
+    "way-error": lambda p, s: _run_way(p, s, way_bound_error),
+    "way-disturbance": lambda p, s: _run_way(p, s, way_bound_disturbance),
     "otoc": _run_otoc,
     "otoc-cp": _run_otoc_cp,
     "way-otoc": _run_way_otoc,
@@ -691,6 +645,21 @@ def _default_output(path: str, doc: dict) -> str:
     return stem + ".report.json"
 
 
+def _checked_compute(path: str, kind: str, payload: dict, seed: int):
+    """compute(), or None and its exit code with the failure printed to stderr."""
+    try:
+        return compute(kind, payload, seed), EX_OK
+    except _NUMERIC_ERRORS as exc:
+        detail = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ExtractionError) and exc.diagnostics:
+            detail["diagnostics"] = exc.diagnostics
+        print(f"{path}: numerical failure: {canonical_json(detail)}", file=sys.stderr)
+        return None, EX_NUMERIC
+    except (IrrevkitError, ValueError, KeyError, TypeError) as exc:
+        print(f"{path}: invalid scenario content: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, EX_INPUT
+
+
 def run_one(path: str, output: str | None = None) -> int:
     doc, problem = _load(path)
     if doc is None:
@@ -698,43 +667,23 @@ def run_one(path: str, output: str | None = None) -> int:
         return EX_INPUT
     seed = int(doc.get("seed", 0))
     kind = doc["kind"]
-    try:
-        inputs, result, passed = compute(kind, doc["payload"], seed)
-    except _NUMERIC_ERRORS as exc:
-        detail = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ExtractionError) and exc.diagnostics:
-            detail["diagnostics"] = exc.diagnostics
-        print(f"{path}: numerical failure: {canonical_json(detail)}", file=sys.stderr)
-        return EX_NUMERIC
-    except (IrrevkitError, ValueError, KeyError, TypeError) as exc:
-        print(f"{path}: invalid scenario content: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EX_INPUT
-    report = {
-        "schema": "irrevkit/1",
-        "kind": kind,
-        "seed": seed,
-        "inputs": inputs,
-        "result": result,
-    }
+    computed, code = _checked_compute(path, kind, doc["payload"], seed)
+    if computed is None:
+        return code
+    inputs, result, passed = computed
+    report = {"schema": "irrevkit/1", "kind": kind, "seed": seed, "inputs": inputs, "result": result}
     out_path = output or _default_output(path, doc)
     _write_report(out_path, report, path)
-    status = "ok" if passed is None or passed else "VIOLATION"
-    print(f"{path}: {status} -> {out_path}")
-    return EX_OK if passed is None or passed else EX_VIOLATION
+    ok = passed is None or passed
+    print(f"{path}: {'ok' if ok else 'VIOLATION'} -> {out_path}")
+    return EX_OK if ok else EX_VIOLATION
 
 
 def cmd_run(args) -> int:
     if args.output and len(args.scenarios) > 1:
         print("--output is only valid with a single scenario", file=sys.stderr)
         return EX_INPUT
-    if len(args.scenarios) == 1:
-        return run_one(args.scenarios[0], args.output)
-    env = os.environ.get("IRREVKIT_THREADS", "")
-    workers = int(env) if env.isdigit() and int(env) > 0 else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(args.scenarios)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        codes = list(pool.map(run_one, args.scenarios))
-    return max(codes)
+    return max(run_one(path, args.output) for path in args.scenarios)
 
 
 _SWEEP_COLUMNS = {
@@ -793,61 +742,42 @@ def cmd_sweep(args) -> int:
     kind = doc["kind"]
     seed = int(doc.get("seed", 0))
     out_path = args.output or os.path.splitext(os.path.abspath(args.scenario))[0] + ".sweep.csv"
+    theta = args.parameter == "theta"
+    param = "scenario.tau" if kind in ("otoc", "otoc-cp", "way-otoc") and args.parameter == "tau" else args.parameter
 
     # one payload for the theta grid, else one per grid value
-    if args.parameter == "theta":
+    runs = []
+    for v in [None] if theta else values:
         payload = json.loads(json.dumps(doc["payload"]))
-        payload.setdefault("extraction", {})["thetas"] = values
-        payloads = [payload]
-    else:
-        param = args.parameter
-        if kind in ("otoc", "otoc-cp", "way-otoc") and param == "tau":
-            param = "scenario.tau"
-        payloads = []
-        for v in values:
-            payload = json.loads(json.dumps(doc["payload"]))
-            if not _set_parameter(payload, param, v):
-                print(f"parameter {args.parameter!r} not found in payload", file=sys.stderr)
-                return EX_INPUT
-            payloads.append(payload)
-    for payload in payloads:
+        if theta:
+            payload.setdefault("extraction", {})["thetas"] = values
+        elif not _set_parameter(payload, param, v):
+            print(f"parameter {args.parameter!r} not found in payload", file=sys.stderr)
+            return EX_INPUT
         problem = validate_document(dict(doc, payload=payload))
         if problem is not None:
             print(f"{args.scenario}: schema violation at {problem}", file=sys.stderr)
             return EX_INPUT
+        runs.append((v, payload))
 
+    columns = _SWEEP_COLUMNS[kind]
+    header = ["theta", "delta_squared"] if theta else [args.parameter] + [name for name, _ in columns]
     rows = []
     violation = False
-    if args.parameter == "theta":
-        try:
-            _, result, passed = compute(kind, payloads[0], seed)
-        except _NUMERIC_ERRORS as exc:
-            print(f"{args.scenario}: numerical failure: {exc}", file=sys.stderr)
-            return EX_NUMERIC
-        except (IrrevkitError, ValueError, KeyError, TypeError) as exc:
-            print(f"{args.scenario}: invalid scenario content: {exc}", file=sys.stderr)
-            return EX_INPUT
-        grid_pairs = result.get("theta_grid") or result.get("iep", {}).get("theta_grid")
-        if not grid_pairs:
-            print("scenario kind has no theta diagnostics", file=sys.stderr)
-            return EX_INPUT
-        header = ["theta", "delta_squared"]
-        rows = [[t, v] for t, v in grid_pairs]
-        violation = passed is False
-    else:
-        columns = _SWEEP_COLUMNS[kind]
-        header = [args.parameter] + [name for name, _ in columns]
-        for v, payload in zip(values, payloads):
-            try:
-                _, result, passed = compute(kind, payload, seed)
-            except _NUMERIC_ERRORS as exc:
-                print(f"{args.scenario}: numerical failure at {args.parameter}={v}: {exc}", file=sys.stderr)
-                return EX_NUMERIC
-            except (IrrevkitError, ValueError, KeyError, TypeError) as exc:
-                print(f"{args.scenario}: invalid scenario content: {exc}", file=sys.stderr)
+    for v, payload in runs:
+        where = args.scenario if theta else f"{args.scenario} at {args.parameter}={v}"
+        computed, code = _checked_compute(where, kind, payload, seed)
+        if computed is None:
+            return code
+        _, result, passed = computed
+        violation = violation or passed is False
+        if theta:
+            rows = result.get("theta_grid") or result.get("iep", {}).get("theta_grid")
+            if not rows:
+                print("scenario kind has no theta diagnostics", file=sys.stderr)
                 return EX_INPUT
-            rows.append([v] + [float(_dig(result, c)) for _, c in columns])
-            violation = violation or passed is False
+        else:
+            rows.append([v] + [_dig(result, c) for _, c in columns])
 
     lines = [",".join(header)]
     for row in rows:

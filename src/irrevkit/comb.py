@@ -168,10 +168,14 @@ class IepResult:
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    method: str = "extrapolated"  # or "analytic"
+    method: str = "extrapolated"
     thetas: tuple = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
     fit_tol: float = 1e-6
     optimizer: OptimizerConfig = OptimizerConfig()
+
+    def __post_init__(self):
+        if self.method not in ("extrapolated", "analytic"):
+            raise ValueError(f"extraction method {self.method!r} is neither 'extrapolated' nor 'analytic'")
 
     def to_json(self) -> dict:
         return {

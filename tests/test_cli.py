@@ -2,7 +2,6 @@ import json
 import os
 import random
 import shutil
-import sys
 
 import numpy as np
 import pytest
@@ -79,9 +78,9 @@ class TestRun:
         assert main(["run", src, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_multiple_scenarios_threaded(self, corpus, tmp_path, monkeypatch):
-        # the validators and the emitter are shared by the pool; four workers on
-        # two cores, with frequent thread switches, must write the one-file reports
+    def test_batch_matches_single_runs(self, corpus, tmp_path, capsys):
+        # a batch runs its files in argument order (reversed here, so not sorted)
+        # and writes the one-file reports
         alone = {}
         for n in fixture_names():
             out = tmp_path / f"{n}.alone.json"
@@ -89,16 +88,14 @@ class TestRun:
             alone[n] = out.read_bytes()
         batch = tmp_path / "batch"
         batch.mkdir()
-        for n in fixture_names():
+        names = sorted(fixture_names(), reverse=True)
+        paths = [str(batch / f"{n}.json") for n in names]
+        for n in names:
             shutil.copy(corpus / f"{n}.json", batch / f"{n}.json")
-        monkeypatch.setenv("IRREVKIT_THREADS", "4")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            assert main(["run", *(str(batch / f"{n}.json") for n in fixture_names())]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        for n in fixture_names():
+        capsys.readouterr()
+        assert main(["run", *paths]) == 0
+        assert [ln.partition(": ")[0] for ln in capsys.readouterr().out.splitlines()] == paths
+        for n in names:
             assert (batch / f"{n}.report.json").read_bytes() == alone[n], n
 
     def test_emitted_json_matches_json_dumps(self, corpus, tmp_path, monkeypatch):
@@ -307,6 +304,25 @@ class TestSweep:
         out = tmp_path / "strict.csv"
         assert main(["sweep", src, "-p", "tolerance", "-g", "0", "-o", str(out)]) == 4
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "extraction, param, grid",
+        [
+            pytest.param({"fit_tol": 1e-30}, "theta", "0.3,0.2,0.1", id="theta"),
+            pytest.param({"fit_tol": 1e-6, "thetas": [0.3, 0.2, 0.1]}, "extraction.fit_tol", "1e-30", id="per-value"),
+        ],
+    )
+    def test_numerical_failure_reports_run_detail(self, corpus, tmp_path, capsys, extraction, param, grid):
+        # a coarse grid cannot meet the fit tolerance; sweep prints run's JSON failure detail
+        doc = load_report(corpus / "epsilon-projective-qubit.json")
+        doc["payload"]["extraction"] = extraction
+        src = write_doc(tmp_path, "coarse.json", doc)
+        out = tmp_path / "coarse.csv"
+        assert main(["sweep", src, "-p", param, "-g", grid, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert '"error": "ExtractionError"' in err
+        assert '"diagnostics"' in err
+        assert not out.exists()
 
 
 class TestScenarioForms:

@@ -298,6 +298,14 @@ class TestConfig:
         assert cfg == ExtractionConfig()
         assert OptimizerConfig.from_json({}) == OptimizerConfig()
 
+    def test_unknown_method_rejected(self):
+        # a misspelt method must not fall through to the extrapolated grid
+        for make in (lambda: ExtractionConfig(method="analytical"),
+                     lambda: ExtractionConfig.from_json({"method": "analytical"})):
+            with pytest.raises(ValueError, match="'extrapolated' nor 'analytic'") as info:
+                make()
+            assert "'analytical'" in str(info.value)
+
     def test_iep_result_json(self):
         rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), pm_pointer())
         d = rep.to_json()
