@@ -606,6 +606,22 @@ def compute(kind: str, payload: dict, seed: int):
 # commands
 
 
+def _say(line: str) -> None:
+    """Print a status line to stdout; once the reader has closed the pipe, stdout
+    goes to os.devnull, so the remaining files still run and nothing is left to
+    fail in the flush at exit."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # a stream with no file descriptor
+            sys.stdout = open(os.devnull, "w")
+        finally:
+            os.close(devnull)
+
+
 def _finite_float(text: str) -> float:
     """float(text), rejecting NaN/Infinity and a literal such as 1e400 that overflows to inf."""
     x = float(text)
@@ -675,7 +691,7 @@ def run_one(path: str, output: str | None = None) -> int:
     out_path = output or _default_output(path, doc)
     _write_report(out_path, report, path)
     ok = passed is None or passed
-    print(f"{path}: {'ok' if ok else 'VIOLATION'} -> {out_path}")
+    _say(f"{path}: {'ok' if ok else 'VIOLATION'} -> {out_path}")
     return EX_OK if ok else EX_VIOLATION
 
 
@@ -783,7 +799,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
     atomic_write_text(out_path, "\n".join(lines) + "\n")
-    print(f"{args.scenario}: {len(rows)} rows -> {out_path}")
+    _say(f"{args.scenario}: {len(rows)} rows -> {out_path}")
     return EX_VIOLATION if violation else EX_OK
 
 
@@ -795,14 +811,14 @@ def cmd_validate(args) -> int:
             print(problem, file=sys.stderr)
             worst = EX_INPUT
         else:
-            print(f"{path}: ok ({doc['kind']})")
+            _say(f"{path}: ok ({doc['kind']})")
     return worst
 
 
 def cmd_fixtures(args) -> int:
     paths = write_fixtures(args.dir)
     for p in paths:
-        print(p)
+        _say(p)
     return EX_OK
 
 

@@ -30,10 +30,9 @@ from .qcore import (
     _names,
     embed,
     maximally_mixed,
-    qfi,
     unitary_channel,
 )
-from .way import Implementation, WayReport, _ratio, _require_valid, y_operator
+from .way import Implementation, WayReport, _bound_inputs, _commutator_expectation, _report, y_operator
 
 __all__ = [
     "ScramblingScenario",
@@ -90,10 +89,12 @@ def otoc_direct(s: ScramblingScenario) -> float:
     return float(-np.real(np.trace(s.rho.data @ c @ c)))
 
 
-def _unitary_self_adjoint(w: np.ndarray, what: str) -> None:
-    d = w.shape[0]
-    if np.max(np.abs(w @ w - np.eye(d))) > 1e-9:
-        raise AssumptionError(f"{what} must square to the identity within 1e-9")
+def _w_tau(s: ScramblingScenario) -> Observable:
+    """W(tau) for the trace-preserving protocol, which needs W0^2 = identity."""
+    w0 = s.w0.data
+    if np.max(np.abs(w0 @ w0 - np.eye(w0.shape[0]))) > 1e-9:
+        raise AssumptionError("W0 must square to the identity within 1e-9")
+    return heisenberg(s.w0, s.h, s.tau)
 
 
 def _scenario_comb(s: ScramblingScenario, stage: KrausChannel, branch_scale=None) -> Comb:
@@ -118,9 +119,7 @@ def otoc_iep(
     """
     if recovery is OPTIMIZE:
         raise ValueError("otoc_iep does not take OPTIMIZE: a recovery on the whole system undoes W")
-    _unitary_self_adjoint(s.w0.data, "W0")
-    w_tau = heisenberg(s.w0, s.h, s.tau)
-    return extract(_scenario_comb(s, unitary_channel(w_tau.data, s.rho.space)), recovery, cfg)
+    return extract(_scenario_comb(s, unitary_channel(_w_tau(s).data, s.rho.space)), recovery, cfg)
 
 
 def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> IepResult:
@@ -160,37 +159,13 @@ def way_bound_otoc(s: ScramblingScenario, charges: dict | None, impl: Implementa
     Y = X - D'(X_out). The denominator replaces the state-dependent Fisher
     terms of the measurement bounds by the charges' spectral spreads.
     """
-    charges = charges or impl.charges
-    _unitary_self_adjoint(s.w0.data, "W0")
-    w_tau = heisenberg(s.w0, s.h, s.tau)
-    target = unitary_channel(w_tau.data, s.rho.space)
-    _require_valid(impl, target, charges)
-
-    y = y_operator(target, charges)
-    c = y.data @ s.v0.data - s.v0.data @ y.data
-    num = abs(complex(np.trace(s.rho.data @ c)))
-    fisher_beta = qfi(impl.rho_beta, charges["beta"])
-
-    def spread(obs: Observable) -> float:
-        vals = np.linalg.eigvalsh(obs.data)
-        return float(vals[-1] - vals[0])
-
-    spread_in = spread(charges["alpha"])
-    spread_out = spread(charges["alpha_out"])
+    target = unitary_channel(_w_tau(s).data, s.rho.space)
+    charges, fisher_beta = _bound_inputs(impl, target, charges)
+    num = _commutator_expectation(s.rho, y_operator(target, charges), s.v0)
+    spread_in, spread_out = (float(np.ptp(np.linalg.eigvalsh(charges[k].data))) for k in ("alpha", "alpha_out"))
     den = math.sqrt(max(fisher_beta, 0.0)) + spread_in + spread_out
-    rhs = _ratio(num, den)
     lhs = math.sqrt(max(otoc_direct(s), 0.0))
-    return WayReport(
-        lhs,
-        rhs,
-        lhs - rhs,
-        {
-            "commutator_expectation": num,
-            "fisher_cost_upper": fisher_beta,
-            "spread_in": spread_in,
-            "spread_out": spread_out,
-        },
-    )
+    return _report(lhs, num, den, fisher_cost_upper=fisher_beta, spread_in=spread_in, spread_out=spread_out)
 
 
 def conserving_otoc_implementation(
@@ -208,8 +183,7 @@ def conserving_otoc_implementation(
     lam, and ancilla state, while the realized channel is exactly
     conjugation by W(tau).
     """
-    _unitary_self_adjoint(s.w0.data, "W0")
-    w = heisenberg(s.w0, s.h, s.tau).data
+    w = _w_tau(s).data
     n = x_beta.dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u = _qr_retract(g)

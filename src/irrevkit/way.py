@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comb import CanonicalRecovery, ExtractionConfig, extract_epsilon, extract_eta
-from .errors import ConservationError, YanaseConditionError
+from .errors import ConservationError, ShapeError, YanaseConditionError
 from .qcore import (
     DensityMatrix,
     Instrument,
@@ -73,10 +73,8 @@ class Implementation:
     out_beta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "in_alpha", _as_space(self.in_alpha))
-        object.__setattr__(self, "in_beta", _as_space(self.in_beta))
-        object.__setattr__(self, "out_alpha", _as_space(self.out_alpha))
-        object.__setattr__(self, "out_beta", _as_space(self.out_beta))
+        for part in _PARTS:
+            object.__setattr__(self, part, _as_space(getattr(self, part)))
         d_in = space_dim(self.in_alpha) * space_dim(self.in_beta)
         d_out = space_dim(self.out_alpha) * space_dim(self.out_beta)
         u = np.asarray(self.u, dtype=complex)
@@ -89,28 +87,35 @@ class Implementation:
         if _names(self.rho_beta.space) != _names(self.in_beta):
             raise ConservationError("rho_beta must live on the in_beta space")
         object.__setattr__(self, "u", u)
+        _checked_charges(self)
 
-    def total_charge_in(self, charges: dict | None = None) -> np.ndarray:
-        charges = charges or self.charges
-        xa = charges["alpha"].data
-        xb = charges["beta"].data
-        return np.kron(xa, np.eye(space_dim(self.in_beta))) + np.kron(
-            np.eye(space_dim(self.in_alpha)), xb
-        )
 
-    def total_charge_out(self, charges: dict | None = None) -> np.ndarray:
-        charges = charges or self.charges
-        xa = charges["alpha_out"].data
-        xb = charges["beta_out"].data
-        return np.kron(xa, np.eye(space_dim(self.out_beta))) + np.kron(
-            np.eye(space_dim(self.out_alpha)), xb
-        )
+# each charge slot and the partition its operator acts on
+_SLOTS = ("alpha", "beta", "alpha_out", "beta_out")
+_PARTS = ("in_alpha", "in_beta", "out_alpha", "out_beta")
+
+
+def _checked_charges(impl: Implementation, charges: dict | None = None) -> dict:
+    """charges (or impl's own), each slot's dimension checked against its partition."""
+    charges = charges or impl.charges
+    for slot, part in zip(_SLOTS, _PARTS):
+        got, want = charges[slot].dim, space_dim(getattr(impl, part))
+        if got != want:
+            raise ShapeError(f"charge {slot!r} has dimension {got}, but {part} has dimension {want}")
+    return charges
+
+
+def _total_charge(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """X_a (x) 1 + 1 (x) X_b."""
+    return np.kron(xa, np.eye(len(xb))) + np.kron(np.eye(len(xa)), xb)
 
 
 def check_conservation(impl: Implementation, charges: dict | None = None) -> float:
     """Max-abs deviation of U'(X_out_total)U from X_in_total."""
-    lhs = impl.u.conj().T @ impl.total_charge_out(charges) @ impl.u
-    return float(np.max(np.abs(lhs - impl.total_charge_in(charges))))
+    c = _checked_charges(impl, charges)
+    x_out = _total_charge(c["alpha_out"].data, c["beta_out"].data)
+    lhs = impl.u.conj().T @ x_out @ impl.u
+    return float(np.max(np.abs(lhs - _total_charge(c["alpha"].data, c["beta"].data))))
 
 
 def realized_channel(impl: Implementation) -> KrausChannel:
@@ -138,19 +143,8 @@ def y_operator(meas_channel: KrausChannel, charges: dict) -> Observable:
     return Observable(charges["alpha"].space, (y + y.conj().T) / 2)
 
 
-def _require_valid(impl: Implementation, target: KrausChannel, charges=None, tol_cons=1e-9, tol_choi=1e-8):
-    dev = check_conservation(impl, charges)
-    if dev > tol_cons:
-        raise ConservationError(f"conservation violated by {dev:.3e} (> {tol_cons:.0e})")
-    realized = realized_channel(impl)
-    if realized.dim_in != target.dim_in or realized.dim_out != target.dim_out:
-        raise ConservationError("implementation and measurement channel dimensions differ")
-    gap = float(np.max(np.abs(choi(realized) - choi(target))))
-    if gap > tol_choi:
-        raise ConservationError(
-            f"implementation realizes a different channel (Choi gap {gap:.3e} > {tol_choi:.0e})"
-        )
-    return dev, gap
+_TOL_CONS = 1e-9  # max-abs conservation deviation
+_TOL_CHOI = 1e-8  # max-abs Choi gap to the target channel
 
 
 @dataclass(frozen=True)
@@ -169,10 +163,35 @@ def _commutator_expectation(rho: DensityMatrix, y: Observable, a: Observable) ->
     return abs(complex(np.trace(rho.data @ c)))
 
 
-def _ratio(num: float, den: float) -> float:
+def _bound_inputs(impl: Implementation, target: KrausChannel, charges: dict | None):
+    """The checked charges of a valid implementation of target, and F_beta of its ancilla.
+
+    Every bound goes through here: the charges are the override or impl's own,
+    U must conserve them and realize target.
+    """
+    charges = _checked_charges(impl, charges)
+    dev = check_conservation(impl, charges)
+    if dev > _TOL_CONS:
+        raise ConservationError(f"conservation violated by {dev:.3e} (> {_TOL_CONS:.0e})")
+    realized = realized_channel(impl)
+    if realized.dim_in != target.dim_in or realized.dim_out != target.dim_out:
+        raise ConservationError("implementation and measurement channel dimensions differ")
+    gap = float(np.max(np.abs(choi(realized) - choi(target))))
+    if gap > _TOL_CHOI:
+        raise ConservationError(
+            f"implementation realizes a different channel (Choi gap {gap:.3e} > {_TOL_CHOI:.0e})"
+        )
+    return charges, qfi(impl.rho_beta, charges["beta"])
+
+
+def _report(lhs: float, num: float, den: float, **terms) -> WayReport:
+    """lhs against the bound num / den (0 or inf at a vanishing den), with the
+    commutator expectation among the terms."""
     if den < 1e-15:
-        return 0.0 if num < 1e-12 else math.inf
-    return num / den
+        rhs = 0.0 if num < 1e-12 else math.inf
+    else:
+        rhs = num / den
+    return WayReport(lhs, rhs, lhs - rhs, {"commutator_expectation": num, **terms})
 
 
 def _lhs(extract, rho, obs, meas, lhs, cfg) -> float:
@@ -185,31 +204,21 @@ def _lhs(extract, rho, obs, meas, lhs, cfg) -> float:
 
 def _way_bound(rho, obs, meas, charges, impl, target, extract, lhs, cfg) -> WayReport:
     """|<[Y,O]>| / (sqrt(F_beta) + sqrt(F_rho(X)) + 2 sqrt(V_out)) against the extracted lhs."""
-    charges = charges or impl.charges
-    _require_valid(impl, target, charges)
-
-    y = y_operator(target, charges)
-    num = _commutator_expectation(rho, y, obs)
-    fisher_beta = qfi(impl.rho_beta, charges["beta"])
+    charges, fisher_beta = _bound_inputs(impl, target, charges)
+    num = _commutator_expectation(rho, y_operator(target, charges), obs)
     fisher_state = qfi(rho, charges["alpha"])
     out_state = apply(target, rho)
-    x_out = Observable(out_state.space, charges["alpha_out"].data)
-    var_out = variance(out_state, x_out)
+    var_out = variance(out_state, Observable(out_state.space, charges["alpha_out"].data))
     den = math.sqrt(max(fisher_beta, 0.0)) + math.sqrt(max(fisher_state, 0.0)) + 2 * math.sqrt(
         max(var_out, 0.0)
     )
-    rhs = _ratio(num, den)
-    lhs_val = _lhs(extract, rho, obs, meas, lhs, cfg)
-    return WayReport(
-        lhs_val,
-        rhs,
-        lhs_val - rhs,
-        {
-            "commutator_expectation": num,
-            "fisher_cost_upper": fisher_beta,
-            "qfi_state": fisher_state,
-            "variance_out": var_out,
-        },
+    return _report(
+        _lhs(extract, rho, obs, meas, lhs, cfg),
+        num,
+        den,
+        fisher_cost_upper=fisher_beta,
+        qfi_state=fisher_state,
+        variance_out=var_out,
     )
 
 
@@ -260,33 +269,16 @@ def way_bound_error_yanase(
     Requires the pointer charge to commute with every pointer projector,
     i.e. to be diagonal in the outcome basis.
     """
-    charges = charges or impl.charges
-    x_p = charges["alpha_out"].data
-    off = x_p - np.diag(np.diag(x_p))
-    if np.max(np.abs(off)) > 1e-10:
-        raise YanaseConditionError(
-            "pointer charge is not diagonal in the outcome basis"
-        )
-    p_label = Label("P", len(meas.branches))
-    target = pointer_channel(meas, p_label)
-    _require_valid(impl, target, charges)
-
+    x_p = (charges or impl.charges)["alpha_out"].data
+    if np.max(np.abs(x_p - np.diag(np.diag(x_p)))) > 1e-10:
+        raise YanaseConditionError("pointer charge is not diagonal in the outcome basis")
+    target = pointer_channel(meas, Label("P", len(meas.branches)))
+    charges, fisher_beta = _bound_inputs(impl, target, charges)
     num = _commutator_expectation(rho, charges["alpha"], a)
-    fisher_beta = qfi(impl.rho_beta, charges["beta"])
     fisher_state = qfi(rho, charges["alpha"])
     den = math.sqrt(max(fisher_beta + fisher_state, 0.0))
-    rhs = _ratio(num, den)
     lhs_val = _lhs(extract_epsilon, rho, a, meas, lhs, cfg)
-    return WayReport(
-        lhs_val,
-        rhs,
-        lhs_val - rhs,
-        {
-            "commutator_expectation": num,
-            "fisher_cost_upper": fisher_beta,
-            "qfi_state": fisher_state,
-        },
-    )
+    return _report(lhs_val, num, den, fisher_cost_upper=fisher_beta, qfi_state=fisher_state)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +293,13 @@ def commutant_projection(h: np.ndarray, x_tot: np.ndarray, tol: float = 1e-9) ->
     hm = hm * mask
     out = vecs @ hm @ vecs.conj().T
     return (out + out.conj().T) / 2
+
+
+def _conserving_unitary(rng, x_tot: np.ndarray) -> np.ndarray:
+    """exp(-iH) for a random Hermitian H projected onto the commutant of x_tot."""
+    n = len(x_tot)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _expm_herm(commutant_projection((h + h.conj().T) / 2, x_tot))
 
 
 def _induced_instrument(u_meas: np.ndarray, chi: np.ndarray, d: int, n: int, sp) -> Instrument:
@@ -340,21 +339,16 @@ def conserving_error_implementation(
     p_label = Label("P", n)
 
     x_p1 = np.diag(vals).astype(complex)
-    x_tot = np.kron(x_s.data, np.eye(n)) + np.kron(np.eye(d), x_p1)
+    x_tot = _total_charge(x_s.data, x_p1)
     if u_meas is None:
-        h = rng.standard_normal((d * n, d * n)) + 1j * rng.standard_normal((d * n, d * n))
-        h = commutant_projection((h + h.conj().T) / 2, x_tot)
-        u_meas = _expm_herm(h)
+        u_meas = _conserving_unitary(rng, x_tot)
     else:
         u_meas = np.asarray(u_meas, dtype=complex)
 
-    shift = np.zeros((n, n, n), dtype=complex)
-    for m in range(n):
-        for j in range(n):
-            shift[m, (j + m) % n, j] = 1.0
-    u_copy = sum(
-        np.kron(np.outer(ket(m, n), ket(m, n).conj()), shift[m]) for m in range(n)
-    )
+    # controlled cyclic shift |m, j> -> |m, j + m mod n> on (B1, B2)
+    m, j = np.divmod(np.arange(n * n), n)
+    u_copy = np.zeros((n * n, n * n), dtype=complex)
+    u_copy[m * n + (j + m) % n, m * n + j] = 1.0
     u_total = np.kron(np.eye(d), u_copy) @ np.kron(u_meas, np.eye(n))
 
     # reorder output rows from (S, B1, B2) to (P=B2, S, B1)
@@ -363,18 +357,12 @@ def conserving_error_implementation(
     rho_beta = DensityMatrix(
         (b1, b2), np.kron(np.outer(chi, chi.conj()), np.outer(ket(0, n), ket(0, n).conj()))
     )
-    s_out = tuple(Label(l.name + "r", l.dim) for l in sp)
+    out_beta = tuple(Label(l.name + "r", l.dim) for l in sp) + (Label("B1r", n),)
     charges = {
         "alpha": x_s,
-        "beta": Observable(
-            (b1, b2),
-            np.kron(x_p1, np.eye(n)) + pointer_shift * np.eye(n * n),
-        ),
+        "beta": Observable((b1, b2), _total_charge(x_p1, pointer_shift * np.eye(n))),
         "alpha_out": Observable((p_label,), pointer_shift * np.eye(n, dtype=complex)),
-        "beta_out": Observable(
-            s_out + (Label("B1r", n),),
-            np.kron(x_s.data, np.eye(n)) + np.kron(np.eye(d), x_p1),
-        ),
+        "beta_out": Observable(out_beta, x_tot),
     }
     impl = Implementation(
         rho_beta,
@@ -383,7 +371,7 @@ def conserving_error_implementation(
         in_alpha=sp,
         in_beta=(b1, b2),
         out_alpha=(p_label,),
-        out_beta=s_out + (Label("B1r", n),),
+        out_beta=out_beta,
     )
     meas = _induced_instrument(u_meas, chi, d, n, sp)
     return impl, meas
@@ -408,10 +396,7 @@ def conserving_disturbance_implementation(
     n = x_beta.dim
     if _names(rho_beta.space) != _names(x_beta.space):
         raise ConservationError("rho_beta and x_beta must share a space")
-    x_tot = np.kron(x_s.data, np.eye(n)) + np.kron(np.eye(d), x_beta.data)
-    h = rng.standard_normal((d * n, d * n)) + 1j * rng.standard_normal((d * n, d * n))
-    h = commutant_projection((h + h.conj().T) / 2, x_tot)
-    u = _expm_herm(h)
+    u = _conserving_unitary(rng, _total_charge(x_s.data, x_beta.data))
 
     charges = {
         "alpha": x_s,

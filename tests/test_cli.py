@@ -1,7 +1,10 @@
+import io
 import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +13,9 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import cli, fixture_names
+from irrevkit import Label, Observable, cli, fixture_names
 from irrevkit.cli import PAYLOAD_SCHEMAS, TOP_SCHEMA, _MATRIX, _MATRIX_NODE, _is_matrix, main, validate_document
-from irrevkit.serialize import canonical_json
+from irrevkit.serialize import canonical_json, encode_observable
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,45 @@ class TestRun:
         for n in fixture_names():
             assert main(["run", str(corpus / f"{n}.json"), "-o", str(tmp_path / f"{n}.json")]) == 0
         assert len(emitted) == 20  # each report and its .meta.json
+
+    def _batch(self, corpus, tmp_path):
+        for n in fixture_names():
+            shutil.copy(corpus / f"{n}.json", tmp_path / f"{n}.json")
+        return [str(tmp_path / f"{n}.json") for n in fixture_names()]
+
+    def _assert_all_reports(self, tmp_path):
+        written = sorted(p.name for p in tmp_path.glob("*.report.json"))
+        assert written == [f"{n}.report.json" for n in fixture_names()]
+
+    def test_closed_stdout_still_runs_every_file(self, corpus, tmp_path, monkeypatch):
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        paths = self._batch(corpus, tmp_path)
+        pipe = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["run", *paths]) == 0
+        # a stream with no file descriptor is swapped for os.devnull
+        assert sys.stdout is not pipe
+        sys.stdout.close()
+        self._assert_all_reports(tmp_path)
+
+    def test_closed_pipe_reader_leaves_no_traceback(self, corpus, tmp_path):
+        # the read end is closed before the first status line is written
+        paths = self._batch(corpus, tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "irrevkit.cli", "run", *paths], stdout=w, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 0
+        assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr, proc.stderr.decode()
+        self._assert_all_reports(tmp_path)
 
     def test_output_flag_rejected_for_batches(self, corpus, tmp_path):
         paths = [str(corpus / "lt-error-qubit.json"), str(corpus / "blw-error-qubit.json")]
@@ -227,6 +269,14 @@ class TestExitCodes:
         charges["alpha"]["matrix"][0][0] = [5.0, 0.0]
         doc["payload"]["charges"] = charges
         assert main(["run", write_doc(tmp_path, "t.json", doc)]) == 3
+
+    def test_charge_override_of_wrong_dimension_is_2(self, corpus, tmp_path, capsys):
+        doc = load_report(corpus / "way-error-tight.json")
+        charges = json.loads(json.dumps(doc["payload"]["implementation"]["charges"]))
+        charges["alpha"] = encode_observable(Observable((Label("S", 3),), np.eye(3)))
+        doc["payload"]["charges"] = charges
+        assert main(["run", write_doc(tmp_path, "t.json", doc)]) == 2
+        assert "ShapeError: charge 'alpha' has dimension 3, but in_alpha has dimension 2" in capsys.readouterr().err
 
     def test_tolerance_violation_is_4(self, corpus, tmp_path):
         # the tight scenario sits at slack ~ -3e-16; tolerance 0 trips it

@@ -6,12 +6,15 @@ from irrevkit import (
     Implementation,
     Label,
     Observable,
+    ScramblingScenario,
+    ShapeError,
     YanaseConditionError,
     check_conservation,
     choi,
     commutant_projection,
     conserving_disturbance_implementation,
     conserving_error_implementation,
+    conserving_otoc_implementation,
     maximally_mixed,
     pointer_channel,
     pure_state,
@@ -21,6 +24,7 @@ from irrevkit import (
     way_bound_disturbance,
     way_bound_error,
     way_bound_error_yanase,
+    way_bound_otoc,
     y_operator,
 )
 from conftest import SIGMA_X, SIGMA_Z, proj_x, rand_herm, rand_state
@@ -41,6 +45,56 @@ def tight_instance():
         u_meas=CNOT,
     )
     return impl, meas
+
+
+def _error_case(bound):
+    impl, meas = tight_instance()
+    return impl, lambda charges: bound(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, charges, impl)
+
+
+def _disturbance_case():
+    impl, meas = swap_implementation(Observable((S,), SIGMA_Z), maximally_mixed((Label("B1", 2),)))
+    return impl, lambda charges: way_bound_disturbance(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, charges, impl)
+
+
+def _otoc_case():
+    zero = Observable((S,), np.zeros((2, 2), dtype=complex))
+    s = ScramblingScenario(zero, Observable((S,), SIGMA_X), Observable((S,), SIGMA_Z), 0.0)
+    rng = np.random.default_rng(0)
+    b = Label("B", 3)
+    chi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    impl = conserving_otoc_implementation(
+        s, Observable((S,), SIGMA_Z), Observable((b,), rand_herm(rng, 3)), pure_state(chi, (b,)), rng, lam=0.4
+    )
+    return impl, lambda charges: way_bound_otoc(s, charges, impl)
+
+
+# each public bound as (implementation, call taking a charges override)
+BOUNDS = {
+    "way_bound_error": lambda: _error_case(way_bound_error),
+    "way_bound_error_yanase": lambda: _error_case(way_bound_error_yanase),
+    "way_bound_disturbance": _disturbance_case,
+    "way_bound_otoc": _otoc_case,
+}
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+def test_charges_override_is_checked(bound):
+    impl, run = BOUNDS[bound]()
+    assert run(dict(impl.charges)).slack >= -1e-9
+    bad = dict(impl.charges)
+    bad["alpha"] = Observable(impl.charges["alpha"].space, SIGMA_X)
+    with pytest.raises(ConservationError):
+        run(bad)
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+def test_charges_override_dimension_is_checked(bound):
+    impl, run = BOUNDS[bound]()
+    bad = dict(impl.charges)
+    bad["alpha"] = Observable((Label("S", 3),), np.eye(3))
+    with pytest.raises(ShapeError, match="'alpha' has dimension 3, but in_alpha has dimension 2"):
+        run(bad)
 
 
 class TestImplementation:
@@ -65,6 +119,16 @@ class TestImplementation:
                 impl.in_beta,
                 impl.out_alpha,
                 impl.out_beta,
+            )
+
+    @pytest.mark.parametrize("slot", ["alpha", "beta", "alpha_out", "beta_out"])
+    def test_charge_dimension_checked_per_slot(self, slot):
+        impl, _ = tight_instance()
+        bad = dict(impl.charges)
+        bad[slot] = Observable((Label("X", 3),), np.eye(3))
+        with pytest.raises(ShapeError, match=f"charge '{slot}' has dimension 3"):
+            Implementation(
+                impl.rho_beta, impl.u, bad, impl.in_alpha, impl.in_beta, impl.out_alpha, impl.out_beta
             )
 
     def test_realized_channel_is_the_dephased_pointer(self):
@@ -98,7 +162,12 @@ class TestErrorBound:
         impl, meas = tight_instance()
         rep = way_bound_error(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, None, impl)
         assert rep.slack >= -1e-9
-        assert "variance_out" in rep.terms
+        # 2 / (sqrt(0) + sqrt(4) + 2 sqrt(0)): the full bound is tight here too
+        assert abs(rep.rhs - 1.0) < 1e-12
+        want = {"commutator_expectation": 2.0, "qfi_state": 4.0, "fisher_cost_upper": 0.0, "variance_out": 0.0}
+        assert set(rep.terms) == set(want)
+        for key, value in want.items():
+            assert abs(rep.terms[key] - value) < 1e-12, key
 
     def test_seeded_corpus_positive_slack(self):
         for seed in range(5):
@@ -113,13 +182,6 @@ class TestErrorBound:
             rep = way_bound_error(rho, a, meas, None, impl)
             assert rep.slack >= -1e-9
 
-    def test_charges_override_is_checked(self):
-        impl, meas = tight_instance()
-        bad = dict(impl.charges)
-        bad["alpha"] = Observable((S,), SIGMA_X)
-        with pytest.raises(ConservationError):
-            way_bound_error(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, bad, impl)
-
     def test_wrong_target_instrument_rejected(self):
         impl, _ = tight_instance()
         with pytest.raises(ConservationError):
@@ -129,7 +191,8 @@ class TestErrorBound:
         impl, meas = tight_instance()
         skew = dict(impl.charges)
         skew["alpha_out"] = Observable(impl.charges["alpha_out"].space, SIGMA_X)
-        with pytest.raises((YanaseConditionError, ConservationError)):
+        # the Yanase condition is checked before conservation, which skew also breaks
+        with pytest.raises(YanaseConditionError):
             way_bound_error_yanase(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, skew, impl)
 
 
