@@ -151,6 +151,7 @@ class IepResult:
     method: str
     rescale: float | None = None
     branch_probability: float | None = None
+    certified_gap: float | None = None
 
     def to_json(self) -> dict:
         d = {
@@ -163,6 +164,8 @@ class IepResult:
             d["rescale"] = self.rescale
         if self.branch_probability is not None:
             d["branch_probability"] = self.branch_probability
+        if self.certified_gap is not None:
+            d["certified_gap"] = self.certified_gap
         return d
 
 
@@ -455,6 +458,9 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     recoveries at each theta, warm-started from every canonical recovery of
     the comb. Every grid but OPTIMIZE's is one stacked amplitude evaluation
     over all theta; OPTIMIZE reads the stacked loss and recovery Kraus forms.
+    The test ensemble is pure, so each OPTIMIZE grid value is certified by
+    delta_min's dual bound, and certified_gap is the worst gap over theta:
+    every grid value lies within it of the minimum over all CPTP recoveries.
     cfg.method="analytic" needs a canonical recovery and sums the squared
     theta-derivatives of the same amplitudes at 0, exactly.
     """
@@ -475,14 +481,16 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
         c2, branch = _ensemble_average(comb, np.sum(np.abs(da) ** 2, axis=(-2, -1))[None], amp[:1])
         return IepResult(float(c2[0]), (), 0.0, "analytic", branch_probability=branch)
 
-    branch = None
+    branch = gap = None
     if recovery is OPTIMIZE:
         omega = omega_pm()
         warm = [rec.channels(cfg.thetas) for rec in comb.recoveries()]
-        values = []
-        for i, loss in enumerate(comb.losses(cfg.thetas)):
-            starts = tuple(w[i] for w in warm)
-            values.append(delta_min(loss, omega, cfg.optimizer, warm_starts=starts).delta ** 2)
+        reps = [
+            delta_min(loss, omega, cfg.optimizer, warm_starts=tuple(w[i] for w in warm))
+            for i, loss in enumerate(comb.losses(cfg.thetas))
+        ]
+        values = [rep.delta**2 for rep in reps]
+        gap = max(rep.certified_gap for rep in reps)  # omega_pm is pure, so every gap is set
     else:
         values, branch = _grid(comb, recovery, cfg.thetas)
     grid = [(float(t), float(v)) for t, v in zip(cfg.thetas, values)]
@@ -492,7 +500,7 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
             f"extracted value {c2} is negative beyond tolerance",
             diagnostics={"theta_grid": [list(p) for p in grid], "method": "extrapolated"},
         )
-    return IepResult(c2, tuple(grid), residual, "extrapolated", branch_probability=branch)
+    return IepResult(c2, tuple(grid), residual, "extrapolated", branch_probability=branch, certified_gap=gap)
 
 
 def extract_epsilon(

@@ -1,17 +1,26 @@
 """Irreversibility of a channel with respect to a test ensemble.
 
 delta(L, R, Omega) = sqrt(sum_k p_k D_F(rho_k, R(L(rho_k)))^2) for a fixed
-recovery R, and delta_min optimizes that quantity over CPTP recoveries via
-projected gradient ascent on a Stinespring isometry. A sub-normalised CP
-branch L enters through its renormalised outputs L(rho_k) / tr L(rho_k). The
-Petz transpose channel is always evaluated as a warm start, so the optimized
-value never exceeds the Petz value. Global optimality is not claimed anywhere.
+recovery R, and delta_min minimizes that quantity over CPTP recoveries. A
+sub-normalised CP branch L enters through its renormalised outputs
+L(rho_k) / tr L(rho_k). The Petz transpose channel is always scored, so the
+optimized value never exceeds the Petz value.
+
+For an ensemble of pure states delta^2(R) = tr(C_R Q_perp) is linear in the
+recovery's Choi matrix C_R, and any Hermitian Y with 1 (x) Y <= Q_perp bounds
+the minimum from below by tr Y (the dual of the SDP over CP maps). delta_min
+builds such a Y from its best candidate and reports the certified gap between
+the value and that bound; when the Petz recovery or a warm start already
+closes the gap, it returns without any gradient search. For mixed members
+the value comes from projected gradient ascent on a Stinespring isometry and
+is only a local optimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +77,11 @@ class DeltaReport:
 
     per_state pairs each ensemble index with its distance contribution;
     delta**2 == sum_k p_k per_state[k]**2 up to rounding. local_optimum is
-    True whenever the value came out of the gradient search (no global
-    optimality claim); converged is False when the iteration budget ran out
-    before the objective settled.
+    True whenever the value came out of delta_min; converged is False when
+    the iteration budget ran out before the objective settled.
+    certified_gap, set by delta_min for an ensemble of pure states (None
+    otherwise), bounds delta**2 - min_R delta(R)**2 from above, a rounding
+    allowance included: the value is the certified optimum within it.
     """
 
     delta: float
@@ -80,6 +91,7 @@ class DeltaReport:
     converged: bool = True
     local_optimum: bool = False
     branch_probabilities: tuple | None = None
+    certified_gap: float | None = None
 
     def to_json(self) -> dict:
         d = {
@@ -92,6 +104,8 @@ class DeltaReport:
             d["optimizer_trace"] = [[i, v] for i, v in self.optimizer_trace]
         if self.branch_probabilities is not None:
             d["branch_probabilities"] = list(self.branch_probabilities)
+        if self.certified_gap is not None:
+            d["certified_gap"] = self.certified_gap
         return d
 
 
@@ -180,11 +194,13 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
 
 
 def _isometry_from_channel(ch: KrausChannel, d_env: int) -> np.ndarray:
-    """Stack Kraus operators into V with V[i*d_env + e, o] = K_e[i, o]."""
-    ops = minimal_kraus(ch).kraus
+    """Stack Kraus operators into V with V[i*d_env + e, o] = K_e[i, o].
+
+    A channel with more than d_env = dim_in * dim_out operators is first
+    re-extracted to at most that many from its Choi matrix.
+    """
+    ops = ch.kraus if len(ch.kraus) <= d_env else minimal_kraus(ch).kraus
     r, d_in, d_out = ops.shape
-    if r > d_env:
-        raise ShapeError(f"channel Kraus rank {r} exceeds environment dim {d_env}")
     v = np.zeros((d_in, d_env, d_out), dtype=complex)
     v[:, :r] = ops.transpose(1, 0, 2)
     return v.reshape(-1, d_out)
@@ -221,7 +237,8 @@ class _Objective:
       M_k = sqrt(rho_k) R(sigma_k) sqrt(rho_k), all M_k in one stacked eigh.
 
     value_and_grad returns J and G = dJ/d(conj V), shaped like V, so that
-    dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV).
+    dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV). When every member is pure,
+    certified_gap bounds how far a recovery's delta^2 lies above the minimum.
     """
 
     def __init__(self, omega: TestEnsemble, sigmas: list, d_env: int):
@@ -240,26 +257,59 @@ class _Objective:
 
     def value_and_grad(self, v: np.ndarray):
         rows = v.reshape(self.d_in, -1)
-        total = 0.0
-        grad = np.zeros_like(rows)
+        total = grad = 0.0
         if self.pure is not None:
             p, psi, sig = self.pure
             a = (psi.conj() @ rows).reshape(len(p), self.d_env, self.d_out)
             asig = a @ sig
-            total += float(p @ np.real(np.sum(asig * a.conj(), axis=(1, 2))))
-            grad += (psi.T * p) @ asig.reshape(len(p), -1)
+            total += np.vdot(a, p[:, None, None] * asig).real
+            grad = grad + (psi.T * p) @ asig.reshape(len(p), -1)
         if self.mixed is not None:
             p, rh, sig = self.mixed
             vs = (v @ sig).reshape(len(p), self.d_in, -1)
-            m = rh @ (vs @ rows.conj().T) @ rh
-            mv, mw = np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
-            mv = np.clip(mv, 0.0, None)
-            f = np.sum(np.sqrt(mv), axis=1)
-            inv_half = (mw * _safe_inv_sqrt(mv)[:, None, :]) @ mw.conj().swapaxes(1, 2)
-            w = (p * f)[:, None, None] * (rh @ inv_half @ rh)
-            total += float(p @ (f * f))
-            grad += np.sum(w @ vs, axis=0)
-        return total, grad.reshape(v.shape)
+            # eigh reads one triangle of the Hermitian M_k, so M_k is not symmetrized
+            mv, mw = np.linalg.eigh(rh @ (vs @ rows.conj().T) @ rh)
+            root = np.sqrt(np.maximum(mv, 0.0))
+            f = root.sum(axis=1)
+            # p_k F_k sqrt(rho_k) M_k^{-1/2} sqrt(rho_k) = x s x^H for x = sqrt(rho_k) W_k,
+            # with M_k's kernel dropped from the inverse square root
+            s = np.divide((p * f)[:, None], root, out=np.zeros_like(root), where=mv > TOL_EIG_SKIP)
+            x = rh @ mw
+            w = (x * s[:, None, :]) @ x.conj().swapaxes(1, 2)
+            total += p @ (f * f)
+            grad = grad + np.sum(w @ vs, axis=0)
+        return float(total), grad.reshape(v.shape)
+
+    @cached_property
+    def q_perp(self) -> np.ndarray:
+        """sum_k p_k (1 - |psi_k><psi_k|) (x) sigma_k^T over the pure members,
+        on (recovery out) (x) (recovery in): delta^2(R) = tr(C_R Q_perp)."""
+        p, psi, sig = self.pure
+        perp = np.eye(self.d_in) - psi[:, :, None] * psi.conj()[:, None, :]
+        n = self.d_in * self.d_out
+        return np.einsum("kab,kdc->acbd", p[:, None, None] * perp, sig).reshape(n, n)
+
+    def certified_gap(self, value: float, recovery: KrausChannel) -> float | None:
+        """value - tr Y + allowance for the dual point Y built from recovery,
+        or None unless every member is pure.
+
+        value is delta^2(recovery) and C_R = sum_j vec(R_j) vec(R_j)^H, row
+        major. Y0 = Herm tr_out(Q_perp C_R) is the dual point at which C_R
+        would be optimal; Y = Y0 + lam 1 with lam = lambda_min(Q_perp - 1 (x) Y0)
+        satisfies 1 (x) Y <= Q_perp, so tr Y <= delta^2(R') for every CPTP R'.
+        The allowance covers the rounding of the eigensolver and the sums.
+        """
+        if self.mixed is not None:
+            return None
+        blocks = (self.d_in, self.d_out, self.d_in, self.d_out)
+        x = recovery.kraus.reshape(len(recovery.kraus), -1)
+        y = np.einsum("acad->cd", (self.q_perp @ (x.T @ x.conj())).reshape(blocks))
+        y = (y + y.conj().T) / 2
+        shifted = self.q_perp.reshape(blocks) - np.eye(self.d_in)[:, None, :, None] * y[None, :, None, :]
+        lam = np.linalg.eigvalsh(shifted.reshape(self.q_perp.shape))[0]  # Q_perp - 1 (x) Y0
+        lower = y.trace().real + self.d_out * lam
+        allowance = 16 * np.finfo(float).eps * len(self.q_perp) * self.d_out
+        return float(value - lower + allowance)
 
 
 def _stack_group(group: list):
@@ -270,16 +320,20 @@ def _stack_group(group: list):
     return np.array(p), np.stack(x), np.stack(sig)
 
 
-def _safe_inv_sqrt(vals: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vals)
-    mask = vals > TOL_EIG_SKIP
-    out[mask] = vals[mask] ** -0.5
-    return out
+def _tangent_part(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g - V Herm(V^H g): the ascent direction at the isometry V.
+
+    The normal part V Herm(V^H g) would pass into the QR factor, and a step
+    along it can lower J to first order.
+    """
+    vg = v.conj().T @ g
+    return g - v @ ((vg + vg.conj().T) / 2)
 
 
 def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
     v = v0
     j, g = obj.value_and_grad(v)
+    g = _tangent_part(v, g)
     step = cfg.step
     trace = [(0, max(0.0, 1.0 - j))]
     converged = False
@@ -290,7 +344,7 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
         jc, gc = obj.value_and_grad(cand)
         if jc > j:
             improved = jc - j
-            v, j, g = cand, jc, gc
+            v, j, g = cand, jc, _tangent_part(cand, gc)
             step *= 1.5
             trace.append((it, max(0.0, 1.0 - j)))
             if improved < cfg.tol:
@@ -304,18 +358,54 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
     return v, j, tuple(trace), converged
 
 
+def _ascents(obj: _Objective, loss: KrausChannel, channels: tuple, cfg: OptimizerConfig):
+    """(recovery, trace, converged) of the ascent from each of channels, then
+    from cfg.restarts random isometries drawn from cfg.seed."""
+    d_in, d_out, d_env = loss.dim_in, loss.dim_out, obj.d_env
+    template = KrausChannel(
+        loss.out_space,
+        loss.in_space,
+        (np.eye(d_in, d_out, dtype=complex),),
+        trace_preserving=False,
+    )
+    starts = [_isometry_from_channel(ch, d_env) for ch in channels]
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.restarts):
+        a = rng.standard_normal((d_in * d_env, d_out)) + 1j * rng.standard_normal((d_in * d_env, d_out))
+        starts.append(_qr_retract(a))
+    for v0 in starts:
+        v, _, trace, conv = _ascend(obj, v0, cfg)
+        yield _channel_from_isometry(v, template), trace, conv
+
+
+def _best(loss: KrausChannel, omega: TestEnsemble, candidates, best=None) -> tuple:
+    """The lowest-delta (report, recovery, trace, converged) over best and
+    candidates, each scored once with delta_with_recovery; ties keep the
+    earlier one. A trace of None stands for a recovery taken as given."""
+    for ch, trace, conv in candidates:
+        rep = delta_with_recovery(loss, ch, omega)
+        if best is None or rep.delta < best[0].delta:
+            best = (rep, ch, trace or ((0, rep.delta**2),), conv)
+    return best
+
+
 def delta_min(
     loss: KrausChannel,
     omega: TestEnsemble,
     cfg: OptimizerConfig | None = None,
     warm_starts: tuple = (),
 ) -> DeltaReport:
-    """Irreversibility minimized over CPTP recoveries (local search).
+    """Irreversibility minimized over CPTP recoveries.
 
-    Runs gradient ascent on sum_k p_k F^2 from the Petz recovery, any caller
-    warm starts, and cfg.restarts random isometries, and keeps the best. The
-    returned delta never exceeds the plain Petz value; it is only certified
-    as a local optimum. The loss must be trace preserving.
+    Scores the Petz recovery and any caller warm starts. For an ensemble of
+    pure states it certifies the best of them with a dual bound, and when
+    the certified gap is at most cfg.tol it returns that candidate without a
+    gradient search. Otherwise it runs gradient ascent on sum_k p_k F^2 from
+    Petz, the warm starts and cfg.restarts random isometries, keeps the best
+    of every candidate, and certifies it when the members are pure. The
+    returned delta never exceeds the plain Petz value; certified_gap bounds
+    its distance to the global minimum (None for mixed members, where only a
+    local optimum is found). The loss must be trace preserving.
     """
     cfg = cfg or OptimizerConfig()
     if _names(omega.space) != _names(loss.in_space):
@@ -323,45 +413,18 @@ def delta_min(
     if not loss.trace_preserving:
         raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
     sigmas = [apply(loss, rho) for _, rho in omega.entries]
-    d_in = loss.dim_in
-    d_out = loss.dim_out
-    d_env = d_in * d_out
-    obj = _Objective(omega, sigmas, d_env)
-    template = KrausChannel(
-        loss.out_space,
-        loss.in_space,
-        (np.eye(d_in, d_out, dtype=complex),),
-        trace_preserving=False,
-    )
+    obj = _Objective(omega, sigmas, loss.dim_in * loss.dim_out)
 
     sigma_bar = DensityMatrix(omega.space, sum(p * rho.data for p, rho in omega.entries))
     petz = petz_recovery(loss, sigma_bar)
-    starts = [_isometry_from_channel(petz, d_env)]
-    for ch in warm_starts:
-        starts.append(_isometry_from_channel(ch, d_env))
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts):
-        a = rng.standard_normal((d_in * d_env, d_out)) + 1j * rng.standard_normal(
-            (d_in * d_env, d_out)
-        )
-        starts.append(_qr_retract(a))
-
     # every candidate, including raw Petz and warm starts, is scored with the
     # same delta_with_recovery call, so the Petz upper bound holds exactly
-    candidates = [(petz, ((0, None),), True)]
-    for ch in warm_starts:
-        candidates.append((ch, ((0, None),), True))
-    for v0 in starts:
-        v, _, trace, conv = _ascend(obj, v0, cfg)
-        candidates.append((_channel_from_isometry(v, template), trace, conv))
-
-    best = None
-    for ch, trace, conv in candidates:
-        rep = delta_with_recovery(loss, ch, omega)
-        if best is None or rep.delta < best[0].delta:
-            if trace and trace[0][1] is None:
-                trace = ((0, rep.delta**2),)
-            best = (rep, ch, trace, conv)
+    best = _best(loss, omega, ((ch, None, True) for ch in (petz, *warm_starts)))
+    gap = obj.certified_gap(best[0].delta ** 2, best[1])
+    if gap is None or gap > cfg.tol:
+        ascended = _best(loss, omega, _ascents(obj, loss, (petz, *warm_starts), cfg), best)
+        if ascended is not best:
+            best, gap = ascended, obj.certified_gap(ascended[0].delta ** 2, ascended[1])
     rep, recovery, trace, conv = best
     return DeltaReport(
         rep.delta,
@@ -370,4 +433,5 @@ def delta_min(
         optimizer_trace=trace,
         converged=conv,
         local_optimum=True,
+        certified_gap=gap,
     )

@@ -96,9 +96,11 @@ _PARTS = ("in_alpha", "in_beta", "out_alpha", "out_beta")
 
 
 def _checked_charges(impl: Implementation, charges: dict | None = None) -> dict:
-    """charges (or impl's own), each slot's dimension checked against its partition."""
+    """charges (or impl's own), each slot present and its dimension checked against its partition."""
     charges = charges or impl.charges
     for slot, part in zip(_SLOTS, _PARTS):
+        if slot not in charges:
+            raise ShapeError(f"charges have no {slot!r} slot; {part} needs one")
         got, want = charges[slot].dim, space_dim(getattr(impl, part))
         if got != want:
             raise ShapeError(f"charge {slot!r} has dimension {got}, but {part} has dimension {want}")

@@ -27,6 +27,7 @@ from irrevkit import (
     pure_state,
     validate_channel,
 )
+from irrevkit import irrev
 from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _grid, _two_copy_comb
 from conftest import (
     SIGMA_X,
@@ -119,6 +120,53 @@ class TestEpsilonExtraction:
         canonical = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), pm_pointer(), cfg)
         optimized = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), OPTIMIZE, cfg)
         assert optimized.value <= canonical.value + 1e-6
+
+
+CRITERION_2 = ExtractionConfig(optimizer=OptimizerConfig(seed=0, max_iters=60, restarts=0))
+
+
+def _meter(rng, d: int, k: int):
+    lab = Label("S", d)
+    rho = rand_state(rng, d, lab)
+    a = Observable((lab,), rand_herm(rng, d, norm=1.0))
+    b = Observable((lab,), rand_herm(rng, d, norm=1.0))
+    return rho, a, b, rand_instrument(rng, d, k, lab)
+
+
+class TestCertifiedOptimize:
+    """OPTIMIZE on the pure +/- ensemble: the warm starts close the dual gap."""
+
+    def test_no_gradient_search_at_criterion_2_budget(self, monkeypatch):
+        calls = []
+        ascend = irrev._ascend
+        monkeypatch.setattr(irrev, "_ascend", lambda *args: calls.append(args) or ascend(*args))
+        rng = np.random.default_rng(40)
+        for d, k in ((2, 2), (3, 3), (4, 2), (2, 4)):
+            rho, a, b, meas = _meter(rng, d, k)
+            for rep in (
+                extract_epsilon(rho, a, meas, OPTIMIZE, CRITERION_2),
+                extract_eta(rho, b, meas, OPTIMIZE, CRITERION_2),
+            ):
+                assert 0.0 <= rep.certified_gap <= CRITERION_2.optimizer.tol
+                assert rep.to_json()["certified_gap"] == rep.certified_gap
+        assert not calls
+
+    def test_certified_curvature_is_the_lt_value(self):
+        # the unified definition: minimized over recoveries, the curvature is the
+        # relabeling-optimal error and the generator-optimal disturbance
+        rng = np.random.default_rng(41)
+        for d, k in ((2, 3), (3, 2), (4, 4)):
+            rho, a, b, meas = _meter(rng, d, k)
+            eps = extract_epsilon(rho, a, meas, OPTIMIZE, CRITERION_2)
+            eta = extract_eta(rho, b, meas, OPTIMIZE, CRITERION_2)
+            assert max(eps.certified_gap, eta.certified_gap) <= CRITERION_2.optimizer.tol
+            assert abs(eps.value - lt_error(rho, a, meas)[0]) <= 1e-6
+            assert abs(eta.value - lt_disturbance(rho, b, meas)[0]) <= 1e-6
+
+    def test_fixed_recovery_reports_no_gap(self):
+        rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), pm_pointer())
+        assert rep.certified_gap is None
+        assert "certified_gap" not in rep.to_json()
 
 
 class TestEtaExtraction:

@@ -97,6 +97,14 @@ def test_charges_override_dimension_is_checked(bound):
         run(bad)
 
 
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+def test_charges_override_missing_slot_is_named(bound):
+    impl, run = BOUNDS[bound]()
+    bad = {k: v for k, v in impl.charges.items() if k != "beta"}
+    with pytest.raises(ShapeError, match="charges have no 'beta' slot; in_beta needs one"):
+        run(bad)
+
+
 class TestImplementation:
     def test_conservation_exact_for_generated_error_impl(self):
         rng = np.random.default_rng(1)
@@ -129,6 +137,14 @@ class TestImplementation:
         with pytest.raises(ShapeError, match=f"charge '{slot}' has dimension 3"):
             Implementation(
                 impl.rho_beta, impl.u, bad, impl.in_alpha, impl.in_beta, impl.out_alpha, impl.out_beta
+            )
+
+    def test_missing_charge_slot_is_named(self):
+        impl, _ = tight_instance()
+        only_alpha = {"alpha": impl.charges["alpha"]}
+        with pytest.raises(ShapeError, match="charges have no 'beta' slot; in_beta needs one"):
+            Implementation(
+                impl.rho_beta, impl.u, only_alpha, impl.in_alpha, impl.in_beta, impl.out_alpha, impl.out_beta
             )
 
     def test_realized_channel_is_the_dephased_pointer(self):
