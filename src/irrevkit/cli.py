@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -822,7 +823,9 @@ def cmd_fixtures(args) -> int:
     return EX_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="irrevkit",
         description="Run irreversibility, error-disturbance, conservation-bound and "

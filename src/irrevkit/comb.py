@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchProbabilityError, ExtractionError, ShapeError
-from .irrev import OptimizerConfig, delta_min
+from .irrev import OptimizerConfig, _delta_min
 from .oracles import lt_disturbance, lt_error, outcome_values
 from .qcore import (
     ID2,
@@ -108,7 +108,7 @@ class CanonicalRecovery:
 
     x lives on some input factor(s); target lists every non-Q input label,
     all of which are traced out. Construction only embeds x (x) sigma_z on
-    target + Q, checking x's labels. `channels` serves every grid theta from
+    target + Q, checking x's labels. `kraus_stack` serves every grid theta from
     one eigendecomposition; `channel`, the member at this theta, is built
     when it is first read.
     """
@@ -132,15 +132,15 @@ class CanonicalRecovery:
         w_dag = flow(-self.gen)
         return w_dag.reshape(len(w_dag), -1, Q_LABEL.dim, len(self.gen))  # Q is the last factor
 
-    def channels(self, thetas) -> list:
-        """The member at each theta, Kraus operators |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
+    def kraus_stack(self, thetas) -> np.ndarray:
+        """(t, 2 n_t, 2, d) Kraus stack of the member at each theta: |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
         rows = KETS.conj() @ self.undo(_flow(thetas))  # (t, n_t, 2, d): <t, psi_k| W(theta)^dag
         ops = KETS[:, None, :, None] * rows.swapaxes(1, 2)[:, :, :, None]
-        return [KrausChannel(self.in_space, (Q_LABEL,), k.reshape(-1, Q_LABEL.dim, len(self.gen))) for k in ops]
+        return ops.reshape(len(ops), -1, Q_LABEL.dim, len(self.gen))
 
     @cached_property
     def channel(self) -> KrausChannel:
-        return self.channels((self.theta,))[0]
+        return KrausChannel(self.in_space, (Q_LABEL,), self.kraus_stack((self.theta,))[0])
 
 
 @dataclass(frozen=True)
@@ -229,15 +229,14 @@ class Comb:
     def full(self) -> tuple:
         return tuple(self.block.space) + (Q_LABEL,)
 
-    def losses(self, thetas) -> list:
-        """The loss at each theta: its Kraus operators S_s U(theta) A_a are the
-        loss amplitudes of the Q basis states, column by column."""
-        amp = _loss_amplitudes(self, _flow(thetas), ID2)
-        tp = self.stage.trace_preserving
-        return [KrausChannel((Q_LABEL,), self.stage.out_space, a.transpose(1, 2, 0), tp) for a in amp]
+    def kraus_stack(self, thetas) -> np.ndarray:
+        """(t, r, d_out, 2) Kraus stack of the loss at each theta: its operators
+        S_s U(theta) A_a are the loss amplitudes of the Q basis states, column by column."""
+        return _loss_amplitudes(self, _flow(thetas), ID2).transpose(0, 2, 3, 1)
 
     def loss(self, theta: float) -> KrausChannel:
-        return self.losses((theta,))[0]
+        ops = self.kraus_stack((theta,))[0]
+        return KrausChannel((Q_LABEL,), self.stage.out_space, ops, self.stage.trace_preserving)
 
 
 def _check_meas(rho: DensityMatrix, gen: Observable, meas: Instrument):
@@ -457,10 +456,12 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     KrausChannel held fixed across the grid, or OPTIMIZE to minimize over
     recoveries at each theta, warm-started from every canonical recovery of
     the comb. Every grid but OPTIMIZE's is one stacked amplitude evaluation
-    over all theta; OPTIMIZE reads the stacked loss and recovery Kraus forms.
-    The test ensemble is pure, so each OPTIMIZE grid value is certified by
-    delta_min's dual bound, and certified_gap is the worst gap over theta:
-    every grid value lies within it of the minimum over all CPTP recoveries.
+    over all theta; OPTIMIZE passes the stacked loss and warm-start Kraus
+    forms through delta_min's kernel in one pass, with a gradient search only
+    at a theta whose gap stays open. The test ensemble is pure, so each
+    OPTIMIZE grid value is certified by the dual bound, and certified_gap is
+    the worst gap over theta: every grid value lies within it of the minimum
+    over all CPTP recoveries.
     cfg.method="analytic" needs a canonical recovery and sums the squared
     theta-derivatives of the same amplitudes at 0, exactly.
     """
@@ -483,12 +484,11 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
 
     branch = gap = None
     if recovery is OPTIMIZE:
-        omega = omega_pm()
-        warm = [rec.channels(cfg.thetas) for rec in comb.recoveries()]
-        reps = [
-            delta_min(loss, omega, cfg.optimizer, warm_starts=tuple(w[i] for w in warm))
-            for i, loss in enumerate(comb.losses(cfg.thetas))
-        ]
+        if not comb.stage.trace_preserving:
+            raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
+        warm = [rec.kraus_stack(cfg.thetas) for rec in comb.recoveries()]
+        spaces = ((Q_LABEL,), comb.stage.out_space)
+        reps = _delta_min(comb.kraus_stack(cfg.thetas), spaces, omega_pm(), cfg.optimizer, warm)
         values = [rep.delta**2 for rep in reps]
         gap = max(rep.certified_gap for rep in reps)  # omega_pm is pure, so every gap is set
     else:

@@ -14,13 +14,17 @@ the value and that bound; when the Petz recovery or a warm start already
 closes the gap, it returns without any gradient search. For mixed members
 the value comes from projected gradient ascent on a Stinespring isometry and
 is only a local optimum.
+
+delta_min is the one-loss case of a kernel over a stack of losses, such as
+an OPTIMIZE grid: the outputs, the Petz recovery, the scores and the dual
+certificate each take one array pass over the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .qcore import (
     _psd_sqrt,
     apply,
     apply_raw,
-    minimal_kraus,
+    kraus_from_choi,
     purified_distance,
 )
 
@@ -109,6 +113,26 @@ class DeltaReport:
         return d
 
 
+def _members(omega: TestEnsemble):
+    """The ensemble as arrays: weights p (n,), states rho (n, d, d), their
+    eigenvectors (n, d, d) in ascending order of eigenvalue, and which members
+    are pure (one eigenvalue above 1e-12), with psi_k the last eigenvector."""
+    p = np.array([w for w, _ in omega.entries])
+    rho = np.stack([r.data for _, r in omega.entries])
+    vals, vecs = np.linalg.eigh(rho)
+    return p, rho, vecs, np.count_nonzero(vals > TOL_EIG_SKIP, axis=-1) == 1
+
+
+def _pure_d2(amp: np.ndarray, vecs: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """sum_ij ||(1 - |psi><psi|) R_j L_i psi||^2 from the loss amplitudes amp
+    (..., r, d_out) = L_i psi, the eigenvectors vecs (..., d, d) of |psi><psi|,
+    psi last, and the recovery's Kraus stack (..., r_R, d, d_out): non-negative
+    terms that do not cancel near zero as 1 - F^2 does."""
+    bras = vecs[..., None, :, :-1].conj().swapaxes(-1, -2) @ kraus  # <psi^perp| R_j
+    bras = bras.reshape(*bras.shape[:-3], -1, bras.shape[-1])
+    return np.sum(np.abs(amp @ bras.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
+
+
 def delta_with_recovery(
     loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble
 ) -> DeltaReport:
@@ -130,6 +154,7 @@ def delta_with_recovery(
     if not recovery.trace_preserving:
         raise ShapeError("delta_with_recovery needs a trace-preserving recovery")
     branch = not loss.trace_preserving
+    _, _, vecs, pure = _members(omega)
     per, probs = [], []
     acc = 0.0
     for k, (p, rho) in enumerate(omega.entries):
@@ -139,11 +164,8 @@ def delta_with_recovery(
             q = float(np.real(np.trace(raw)))
             if q <= TOL_PROB:
                 raise BranchProbabilityError(f"branch probability {q} for state {k} below 1e-12")
-        vals, vecs = np.linalg.eigh(rho.data)
-        if np.count_nonzero(vals > TOL_EIG_SKIP) == 1:
-            # bras of the complement of psi_k, then of R_j onto it: (r_R * (d - 1), d_out)
-            bras = (vecs[:, :-1].conj().T @ recovery.kraus).reshape(-1, loss.dim_out)
-            dk = math.sqrt(float(np.sum(np.abs((loss.kraus @ vecs[:, -1]) @ bras.T) ** 2)) / q)
+        if pure[k]:
+            dk = math.sqrt(float(_pure_d2(loss.kraus @ vecs[k][:, -1], vecs[k], recovery.kraus)) / q)
         elif branch:
             normalized = DensityMatrix(loss.out_space, (raw + raw.conj().T) / (2 * q))
             dk = purified_distance(rho, apply(recovery, normalized))
@@ -170,48 +192,60 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
         raise ShapeError("sigma_ref must live on the loss input space")
     if not loss.trace_preserving:
         raise ShapeError("petz_recovery needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
-    out = apply(loss, sigma_ref)
-    vals, vecs = np.linalg.eigh(out.data)
-    inv_half = np.zeros_like(out.data)
-    kernel = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > TOL_EIG_SKIP:
-            inv_half += (lam ** -0.5) * np.outer(v, v.conj())
-        else:
-            kernel.append(v)
-    s_half = _psd_sqrt(sigma_ref.data)
-    ops = s_half @ loss.kraus.conj().transpose(0, 2, 1) @ inv_half
-    if kernel:
-        svals, svecs = np.linalg.eigh(sigma_ref.data)
+    return KrausChannel(loss.out_space, loss.in_space, _petz(loss.kraus[None], sigma_ref.data)[0])
+
+
+def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(t, n, d_out, d_out) Hermitian parts of sum_i K_i rho_k K_i^H for each loss of
+    the Kraus stack kraus (t, r, d_out, d_in) and each state of rho (n, d_in, d_in)."""
+    k = kraus[:, None]
+    out = np.sum(k @ rho[:, None] @ k.conj().swapaxes(-1, -2), axis=2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
+def _choi(kraus: np.ndarray) -> np.ndarray:
+    """Choi matrices sum_j vec(K_j) vec(K_j)^H, row-major vec, of each (..., r, a, b) Kraus
+    stack, in one matmul (qcore.choi adds in operator order, one channel at a time)."""
+    v = kraus.reshape(*kraus.shape[:-2], -1)
+    return v.swapaxes(-1, -2) @ v.conj()
+
+
+def _minimal(kraus: np.ndarray) -> np.ndarray:
+    """Each (..., r, a, b) Kraus stack re-extracted from its Choi matrix, padded as kraus_from_choi pads."""
+    return kraus_from_choi(_choi(kraus), kraus.shape[-1], kraus.shape[-2])
+
+
+def _petz(kraus: np.ndarray, sigma_ref: np.ndarray) -> np.ndarray:
+    """(t, r, d_in, d_out) minimal Kraus stacks of the Petz recovery of each loss of
+    the stack kraus (t, r_L, d_out, d_in) with respect to sigma_ref, as petz_recovery
+    documents; ranks that differ over the stack are padded with zero operators."""
+    vals, vecs = np.linalg.eigh(_outputs(kraus, sigma_ref[None])[:, 0])
+    live = vals > TOL_EIG_SKIP
+    inv_half = (vecs * np.where(live, vals, np.inf)[:, None, :] ** -0.5) @ vecs.conj().swapaxes(1, 2)
+    ops = _psd_sqrt(sigma_ref) @ kraus.conj().swapaxes(-1, -2) @ inv_half[:, None]
+    if not live.all():
+        # sqrt(s) |s><v| for each eigenpair of sigma_ref above 1e-12 (outer) and each
+        # eigenvector v of the output, zero unless v spans the output's kernel
+        svals, svecs = np.linalg.eigh(sigma_ref)
         keep = svals > TOL_EIG_SKIP
-        # sqrt(s) |v><kv| for each kept eigenpair of sigma_ref (outer) and kernel vector kv
-        kv = np.conj(kernel)
-        rep = svecs.T[keep][:, None, :, None] * kv[None, :, None, :]
-        rep = np.sqrt(svals[keep])[:, None, None, None] * rep
-        ops = np.concatenate([ops, rep.reshape(-1, *ops.shape[1:])])
-    ch = KrausChannel(loss.out_space, loss.in_space, ops)
-    return minimal_kraus(ch)
+        kets = (np.sqrt(svals[keep]) * svecs[:, keep]).T
+        rows = vecs.conj().swapaxes(1, 2) * ~live[:, :, None]
+        rep = kets[None, :, None, :, None] * rows[:, None, :, None, :]
+        ops = np.concatenate([ops, rep.reshape(len(ops), -1, *ops.shape[2:])], axis=1)
+    return _minimal(ops)
 
 
-def _isometry_from_channel(ch: KrausChannel, d_env: int) -> np.ndarray:
+def _isometry(ops: np.ndarray, d_env: int) -> np.ndarray:
     """Stack Kraus operators into V with V[i*d_env + e, o] = K_e[i, o].
 
-    A channel with more than d_env = dim_in * dim_out operators is first
-    re-extracted to at most that many from its Choi matrix.
+    More than d_env = dim_in * dim_out operators are first re-extracted to at
+    most that many from their Choi matrix.
     """
-    ops = ch.kraus if len(ch.kraus) <= d_env else minimal_kraus(ch).kraus
+    ops = ops if len(ops) <= d_env else _minimal(ops)
     r, d_in, d_out = ops.shape
     v = np.zeros((d_in, d_env, d_out), dtype=complex)
     v[:, :r] = ops.transpose(1, 0, 2)
     return v.reshape(-1, d_out)
-
-
-def _channel_from_isometry(v: np.ndarray, template: KrausChannel) -> KrausChannel:
-    d_out_r = v.shape[1]
-    d_in_r = template.dim_out  # recovery output dim = loss input dim
-    d_env = v.shape[0] // d_in_r
-    ops = v.reshape(d_in_r, d_env, d_out_r).transpose(1, 0, 2)
-    return minimal_kraus(KrausChannel(template.in_space, template.out_space, ops))
 
 
 def _qr_retract(a: np.ndarray) -> np.ndarray:
@@ -225,7 +259,7 @@ class _Objective:
     """J(V) = sum_k p_k F^2(rho_k, tr_env V sigma_k V^H) and its gradient.
 
     V has shape (d_in * d_env, d_out) with V[j * d_env + e, o] = K_e[j, o],
-    the recovery's Kraus operators stacked as in _isometry_from_channel; its
+    the recovery's Kraus operators stacked as in _isometry; its
     row view reshapes it to (d_in, d_env * d_out). The ensemble is split once,
     at construction, into two stacked groups, each evaluated per call with one
     batched matmul chain:
@@ -236,24 +270,19 @@ class _Objective:
       (n_m, d_out, d_out), with F^2 = (tr sqrt M_k)^2 for
       M_k = sqrt(rho_k) R(sigma_k) sqrt(rho_k), all M_k in one stacked eigh.
 
-    value_and_grad returns J and G = dJ/d(conj V), shaped like V, so that
-    dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV). When every member is pure,
-    certified_gap bounds how far a recovery's delta^2 lies above the minimum.
+    sigmas is the (n, d_out, d_out) stack of the loss outputs. value_and_grad
+    returns J and G = dJ/d(conj V), shaped like V, so that
+    dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV).
     """
 
-    def __init__(self, omega: TestEnsemble, sigmas: list, d_env: int):
+    def __init__(self, omega: TestEnsemble, sigmas: np.ndarray, d_env: int):
+        p, rho, vecs, pure = _members(omega)
         self.d_env = d_env
-        self.d_in = omega.entries[0][1].dim
-        self.d_out = sigmas[0].dim
-        pure, mixed = [], []
-        for (p, rho), sig in zip(omega.entries, sigmas):
-            vals, vecs = np.linalg.eigh(rho.data)
-            if np.count_nonzero(vals > 1e-12) == 1:
-                pure.append((p, vecs[:, int(np.argmax(vals))], sig.data))
-            else:
-                mixed.append((p, _psd_sqrt(rho.data), sig.data))
-        self.pure = _stack_group(pure)
-        self.mixed = _stack_group(mixed)
+        self.d_in = rho.shape[-1]
+        self.d_out = sigmas.shape[-1]
+        self.pure = (p[pure], vecs[pure, :, -1], sigmas[pure]) if pure.any() else None
+        roots = [_psd_sqrt(r) for r in rho[~pure]]
+        self.mixed = (p[~pure], np.array(roots), sigmas[~pure]) if roots else None
 
     def value_and_grad(self, v: np.ndarray):
         rows = v.reshape(self.d_in, -1)
@@ -280,44 +309,33 @@ class _Objective:
             grad = grad + np.sum(w @ vs, axis=0)
         return float(total), grad.reshape(v.shape)
 
-    @cached_property
-    def q_perp(self) -> np.ndarray:
-        """sum_k p_k (1 - |psi_k><psi_k|) (x) sigma_k^T over the pure members,
-        on (recovery out) (x) (recovery in): delta^2(R) = tr(C_R Q_perp)."""
-        p, psi, sig = self.pure
-        perp = np.eye(self.d_in) - psi[:, :, None] * psi.conj()[:, None, :]
-        n = self.d_in * self.d_out
-        return np.einsum("kab,kdc->acbd", p[:, None, None] * perp, sig).reshape(n, n)
 
-    def certified_gap(self, value: float, recovery: KrausChannel) -> float | None:
-        """value - tr Y + allowance for the dual point Y built from recovery,
-        or None unless every member is pure.
+def _certified_gap(p, vecs, sigmas, choi, value) -> np.ndarray:
+    """value - tr Y + allowance at each loss of a stack, for pure members.
 
-        value is delta^2(recovery) and C_R = sum_j vec(R_j) vec(R_j)^H, row
-        major. Y0 = Herm tr_out(Q_perp C_R) is the dual point at which C_R
-        would be optimal; Y = Y0 + lam 1 with lam = lambda_min(Q_perp - 1 (x) Y0)
-        satisfies 1 (x) Y <= Q_perp, so tr Y <= delta^2(R') for every CPTP R'.
-        The allowance covers the rounding of the eigensolver and the sums.
-        """
-        if self.mixed is not None:
-            return None
-        blocks = (self.d_in, self.d_out, self.d_in, self.d_out)
-        x = recovery.kraus.reshape(len(recovery.kraus), -1)
-        y = np.einsum("acad->cd", (self.q_perp @ (x.T @ x.conj())).reshape(blocks))
-        y = (y + y.conj().T) / 2
-        shifted = self.q_perp.reshape(blocks) - np.eye(self.d_in)[:, None, :, None] * y[None, :, None, :]
-        lam = np.linalg.eigvalsh(shifted.reshape(self.q_perp.shape))[0]  # Q_perp - 1 (x) Y0
-        lower = y.trace().real + self.d_out * lam
-        allowance = 16 * np.finfo(float).eps * len(self.q_perp) * self.d_out
-        return float(value - lower + allowance)
-
-
-def _stack_group(group: list):
-    """(weights, per-member arrays, sigmas) stacked along a leading axis."""
-    if not group:
-        return None
-    p, x, sig = zip(*group)
-    return np.array(p), np.stack(x), np.stack(sig)
+    p (n,) and vecs (n, d_in, d_in) are the members as _members gives them,
+    sigmas (t, n, d_out, d_out) their outputs, choi (t, n_c, n_c) the Choi
+    matrix C_R of a recovery at each loss (row-major, n_c = d_in * d_out) and
+    value (t,) its delta^2. With Q_perp = sum_k p_k (1 - |psi_k><psi_k|) (x)
+    sigma_k^T on (recovery out) (x) (recovery in), delta^2(R) = tr(C_R Q_perp).
+    Y0 = Herm tr_out(Q_perp C_R) is the dual point at which C_R would be
+    optimal; Y = Y0 + lam 1 with lam = lambda_min(Q_perp - 1 (x) Y0) satisfies
+    1 (x) Y <= Q_perp, so tr Y <= delta^2(R') for every CPTP R'. The allowance
+    covers the rounding of the eigensolver and the sums.
+    """
+    t, _, d_out, _ = sigmas.shape
+    d_in = vecs.shape[-1]
+    n = d_in * d_out
+    psi = vecs[..., -1]
+    perp = np.eye(d_in) - psi[:, :, None] * psi.conj()[:, None, :]
+    q_perp = np.einsum("kab,tkdc->tacbd", p[:, None, None] * perp, sigmas).reshape(t, n, n)
+    blocks = (t, d_in, d_out, d_in, d_out)
+    y = np.einsum("tacad->tcd", (q_perp @ choi).reshape(blocks))
+    y = (y + y.conj().swapaxes(1, 2)) / 2
+    shifted = q_perp.reshape(blocks) - np.eye(d_in)[:, None, :, None] * y[:, None, :, None, :]
+    lam = np.linalg.eigvalsh(shifted.reshape(t, n, n))[:, 0]  # Q_perp - 1 (x) Y0
+    lower = np.trace(y, axis1=1, axis2=2).real + d_out * lam
+    return value - lower + 16 * np.finfo(float).eps * n * d_out
 
 
 def _tangent_part(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -358,35 +376,78 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
     return v, j, tuple(trace), converged
 
 
-def _ascents(obj: _Objective, loss: KrausChannel, channels: tuple, cfg: OptimizerConfig):
-    """(recovery, trace, converged) of the ascent from each of channels, then
-    from cfg.restarts random isometries drawn from cfg.seed."""
+def _ascents(obj: _Objective, loss: KrausChannel, kraus: list, cfg: OptimizerConfig):
+    """(recovery, trace, converged) of the ascent from each recovery Kraus stack
+    in kraus, then from cfg.restarts random isometries drawn from cfg.seed."""
     d_in, d_out, d_env = loss.dim_in, loss.dim_out, obj.d_env
-    template = KrausChannel(
-        loss.out_space,
-        loss.in_space,
-        (np.eye(d_in, d_out, dtype=complex),),
-        trace_preserving=False,
-    )
-    starts = [_isometry_from_channel(ch, d_env) for ch in channels]
+    starts = [_isometry(ops, d_env) for ops in kraus]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.restarts):
         a = rng.standard_normal((d_in * d_env, d_out)) + 1j * rng.standard_normal((d_in * d_env, d_out))
         starts.append(_qr_retract(a))
     for v0 in starts:
         v, _, trace, conv = _ascend(obj, v0, cfg)
-        yield _channel_from_isometry(v, template), trace, conv
+        ops = v.reshape(d_in, d_env, d_out).transpose(1, 0, 2)
+        yield KrausChannel(loss.out_space, loss.in_space, _minimal(ops)), trace, conv
 
 
-def _best(loss: KrausChannel, omega: TestEnsemble, candidates, best=None) -> tuple:
+def _best(loss: KrausChannel, omega: TestEnsemble, candidates, best) -> tuple:
     """The lowest-delta (report, recovery, trace, converged) over best and
     candidates, each scored once with delta_with_recovery; ties keep the
-    earlier one. A trace of None stands for a recovery taken as given."""
+    earlier one."""
     for ch, trace, conv in candidates:
         rep = delta_with_recovery(loss, ch, omega)
-        if best is None or rep.delta < best[0].delta:
-            best = (rep, ch, trace or ((0, rep.delta**2),), conv)
+        if rep.delta < best[0].delta:
+            best = (rep, ch, trace, conv)
     return best
+
+
+def _delta_min(kraus: np.ndarray, spaces: tuple, omega: TestEnsemble, cfg: OptimizerConfig, warm: list) -> list:
+    """delta_min at each loss of the Kraus stack kraus (t, r, d_out, d_in), whose
+    (input, output) spaces are spaces: one DeltaReport per loss.
+
+    warm holds one (t, r_w, d_in, d_out) Kraus stack per warm start. The
+    outputs, the Petz recovery of the ensemble average, the scores of Petz
+    and of every warm start and, for pure members, the dual certificate of
+    the best of them are each one array pass over the stack. The gradient
+    search runs only at a loss whose certified gap is above cfg.tol, or at
+    every loss when a member is mixed; it starts from that loss's Petz and
+    warm starts.
+    """
+    p, rho, vecs, pure = _members(omega)
+    pure = pure.all()
+    sigmas = _outputs(kraus, rho)
+    cands = [_petz(kraus, np.tensordot(p, rho, 1)), *warm]
+    loss_at = cache(lambda i: KrausChannel(*spaces, kraus[i]))
+    rec_at = cache(lambda c, i: KrausChannel(spaces[1], spaces[0], cands[c][i]))
+    at = np.arange(len(kraus))
+    if pure:
+        amp = (kraus[:, None] @ vecs[:, None, :, -1:])[..., 0]  # (t, n, r, d_out): L_i psi_k
+        per = np.sqrt([_pure_d2(amp, vecs, c[:, None]) for c in cands])
+    else:
+        scored = [[delta_with_recovery(loss_at(i), rec_at(c, i), omega) for i in at] for c in range(len(cands))]
+        per = np.array([[[dk for _, dk in rep.per_state] for rep in row] for row in scored])
+    delta = np.sqrt(np.maximum((p * per * per).sum(axis=-1), 0.0))  # (candidate, t)
+    win = np.argmin(delta, axis=0)  # ties keep the earlier candidate
+    gaps = [None] * len(at)
+    if pure:
+        chois = np.stack([_choi(c) for c in cands])[win, at]
+        gaps = _certified_gap(p, vecs, sigmas, chois, delta[win, at] ** 2).tolist()
+    reports = []
+    for i, c, gap in zip(at, win.tolist(), gaps):
+        rep = DeltaReport(float(delta[c, i]), tuple(enumerate(per[c, i].tolist())), recovery_used=rec_at(c, i))
+        best = (rep, rep.recovery_used, ((0, rep.delta**2),), True)
+        if gap is None or gap > cfg.tol:
+            obj = _Objective(omega, sigmas[i], kraus.shape[-1] * kraus.shape[-2])
+            ascended = _best(loss_at(i), omega, _ascents(obj, loss_at(i), [c[i] for c in cands], cfg), best)
+            if ascended is not best:
+                best = ascended
+                if gap is not None:
+                    value = np.array([ascended[0].delta ** 2])
+                    gap = float(_certified_gap(p, vecs, sigmas[i : i + 1], _choi(ascended[1].kraus)[None], value)[0])
+        rep, recovery, trace, conv = best
+        reports.append(DeltaReport(rep.delta, rep.per_state, recovery, trace, conv, True, certified_gap=gap))
+    return reports
 
 
 def delta_min(
@@ -405,33 +466,16 @@ def delta_min(
     of every candidate, and certifies it when the members are pure. The
     returned delta never exceeds the plain Petz value; certified_gap bounds
     its distance to the global minimum (None for mixed members, where only a
-    local optimum is found). The loss must be trace preserving.
+    local optimum is found). The loss must be trace preserving, and each warm
+    start a trace-preserving channel from its output back to its input.
     """
     cfg = cfg or OptimizerConfig()
     if _names(omega.space) != _names(loss.in_space):
         raise ShapeError("ensemble space does not match the loss input space")
     if not loss.trace_preserving:
         raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
-    sigmas = [apply(loss, rho) for _, rho in omega.entries]
-    obj = _Objective(omega, sigmas, loss.dim_in * loss.dim_out)
-
-    sigma_bar = DensityMatrix(omega.space, sum(p * rho.data for p, rho in omega.entries))
-    petz = petz_recovery(loss, sigma_bar)
-    # every candidate, including raw Petz and warm starts, is scored with the
-    # same delta_with_recovery call, so the Petz upper bound holds exactly
-    best = _best(loss, omega, ((ch, None, True) for ch in (petz, *warm_starts)))
-    gap = obj.certified_gap(best[0].delta ** 2, best[1])
-    if gap is None or gap > cfg.tol:
-        ascended = _best(loss, omega, _ascents(obj, loss, (petz, *warm_starts), cfg), best)
-        if ascended is not best:
-            best, gap = ascended, obj.certified_gap(ascended[0].delta ** 2, ascended[1])
-    rep, recovery, trace, conv = best
-    return DeltaReport(
-        rep.delta,
-        rep.per_state,
-        recovery_used=recovery,
-        optimizer_trace=trace,
-        converged=conv,
-        local_optimum=True,
-        certified_gap=gap,
-    )
+    for w in warm_starts:
+        if (w.in_space, w.out_space) != (loss.out_space, loss.in_space) or not w.trace_preserving:
+            raise ShapeError("a warm start must be a trace-preserving channel from the loss output to its input")
+    warm = [w.kraus[None] for w in warm_starts]
+    return _delta_min(loss.kraus[None], (loss.in_space, loss.out_space), omega, cfg, warm)[0]

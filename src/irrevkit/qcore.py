@@ -519,12 +519,19 @@ def choi(ch: KrausChannel) -> np.ndarray:
 
 
 def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = 1e-14) -> np.ndarray:
-    """(r, dim_out, dim_in) Kraus stack from the eigenvectors of c above tol."""
-    vals, vecs = np.linalg.eigh((c + c.conj().T) / 2)
-    keep = vals > tol
-    if not keep.any():
-        return np.zeros((1, dim_out, dim_in), dtype=complex)
-    return (np.sqrt(vals[keep]) * vecs[:, keep]).T.reshape(-1, dim_out, dim_in)
+    """(r, dim_out, dim_in) Kraus stack from the eigenvectors of c above tol.
+
+    A (..., n, n) stack of Choi matrices gives a (..., r, dim_out, dim_in)
+    stack, r the largest count kept, the smaller ranks padded with zero
+    operators.
+    """
+    vals, vecs = np.linalg.eigh((c + c.conj().swapaxes(-1, -2)) / 2)
+    r = int(np.max(np.count_nonzero(vals > tol, axis=-1)))
+    if not r:
+        return np.zeros((*c.shape[:-2], 1, dim_out, dim_in), dtype=complex)
+    # eigh sorts ascending, so the kept eigenpairs are the last r of the largest rank
+    w = np.sqrt(np.where(vals > tol, vals, 0.0))[..., None, -r:]
+    return (w * vecs[..., -r:]).swapaxes(-1, -2).reshape(*c.shape[:-2], r, dim_out, dim_in)
 
 
 def minimal_kraus(ch: KrausChannel) -> KrausChannel:

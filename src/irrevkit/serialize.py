@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -202,12 +203,12 @@ def _floats(seq, sep: str, nl: str) -> str | None:
     try:
         if type(seq[0]) is float:
             text = sep.join(map(float.__repr__, seq))
-        elif set(map(type, seq)) <= {list, tuple}:
-            pair = "[" + nl + "  %s," + nl + "  %s" + nl + "]"
-            text = sep.join([pair % (float.__repr__(re), float.__repr__(im)) for re, im in seq])
+        elif set(map(type, seq)) <= {list, tuple} and set(map(len, seq)) == {2}:
+            pairs = sep.join(["[" + nl + "  %s," + nl + "  %s" + nl + "]"] * len(seq))
+            text = pairs % tuple(map(float.__repr__, chain.from_iterable(seq)))
         else:
             return None
-    except (TypeError, ValueError):  # not a float, or not a pair
+    except TypeError:  # not a float
         return None
     return None if "n" in text else text  # no finite float's repr has an "n"; nan and inf go to _float
 

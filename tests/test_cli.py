@@ -209,6 +209,26 @@ class TestExtractionModes:
         assert "apply_raw" not in err
 
 
+class TestParserReuse:
+    def test_successive_calls_behave_as_alone(self, corpus, tmp_path, capsys):
+        # the parser is built once per process, and no call's arguments reach the next
+        assert cli.build_parser() is cli.build_parser()
+        src = str(shutil.copy(corpus / "lt-error-qubit.json", tmp_path / "lt.json"))
+        explicit = tmp_path / "explicit.report.json"
+        assert main(["run", src, "-o", str(explicit)]) == 0
+        assert main(["validate", src]) == 0
+        csv = tmp_path / "bad.csv"
+        assert main(["sweep", src, "-p", "state.matrix", "-g", "a,b", "-o", str(csv)]) == 2
+        assert not csv.exists()
+        # without -o, run writes the scenario's own output name beside it
+        assert main(["run", src]) == 0
+        written = sorted(p.name for p in tmp_path.glob("*.report.json"))
+        assert written == ["explicit.report.json", "lt-error-qubit.report.json"]
+        assert load_report(explicit)["result"] == load_report(tmp_path / "lt-error-qubit.report.json")["result"]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1  # the sweep's grid error alone
+
+
 class TestExitCodes:
     def test_malformed_json_is_2(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -14,6 +14,7 @@ from irrevkit import (
     CompositeSpaceError,
     ShapeError,
     canonical_recovery,
+    delta_min,
     embed,
     extract,
     extract_epsilon,
@@ -167,6 +168,54 @@ class TestCertifiedOptimize:
         rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), pm_pointer())
         assert rep.certified_gap is None
         assert "certified_gap" not in rep.to_json()
+
+
+class TestStackedOptimize:
+    """OPTIMIZE's one pass over the grid against delta_min at each theta on its own."""
+
+    @staticmethod
+    def per_theta(comb, cfg: ExtractionConfig):
+        reps = []
+        for theta in cfg.thetas:
+            warm = tuple(canonical_recovery(r.x, r.target, theta).channel for r in comb.recoveries())
+            reps.append(delta_min(comb.loss(theta), omega_pm(), cfg.optimizer, warm_starts=warm))
+        return [rep.delta**2 for rep in reps], max(rep.certified_gap for rep in reps)
+
+    def test_grid_and_gap_match_per_theta_delta_min(self):
+        rng = np.random.default_rng(42)
+        for d, k in ((2, 2), (3, 3), (4, 2)):
+            rho, a, b, meas = _meter(rng, d, k)
+            for comb in (_error_comb(rho, a, meas), _disturbance_comb(rho, b, meas)):
+                rep = extract(comb, OPTIMIZE, CRITERION_2)
+                values, gap = self.per_theta(comb, CRITERION_2)
+                got = np.array([v for _, v in rep.theta_grid])
+                assert np.max(np.abs(got - values) / np.abs(values)) <= 1e-12
+                assert abs(rep.certified_gap - gap) <= 1e-12
+
+    def test_zero_tol_ascends_at_every_theta(self, monkeypatch):
+        # no gap is <= 0 (the rounding allowance is added), so every theta runs the ascent
+        # from Petz and each warm start; the values are those of the per-theta path
+        # before the grid was stacked, frozen here
+        calls = []
+        ascend = irrev._ascend
+        monkeypatch.setattr(irrev, "_ascend", lambda *args: calls.append(args) or ascend(*args))
+        cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=60, restarts=0, tol=0.0))
+        rho, a, b, meas = _meter(np.random.default_rng(43), 2, 2)
+        frozen = {
+            "error": [4.5662664484519204e-05, 1.1415866708650678e-05, 2.8539792137561103e-06, 7.134955869740878e-07],
+            "disturbance": [4.851313149542029e-06, 1.212852000587053e-06, 3.032144822327776e-07, 7.580371318871918e-08],
+        }
+        for (name, comb), starts in zip(
+            (("error", _error_comb(rho, a, meas)), ("disturbance", _disturbance_comb(rho, b, meas))), (2, 3)
+        ):
+            del calls[:]
+            rep = extract(comb, OPTIMIZE, cfg)
+            assert len(calls) == starts * len(cfg.thetas)
+            got = np.array([v for _, v in rep.theta_grid])
+            assert np.max(np.abs(got - frozen[name]) / frozen[name]) <= 1e-12, name
+            values, gap = self.per_theta(comb, cfg)
+            assert np.max(np.abs(got - values) / np.abs(values)) <= 1e-12, name
+            assert abs(rep.certified_gap - gap) <= 1e-12, name
 
 
 class TestEtaExtraction:

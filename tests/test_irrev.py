@@ -121,6 +121,26 @@ class TestPetz:
         assert np.max(np.abs(back.data - sigma.data)) < 1e-9
 
 
+class TestStackedPetz:
+    def test_kernel_repair_matches_petz_recovery_at_each_loss(self):
+        # an isometry A -> B (padded with a zero operator) leaves half of B unreached, so
+        # its Petz recovery needs the kernel repair; the full-rank loss beside it does
+        # not, and has the smaller Petz rank, padded with zero operators in the stack
+        rng = np.random.default_rng(50)
+        a, b = Label("A", 2), Label("B", 4)
+        iso = rand_kraus(rng, 2, 4, 1)[0]
+        kraus = np.stack([np.concatenate([iso, np.zeros_like(iso)]), rand_kraus(rng, 2, 4, 2)[0]])
+        sigma = rand_state(rng, 2, a)
+        stacked = irrev._petz(kraus, sigma.data)
+        ranks = []
+        for ops, petz_ops in zip(kraus, stacked):
+            loss = KrausChannel((a,), (b,), ops)
+            ranks.append(np.linalg.matrix_rank(apply(loss, sigma).data, tol=1e-12))
+            want = choi(petz_recovery(loss, sigma))
+            assert np.max(np.abs(choi(KrausChannel((b,), (a,), petz_ops)) - want)) <= 1e-12
+        assert ranks == [2, 4]
+
+
 def compose_id(second, first):
     from irrevkit import compose
 
@@ -188,7 +208,7 @@ class TestObjectiveGradient:
         members = [(rand_pure if c == "p" else rand_state)(rng, d, lab) for c in kinds]
         omega = _ensemble(rng, members)
         sigmas = [apply(loss, rho) for rho in members]
-        obj = _Objective(omega, sigmas, d * d)
+        obj = _Objective(omega, np.stack([s.data for s in sigmas]), d * d)
         shape = (d * d * d, d)
         v = _qr_retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         dv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -222,8 +242,11 @@ def _pure_case(rng, d_in: int, d_out: int):
     return loss, _ensemble(rng, members)
 
 
-def _objective(loss, omega) -> _Objective:
-    return _Objective(omega, [apply(loss, rho) for _, rho in omega.entries], loss.dim_in * loss.dim_out)
+def _gap(loss, omega, value: float, recovery) -> float:
+    """The certified gap of recovery, whose delta^2 is value, on a pure ensemble."""
+    p, rho, vecs, _ = irrev._members(omega)
+    sigmas = irrev._outputs(loss.kraus[None], rho)
+    return float(irrev._certified_gap(p, vecs, sigmas, irrev._choi(recovery.kraus)[None], np.array([value]))[0])
 
 
 class TestCertificate:
@@ -236,14 +259,13 @@ class TestCertificate:
         for d_in in (2, 3):
             for d_out in (2, 3, 4):
                 loss, omega = _pure_case(rng, d_in, d_out)
-                obj = _objective(loss, omega)
                 recs = [petz_recovery(loss, DeltaHelpers.average(omega))]
                 for extra in range(4):
                     ops = rand_kraus(rng, d_out, d_in, -(-d_out // d_in) + extra)[0]
                     recs.append(KrausChannel(loss.out_space, loss.in_space, ops))
                 values = [delta_with_recovery(loss, rec, omega).delta ** 2 for rec in recs]
                 for rec, v in zip(recs, values):
-                    gap = obj.certified_gap(v, rec)
+                    gap = _gap(loss, omega, v, rec)
                     assert gap >= 0.0
                     assert v - gap <= min(values)
 
@@ -272,7 +294,7 @@ class TestCertificate:
         petz = petz_recovery(loss, DeltaHelpers.average(omega))
         # Petz alone is far from certified, so the gradient search decides the value
         petz_value = delta_with_recovery(loss, petz, omega).delta ** 2
-        assert _objective(loss, omega).certified_gap(petz_value, petz) > 1e-2
+        assert _gap(loss, omega, petz_value, petz) > 1e-2
         rep = delta_min(loss, omega)
         assert rep.certified_gap <= 1e-4
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -343,6 +344,15 @@ class TestPauliStrings:
         assert xz.data.shape == (4, 4)
         assert abs(xz.data[0, 2] - 1.0) < 1e-12
         assert abs(xz.data[1, 3] + 1.0) < 1e-12
+
+    def test_matches_the_kron_chain_byte_for_byte(self):
+        # signed zeros included: reports echo them, as -0.0 entries of Pauli-string observables
+        for n in range(1, 5):
+            for ops in itertools.product("IXYZ", repeat=n):
+                want = np.array([[1.0 + 0.0j]])
+                for c in ops:
+                    want = np.kron(want, otoc_module.PAULI[c])
+                assert pauli_string("".join(ops)).data.tobytes() == want.tobytes(), ops
 
     def test_invalid_characters_rejected(self):
         with pytest.raises(ValueError):

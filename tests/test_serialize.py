@@ -148,6 +148,22 @@ class TestCanonicalJsonIdentity:
     def test_matches_json_dumps(self, obj):
         assert emitted_json(obj) == reference_json(obj)
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [[-0.0, 0.5], [1.5, -0.0]],
+            [[0.5, 1.5], [2, 0.5]],
+            [[0.5, 1.5], [0.5]],
+            [[0.5, 1.5], [0.5, 1.5, 2.5]],
+            [[0.5], [0.5, 1.5, 2.5]],
+            [[0.5, float("nan")], [1.5, 0.5]],
+            [[0.5, 1.5], (True, 0.5)],
+        ],
+        ids=["signed-zeros", "int", "one-element", "three-element", "one-and-three", "nan", "bool"],
+    )
+    def test_pair_rows_match_json_dumps(self, obj):
+        assert emitted_json(obj) == reference_json(obj)
+
     @pytest.mark.parametrize("obj", [{1j: 0}, [{1.0, 2.0}], [[0.5, {1.0, 2.0}]], [[0.5, 1.5], {1.0, 2.0}]])
     def test_unsupported_types_raise_as_json_does(self, obj):
         assert emitted_json(obj) == reference_json(obj)
