@@ -22,9 +22,7 @@ certificate each take one array pass over the stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
-from functools import cache
 
 import numpy as np
 
@@ -35,12 +33,10 @@ from .qcore import (
     DensityMatrix,
     KrausChannel,
     TestEnsemble,
+    _fidelity,
     _names,
     _psd_sqrt,
-    apply,
-    apply_raw,
     kraus_from_choi,
-    purified_distance,
 )
 
 __all__ = [
@@ -133,6 +129,45 @@ def _pure_d2(amp: np.ndarray, vecs: np.ndarray, kraus: np.ndarray) -> np.ndarray
     return np.sum(np.abs(amp @ bras.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
 
 
+def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(..., n, a, a) Hermitian parts of sum_i K_i rho_k K_i^H for the Kraus stack
+    kraus (..., r, a, b) and each state of rho (..., n, b, b), the leading axes
+    broadcast; the operators are added in order, as qcore.apply_raw adds them."""
+    k = kraus[..., None, :, :, :]
+    out = np.sum(k @ rho[..., None, :, :] @ k.conj().swapaxes(-1, -2), axis=-3)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
+def _amplitudes(kraus: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(t, n, r, d_out) amplitudes L_i psi_k of the Kraus stack kraus (t, r, d_out, d_in)
+    on each member's top eigenvector, psi_k = vecs[k][:, -1]."""
+    return (kraus[:, None] @ vecs[:, None, :, -1:])[..., 0]
+
+
+def _distances(amp: np.ndarray, outs: np.ndarray, recovery: np.ndarray, members: tuple, q=1.0) -> np.ndarray:
+    """(t, n) distances D_k after each loss of a stack of t losses and the
+    recovery stack recovery (t, r_R, d_in, d_out) at it, for the members as
+    _members gives them. amp (t, n, r, d_out) holds the loss amplitudes L_i
+    psi_k of each member's top eigenvector, outs (t, n, d_out, d_out) the loss
+    outputs and q (t, n) the branch probabilities they are divided by. A pure
+    member scores _pure_d2 / q, a mixed one the purified distance of its round
+    trip, all mixed members and losses in one _fidelity pass."""
+    _, rho, vecs, pure = members
+    # every member in the amplitude form, the mixed ones overwritten: a copied pure
+    # subset of vecs would take another BLAS path
+    sq = _pure_d2(amp, vecs, recovery[:, None]) / q if pure.any() else np.empty(outs.shape[:2])
+    if not pure.all():
+        q = np.broadcast_to(q, sq.shape)[:, ~pure, None, None]
+        f = _fidelity(rho[~pure], _outputs(recovery, outs[:, ~pure] / q))
+        sq[:, ~pure] = np.maximum(0.0, 1.0 - f * f)
+    return np.sqrt(sq)
+
+
+def _rms(p: np.ndarray, per: np.ndarray) -> np.ndarray:
+    """sqrt(sum_k p_k per_k^2) over the last axis, added in member order."""
+    return np.sqrt(np.maximum(np.add.accumulate(p * per * per, axis=-1)[..., -1], 0.0))
+
+
 def delta_with_recovery(
     loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble
 ) -> DeltaReport:
@@ -153,29 +188,19 @@ def delta_with_recovery(
         raise ShapeError("recovery output space does not match the loss input space")
     if not recovery.trace_preserving:
         raise ShapeError("delta_with_recovery needs a trace-preserving recovery")
-    branch = not loss.trace_preserving
-    _, _, vecs, pure = _members(omega)
-    per, probs = [], []
-    acc = 0.0
-    for k, (p, rho) in enumerate(omega.entries):
-        q = 1.0
-        if branch:
-            raw = apply_raw(loss, rho.data)
-            q = float(np.real(np.trace(raw)))
-            if q <= TOL_PROB:
-                raise BranchProbabilityError(f"branch probability {q} for state {k} below 1e-12")
-        if pure[k]:
-            dk = math.sqrt(float(_pure_d2(loss.kraus @ vecs[k][:, -1], vecs[k], recovery.kraus)) / q)
-        elif branch:
-            normalized = DensityMatrix(loss.out_space, (raw + raw.conj().T) / (2 * q))
-            dk = purified_distance(rho, apply(recovery, normalized))
-        else:
-            dk = purified_distance(rho, apply(recovery, apply(loss, rho)))
-        per.append((k, dk))
-        probs.append(q)
-        acc += p * dk * dk
-    probs = tuple(probs) if branch else None
-    return DeltaReport(math.sqrt(max(acc, 0.0)), tuple(per), recovery_used=recovery, branch_probabilities=probs)
+    members = _members(omega)
+    kraus = loss.kraus[None]
+    outs = _outputs(kraus, members[1])
+    q, probs = 1.0, None
+    if not loss.trace_preserving:
+        q = np.trace(outs, axis1=-2, axis2=-1).real
+        low = np.flatnonzero(q[0] <= TOL_PROB)
+        if low.size:
+            raise BranchProbabilityError(f"branch probability {q[0, low[0]]} for state {low[0]} below 1e-12")
+        probs = tuple(q[0].tolist())
+    per = _distances(_amplitudes(kraus, members[2]), outs, recovery.kraus[None], members, q)[0]
+    delta = float(_rms(members[0], per))
+    return DeltaReport(delta, tuple(enumerate(per.tolist())), recovery_used=recovery, branch_probabilities=probs)
 
 
 def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
@@ -193,14 +218,6 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
     if not loss.trace_preserving:
         raise ShapeError("petz_recovery needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
     return KrausChannel(loss.out_space, loss.in_space, _petz(loss.kraus[None], sigma_ref.data)[0])
-
-
-def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """(t, n, d_out, d_out) Hermitian parts of sum_i K_i rho_k K_i^H for each loss of
-    the Kraus stack kraus (t, r, d_out, d_in) and each state of rho (n, d_in, d_in)."""
-    k = kraus[:, None]
-    out = np.sum(k @ rho[:, None] @ k.conj().swapaxes(-1, -2), axis=2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def _choi(kraus: np.ndarray) -> np.ndarray:
@@ -270,29 +287,29 @@ class _Objective:
       (n_m, d_out, d_out), with F^2 = (tr sqrt M_k)^2 for
       M_k = sqrt(rho_k) R(sigma_k) sqrt(rho_k), all M_k in one stacked eigh.
 
-    sigmas is the (n, d_out, d_out) stack of the loss outputs. value_and_grad
-    returns J and G = dJ/d(conj V), shaped like V, so that
-    dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV).
+    members are the ensemble as _members gives it and sigmas the (n, d_out,
+    d_out) stack of the loss outputs. value returns J and the products and
+    eigendecompositions it formed; grad turns those into G = dJ/d(conj V),
+    shaped like V, so that dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV).
     """
 
-    def __init__(self, omega: TestEnsemble, sigmas: np.ndarray, d_env: int):
-        p, rho, vecs, pure = _members(omega)
+    def __init__(self, members: tuple, sigmas: np.ndarray, d_env: int):
+        p, rho, vecs, pure = members
         self.d_env = d_env
         self.d_in = rho.shape[-1]
         self.d_out = sigmas.shape[-1]
         self.pure = (p[pure], vecs[pure, :, -1], sigmas[pure]) if pure.any() else None
-        roots = [_psd_sqrt(r) for r in rho[~pure]]
-        self.mixed = (p[~pure], np.array(roots), sigmas[~pure]) if roots else None
+        self.mixed = (p[~pure], _psd_sqrt(rho[~pure]), sigmas[~pure]) if not pure.all() else None
 
-    def value_and_grad(self, v: np.ndarray):
+    def value(self, v: np.ndarray):
         rows = v.reshape(self.d_in, -1)
-        total = grad = 0.0
+        total = 0.0
+        asig = mixed = None
         if self.pure is not None:
             p, psi, sig = self.pure
             a = (psi.conj() @ rows).reshape(len(p), self.d_env, self.d_out)
             asig = a @ sig
             total += np.vdot(a, p[:, None, None] * asig).real
-            grad = grad + (psi.T * p) @ asig.reshape(len(p), -1)
         if self.mixed is not None:
             p, rh, sig = self.mixed
             vs = (v @ sig).reshape(len(p), self.d_in, -1)
@@ -300,14 +317,26 @@ class _Objective:
             mv, mw = np.linalg.eigh(rh @ (vs @ rows.conj().T) @ rh)
             root = np.sqrt(np.maximum(mv, 0.0))
             f = root.sum(axis=1)
+            total += p @ (f * f)
+            mixed = vs, mv, mw, root, f
+        return float(total), (asig, mixed)
+
+    def grad(self, parts) -> np.ndarray:
+        asig, mixed = parts
+        grad = 0.0
+        if asig is not None:
+            p, psi, _ = self.pure
+            grad = grad + (psi.T * p) @ asig.reshape(len(p), -1)
+        if mixed is not None:
+            p, rh, _ = self.mixed
+            vs, mv, mw, root, f = mixed
             # p_k F_k sqrt(rho_k) M_k^{-1/2} sqrt(rho_k) = x s x^H for x = sqrt(rho_k) W_k,
             # with M_k's kernel dropped from the inverse square root
             s = np.divide((p * f)[:, None], root, out=np.zeros_like(root), where=mv > TOL_EIG_SKIP)
             x = rh @ mw
             w = (x * s[:, None, :]) @ x.conj().swapaxes(1, 2)
-            total += p @ (f * f)
             grad = grad + np.sum(w @ vs, axis=0)
-        return float(total), grad.reshape(v.shape)
+        return grad.reshape(-1, self.d_out)
 
 
 def _certified_gap(p, vecs, sigmas, choi, value) -> np.ndarray:
@@ -349,9 +378,11 @@ def _tangent_part(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
+    """Projected gradient ascent of J from the isometry v0. A trial step takes
+    only J; the gradient is formed once a step is accepted."""
     v = v0
-    j, g = obj.value_and_grad(v)
-    g = _tangent_part(v, g)
+    j, parts = obj.value(v)
+    g = _tangent_part(v, obj.grad(parts))
     step = cfg.step
     trace = [(0, max(0.0, 1.0 - j))]
     converged = False
@@ -359,10 +390,10 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
     while it < cfg.max_iters:
         it += 1
         cand = _qr_retract(v + step * g)
-        jc, gc = obj.value_and_grad(cand)
+        jc, parts = obj.value(cand)
         if jc > j:
             improved = jc - j
-            v, j, g = cand, jc, _tangent_part(cand, gc)
+            v, j, g = cand, jc, _tangent_part(cand, obj.grad(parts))
             step *= 1.5
             trace.append((it, max(0.0, 1.0 - j)))
             if improved < cfg.tol:
@@ -376,10 +407,10 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
     return v, j, tuple(trace), converged
 
 
-def _ascents(obj: _Objective, loss: KrausChannel, kraus: list, cfg: OptimizerConfig):
-    """(recovery, trace, converged) of the ascent from each recovery Kraus stack
-    in kraus, then from cfg.restarts random isometries drawn from cfg.seed."""
-    d_in, d_out, d_env = loss.dim_in, loss.dim_out, obj.d_env
+def _ascents(obj: _Objective, kraus: list, cfg: OptimizerConfig):
+    """(Kraus stack, trace, converged) of the ascent from each recovery Kraus
+    stack in kraus, then from cfg.restarts random isometries drawn from cfg.seed."""
+    d_in, d_env, d_out = obj.d_in, obj.d_env, obj.d_out
     starts = [_isometry(ops, d_env) for ops in kraus]
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.restarts):
@@ -387,19 +418,8 @@ def _ascents(obj: _Objective, loss: KrausChannel, kraus: list, cfg: OptimizerCon
         starts.append(_qr_retract(a))
     for v0 in starts:
         v, _, trace, conv = _ascend(obj, v0, cfg)
-        ops = v.reshape(d_in, d_env, d_out).transpose(1, 0, 2)
-        yield KrausChannel(loss.out_space, loss.in_space, _minimal(ops)), trace, conv
-
-
-def _best(loss: KrausChannel, omega: TestEnsemble, candidates, best) -> tuple:
-    """The lowest-delta (report, recovery, trace, converged) over best and
-    candidates, each scored once with delta_with_recovery; ties keep the
-    earlier one."""
-    for ch, trace, conv in candidates:
-        rep = delta_with_recovery(loss, ch, omega)
-        if rep.delta < best[0].delta:
-            best = (rep, ch, trace, conv)
-    return best
+        # contiguous, as the returned channel stores it, so the score is that channel's
+        yield np.ascontiguousarray(_minimal(v.reshape(d_in, d_env, d_out).transpose(1, 0, 2))), trace, conv
 
 
 def _delta_min(kraus: np.ndarray, spaces: tuple, omega: TestEnsemble, cfg: OptimizerConfig, warm: list) -> list:
@@ -408,45 +428,41 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, omega: TestEnsemble, cfg: Optim
 
     warm holds one (t, r_w, d_in, d_out) Kraus stack per warm start. The
     outputs, the Petz recovery of the ensemble average, the scores of Petz
-    and of every warm start and, for pure members, the dual certificate of
-    the best of them are each one array pass over the stack. The gradient
-    search runs only at a loss whose certified gap is above cfg.tol, or at
-    every loss when a member is mixed; it starts from that loss's Petz and
-    warm starts.
+    and of every warm start over all (loss, member) pairs and, for pure
+    members, the dual certificate of the best of them are each one array
+    pass over the stack. The gradient search runs only at a loss whose
+    certified gap is above cfg.tol, or at every loss when a member is mixed;
+    it starts from that loss's Petz and warm starts, and each ascended
+    candidate is scored by the same pass. Only the returned recoveries are
+    built as channels.
     """
-    p, rho, vecs, pure = _members(omega)
-    pure = pure.all()
-    sigmas = _outputs(kraus, rho)
+    members = _members(omega)
+    p, rho, vecs, pure = members
+    sigmas, amp = _outputs(kraus, rho), _amplitudes(kraus, vecs)
     cands = [_petz(kraus, np.tensordot(p, rho, 1)), *warm]
-    loss_at = cache(lambda i: KrausChannel(*spaces, kraus[i]))
-    rec_at = cache(lambda c, i: KrausChannel(spaces[1], spaces[0], cands[c][i]))
-    at = np.arange(len(kraus))
-    if pure:
-        amp = (kraus[:, None] @ vecs[:, None, :, -1:])[..., 0]  # (t, n, r, d_out): L_i psi_k
-        per = np.sqrt([_pure_d2(amp, vecs, c[:, None]) for c in cands])
-    else:
-        scored = [[delta_with_recovery(loss_at(i), rec_at(c, i), omega) for i in at] for c in range(len(cands))]
-        per = np.array([[[dk for _, dk in rep.per_state] for rep in row] for row in scored])
-    delta = np.sqrt(np.maximum((p * per * per).sum(axis=-1), 0.0))  # (candidate, t)
+    per = np.stack([_distances(amp, sigmas, c, members) for c in cands])  # (candidate, t, n)
+    delta = _rms(p, per)
     win = np.argmin(delta, axis=0)  # ties keep the earlier candidate
+    at = np.arange(len(kraus))
     gaps = [None] * len(at)
-    if pure:
+    if pure.all():
         chois = np.stack([_choi(c) for c in cands])[win, at]
         gaps = _certified_gap(p, vecs, sigmas, chois, delta[win, at] ** 2).tolist()
     reports = []
     for i, c, gap in zip(at, win.tolist(), gaps):
-        rep = DeltaReport(float(delta[c, i]), tuple(enumerate(per[c, i].tolist())), recovery_used=rec_at(c, i))
-        best = (rep, rep.recovery_used, ((0, rep.delta**2),), True)
+        best = start = (float(delta[c, i]), per[c, i], cands[c][i], ((0, float(delta[c, i]) ** 2),), True)
         if gap is None or gap > cfg.tol:
-            obj = _Objective(omega, sigmas[i], kraus.shape[-1] * kraus.shape[-2])
-            ascended = _best(loss_at(i), omega, _ascents(obj, loss_at(i), [c[i] for c in cands], cfg), best)
-            if ascended is not best:
-                best = ascended
-                if gap is not None:
-                    value = np.array([ascended[0].delta ** 2])
-                    gap = float(_certified_gap(p, vecs, sigmas[i : i + 1], _choi(ascended[1].kraus)[None], value)[0])
-        rep, recovery, trace, conv = best
-        reports.append(DeltaReport(rep.delta, rep.per_state, recovery, trace, conv, True, certified_gap=gap))
+            obj = _Objective(members, sigmas[i], kraus.shape[-1] * kraus.shape[-2])
+            for ops, trace, conv in _ascents(obj, [c[i] for c in cands], cfg):
+                dk = _distances(amp[i : i + 1], sigmas[i : i + 1], ops[None], members)[0]
+                value = float(_rms(p, dk))
+                if value < best[0]:
+                    best = (value, dk, ops, trace, conv)
+            if best is not start and gap is not None:
+                gap = float(_certified_gap(p, vecs, sigmas[i : i + 1], _choi(best[2])[None], np.array([best[0] ** 2]))[0])
+        value, dk, ops, trace, conv = best
+        recovery = KrausChannel(spaces[1], spaces[0], ops)
+        reports.append(DeltaReport(value, tuple(enumerate(dk.tolist())), recovery, trace, conv, True, certified_gap=gap))
     return reports
 
 

@@ -584,21 +584,50 @@ def expectation(rho: DensityMatrix, obs: Observable) -> float:
     return float(np.real(np.trace(rho.data @ obs.data)))
 
 
+def _herm_eigh(a: np.ndarray):
+    """eigh of the Hermitian part of each matrix of the (..., d, d) stack a."""
+    return np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2)
+
+
 def _clipped_psd(a: np.ndarray) -> np.ndarray:
-    """Clip eigenvalues in [-1e-10, 0) to zero and renormalize the trace."""
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if vals[0] < -TOL_EIG_NEG:
-        raise StateValidityError(f"eigenvalue {vals[0]} below -{TOL_EIG_NEG}")
+    """Clip eigenvalues in [-1e-10, 0) to zero and renormalize the trace, for
+    each matrix of the (..., d, d) stack a."""
+    vals, vecs = _herm_eigh(a)
+    lo = vals[..., 0].min()
+    if lo < -TOL_EIG_NEG:
+        raise StateValidityError(f"eigenvalue {lo} below -{TOL_EIG_NEG}")
     vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals) @ vecs.conj().T
-    tr = out.trace().real
-    return out / tr if tr > 0 else out
+    out = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    tr = np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
+    return np.divide(out, tr, out=out, where=tr > 0)
+
+
+def _eig_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """vecs diag(sqrt(vals)) vecs^H for a (..., d) / (..., d, d) stack of
+    eigendecompositions, negative eigenvalues clipped to zero."""
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    """Square root of each matrix of the (..., d, d) stack a, negative eigenvalues clipped to zero."""
+    return _eig_sqrt(*_herm_eigh(a))
+
+
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """F of each pair of the (..., d, d) stacks rho and sigma, as uhlmann_fidelity
+    documents: both sides clipped by _clipped_psd, then sqrt(<psi| other |psi>)
+    where rho, or else sigma, is pure, and the nuclear norm of sqrt(rho)
+    sqrt(sigma) elsewhere; clamped to [0, 1]."""
+    a, b = _clipped_psd(rho), _clipped_psd(sigma)
+    (av, aw), (bv, bw) = _herm_eigh(a), _herm_eigh(b)
+    a_pure = np.count_nonzero(av > TOL_EIG_SKIP, axis=-1) == 1
+    b_pure = np.count_nonzero(bv > TOL_EIG_SKIP, axis=-1) == 1
+    psi = np.where(a_pure[..., None], aw[..., -1], bw[..., -1])
+    other = np.where(a_pure[..., None, None], b, a)
+    overlap = (psi.conj()[..., None, :] @ other @ psi[..., None])[..., 0, 0].real
+    norm = np.sum(np.linalg.svd(_eig_sqrt(av, aw) @ _eig_sqrt(bv, bw), compute_uv=False), axis=-1)
+    f = np.where(a_pure | b_pure, np.sqrt(np.maximum(overlap, 0.0)), np.maximum(norm, 0.0))
+    return np.minimum(f, 1.0)
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -607,16 +636,7 @@ def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     pure (one eigenvalue above 1e-12), whose rounding-level ones it skips."""
     if _names(rho.space) != _names(sigma.space):
         raise CompositeSpaceError("states live on different spaces")
-    a = _clipped_psd(rho.data)
-    b = _clipped_psd(sigma.data)
-    roots = []
-    for x, other in ((a, b), (b, a)):
-        vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
-        if np.count_nonzero(vals > TOL_EIG_SKIP) == 1:
-            return min(math.sqrt(max(float(np.real(vecs[:, -1].conj() @ other @ vecs[:, -1])), 0.0)), 1.0)
-        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
-    f = float(np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False)))
-    return min(max(f, 0.0), 1.0)
+    return float(_fidelity(rho.data, sigma.data))
 
 
 def purified_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:

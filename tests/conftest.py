@@ -57,6 +57,14 @@ def rand_pure(rng, d: int, label: Label | None = None) -> DensityMatrix:
     return pure_state(v, (label,))
 
 
+def rand_low_rank(rng, d: int, rank: int, label: Label | None = None) -> DensityMatrix:
+    """Random density matrix of the given rank (rank < d gives rounding-level eigenvalues)."""
+    label = label or Label("S", d)
+    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = a @ a.conj().T
+    return DensityMatrix((label,), m / np.trace(m).real)
+
+
 def rand_instrument(rng, d: int, k: int, label: Label | None = None) -> Instrument:
     """k single-Kraus branches, normalized so the branch sum is TP."""
     label = label or Label("S", d)
@@ -207,6 +215,28 @@ def ref_trace_out(sp, drop) -> list:
     perm = basis_permutation([l.dim for l in sp], order)
     ket = np.eye(d_drop, dtype=complex)
     return [np.kron(ket[t].conj().reshape(1, -1), np.eye(d_keep)) @ perm for t in range(d_drop)]
+
+
+def ref_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity of one pair of matrices, one eigendecomposition at a time: each
+    side's eigenvalues clipped at zero and its trace renormalised, then sqrt(<psi|
+    other |psi>) when rho, or else sigma, has one eigenvalue above 1e-12, and the
+    nuclear norm of sqrt(rho) sqrt(sigma) otherwise, clamped to [0, 1]."""
+
+    def clipped(a):
+        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+        out = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+        tr = out.trace().real
+        return out / tr if tr > 0 else out
+
+    a, b = clipped(rho), clipped(sigma)
+    roots = []
+    for x, other in ((a, b), (b, a)):
+        vals, vecs = np.linalg.eigh((x + x.conj().T) / 2)
+        if np.count_nonzero(vals > 1e-12) == 1:
+            return min(math.sqrt(max(float(np.real(vecs[:, -1].conj() @ other @ vecs[:, -1])), 0.0)), 1.0)
+        roots.append((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T)
+    return min(max(float(np.sum(np.linalg.svd(roots[0] @ roots[1], compute_uv=False))), 0.0), 1.0)
 
 
 def rand_kraus(rng, d_in: int, d_out: int, r: int) -> tuple:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,14 @@ from irrevkit import (
 )
 from irrevkit import irrev
 from irrevkit.irrev import _Objective, _qr_retract
+from irrevkit.qcore import apply_raw
 from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     rand_instrument,
     rand_kraus,
+    rand_low_rank,
     rand_pure,
     rand_state,
     rand_unitary,
@@ -75,18 +79,36 @@ class TestDeltaWithRecovery:
 
     def test_pure_amplitude_form_matches_closed_forms(self):
         # pure members use sum ||(1 - |psi><psi|) R_j L_i psi||^2 = 1 - <psi|R(L(psi))|psi>,
-        # mixed ones the purified distance itself
+        # mixed ones (full rank, and rank d_in - 1) the purified distance itself, bit for bit;
+        # a CP branch of the loss renormalises each output by its trace first
         rng = np.random.default_rng(5)
-        for d_in, d_out in ((2, 2), (3, 2), (2, 4)):
+        for d_in, d_out in ((2, 2), (3, 2), (2, 4), (3, 3)):
             a, b = Label("A", d_in), Label("B", d_out)
-            loss = KrausChannel((a,), (b,), rand_kraus(rng, d_in, d_out, 3)[0])
+            ops = rand_kraus(rng, d_in, d_out, 3)[0]
+            loss = KrausChannel((a,), (b,), ops)
             rec = KrausChannel((b,), (a,), rand_kraus(rng, d_out, d_in, 2)[0])
             pure, mixed = rand_pure(rng, d_in, a), rand_state(rng, d_in, a)
-            rep = delta_with_recovery(loss, rec, TestEnsemble(((0.3, pure), (0.7, mixed))))
+            low = rand_low_rank(rng, d_in, d_in - 1, a)
+            omega = TestEnsemble(((0.3, pure), (0.5, mixed), (0.2, low)))
+            rep = delta_with_recovery(loss, rec, omega)
             psi = np.linalg.eigh(pure.data)[1][:, -1]
             back = apply(rec, apply(loss, pure)).data
             assert abs(rep.per_state[0][1] ** 2 - (1 - np.real(psi.conj() @ back @ psi))) < 1e-14
-            assert rep.per_state[1][1] == purified_distance(mixed, apply(rec, apply(loss, mixed)))
+            acc = 0.0  # delta adds p_k D_k^2 in member order
+            for (w, _), (_, dk) in zip(omega.entries, rep.per_state):
+                acc += w * dk * dk
+            assert rep.delta == np.sqrt(acc)
+            checked = [(1, mixed), (2, low)] if d_in > 2 else [(1, mixed)]  # low is pure at d_in = 2
+            for k, rho in checked:
+                assert rep.per_state[k][1] == purified_distance(rho, apply(rec, apply(loss, rho)))
+            branch = KrausChannel((a,), (b,), 0.8 * ops, trace_preserving=False)
+            rep = delta_with_recovery(branch, rec, omega)
+            for k, rho in checked:
+                raw = apply_raw(branch, rho.data)
+                q = rep.branch_probabilities[k]
+                assert q == np.trace(raw).real
+                renormalised = DensityMatrix((b,), (raw + raw.conj().T) / (2 * q))
+                assert rep.per_state[k][1] == purified_distance(rho, apply(rec, renormalised))
 
     def test_exact_recovery_has_no_fidelity_floor(self):
         u = rand_unitary(np.random.default_rng(6), 2)
@@ -192,6 +214,55 @@ class TestDeltaMin:
         assert validate_channel(rep.recovery_used)["ok"]
 
 
+class TestDeltaMinWork:
+    """What a mixed-ensemble delta_min computes and builds."""
+
+    @staticmethod
+    def _counting(counts: Counter, key: str, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
+
+    def _mixed_case(self, rng):
+        lab = Label("S", 3)
+        loss = instrument_channel(rand_instrument(rng, 3, 2, lab))
+        return loss, _ensemble(rng, [rand_state(rng, 3, lab), rand_low_rank(rng, 3, 2, lab)])
+
+    def test_one_value_per_trial_and_one_gradient_per_accepted_step(self, monkeypatch):
+        # tol=0 never stops on improvement, and 25 trials cannot halve 0.1 below 1e-12,
+        # so the one ascent (from Petz, no restarts) takes exactly 25 trial steps
+        loss, omega = self._mixed_case(np.random.default_rng(61))
+        counts, traces = Counter(), []
+        monkeypatch.setattr(_Objective, "value", self._counting(counts, "value", _Objective.value))
+        monkeypatch.setattr(_Objective, "grad", self._counting(counts, "grad", _Objective.grad))
+        ascend = irrev._ascend
+
+        def recorded(*args):
+            out = ascend(*args)
+            traces.append(out[2])
+            return out
+
+        monkeypatch.setattr(irrev, "_ascend", recorded)
+        delta_min(loss, omega, OptimizerConfig(max_iters=25, restarts=0, tol=0.0))
+        (trace,) = traces
+        assert counts["value"] == 1 + 25
+        assert counts["grad"] == len(trace)  # the start and each accepted step
+        assert len(trace) < 1 + 25  # some trial was rejected, and took no gradient
+
+    def test_builds_no_state_and_only_the_returned_channel(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        loss, omega = self._mixed_case(rng)
+        warm = KrausChannel(loss.out_space, loss.in_space, rand_kraus(rng, 3, 3, 2)[0])
+        counts = Counter()
+        for cls in (DensityMatrix, KrausChannel):
+            monkeypatch.setattr(cls, "__post_init__", self._counting(counts, cls.__name__, cls.__post_init__))
+        rep = delta_min(loss, omega, OptimizerConfig(max_iters=20, restarts=1), (warm,))
+        assert counts == Counter(KrausChannel=1)
+        assert validate_channel(rep.recovery_used)["ok"]
+
+
 def _ensemble(rng, members) -> TestEnsemble:
     p = rng.random(len(members)) + 0.1
     return TestEnsemble(tuple(zip((p / p.sum()).tolist(), members)))
@@ -208,11 +279,12 @@ class TestObjectiveGradient:
         members = [(rand_pure if c == "p" else rand_state)(rng, d, lab) for c in kinds]
         omega = _ensemble(rng, members)
         sigmas = [apply(loss, rho) for rho in members]
-        obj = _Objective(omega, np.stack([s.data for s in sigmas]), d * d)
+        obj = _Objective(irrev._members(omega), np.stack([s.data for s in sigmas]), d * d)
         shape = (d * d * d, d)
         v = _qr_retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         dv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        j, g = obj.value_and_grad(v)
+        j, parts = obj.value(v)
+        g = obj.grad(parts)
         # per-member reference from the Kraus operators K_e[j, o] = V[j * d_env + e, o]:
         # F^2 = tr(rho tau) for pure rho, (tr sqrt(sqrt(rho) tau sqrt(rho)))^2 otherwise
         kraus = v.reshape(d, d * d, d).transpose(1, 0, 2)
@@ -227,7 +299,7 @@ class TestObjectiveGradient:
                 ref += p * np.sum(np.sqrt(np.linalg.eigvalsh(rh @ tau @ rh))) ** 2
         assert abs(j - ref) <= 1e-12
         h = 1e-5
-        fd = (obj.value_and_grad(v + h * dv)[0] - obj.value_and_grad(v - h * dv)[0]) / (2 * h)
+        fd = (obj.value(v + h * dv)[0] - obj.value(v - h * dv)[0]) / (2 * h)
         # G = dJ/d(conj V), so the directional derivative is 2 Re <G, dV>
         analytic = 2 * np.real(np.vdot(g, dv))
         assert abs(analytic - fd) <= 1e-6 * abs(fd)

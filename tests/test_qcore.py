@@ -37,13 +37,14 @@ from irrevkit import (
     validate_channel,
     variance,
 )
-from irrevkit.qcore import apply_raw, embed_matrix, space_dim
+from irrevkit.qcore import _fidelity, apply_raw, embed_matrix, space_dim
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
     proj_z,
     rand_herm,
     rand_kraus,
+    rand_low_rank,
     rand_pure,
     rand_state,
     rand_unitary,
@@ -54,6 +55,7 @@ from conftest import (
     ref_dual,
     ref_embed,
     ref_embed_matrix,
+    ref_fidelity,
     ref_tensor,
 )
 
@@ -398,6 +400,26 @@ class TestMetrics:
         rng = np.random.default_rng(seed)
         a, b, c = (rand_state(rng, 3, B) for _ in range(3))
         assert purified_distance(a, c) <= purified_distance(a, b) + purified_distance(b, c) + 1e-8
+
+    def test_stacked_kernel_matches_purified_distance_pair_by_pair(self):
+        # every pairing of pure, rank-2 and full-rank qutrit states, plus pure round-trip
+        # outputs (rounding-level eigenvalues) on either side, so the pure shortcut fires
+        # for rho, for sigma and for neither; stacked as (2, n, 3, 3)
+        rng = np.random.default_rng(40)
+        draws = (
+            lambda: rand_pure(rng, 3, B),
+            lambda: rand_low_rank(rng, 3, 2, B),
+            lambda: rand_state(rng, 3, B),
+            lambda: apply(unitary_channel(rand_unitary(rng, 3), (B,)), rand_pure(rng, 3, B)),
+        )
+        pairs = [(x(), y()) for _ in range(2) for x in draws for y in draws]
+        rho = np.stack([x.data for x, _ in pairs]).reshape(2, -1, 3, 3)
+        sigma = np.stack([y.data for _, y in pairs]).reshape(2, -1, 3, 3)
+        f = _fidelity(rho, sigma).ravel()
+        dist = np.sqrt(np.maximum(0.0, 1.0 - f * f))
+        for k, (x, y) in enumerate(pairs):
+            assert f[k] == uhlmann_fidelity(x, y) == ref_fidelity(x.data, y.data)
+            assert dist[k] == purified_distance(x, y)
 
     def test_variance_known(self):
         r0 = pure_state([1, 0], (S,))
