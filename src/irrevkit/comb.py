@@ -7,11 +7,14 @@ and dephases Q. The squared irreversibility of the pair vanishes as
 c2 * theta^2, and c2 is the squared error, disturbance or OTOC. `extract`
 gets c2 for any comb, either from a least-squares fit on a theta grid or
 exactly (canonical recoveries only). A comb's loss and canonical recovery
-have one stacked form each, built from the stack of coupling operators a
-path applies: exp(-i theta g) over a grid from one eigendecomposition, or
-(1, -i g), the value and theta-derivative at 0. Both the grid of a fixed or
-canonical recovery and the exact value read their amplitudes, as sums of
-non-negative terms; OPTIMIZE reads their Kraus stacks.
+have one stacked form each, built from the coupling's blocks on the Q = q
+halves, which a path applies: sigma_z is diagonal on Q, so exp(-i theta x (x)
+sigma_z) is exp(-i theta s_q g), s_q = +1, -1, with g the generator x on the
+space without Q. A grid takes both signs from one eigendecomposition of g;
+the exact value takes (1, -i s_q g), the value and theta-derivative at 0.
+Both the grid of a fixed or canonical recovery and the exact value read
+their amplitudes, as sums of non-negative terms; OPTIMIZE reads their Kraus
+stacks.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .irrev import OptimizerConfig, _delta_min
 from .oracles import lt_disturbance, lt_error, outcome_values
 from .qcore import (
     ID2,
-    SIGMA_Z,
     TOL_PROB,
     DensityMatrix,
     Instrument,
@@ -68,6 +70,7 @@ __all__ = [
 Q_LABEL = Label("Q", 2)
 
 KETS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)  # |+>, |->
+SIGNS = np.array([1.0, -1.0])  # sigma_z = diag(s_q) on Q
 
 
 class _OptimizeType:
@@ -107,36 +110,40 @@ class CanonicalRecovery:
     """R_{X,target} = dephase Q in {|+>,|->} after undoing the X coupling.
 
     x lives on some input factor(s); target lists every non-Q input label,
-    all of which are traced out. Construction only embeds x (x) sigma_z on
-    target + Q, checking x's labels. `kraus_stack` serves every grid theta from
-    one eigendecomposition; `channel`, the member at this theta, is built
-    when it is first read.
+    all of which are traced out. Construction only embeds x on the target
+    (gen, x itself when it already lives on the whole target), checking x's
+    labels. The uncoupling exp(i theta x (x) sigma_z) is exp(i theta s_q gen)
+    on the Q = q half, s_q = +1, -1, so `kraus_stack` serves every grid theta
+    from one eigendecomposition of gen; `channel`, the member at this theta,
+    is built when it is first read.
     """
 
     x: Observable
     target: tuple
     theta: float
-    gen: np.ndarray = field(init=False, repr=False, compare=False)
+    gen: np.ndarray = field(init=False, repr=False, compare=False)  # x embedded on target, without Q
 
     def __post_init__(self):
         object.__setattr__(self, "target", _as_space(self.target))
         object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "gen", _coupling(self.x, self.in_space))
+        object.__setattr__(self, "gen", _coupling(self.x, self.target))
 
     @property
     def in_space(self) -> tuple:
         return self.target + (Q_LABEL,)
 
-    def undo(self, flow) -> np.ndarray:
-        """(t, n_t, 2, d) stack flow(-gen) of W^dag, exp(i theta gen) on a grid, rows split as (target, Q)."""
+    def undo(self, flow, bras: np.ndarray) -> np.ndarray:
+        """(t, k, n_t, 2 n_t) rows (<t| (x) <b_k|) W^dag over the target basis t and the rows b_k of bras:
+        b_k[q] times row t of flow(-gen)[q], the block of W^dag on the Q = q half (Q is the last factor)."""
         w_dag = flow(-self.gen)
-        return w_dag.reshape(len(w_dag), -1, Q_LABEL.dim, len(self.gen))  # Q is the last factor
+        rows = w_dag.transpose(0, 2, 3, 1)[:, None] * bras[:, None, None, :]  # (t, k, n_t, n_t, 2)
+        return rows.reshape(len(w_dag), len(bras), len(self.gen), -1)
 
     def kraus_stack(self, thetas) -> np.ndarray:
-        """(t, 2 n_t, 2, d) Kraus stack of the member at each theta: |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
-        rows = KETS.conj() @ self.undo(_flow(thetas))  # (t, n_t, 2, d): <t, psi_k| W(theta)^dag
-        ops = KETS[:, None, :, None] * rows.swapaxes(1, 2)[:, :, :, None]
-        return ops.reshape(len(ops), -1, Q_LABEL.dim, len(self.gen))
+        """(t, 2 n_t, 2, 2 n_t) Kraus stack of the member at each theta: |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
+        rows = self.undo(_flow(thetas), KETS.conj())  # (t, k, n_t, 2 n_t): <t, psi_k| W(theta)^dag
+        ops = KETS[:, None, :, None] * rows[:, :, :, None]
+        return ops.reshape(len(ops), -1, Q_LABEL.dim, rows.shape[-1])
 
     @cached_property
     def channel(self) -> KrausChannel:
@@ -224,10 +231,6 @@ class Comb:
     stage: KrausChannel = field(repr=False)
     recoveries: Callable[[], tuple] = field(repr=False)
     branch_scale: float | None = None
-
-    @property
-    def full(self) -> tuple:
-        return tuple(self.block.space) + (Q_LABEL,)
 
     def kraus_stack(self, thetas) -> np.ndarray:
         """(t, r, d_out, 2) Kraus stack of the loss at each theta: its operators
@@ -365,19 +368,19 @@ def _fit_c2(grid: list, fit_tol: float):
 
 
 def _coupling(x: Observable, sp) -> np.ndarray:
-    """The coupling generator x (x) sigma_z, embedded on sp."""
-    return embed_matrix(np.kron(x.data, SIGMA_Z), tuple(x.space) + (Q_LABEL,), sp)
+    """The coupling generator: x embedded on sp, the space without Q."""
+    return x.data if tuple(x.space) == tuple(sp) else embed_matrix(x.data, x.space, sp)
 
 
 def _flow(thetas):
-    """g -> the (t, d, d) stack exp(-i theta g) over the grid thetas, one eigh each."""
-    th = np.asarray(thetas, dtype=float)
+    """g -> the (t, 2, d, d) stack exp(-i theta s_q g) over the grid thetas and s_q = +1, -1, from one eigh."""
+    th = np.multiply.outer(np.asarray(thetas, dtype=float), SIGNS)
     return lambda g: _expm_herm(g, th)
 
 
 def _tangent(g: np.ndarray) -> np.ndarray:
-    """The (2, d, d) stack (1, -i g): exp(-i theta g) and its theta-derivative at 0."""
-    return np.stack([np.eye(len(g), dtype=complex), -1j * g])
+    """The (2, 2, d, d) stack (1, -i s_q g): exp(-i theta s_q g) and its theta-derivative at 0."""
+    return np.stack([np.broadcast_to(np.eye(len(g)), (2,) + g.shape), -1j * SIGNS[:, None, None] * g])
 
 
 def _loss_amplitudes(comb: Comb, flow, kets: np.ndarray = KETS) -> np.ndarray:
@@ -385,16 +388,17 @@ def _loss_amplitudes(comb: Comb, flow, kets: np.ndarray = KETS) -> np.ndarray:
 
     Appending maps psi_k to sqrt(lam_a) |v_a> (x) psi_k over the block's
     eigenpairs above 1e-14; g1 is the coupling generator embedded on the
-    block and Q, and flow(g1) the stack of U the path applies; psi_k are the
-    rows of kets.
+    block, and flow(g1) the stack of its blocks E_q on the Q = q halves that
+    the path applies, so U (m (x) psi_k) = sum_q psi_k[q] (E_q m) (x) |q>;
+    psi_k are the rows of kets.
     """
     vals, vecs = np.linalg.eigh(comb.block.data)
     keep = vals > 1e-14
     m = vecs[:, keep] * np.sqrt(vals[keep])  # (d, r_A)
-    cols = (m[None, :, None] * kets[:, None, :, None]).reshape(len(kets), -1, m.shape[1])  # (k, d, r_A)
-    u = flow(_coupling(comb.gen, comb.full))
-    amp = comb.stage.kraus @ (u[:, None] @ cols)[:, :, None]  # (t, k, r_S, d_out, r_A)
-    return amp.swapaxes(-1, -2).reshape(len(u), len(kets), -1, comb.stage.dim_out)
+    em = flow(_coupling(comb.gen, comb.block.space)) @ m  # (t, 2, d, r_A)
+    cols = em.swapaxes(1, 2)[:, None] * kets[:, None, :, None]  # (t, k, d, 2, r_A), Q last
+    amp = comb.stage.kraus @ cols.reshape(len(em), len(kets), 1, -1, m.shape[1])  # (t, k, r_S, d_out, r_A)
+    return amp.swapaxes(-1, -2).reshape(len(em), len(kets), -1, comb.stage.dim_out)
 
 
 def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
@@ -404,7 +408,7 @@ def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
     coupling, traces out the target and dephases Q in the +/- basis; the
     dephasing keeps <psi_k^perp|.|psi_k^perp>, so its rows are
     (<t| (x) <psi_k^perp|) W^dag over the target basis t and the stack of
-    W^dag = flow(-g2) the path applies.
+    W^dag the path applies.
     """
     out = comb.stage.out_space
     perp = KETS[::-1].conj()
@@ -414,7 +418,7 @@ def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
         return (recovery.kraus.swapaxes(1, 2) @ perp.T).transpose(2, 0, 1)[None]
     if recovery.in_space != out:
         raise ShapeError(f"recovery input space {_names(recovery.in_space)} does not match the loss output {_names(out)}")
-    return (recovery.undo(flow).swapaxes(2, 3) @ perp.T).transpose(0, 3, 1, 2)
+    return recovery.undo(flow, perp)
 
 
 def _ensemble_average(comb: Comb, d2: np.ndarray, amp: np.ndarray):

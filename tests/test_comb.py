@@ -6,6 +6,7 @@ from irrevkit import (
     BranchProbabilityError,
     CanonicalRecovery,
     Comb,
+    DensityMatrix,
     ExtractionConfig,
     KrausChannel,
     Label,
@@ -40,8 +41,10 @@ from conftest import (
     rand_instrument,
     rand_kraus,
     rand_state,
+    rand_unitary,
     ref_analytic_c2,
     ref_choi_gaps,
+    ref_embed_matrix,
     ref_grid,
 )
 
@@ -376,6 +379,68 @@ class TestStackedGrid:
             grid, exact = extract(comb), extract(comb, "canonical", ANALYTIC)
             assert abs(exact.value - grid.value) <= 1e-6 * grid.value
             assert abs(exact.branch_probability - grid.branch_probability) <= 1e-3 * grid.branch_probability
+
+
+def permuted_comb(seed: int, gen_on: tuple, x_on: tuple):
+    """A comb on (A, B, C) whose generator lives on the labels gen_on, in that
+    order, with a random unitary stage and a canonical recovery through an x on
+    the labels x_on of the target (A, B, C)."""
+    rng = np.random.default_rng(seed)
+    labels = {"A": Label("A", 2), "B": Label("B", 3), "C": Label("C", 2)}
+    block = tuple(labels.values())
+    on = lambda names: tuple(labels[n] for n in names)
+    dim = lambda names: int(np.prod([labels[n].dim for n in names]))
+    gen = Observable(on(gen_on), rand_herm(rng, dim(gen_on), norm=1.0))
+    x = Observable(on(x_on), rand_herm(rng, dim(x_on), norm=1.0))
+    stage = embed(KrausChannel(block, block, (rand_unitary(rng, 12),)), block + (Q_LABEL,))
+    rec = canonical_recovery(x, block, 0.0)
+    return Comb(DensityMatrix(block, rand_state(rng, 12).data), gen, stage, lambda: (rec,)), rec
+
+
+class TestFactorCoupling:
+    """Generators on non-leading and permuted factors against the dense kron(x, sigma_z) references."""
+
+    CASES = ((("B",), ("C", "A")), (("C", "A"), ("B",)), (("C",), ("B", "C")))
+
+    def test_grid_analytic_and_channels_match_dense_reference(self):
+        for i, (gen_on, x_on) in enumerate(self.CASES):
+            comb, rec = permuted_comb(40 + i, gen_on, x_on)
+            got = [v for _, v in extract(comb, rec).theta_grid]
+            assert np.max(np.abs(np.subtract(got, ref_grid(comb, rec, TestStackedGrid.THETAS)))) <= 1e-13, x_on
+            want = ref_analytic_c2(comb, rec.x)
+            assert want >= 1e-3 and abs(extract(comb, rec, ANALYTIC).value - want) <= 1e-13 * want, x_on
+            for theta in (0.0, 0.05, 0.3):
+                loss_gap, recovery_gap = ref_choi_gaps(comb, theta)
+                assert loss_gap <= 1e-13 and recovery_gap <= 1e-13, (x_on, theta)
+
+    def test_one_half_dimension_eigh_per_coupling_generator(self, monkeypatch):
+        # sigma_z is diagonal on Q: each coupling is diagonalised once, on the space without Q
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
+        for name, comb in rand_combs(38, n=2):
+            rec = comb.recoveries()[0]
+            gens = (
+                ref_embed_matrix(comb.gen.data, comb.gen.space, comb.block.space),
+                ref_embed_matrix(rec.x.data, rec.x.space, rec.target),
+            )
+            doubled = {2 * len(g) for g in gens}
+            for cfg, want in ((ExtractionConfig(), [1, 1]), (ANALYTIC, [0, 0])):
+                calls.clear()
+                extract(comb, rec, cfg)
+                assert not [a.shape for a in calls if len(a) in doubled], (name, cfg.method)
+                hits = [
+                    sum(a.shape == g.shape and min(np.max(np.abs(a - g)), np.max(np.abs(a + g))) <= 1e-14 for a in calls)
+                    for g in gens
+                ]
+                assert hits == want, (name, cfg.method)
+
+    def test_comb_generator_labels_checked(self):
+        # a generator whose label names match the block but whose dimension does not
+        comb = _disturbance_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
+        wrong = Comb(comb.block, Observable((Label("S", 3),), np.eye(3)), comb.stage, comb.recoveries)
+        with pytest.raises(ShapeError):
+            extract(wrong)
 
 
 class TestConfig:
