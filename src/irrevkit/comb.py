@@ -216,13 +216,14 @@ class Comb:
     """Q -> stage(U_{gen,theta}(block (x) Q)), with its canonical recoveries.
 
     block is the appended state (everything but Q), gen the coupling
-    generator on some of its factors, stage the measurement or conjugation,
-    already embedded on block + Q (once per comb). recoveries() returns
-    CanonicalRecovery values: the first is the "canonical" recovery and
-    every one warm-starts OPTIMIZE, in order. It is called only by those
-    two modes, since some recoveries cost an oracle solve. A sub-normalised
-    stage, whose Kraus operator was scaled by branch_scale, is renormalised
-    per state by its branch probability, on the grid and in the exact value
+    generator on some of its factors, stage the measurement or conjugation
+    on the block alone: Q passes through it, and the loss maps Q to
+    out_space, (stage output, Q). recoveries() returns CanonicalRecovery
+    values: the first is the "canonical" recovery and every one
+    warm-starts OPTIMIZE, in order. It is called only by those two modes,
+    since some recoveries cost an oracle solve. A sub-normalised stage,
+    whose Kraus operator was scaled by branch_scale, is renormalised per
+    state by its branch probability, on the grid and in the exact value
     alike; branch_scale only rescales the reported mean probability.
     """
 
@@ -232,6 +233,17 @@ class Comb:
     recoveries: Callable[[], tuple] = field(repr=False)
     branch_scale: float | None = None
 
+    def __post_init__(self):
+        if self.stage.in_space != self.block.space:
+            sp = [", ".join(f"{l.name}:{l.dim}" for l in s) for s in (self.stage.in_space, self.block.space)]
+            raise ShapeError("stage input ({}) does not match the block ({})".format(*sp))
+        if self.branch_scale is None and not self.stage.trace_preserving:
+            raise ShapeError("a comb whose stage is a CP branch needs a branch_scale")
+
+    @property
+    def out_space(self) -> tuple:
+        return self.stage.out_space + (Q_LABEL,)
+
     def kraus_stack(self, thetas) -> np.ndarray:
         """(t, r, d_out, 2) Kraus stack of the loss at each theta: its operators
         S_s U(theta) A_a are the loss amplitudes of the Q basis states, column by column."""
@@ -239,7 +251,7 @@ class Comb:
 
     def loss(self, theta: float) -> KrausChannel:
         ops = self.kraus_stack((theta,))[0]
-        return KrausChannel((Q_LABEL,), self.stage.out_space, ops, self.stage.trace_preserving)
+        return KrausChannel((Q_LABEL,), self.out_space, ops, self.stage.trace_preserving)
 
 
 def _check_meas(rho: DensityMatrix, gen: Observable, meas: Instrument):
@@ -262,9 +274,8 @@ def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
     """P_M o U_{A,theta} o A_rho from Q to (P, Q); recovery at the pushforward values."""
     _check_meas(rho, a, meas)
     p_label = _pointer(meas)
-    stage = embed(pointer_channel(meas, p_label), tuple(rho.space) + (Q_LABEL,))
     pushforward = lambda: (canonical_recovery(_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,), 0.0),)
-    return Comb(rho, a, stage, pushforward)
+    return Comb(rho, a, pointer_channel(meas, p_label), pushforward)
 
 
 def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Comb:
@@ -278,8 +289,7 @@ def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Co
             recs.append(canonical_recovery(Observable(out_sp, b.data), out_sp, 0.0))
         return tuple(recs)
 
-    stage = embed(instrument_channel(meas), tuple(rho.space) + (Q_LABEL,))
-    return Comb(rho, b, stage, recoveries)
+    return Comb(rho, b, instrument_channel(meas), recoveries)
 
 
 def _two_copy_labels(rho: DensityMatrix):
@@ -318,7 +328,7 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
         recoveries = lambda: (canonical_recovery(Observable(out2, gen.data), tuple(out2) + (s1,), 0.0),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
-    return Comb(block, Observable((s1,), gen.data), embed(stage, (s2, s1, Q_LABEL)), recoveries)
+    return Comb(block, Observable((s1,), gen.data), embed(stage, block.space), recoveries)
 
 
 def build_loss_error(rho: DensityMatrix, a: Observable, theta: float, meas: Instrument) -> LossProcess:
@@ -387,18 +397,18 @@ def _loss_amplitudes(comb: Comb, flow, kets: np.ndarray = KETS) -> np.ndarray:
     """(t, k, r, d_out) amplitudes L_i psi_k = stage U append_i psi_k over U in flow(g1).
 
     Appending maps psi_k to sqrt(lam_a) |v_a> (x) psi_k over the block's
-    eigenpairs above 1e-14; g1 is the coupling generator embedded on the
-    block, and flow(g1) the stack of its blocks E_q on the Q = q halves that
-    the path applies, so U (m (x) psi_k) = sum_q psi_k[q] (E_q m) (x) |q>;
-    psi_k are the rows of kets.
+    eigenpairs above 1e-14; g1 is the coupling generator on the block, and
+    flow(g1) the stack of its blocks E_q on the Q = q halves, so L_i psi_k =
+    sum_q psi_k[q] (S_s E_q m_a) (x) |q>, psi_k the rows of kets: the stage
+    acts on each half, and Q, the last output factor, passes through.
     """
     vals, vecs = np.linalg.eigh(comb.block.data)
     keep = vals > 1e-14
     m = vecs[:, keep] * np.sqrt(vals[keep])  # (d, r_A)
     em = flow(_coupling(comb.gen, comb.block.space)) @ m  # (t, 2, d, r_A)
-    cols = em.swapaxes(1, 2)[:, None] * kets[:, None, :, None]  # (t, k, d, 2, r_A), Q last
-    amp = comb.stage.kraus @ cols.reshape(len(em), len(kets), 1, -1, m.shape[1])  # (t, k, r_S, d_out, r_A)
-    return amp.swapaxes(-1, -2).reshape(len(em), len(kets), -1, comb.stage.dim_out)
+    cols = em[:, None] * kets[:, :, None, None]  # (t, k, 2, d, r_A): psi_k[q] E_q m
+    amp = comb.stage.kraus @ cols[:, :, :, None]  # (t, k, 2, r_S, d_S, r_A)
+    return amp.transpose(0, 1, 3, 5, 4, 2).reshape(len(em), len(kets), -1, 2 * comb.stage.dim_out)
 
 
 def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
@@ -410,7 +420,7 @@ def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
     (<t| (x) <psi_k^perp|) W^dag over the target basis t and the stack of
     W^dag the path applies.
     """
-    out = comb.stage.out_space
+    out = comb.out_space
     perp = KETS[::-1].conj()
     if isinstance(recovery, KrausChannel):
         if (recovery.in_space, recovery.out_space) != (out, (Q_LABEL,)) or not recovery.trace_preserving:
@@ -430,8 +440,6 @@ def _ensemble_average(comb: Comb, d2: np.ndarray, amp: np.ndarray):
     BranchProbabilityError, and q_k / branch_scale^2 is the reported mean.
     """
     if comb.branch_scale is None:
-        if not comb.stage.trace_preserving:
-            raise ShapeError("a comb whose stage is a CP branch needs a branch_scale")
         return d2.sum(axis=1) / 2, None
     q = np.sum(np.abs(amp) ** 2, axis=(-2, -1))
     t, k = np.unravel_index(np.argmin(q), q.shape)
@@ -491,7 +499,7 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
         if not comb.stage.trace_preserving:
             raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
         warm = [rec.kraus_stack(cfg.thetas) for rec in comb.recoveries()]
-        spaces = ((Q_LABEL,), comb.stage.out_space)
+        spaces = ((Q_LABEL,), comb.out_space)
         reps = _delta_min(comb.kraus_stack(cfg.thetas), spaces, omega_pm(), cfg.optimizer, warm)
         values = [rep.delta**2 for rep in reps]
         gap = max(rep.certified_gap for rep in reps)  # omega_pm is pure, so every gap is set

@@ -271,7 +271,7 @@ def way_bound_error_yanase(
     Requires the pointer charge to commute with every pointer projector,
     i.e. to be diagonal in the outcome basis.
     """
-    x_p = (charges or impl.charges)["alpha_out"].data
+    x_p = _checked_charges(impl, charges)["alpha_out"].data
     if np.max(np.abs(x_p - np.diag(np.diag(x_p)))) > 1e-10:
         raise YanaseConditionError("pointer charge is not diagonal in the outcome basis")
     target = pointer_channel(meas, Label("P", len(meas.branches)))

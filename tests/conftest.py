@@ -260,12 +260,13 @@ def ref_coupling(x: Observable, sp) -> np.ndarray:
 
 
 def ref_loss_ops(comb, theta: float) -> list:
-    """Kraus operators S_s U(theta) A_a of a comb's loss Q -> stage output: append
-    the block (A_a = sqrt(lam_a) |v_a> (x) 1_Q), couple, then the stage."""
+    """Kraus operators (S_s (x) 1_Q) U(theta) A_a of a comb's loss Q -> (stage output,
+    Q): append the block (A_a = sqrt(lam_a) |v_a> (x) 1_Q), couple, then the stage
+    on the block, which Q passes through."""
     vals, vecs = np.linalg.eigh(comb.block.data)
     append = [math.sqrt(lam) * np.kron(v.reshape(-1, 1), np.eye(2)) for lam, v in zip(vals, vecs.T) if lam > 1e-14]
     u = ref_expm(ref_coupling(comb.gen, tuple(comb.block.space) + (Q,)), theta)
-    return [s @ u @ a for s in comb.stage.kraus for a in append]
+    return [np.kron(s, np.eye(2)) @ u @ a for s in comb.stage.kraus for a in append]
 
 
 def ref_recovery_ops(x: Observable, target, theta: float) -> list:
@@ -306,10 +307,10 @@ def ref_analytic_c2(comb, x: Observable) -> float:
     dense operators. Only the +/- diagonal elements on Q survive the dephasing, so
     c2 = -(a_+'' + a_-'')/4 with a_k'' the second derivative of <psi_k| R(L(psi_k))
     |psi_k>; its O(1) terms cancel, leaving an absolute error of ~1e-16."""
-    out = tuple(comb.stage.out_space)
+    out = tuple(comb.stage.out_space) + (Q,)
     g1 = ref_coupling(comb.gen, tuple(comb.block.space) + (Q,))
     g2 = ref_coupling(x, out)
-    ops = list(comb.stage.kraus)
+    ops = [np.kron(s, np.eye(2)) for s in comb.stage.kraus]
     total = 0.0
     for ket in PM_KETS:
         kk = np.outer(ket, ket.conj())

@@ -8,6 +8,7 @@ from irrevkit import (
     Comb,
     DensityMatrix,
     ExtractionConfig,
+    Instrument,
     KrausChannel,
     Label,
     Observable,
@@ -16,20 +17,22 @@ from irrevkit import (
     ShapeError,
     canonical_recovery,
     delta_min,
-    embed,
     extract,
     extract_epsilon,
     extract_eta,
     extract_two_copy,
+    ising_chain_scenario,
     lt_disturbance,
     lt_error,
     omega_pm,
     ozawa_disturbance,
     ozawa_error,
+    otoc_iep,
+    otoc_iep_cp,
     pure_state,
     validate_channel,
 )
-from irrevkit import irrev
+from irrevkit import irrev, qcore
 from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _grid, _two_copy_comb
 from conftest import (
     SIGMA_X,
@@ -311,9 +314,9 @@ class TestStackedGrid:
         rng = np.random.default_rng(33)
         thetas = (0.7, 0.3, 1e-2)
         for name, comb in rand_combs(33, n=1):
-            d_out = comb.stage.dim_out
+            d_out = 2 * comb.stage.dim_out
             ops, _ = rand_kraus(rng, d_out, 2, d_out)
-            fixed = KrausChannel(comb.stage.out_space, (Q_LABEL,), ops)
+            fixed = KrausChannel(comb.out_space, (Q_LABEL,), ops)
             got, _ = _grid(comb, fixed, thetas)
             assert np.max(np.abs(got - ref_grid(comb, fixed, thetas))) <= 1e-13, name
 
@@ -344,12 +347,26 @@ class TestStackedGrid:
         with pytest.raises(ShapeError):  # x's label is in the target with another dimension
             canonical_recovery(x, (Label("S", 3),), 0.0)
 
+    def test_stage_checked_at_construction(self):
+        # a state on (A:2, B:3) metered by an instrument on (A:3, B:2): same names, same total dimension
+        rng = np.random.default_rng(39)
+        block, swapped = (Label("A", 2), Label("B", 3)), (Label("A", 3), Label("B", 2))
+        rho = DensityMatrix(block, rand_state(rng, 6).data)
+        a = Observable(block, rand_herm(rng, 6, norm=1.0))
+        meas = Instrument(swapped, swapped, rand_instrument(rng, 6, 2).branches)
+        for extract_meter in (extract_epsilon, extract_eta):
+            with pytest.raises(ShapeError, match=r"stage input \(A:3, B:2\) does not match the block \(A:2, B:3\)"):
+                extract_meter(rho, a, meas, "canonical")
+        branch = KrausChannel((S,), (S,), (0.5 * np.eye(2),), trace_preserving=False)
+        with pytest.raises(ShapeError, match="CP branch needs a branch_scale"):
+            Comb(RHO0, obs(SIGMA_Z, S), branch, lambda: ())
+
     def test_zero_probability_branch_rejected(self):
         # the branch keeps |1> only, and the coupling never moves the block off |0>
         keep_one = KrausChannel((S,), (S,), (np.diag([0.0, 1.0]),), trace_preserving=False)
         z = obs(SIGMA_Z, S)
         recoveries = lambda: (canonical_recovery(z, (S,), 0.0),)
-        comb = Comb(RHO0, z, embed(keep_one, (S, Q_LABEL)), recoveries, branch_scale=1.0)
+        comb = Comb(RHO0, z, keep_one, recoveries, branch_scale=1.0)
         for cfg in (ExtractionConfig(), ANALYTIC):
             with pytest.raises(BranchProbabilityError):
                 extract(comb, "canonical", cfg)
@@ -375,7 +392,7 @@ class TestStackedGrid:
             branch = KrausChannel((lab,), (lab,), (t * op,), trace_preserving=False)
             v = Observable((lab,), rand_herm(rng, d, norm=1.0))
             recoveries = lambda: (canonical_recovery(v, (lab,), 0.0),)
-            comb = Comb(rand_state(rng, d, lab), v, embed(branch, (lab, Q_LABEL)), recoveries, branch_scale=t)
+            comb = Comb(rand_state(rng, d, lab), v, branch, recoveries, branch_scale=t)
             grid, exact = extract(comb), extract(comb, "canonical", ANALYTIC)
             assert abs(exact.value - grid.value) <= 1e-6 * grid.value
             assert abs(exact.branch_probability - grid.branch_probability) <= 1e-3 * grid.branch_probability
@@ -392,7 +409,7 @@ def permuted_comb(seed: int, gen_on: tuple, x_on: tuple):
     dim = lambda names: int(np.prod([labels[n].dim for n in names]))
     gen = Observable(on(gen_on), rand_herm(rng, dim(gen_on), norm=1.0))
     x = Observable(on(x_on), rand_herm(rng, dim(x_on), norm=1.0))
-    stage = embed(KrausChannel(block, block, (rand_unitary(rng, 12),)), block + (Q_LABEL,))
+    stage = KrausChannel(block, block, (rand_unitary(rng, 12),))
     rec = canonical_recovery(x, block, 0.0)
     return Comb(DensityMatrix(block, rand_state(rng, 12).data), gen, stage, lambda: (rec,)), rec
 
@@ -434,6 +451,19 @@ class TestFactorCoupling:
                     for g in gens
                 ]
                 assert hits == want, (name, cfg.method)
+
+    def test_no_lift_touches_the_ancilla(self, monkeypatch):
+        # Q passes through every stage: the stage acts on the block alone, and no
+        # embed or embed_matrix (both go through qcore._lift) ever sees Q
+        fulls, lift = [], qcore._lift
+        monkeypatch.setattr(qcore, "_lift", lambda *args: fulls.append(args[-1]) or lift(*args))
+        for _, comb in rand_combs(39, n=1):
+            for recovery, cfg in (("canonical", ExtractionConfig()), ("canonical", ANALYTIC), (OPTIMIZE, None)):
+                extract(comb, recovery, cfg)
+        for cfg in (ExtractionConfig(), ANALYTIC):
+            otoc_iep(ising_chain_scenario(0.3, 3), cfg)
+            otoc_iep_cp(ising_chain_scenario(0.3, 3), cfg)
+        assert fulls and not [full for full in fulls if Q_LABEL.name in {l.name for l in full}]
 
     def test_comb_generator_labels_checked(self):
         # a generator whose label names match the block but whose dimension does not

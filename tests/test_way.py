@@ -97,11 +97,14 @@ def test_charges_override_dimension_is_checked(bound):
         run(bad)
 
 
+@pytest.mark.parametrize(
+    "slot, part", [("alpha", "in_alpha"), ("beta", "in_beta"), ("alpha_out", "out_alpha"), ("beta_out", "out_beta")]
+)
 @pytest.mark.parametrize("bound", sorted(BOUNDS))
-def test_charges_override_missing_slot_is_named(bound):
+def test_charges_override_missing_slot_is_named(bound, slot, part):
     impl, run = BOUNDS[bound]()
-    bad = {k: v for k, v in impl.charges.items() if k != "beta"}
-    with pytest.raises(ShapeError, match="charges have no 'beta' slot; in_beta needs one"):
+    bad = {k: v for k, v in impl.charges.items() if k != slot}
+    with pytest.raises(ShapeError, match=f"charges have no '{slot}' slot; {part} needs one"):
         run(bad)
 
 
