@@ -1,20 +1,26 @@
 """Measurement combs and the theta -> 0 extraction of error and disturbance.
 
 A comb appends a block state to an ancilla qubit Q, couples them weakly
-(strength theta) through a generator, then measures or conjugates the
-block. A canonical recovery uncouples with a generator on the stage output
-and dephases Q. The squared irreversibility of the pair vanishes as
+(strength theta) through a generator x, then measures or conjugates the
+block. A canonical recovery uncouples with a generator x' on the stage
+output and dephases Q. The squared irreversibility of the pair vanishes as
 c2 * theta^2, and c2 is the squared error, disturbance or OTOC. `extract`
 gets c2 for any comb, either from a least-squares fit on a theta grid or
-exactly (canonical recoveries only). A comb's loss and canonical recovery
-have one stacked form each, built from the coupling's blocks on the Q = q
-halves, which a path applies: sigma_z is diagonal on Q, so exp(-i theta x (x)
-sigma_z) is exp(-i theta s_q g), s_q = +1, -1, with g the generator x on the
-space without Q. A grid takes both signs from one eigendecomposition of g;
-the exact value takes (1, -i s_q g), the value and theta-derivative at 0.
-Both the grid of a fixed or canonical recovery and the exact value read
-their amplitudes, as sums of non-negative terms; OPTIMIZE reads their Kraus
-stacks.
+exactly (canonical recoveries only).
+
+sigma_z is diagonal on Q, so exp(-i theta x (x) sigma_z) is exp(-i theta s_q x)
+on the Q = q half, s_q = +1, -1, with x on the space without Q. Under a
+canonical recovery the test states |+>, |-> weigh the two halves by +-1/2,
+so with S_s the stage's Kraus operators, m the block's sqrt(rho) columns and
+x = V diag(l) V^dag, x' = V' diag(l') V'^dag, every recovered amplitude is
+i sin(theta (l'_a - l_b)) (V'^dag S_s V)_ab. The grid is the closed form
+delta^2(theta) = sum_s ||(sin(theta Delta) o V'^dag S_s V) V^dag m||_F^2, and
+its theta^2 coefficient the commutator form c2 = sum_s ||(x' S_s - S_s x) m||_F^2,
+which needs no decomposition at all. Every term is a product, so nothing
+cancels however small the value. A fixed recovery's grid reads the loss
+amplitudes, built from the blocks exp(-i theta s_q x) of one
+eigendecomposition of x; OPTIMIZE reads the Kraus stacks of the loss and of
+the canonical recoveries.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .qcore import (
     Observable,
     TestEnsemble,
     _as_space,
+    _eigh_herm,
     _expm_herm,
     _names,
     embed,
@@ -115,7 +122,7 @@ class CanonicalRecovery:
     labels. The uncoupling exp(i theta x (x) sigma_z) is exp(i theta s_q gen)
     on the Q = q half, s_q = +1, -1, so `kraus_stack` serves every grid theta
     from one eigendecomposition of gen; `channel`, the member at this theta,
-    is built when it is first read.
+    is built when it is first read. Extraction reads gen alone.
     """
 
     x: Observable
@@ -132,18 +139,14 @@ class CanonicalRecovery:
     def in_space(self) -> tuple:
         return self.target + (Q_LABEL,)
 
-    def undo(self, flow, bras: np.ndarray) -> np.ndarray:
-        """(t, k, n_t, 2 n_t) rows (<t| (x) <b_k|) W^dag over the target basis t and the rows b_k of bras:
-        b_k[q] times row t of flow(-gen)[q], the block of W^dag on the Q = q half (Q is the last factor)."""
-        w_dag = flow(-self.gen)
-        rows = w_dag.transpose(0, 2, 3, 1)[:, None] * bras[:, None, None, :]  # (t, k, n_t, n_t, 2)
-        return rows.reshape(len(w_dag), len(bras), len(self.gen), -1)
-
     def kraus_stack(self, thetas) -> np.ndarray:
-        """(t, 2 n_t, 2, 2 n_t) Kraus stack of the member at each theta: |psi_k><t, psi_k| W(theta)^dag, psi_k outer."""
-        rows = self.undo(_flow(thetas), KETS.conj())  # (t, k, n_t, 2 n_t): <t, psi_k| W(theta)^dag
-        ops = KETS[:, None, :, None] * rows[:, :, :, None]
-        return ops.reshape(len(ops), -1, Q_LABEL.dim, rows.shape[-1])
+        """(t, 2 n_t, 2, 2 n_t) Kraus stack of the member at each theta: |psi_k><t, psi_k| W(theta)^dag,
+        psi_k outer. The row <t, psi_k| W^dag is psi_k[q]^* times row t of exp(i theta s_q gen), the
+        block of W^dag on the Q = q half (Q is the last factor)."""
+        w_dag = _flow(thetas)(-self.gen)
+        rows = w_dag.transpose(0, 2, 3, 1)[:, None] * KETS.conj()[:, None, None, :]  # (t, k, n_t, n_t, 2)
+        ops = KETS[:, None, :, None] * rows.reshape(len(w_dag), len(KETS), len(self.gen), 1, -1)
+        return ops.reshape(len(ops), -1, Q_LABEL.dim, ops.shape[-1])
 
     @cached_property
     def channel(self) -> KrausChannel:
@@ -388,76 +391,97 @@ def _flow(thetas):
     return lambda g: _expm_herm(g, th)
 
 
-def _tangent(g: np.ndarray) -> np.ndarray:
-    """The (2, 2, d, d) stack (1, -i s_q g): exp(-i theta s_q g) and its theta-derivative at 0."""
-    return np.stack([np.broadcast_to(np.eye(len(g)), (2,) + g.shape), -1j * SIGNS[:, None, None] * g])
+def _block_columns(block: DensityMatrix) -> np.ndarray:
+    """(d, r) columns m = sqrt(lam_a) |v_a> over the block's eigenpairs above 1e-14, so rho = m m^dag."""
+    vals, vecs = _eigh_herm(block.data)
+    keep = vals > 1e-14
+    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _loss_amplitudes(comb: Comb, flow, kets: np.ndarray = KETS) -> np.ndarray:
     """(t, k, r, d_out) amplitudes L_i psi_k = stage U append_i psi_k over U in flow(g1).
 
-    Appending maps psi_k to sqrt(lam_a) |v_a> (x) psi_k over the block's
-    eigenpairs above 1e-14; g1 is the coupling generator on the block, and
-    flow(g1) the stack of its blocks E_q on the Q = q halves, so L_i psi_k =
-    sum_q psi_k[q] (S_s E_q m_a) (x) |q>, psi_k the rows of kets: the stage
-    acts on each half, and Q, the last output factor, passes through.
+    Appending maps psi_k to m_a (x) psi_k over the block's columns m; g1 is
+    the coupling generator on the block, and flow(g1) the stack of its blocks
+    E_q on the Q = q halves, so L_i psi_k = sum_q psi_k[q] (S_s E_q m_a) (x) |q>,
+    psi_k the rows of kets: the stage acts on each half, and Q, the last
+    output factor, passes through.
     """
-    vals, vecs = np.linalg.eigh(comb.block.data)
-    keep = vals > 1e-14
-    m = vecs[:, keep] * np.sqrt(vals[keep])  # (d, r_A)
-    em = flow(_coupling(comb.gen, comb.block.space)) @ m  # (t, 2, d, r_A)
+    em = flow(_coupling(comb.gen, comb.block.space)) @ _block_columns(comb.block)  # (t, 2, d, r_A)
     cols = em[:, None] * kets[:, :, None, None]  # (t, k, 2, d, r_A): psi_k[q] E_q m
     amp = comb.stage.kraus @ cols[:, :, :, None]  # (t, k, 2, r_S, d_S, r_A)
     return amp.transpose(0, 1, 3, 5, 4, 2).reshape(len(em), len(kets), -1, 2 * comb.stage.dim_out)
 
 
-def _recovery_bras(comb: Comb, recovery, flow) -> np.ndarray:
-    """(t or 1, 2, m, d_out) bras <psi_k^perp| R_j of the recovery, row m over j.
-
-    A fixed recovery uses its Kraus stack. The canonical one undoes the x
-    coupling, traces out the target and dephases Q in the +/- basis; the
-    dephasing keeps <psi_k^perp|.|psi_k^perp>, so its rows are
-    (<t| (x) <psi_k^perp|) W^dag over the target basis t and the stack of
-    W^dag the path applies.
-    """
+def _recovery_bras(comb: Comb, recovery: KrausChannel) -> np.ndarray:
+    """(1, 2, m, d_out) bras <psi_k^perp| R_j of a fixed recovery, row m over j."""
     out = comb.out_space
-    perp = KETS[::-1].conj()
-    if isinstance(recovery, KrausChannel):
-        if (recovery.in_space, recovery.out_space) != (out, (Q_LABEL,)) or not recovery.trace_preserving:
-            raise ShapeError(f"a fixed recovery must be a trace-preserving channel {_names(out)} -> ('Q',)")
-        return (recovery.kraus.swapaxes(1, 2) @ perp.T).transpose(2, 0, 1)[None]
-    if recovery.in_space != out:
-        raise ShapeError(f"recovery input space {_names(recovery.in_space)} does not match the loss output {_names(out)}")
-    return recovery.undo(flow, perp)
+    if (recovery.in_space, recovery.out_space) != (out, (Q_LABEL,)) or not recovery.trace_preserving:
+        raise ShapeError(f"a fixed recovery must be a trace-preserving channel {_names(out)} -> ('Q',)")
+    return (recovery.kraus.swapaxes(1, 2) @ KETS[::-1].conj().T).transpose(2, 0, 1)[None]
 
 
-def _ensemble_average(comb: Comb, d2: np.ndarray, amp: np.ndarray):
-    """sum_k D_k^2 / 2 for each row of the (t, k) array d2 of D_k^2, and the
-    mean branch probability (None for a trace-preserving stage).
+def _ensemble_average(comb: Comb, d2: np.ndarray, q: Callable[[], np.ndarray]):
+    """The mean over the test states of each row of the (t, k) array d2 of
+    D_k^2 (k = 1 when every state gives the same), and the mean branch
+    probability (None for a trace-preserving stage).
 
-    A branch comb divides each D_k^2 by q_k = ||L psi_k||^2, read from the
-    (t, k, r, d_out) loss amplitudes amp; q_k <= 1e-12 raises
-    BranchProbabilityError, and q_k / branch_scale^2 is the reported mean.
+    A branch comb divides each D_k^2 by its branch probability q_k =
+    ||L psi_k||^2, the array q() of d2's shape, which only a branch comb
+    computes; q_k <= 1e-12 raises BranchProbabilityError, and
+    q_k / branch_scale^2 is the reported mean.
     """
     if comb.branch_scale is None:
-        return d2.sum(axis=1) / 2, None
-    q = np.sum(np.abs(amp) ** 2, axis=(-2, -1))
-    t, k = np.unravel_index(np.argmin(q), q.shape)
-    if q[t, k] <= TOL_PROB:
-        raise BranchProbabilityError(f"branch probability {q[t, k]} for state {k} below 1e-12")
-    return (d2 / q).sum(axis=1) / 2, float(np.mean(q / (comb.branch_scale * comb.branch_scale)))
+        return d2.sum(axis=1) / d2.shape[1], None
+    q = q()
+    if np.min(q) <= TOL_PROB:
+        raise BranchProbabilityError(f"branch probability {np.min(q)} below 1e-12")
+    return (d2 / q).sum(axis=1) / d2.shape[1], float(np.mean(q / (comb.branch_scale * comb.branch_scale)))
 
 
-def _grid(comb: Comb, recovery, thetas: tuple):
-    """delta^2 at every grid theta, and the mean branch probability.
+def _grid(comb: Comb, recovery: KrausChannel, thetas: tuple):
+    """delta^2 at every grid theta under a fixed recovery, and the mean branch probability.
 
     For the pure states psi_k of omega_pm, D_k^2 = sum_ij |<psi_k^perp| R_j
-    L_i |psi_k>|^2, a sum of non-negative terms; delta^2 = sum_k D_k^2 / 2.
+    L_i |psi_k>|^2, a sum of non-negative terms over the loss amplitudes.
     """
-    flow = _flow(thetas)
-    amp = _loss_amplitudes(comb, flow)
-    rows = _recovery_bras(comb, recovery, flow)
-    return _ensemble_average(comb, np.sum(np.abs(amp @ rows.swapaxes(-1, -2)) ** 2, axis=(-2, -1)), amp)
+    amp = _loss_amplitudes(comb, _flow(thetas))
+    d2 = np.sum(np.abs(amp @ _recovery_bras(comb, recovery).swapaxes(-1, -2)) ** 2, axis=(-2, -1))
+    return _ensemble_average(comb, d2, lambda: np.sum(np.abs(amp) ** 2, axis=(-2, -1)))
+
+
+def _sq_norms(z: np.ndarray) -> np.ndarray:
+    """(t, 1) squared Frobenius norms of the t leading slices of z."""
+    z = z.reshape(len(z), -1)
+    return np.einsum("ij,ij->i", z.conj(), z).real[:, None]
+
+
+def _canonical(comb: Comb, recovery: CanonicalRecovery, thetas=None):
+    """delta^2 at each theta of thetas under a canonical recovery, or its theta^2 coefficient
+    c2 when thetas is None, by the closed forms above, and the mean branch probability.
+
+    Both test states give the same D^2, and the same branch probability q = ||L psi_k||^2
+    by which a branch comb divides it: 1/2 sum_q ||S~ D_q B||^2 with S~ = V'^dag S V,
+    B = V^dag m and D_q = diag(exp(-i theta s_q l)) on the grid, sum_s ||S_s m||^2 at 0.
+    """
+    if recovery.in_space != (out := comb.out_space):
+        raise ShapeError(f"recovery input space {_names(recovery.in_space)} does not match the loss output {_names(out)}")
+    s, m, x = comb.stage.kraus, _block_columns(comb.block), _coupling(comb.gen, comb.block.space)
+    if thetas is None:
+        d2 = _sq_norms(((recovery.gen @ s - s @ x) @ m)[None])
+        return _ensemble_average(comb, d2, lambda: _sq_norms((s @ m)[None]))
+    lam, v = _eigh_herm(x)
+    lam_r, v_r = (lam, v) if np.array_equal(recovery.gen, x) else _eigh_herm(recovery.gen)  # x' = x: share
+    st, b = v_r.conj().T @ s @ v, v.conj().T @ m  # S~ (r_S, d_out, d), B (d, r_A)
+    th = np.asarray(thetas, dtype=float)
+    sines = np.sin(th[:, None, None, None] * (lam_r[:, None] - lam))  # (t, 1, d_out, d)
+    d2 = _sq_norms((sines * st) @ b)
+
+    def q():
+        db = np.exp(-1j * np.multiply.outer(np.multiply.outer(th, SIGNS), lam))[..., None] * b  # (t, 2, d, r_A)
+        return _sq_norms((st[:, None, None] @ db).swapaxes(0, 1)) / 2
+
+    return _ensemble_average(comb, d2, q)
 
 
 def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = None) -> IepResult:
@@ -467,15 +491,17 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     CanonicalRecovery, both evaluated at each grid theta; an explicit
     KrausChannel held fixed across the grid, or OPTIMIZE to minimize over
     recoveries at each theta, warm-started from every canonical recovery of
-    the comb. Every grid but OPTIMIZE's is one stacked amplitude evaluation
-    over all theta; OPTIMIZE passes the stacked loss and warm-start Kraus
-    forms through delta_min's kernel in one pass, with a gradient search only
-    at a theta whose gap stays open. The test ensemble is pure, so each
-    OPTIMIZE grid value is certified by the dual bound, and certified_gap is
-    the worst gap over theta: every grid value lies within it of the minimum
-    over all CPTP recoveries.
-    cfg.method="analytic" needs a canonical recovery and sums the squared
-    theta-derivatives of the same amplitudes at 0, exactly.
+    the comb. A canonical grid is the closed form sum_s ||(sin(theta Delta) o
+    S~_s) B||^2 of the module docstring, every theta from one
+    eigendecomposition of each generator; a fixed recovery's grid is one
+    stacked amplitude evaluation over all theta; OPTIMIZE passes the stacked
+    loss and warm-start Kraus forms through delta_min's kernel in one pass,
+    with a gradient search only at a theta whose gap stays open. The test
+    ensemble is pure, so each OPTIMIZE grid value is certified by the dual
+    bound, and certified_gap is the worst gap over theta: every grid value
+    lies within it of the minimum over all CPTP recoveries.
+    cfg.method="analytic" needs a canonical recovery and returns the
+    commutator form c2 = sum_s ||(x' S_s - S_s x) m||^2 exactly.
     """
     cfg = cfg or ExtractionConfig()
     if isinstance(recovery, str) and recovery == "canonical":
@@ -486,12 +512,7 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     if cfg.method == "analytic":
         if not isinstance(recovery, CanonicalRecovery):
             raise ValueError("analytic extraction needs a canonical recovery")
-        # the recovery returns psi_k exactly at theta = 0, so every amplitude a vanishes
-        # there and D_k^2 = theta^2 sum |a'(0)|^2 + O(theta^3), a' = R(0) L'(0) + R'(0) L(0)
-        amp = _loss_amplitudes(comb, _tangent)
-        rows = _recovery_bras(comb, recovery, _tangent).swapaxes(-1, -2)
-        da = amp[1] @ rows[0] + amp[0] @ rows[1]
-        c2, branch = _ensemble_average(comb, np.sum(np.abs(da) ** 2, axis=(-2, -1))[None], amp[:1])
+        c2, branch = _canonical(comb, recovery)
         return IepResult(float(c2[0]), (), 0.0, "analytic", branch_probability=branch)
 
     branch = gap = None
@@ -503,6 +524,8 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
         reps = _delta_min(comb.kraus_stack(cfg.thetas), spaces, omega_pm(), cfg.optimizer, warm)
         values = [rep.delta**2 for rep in reps]
         gap = max(rep.certified_gap for rep in reps)  # omega_pm is pure, so every gap is set
+    elif isinstance(recovery, CanonicalRecovery):
+        values, branch = _canonical(comb, recovery, cfg.thetas)
     else:
         values, branch = _grid(comb, recovery, cfg.thetas)
     grid = [(float(t), float(v)) for t, v in zip(cfg.thetas, values)]

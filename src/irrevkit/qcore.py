@@ -386,10 +386,20 @@ def _reorder(a: np.ndarray, dims: Sequence[int], order: Sequence[int], axis: int
     return t.transpose(perm).reshape(a.shape)
 
 
+def _eigh_herm(h: np.ndarray):
+    """(eigenvalues, eigenvectors) of Hermitian h. A diagonal h (off-diagonal
+    entries exactly zero) returns its real diagonal, unsorted, and the
+    identity, without a decomposition."""
+    diag = h.diagonal()
+    if np.count_nonzero(h) == np.count_nonzero(diag):
+        return diag.real.copy(), np.eye(len(h), dtype=h.dtype)
+    return np.linalg.eigh(h)
+
+
 def _expm_herm(h: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
     """exp(-i t H) for Hermitian H via one eigendecomposition; an array of
     times gives the (len(t), d, d) stack of exponentials."""
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = _eigh_herm(h)
     return (vecs * np.exp(-1j * np.asarray(t)[..., None, None] * vals)) @ vecs.conj().T
 
 

@@ -398,6 +398,22 @@ class TestStackedGrid:
             assert abs(exact.branch_probability - grid.branch_probability) <= 1e-3 * grid.branch_probability
 
 
+class TestClosedForm:
+    """Canonical grids and exact values from the closed forms against the dense references."""
+
+    @pytest.mark.parametrize("seed", range(31, 41))
+    def test_grid_and_analytic_match_dense_reference(self, seed):
+        kinds = set()
+        for name, comb in rand_combs(seed):
+            rec = comb.recoveries()[0]
+            got = [v for _, v in extract(comb, rec).theta_grid]
+            assert np.max(np.abs(np.subtract(got, ref_grid(comb, rec, TestStackedGrid.THETAS)))) <= 1e-13, name
+            want = ref_analytic_c2(comb, rec.x)
+            assert want >= 1e-3 and abs(extract(comb, rec, ANALYTIC).value - want) <= 1e-12 * want, name
+            kinds.add(name)
+        assert len(kinds) == 4
+
+
 def permuted_comb(seed: int, gen_on: tuple, x_on: tuple):
     """A comb on (A, B, C) whose generator lives on the labels gen_on, in that
     order, with a random unitary stage and a canonical recovery through an x on
@@ -431,8 +447,9 @@ class TestFactorCoupling:
                 assert loss_gap <= 1e-13 and recovery_gap <= 1e-13, (x_on, theta)
 
     def test_one_half_dimension_eigh_per_coupling_generator(self, monkeypatch):
-        # sigma_z is diagonal on Q: each coupling is diagonalised once, on the space without Q
-        calls = []
+        # sigma_z is diagonal on Q: each coupling is diagonalised once, on the space without Q,
+        # and not at all when it is diagonal already (the pointer generators); analytic needs none
+        calls, diagonal = [], 0
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
         for name, comb in rand_combs(38, n=2):
@@ -442,7 +459,9 @@ class TestFactorCoupling:
                 ref_embed_matrix(rec.x.data, rec.x.space, rec.target),
             )
             doubled = {2 * len(g) for g in gens}
-            for cfg, want in ((ExtractionConfig(), [1, 1]), (ANALYTIC, [0, 0])):
+            grid_want = [int(np.count_nonzero(g - np.diag(np.diag(g))) > 0) for g in gens]
+            diagonal += grid_want.count(0)
+            for cfg, want in ((ExtractionConfig(), grid_want), (ANALYTIC, [0, 0])):
                 calls.clear()
                 extract(comb, rec, cfg)
                 assert not [a.shape for a in calls if len(a) in doubled], (name, cfg.method)
@@ -451,6 +470,7 @@ class TestFactorCoupling:
                     for g in gens
                 ]
                 assert hits == want, (name, cfg.method)
+        assert diagonal == 4
 
     def test_no_lift_touches_the_ancilla(self, monkeypatch):
         # Q passes through every stage: the stage acts on the block alone, and no

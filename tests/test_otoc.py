@@ -128,13 +128,45 @@ class TestIep:
         assert abs(rep.value - otoc_direct(s)) < 1e-6
 
     def test_chain_near_zero_tau_matches_direct(self):
-        # delta^2 is a sum of non-negative amplitude terms: no 1 - F^2 floor near zero
+        # delta^2 is a sum of sin^2 terms times |<a|W|b>|^2: no 1 - F^2 floor near zero
         assert abs(otoc_iep(ising_chain_scenario(0.0)).value) <= 1e-20
         s = ising_chain_scenario(0.05)
         assert abs(otoc_iep(s).value - otoc_direct(s)) <= 1e-6 * otoc_direct(s)
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_chain_grid_matches_direct_relative(self, n):
+        # the OTOC is 7.9e-23 at 7 sites and 3.3e-28 at 8, so only a relative bound can see an
+        # error; the closed-form grid is off by the two-term fit's own bias, -1.649e-9 at every n
+        s = ising_chain_scenario(0.3, n)
+        direct = otoc_direct(s)
+        assert abs(otoc_iep(s).value - direct) <= 2e-9 * direct
+
+    def test_shared_and_diagonal_generators_are_not_decomposed_again(self, monkeypatch):
+        # the recovery's x' is V itself, so the grid decomposes V once; on the chain the block
+        # is 1/d and V = Z_n is diagonal, so heisenberg's eigh of H is the only one
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
+        rng = np.random.default_rng(12)
+        lab = Label("S", 3)
+        s = ScramblingScenario(
+            Observable((lab,), rand_herm(rng, 3)),
+            Observable((lab,), rand_self_adjoint_unitary(rng, 3)),
+            Observable((lab,), rand_herm(rng, 3)),
+            0.6,
+            rand_state(rng, 3, lab),
+        )
+        for cfg, want in ((None, (s.h, s.rho, s.v0)), (ANALYTIC, (s.h, s.rho))):
+            calls.clear()
+            otoc_iep(s, cfg)
+            assert len(calls) == len(want) and all(np.array_equal(a, b.data) for a, b in zip(calls, want))
+            chain = ising_chain_scenario(0.3, 4)
+            calls.clear()
+            otoc_iep(chain, cfg)
+            assert len(calls) == 1 and np.array_equal(calls[0], chain.h.data)
+
     def test_chain_analytic_matches_direct(self):
-        # the analytic value sums squared first derivatives, so no O(1) terms cancel
+        # the analytic value is the commutator form ||[V, W(tau)]||_F^2 / d, so no O(1) terms cancel
         s = ising_chain_scenario(0.3, 4)
         assert abs(otoc_iep(s, ANALYTIC).value - otoc_direct(s)) <= 1e-12 * otoc_direct(s)
 
@@ -255,6 +287,23 @@ class TestStackedGrid:
             assert comb.branch_scale is not None
             got = [v for _, v in rep.theta_grid]
             assert np.max(np.abs(np.subtract(got, ref_grid(comb, "canonical", self.THETAS)))) <= 1e-13
+
+    def test_otoc_iep_cp_closed_form_random_hermitian_w(self, monkeypatch):
+        # a 4-dimensional W that is neither unitary nor of unit norm: the branch is
+        # renormalised by q on the grid and by its theta = 0 value in the exact form
+        rng = np.random.default_rng(45)
+        lab = Label("S", 4)
+        s = ScramblingScenario(*(Observable((lab,), rand_herm(rng, 4)) for _ in range(3)), 0.8)
+        rep, comb = spied_comb(monkeypatch, otoc_iep_cp, s)
+        assert comb.branch_scale < 1.0
+        got = [v for _, v in rep.theta_grid]
+        assert np.max(np.abs(np.subtract(got, ref_grid(comb, "canonical", self.THETAS)))) <= 1e-13
+        exact = otoc_iep_cp(s, ANALYTIC)
+        direct = otoc_direct(s)
+        assert abs(exact.value * exact.rescale - direct) <= 1e-12 * direct
+        assert abs(rep.value - exact.value) <= 1e-6 * exact.value
+        assert abs(exact.branch_probability - 1.0) <= 1e-12
+        assert abs(rep.branch_probability - 1.0) <= 1e-3
 
     def test_loss_and_recovery_channels_match_dense_reference(self, monkeypatch):
         rng = np.random.default_rng(43)
