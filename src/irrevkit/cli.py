@@ -20,7 +20,7 @@ import numpy as np
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
-from .comb import ExtractionConfig, OPTIMIZE, canonical_recovery, extract_epsilon, extract_eta, extract_two_copy
+from .comb import ExtractionConfig, canonical_recovery, extract_epsilon, extract_eta, extract_two_copy
 from .errors import (
     AssumptionError,
     BranchProbabilityError,
@@ -205,7 +205,8 @@ _EXTRACTION = {
         "method": {"enum": ["extrapolated", "analytic"]},
         "thetas": {
             "type": "array",
-            "minItems": 1,
+            "minItems": 2,
+            "uniqueItems": True,
             "items": {"type": "number", "exclusiveMinimum": 0},
         },
         "fit_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -493,10 +494,8 @@ def _run_delta(payload: dict, seed: int):
 
 def _decode_recovery(payload: dict):
     spec = payload.get("recovery", "canonical")
-    if spec == "canonical":
-        return "canonical", spec
-    if spec == "optimize":
-        return OPTIMIZE, spec
+    if isinstance(spec, str):  # "canonical" or "optimize", which extract takes as they are
+        return spec, spec
     return canonical_recovery(decode_observable(spec["x"]), decode_space(spec["target"]), 0.0), spec
 
 
@@ -556,8 +555,7 @@ def _run_way(payload: dict, seed: int, bound):
     inputs["lhs"] = lhs
     if cfg is not None:
         inputs["extraction"] = cfg.to_json()
-    lhs_arg = OPTIMIZE if lhs == "optimize" else lhs
-    return _run_bound(payload, inputs, lambda charges: bound(rho, obs, inst, charges, impl, lhs=lhs_arg, cfg=cfg))
+    return _run_bound(payload, inputs, lambda charges: bound(rho, obs, inst, charges, impl, lhs=lhs, cfg=cfg))
 
 
 def _run_otoc(payload: dict, seed: int):

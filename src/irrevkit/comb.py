@@ -17,10 +17,10 @@ i sin(theta (l'_a - l_b)) (V'^dag S_s V)_ab. The grid is the closed form
 delta^2(theta) = sum_s ||(sin(theta Delta) o V'^dag S_s V) V^dag m||_F^2, and
 its theta^2 coefficient the commutator form c2 = sum_s ||(x' S_s - S_s x) m||_F^2,
 which needs no decomposition at all. Every term is a product, so nothing
-cancels however small the value. A fixed recovery's grid reads the loss
-amplitudes, built from the blocks exp(-i theta s_q x) of one
-eigendecomposition of x; OPTIMIZE reads the Kraus stacks of the loss and of
-the canonical recoveries.
+cancels however small the value. Only canonical recoveries are scored here:
+a fixed KrausChannel recovery and OPTIMIZE pass the loss's Kraus stack over
+the grid, built from the blocks exp(-i theta s_q x) of one eigendecomposition
+of x, to irrev's stacked delta_with_recovery and delta_min kernels.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchProbabilityError, ExtractionError, ShapeError
-from .irrev import OptimizerConfig, _delta_min
-from .oracles import lt_disturbance, lt_error, outcome_values
+from .irrev import OptimizerConfig, _delta_min, _delta_with_recovery
+from .oracles import _check_system, lt_disturbance, lt_error, outcome_values
 from .qcore import (
     ID2,
     TOL_PROB,
@@ -80,21 +80,7 @@ KETS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)  # |+>,
 SIGNS = np.array([1.0, -1.0])  # sigma_z = diag(s_q) on Q
 
 
-class _OptimizeType:
-    """Sentinel selecting recovery optimization instead of a fixed recovery."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OPTIMIZE"
-
-
-OPTIMIZE = _OptimizeType()
+OPTIMIZE = "optimize"  # the recovery word selecting optimization instead of a fixed recovery
 
 
 def omega_pm(q: Label = Q_LABEL) -> TestEnsemble:
@@ -189,6 +175,8 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.method not in ("extrapolated", "analytic"):
             raise ValueError(f"extraction method {self.method!r} is neither 'extrapolated' nor 'analytic'")
+        if len(set(self.thetas)) < 2 or min(self.thetas) <= 0:
+            raise ValueError(f"the theta grid {self.thetas!r} needs two or more distinct values, all above 0")
 
     def to_json(self) -> dict:
         return {
@@ -249,19 +237,21 @@ class Comb:
 
     def kraus_stack(self, thetas) -> np.ndarray:
         """(t, r, d_out, 2) Kraus stack of the loss at each theta: its operators
-        S_s U(theta) A_a are the loss amplitudes of the Q basis states, column by column."""
-        return _loss_amplitudes(self, _flow(thetas), ID2).transpose(0, 2, 3, 1)
+        S_s U(theta) A_a, column by column the images of the Q basis states |k>.
+
+        Appending maps |k> to m_a (x) |k> over the block's columns m, and the
+        coupling acts on the Q = q half as the block E_q of flow(x), so column
+        k is sum_q delta_kq (S_s E_q m_a) (x) |q>: the stage acts on each half,
+        and Q, the last output factor, passes through.
+        """
+        em = _flow(thetas)(_coupling(self.gen, self.block.space)) @ _block_columns(self.block)  # (t, 2, d, r_A)
+        amp = self.stage.kraus @ (em[:, None] * ID2[:, :, None, None])[:, :, :, None]  # (t, k, 2, r_S, d_S, r_A)
+        cols = amp.transpose(0, 1, 3, 5, 4, 2).reshape(len(em), len(ID2), -1, 2 * self.stage.dim_out)
+        return cols.transpose(0, 2, 3, 1)
 
     def loss(self, theta: float) -> KrausChannel:
         ops = self.kraus_stack((theta,))[0]
         return KrausChannel((Q_LABEL,), self.out_space, ops, self.stage.trace_preserving)
-
-
-def _check_meas(rho: DensityMatrix, gen: Observable, meas: Instrument):
-    if _names(gen.space) != _names(rho.space):
-        raise ValueError("generator and state must share a space")
-    if _names(meas.in_space) != _names(rho.space):
-        raise ValueError("instrument input must match the state space")
 
 
 def _pointer(meas: Instrument) -> Label:
@@ -275,7 +265,7 @@ def _pointer_observable(meas: Instrument, f) -> Observable:
 
 def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
     """P_M o U_{A,theta} o A_rho from Q to (P, Q); recovery at the pushforward values."""
-    _check_meas(rho, a, meas)
+    _check_system(rho, a, meas)
     p_label = _pointer(meas)
     pushforward = lambda: (canonical_recovery(_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,), 0.0),)
     return Comb(rho, a, pointer_channel(meas, p_label), pushforward)
@@ -283,7 +273,7 @@ def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
 
 def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Comb:
     """I_M o U_{B,theta} o A_rho from Q to (S', Q); LT recovery, then B itself."""
-    _check_meas(rho, b, meas)
+    _check_system(rho, b, meas)
     out_sp = meas.out_space
 
     def recoveries():
@@ -317,7 +307,7 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     error: P_M on copy 2 -> (P, S1, Q), recovered through the pointer values
     f; disturbance: I_M on copy 2 -> (S2, S1, Q), recovered through gen.
     """
-    _check_meas(rho, gen, meas)
+    _check_system(rho, gen, meas)
     s2, s1 = _two_copy_labels(rho)
     block = DensityMatrix((s2, s1), np.kron(rho.data, rho.data))
     meas2 = _relabel_instrument(meas, s2)
@@ -398,62 +388,25 @@ def _block_columns(block: DensityMatrix) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _loss_amplitudes(comb: Comb, flow, kets: np.ndarray = KETS) -> np.ndarray:
-    """(t, k, r, d_out) amplitudes L_i psi_k = stage U append_i psi_k over U in flow(g1).
+def _renormalised(comb: Comb, d2: np.ndarray, q: Callable[[], np.ndarray]):
+    """The (t,) array d2 and the mean branch probability (None for a trace-preserving stage).
 
-    Appending maps psi_k to m_a (x) psi_k over the block's columns m; g1 is
-    the coupling generator on the block, and flow(g1) the stack of its blocks
-    E_q on the Q = q halves, so L_i psi_k = sum_q psi_k[q] (S_s E_q m_a) (x) |q>,
-    psi_k the rows of kets: the stage acts on each half, and Q, the last
-    output factor, passes through.
-    """
-    em = flow(_coupling(comb.gen, comb.block.space)) @ _block_columns(comb.block)  # (t, 2, d, r_A)
-    cols = em[:, None] * kets[:, :, None, None]  # (t, k, 2, d, r_A): psi_k[q] E_q m
-    amp = comb.stage.kraus @ cols[:, :, :, None]  # (t, k, 2, r_S, d_S, r_A)
-    return amp.transpose(0, 1, 3, 5, 4, 2).reshape(len(em), len(kets), -1, 2 * comb.stage.dim_out)
-
-
-def _recovery_bras(comb: Comb, recovery: KrausChannel) -> np.ndarray:
-    """(1, 2, m, d_out) bras <psi_k^perp| R_j of a fixed recovery, row m over j."""
-    out = comb.out_space
-    if (recovery.in_space, recovery.out_space) != (out, (Q_LABEL,)) or not recovery.trace_preserving:
-        raise ShapeError(f"a fixed recovery must be a trace-preserving channel {_names(out)} -> ('Q',)")
-    return (recovery.kraus.swapaxes(1, 2) @ KETS[::-1].conj().T).transpose(2, 0, 1)[None]
-
-
-def _ensemble_average(comb: Comb, d2: np.ndarray, q: Callable[[], np.ndarray]):
-    """The mean over the test states of each row of the (t, k) array d2 of
-    D_k^2 (k = 1 when every state gives the same), and the mean branch
-    probability (None for a trace-preserving stage).
-
-    A branch comb divides each D_k^2 by its branch probability q_k =
-    ||L psi_k||^2, the array q() of d2's shape, which only a branch comb
-    computes; q_k <= 1e-12 raises BranchProbabilityError, and
-    q_k / branch_scale^2 is the reported mean.
+    A branch comb divides d2 by its branch probability, the array q() of d2's
+    shape, which only a branch comb computes; q <= 1e-12 raises
+    BranchProbabilityError, and q / branch_scale^2 is the reported mean.
     """
     if comb.branch_scale is None:
-        return d2.sum(axis=1) / d2.shape[1], None
+        return d2, None
     q = q()
     if np.min(q) <= TOL_PROB:
         raise BranchProbabilityError(f"branch probability {np.min(q)} below 1e-12")
-    return (d2 / q).sum(axis=1) / d2.shape[1], float(np.mean(q / (comb.branch_scale * comb.branch_scale)))
-
-
-def _grid(comb: Comb, recovery: KrausChannel, thetas: tuple):
-    """delta^2 at every grid theta under a fixed recovery, and the mean branch probability.
-
-    For the pure states psi_k of omega_pm, D_k^2 = sum_ij |<psi_k^perp| R_j
-    L_i |psi_k>|^2, a sum of non-negative terms over the loss amplitudes.
-    """
-    amp = _loss_amplitudes(comb, _flow(thetas))
-    d2 = np.sum(np.abs(amp @ _recovery_bras(comb, recovery).swapaxes(-1, -2)) ** 2, axis=(-2, -1))
-    return _ensemble_average(comb, d2, lambda: np.sum(np.abs(amp) ** 2, axis=(-2, -1)))
+    return d2 / q, float(np.mean(q / (comb.branch_scale * comb.branch_scale)))
 
 
 def _sq_norms(z: np.ndarray) -> np.ndarray:
-    """(t, 1) squared Frobenius norms of the t leading slices of z."""
+    """(t,) squared Frobenius norms of the t leading slices of z."""
     z = z.reshape(len(z), -1)
-    return np.einsum("ij,ij->i", z.conj(), z).real[:, None]
+    return np.einsum("ij,ij->i", z.conj(), z).real
 
 
 def _canonical(comb: Comb, recovery: CanonicalRecovery, thetas=None):
@@ -469,7 +422,7 @@ def _canonical(comb: Comb, recovery: CanonicalRecovery, thetas=None):
     s, m, x = comb.stage.kraus, _block_columns(comb.block), _coupling(comb.gen, comb.block.space)
     if thetas is None:
         d2 = _sq_norms(((recovery.gen @ s - s @ x) @ m)[None])
-        return _ensemble_average(comb, d2, lambda: _sq_norms((s @ m)[None]))
+        return _renormalised(comb, d2, lambda: _sq_norms((s @ m)[None]))
     lam, v = _eigh_herm(x)
     lam_r, v_r = (lam, v) if np.array_equal(recovery.gen, x) else _eigh_herm(recovery.gen)  # x' = x: share
     st, b = v_r.conj().T @ s @ v, v.conj().T @ m  # S~ (r_S, d_out, d), B (d, r_A)
@@ -481,7 +434,7 @@ def _canonical(comb: Comb, recovery: CanonicalRecovery, thetas=None):
         db = np.exp(-1j * np.multiply.outer(np.multiply.outer(th, SIGNS), lam))[..., None] * b  # (t, 2, d, r_A)
         return _sq_norms((st[:, None, None] @ db).swapaxes(0, 1)) / 2
 
-    return _ensemble_average(comb, d2, q)
+    return _renormalised(comb, d2, q)
 
 
 def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = None) -> IepResult:
@@ -493,21 +446,21 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     recoveries at each theta, warm-started from every canonical recovery of
     the comb. A canonical grid is the closed form sum_s ||(sin(theta Delta) o
     S~_s) B||^2 of the module docstring, every theta from one
-    eigendecomposition of each generator; a fixed recovery's grid is one
-    stacked amplitude evaluation over all theta; OPTIMIZE passes the stacked
-    loss and warm-start Kraus forms through delta_min's kernel in one pass,
-    with a gradient search only at a theta whose gap stays open. The test
-    ensemble is pure, so each OPTIMIZE grid value is certified by the dual
-    bound, and certified_gap is the worst gap over theta: every grid value
-    lies within it of the minimum over all CPTP recoveries.
-    cfg.method="analytic" needs a canonical recovery and returns the
-    commutator form c2 = sum_s ||(x' S_s - S_s x) m||^2 exactly.
+    eigendecomposition of each generator. A fixed recovery and OPTIMIZE pass
+    the loss's Kraus stack over the grid through delta_with_recovery's and
+    delta_min's kernels in one pass, OPTIMIZE with a gradient search only at
+    a theta whose gap stays open. The test ensemble is pure, so each OPTIMIZE
+    grid value is certified by the dual bound, and certified_gap is the worst
+    gap over theta: every grid value lies within it of the minimum over all
+    CPTP recoveries. cfg.method="analytic" needs a canonical recovery and
+    returns the commutator form c2 = sum_s ||(x' S_s - S_s x) m||^2 exactly.
     """
     cfg = cfg or ExtractionConfig()
-    if isinstance(recovery, str) and recovery == "canonical":
-        recovery = comb.recoveries()[0]
-    elif not (recovery is OPTIMIZE or isinstance(recovery, (CanonicalRecovery, KrausChannel))):
+    words = ("canonical", OPTIMIZE)
+    if not (isinstance(recovery, (CanonicalRecovery, KrausChannel)) or isinstance(recovery, str) and recovery in words):
         raise TypeError(f"unsupported recovery {recovery!r}")
+    if recovery == "canonical":
+        recovery = comb.recoveries()[0]
 
     if cfg.method == "analytic":
         if not isinstance(recovery, CanonicalRecovery):
@@ -516,18 +469,19 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
         return IepResult(float(c2[0]), (), 0.0, "analytic", branch_probability=branch)
 
     branch = gap = None
-    if recovery is OPTIMIZE:
-        if not comb.stage.trace_preserving:
-            raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
-        warm = [rec.kraus_stack(cfg.thetas) for rec in comb.recoveries()]
-        spaces = ((Q_LABEL,), comb.out_space)
-        reps = _delta_min(comb.kraus_stack(cfg.thetas), spaces, omega_pm(), cfg.optimizer, warm)
-        values = [rep.delta**2 for rep in reps]
-        gap = max(rep.certified_gap for rep in reps)  # omega_pm is pure, so every gap is set
-    elif isinstance(recovery, CanonicalRecovery):
+    if isinstance(recovery, CanonicalRecovery):
         values, branch = _canonical(comb, recovery, cfg.thetas)
     else:
-        values, branch = _grid(comb, recovery, cfg.thetas)
+        loss = (comb.kraus_stack(cfg.thetas), ((Q_LABEL,), comb.out_space), comb.stage.trace_preserving)
+        if recovery == OPTIMIZE:
+            warm = [rec.kraus_stack(cfg.thetas) for rec in comb.recoveries()]
+            reps = _delta_min(*loss, omega_pm(), cfg.optimizer, warm)
+            gap = max(rep.certified_gap for rep in reps)  # omega_pm is pure, so every gap is set
+        else:
+            reps = _delta_with_recovery(*loss, recovery, omega_pm())
+            if comb.branch_scale is not None:
+                branch = float(np.mean([rep.branch_probabilities for rep in reps])) / comb.branch_scale**2
+        values = [rep.delta**2 for rep in reps]
     grid = [(float(t), float(v)) for t, v in zip(cfg.thetas, values)]
     c2, residual = _fit_c2(grid, cfg.fit_tol)
     if c2 < -1e-9:

@@ -15,9 +15,11 @@ closes the gap, it returns without any gradient search. For mixed members
 the value comes from projected gradient ascent on a Stinespring isometry and
 is only a local optimum.
 
-delta_min is the one-loss case of a kernel over a stack of losses, such as
-an OPTIMIZE grid: the outputs, the Petz recovery, the scores and the dual
-certificate each take one array pass over the stack.
+delta_with_recovery and delta_min are the one-loss cases of two kernels over
+a stack of losses, such as the theta grid of a comb: the outputs, the Petz
+recovery, the scores and the dual certificate each take one array pass over
+the stack. The kernels check the ensemble, the loss and the recovery, so a
+stacked caller gets the same checks as the public functions.
 """
 
 from __future__ import annotations
@@ -109,10 +111,13 @@ class DeltaReport:
         return d
 
 
-def _members(omega: TestEnsemble):
-    """The ensemble as arrays: weights p (n,), states rho (n, d, d), their
-    eigenvectors (n, d, d) in ascending order of eigenvalue, and which members
-    are pure (one eigenvalue above 1e-12), with psi_k the last eigenvector."""
+def _members(omega: TestEnsemble, space: tuple):
+    """The ensemble, which must live on space, as arrays: weights p (n,), states
+    rho (n, d, d), their eigenvectors (n, d, d) in ascending order of eigenvalue,
+    and which members are pure (one eigenvalue above 1e-12), with psi_k the last
+    eigenvector."""
+    if omega.space != space:
+        raise ShapeError("ensemble space does not match the loss input space")
     p = np.array([w for w, _ in omega.entries])
     rho = np.stack([r.data for _, r in omega.entries])
     vals, vecs = np.linalg.eigh(rho)
@@ -168,6 +173,34 @@ def _rms(p: np.ndarray, per: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.add.accumulate(p * per * per, axis=-1)[..., -1], 0.0))
 
 
+def _check_recovery(rec: KrausChannel, spaces: tuple, what: str):
+    """ShapeError unless rec is a trace-preserving channel back from a loss on the (input, output) spaces."""
+    if (rec.in_space, rec.out_space) != spaces[::-1] or not rec.trace_preserving:
+        raise ShapeError(f"{what} must be a trace-preserving channel from the loss output to its input")
+
+
+def _delta_with_recovery(kraus: np.ndarray, spaces: tuple, tp: bool, recovery: KrausChannel, omega: TestEnsemble) -> list:
+    """delta_with_recovery at each loss of the Kraus stack kraus (t, r, d_out, d_in), whose
+    (input, output) spaces are spaces and which is trace preserving when tp is: one
+    DeltaReport per loss, every loss and member in one array pass."""
+    _check_recovery(recovery, spaces, "the recovery")
+    members = _members(omega, spaces[0])
+    outs = _outputs(kraus, members[1])
+    q, probs = 1.0, [None] * len(kraus)
+    if not tp:
+        q = np.trace(outs, axis1=-2, axis2=-1).real
+        low = np.argwhere(q <= TOL_PROB)
+        if low.size:
+            i, k = low[0]
+            raise BranchProbabilityError(f"branch probability {q[i, k]} for state {k} below 1e-12")
+        probs = [tuple(row) for row in q.tolist()]
+    per = _distances(_amplitudes(kraus, members[2]), outs, recovery.kraus[None], members, q)
+    return [
+        DeltaReport(delta, tuple(enumerate(row)), recovery_used=recovery, branch_probabilities=b)
+        for delta, row, b in zip(_rms(members[0], per).tolist(), per.tolist(), probs)
+    ]
+
+
 def delta_with_recovery(
     loss: KrausChannel, recovery: KrausChannel, omega: TestEnsemble
 ) -> DeltaReport:
@@ -180,27 +213,8 @@ def delta_with_recovery(
     member by its branch probability q_k = tr L(rho_k), which is reported in
     branch_probabilities; q_k <= 1e-12 raises BranchProbabilityError.
     """
-    if omega.space != loss.in_space:
-        raise ShapeError("ensemble space does not match the loss input space")
-    if recovery.in_space != loss.out_space:
-        raise ShapeError("recovery input space does not match the loss output space")
-    if recovery.out_space != loss.in_space:
-        raise ShapeError("recovery output space does not match the loss input space")
-    if not recovery.trace_preserving:
-        raise ShapeError("delta_with_recovery needs a trace-preserving recovery")
-    members = _members(omega)
-    kraus = loss.kraus[None]
-    outs = _outputs(kraus, members[1])
-    q, probs = 1.0, None
-    if not loss.trace_preserving:
-        q = np.trace(outs, axis1=-2, axis2=-1).real
-        low = np.flatnonzero(q[0] <= TOL_PROB)
-        if low.size:
-            raise BranchProbabilityError(f"branch probability {q[0, low[0]]} for state {low[0]} below 1e-12")
-        probs = tuple(q[0].tolist())
-    per = _distances(_amplitudes(kraus, members[2]), outs, recovery.kraus[None], members, q)[0]
-    delta = float(_rms(members[0], per))
-    return DeltaReport(delta, tuple(enumerate(per.tolist())), recovery_used=recovery, branch_probabilities=probs)
+    spaces = (loss.in_space, loss.out_space)
+    return _delta_with_recovery(loss.kraus[None], spaces, loss.trace_preserving, recovery, omega)[0]
 
 
 def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
@@ -422,9 +436,10 @@ def _ascents(obj: _Objective, kraus: list, cfg: OptimizerConfig):
         yield np.ascontiguousarray(_minimal(v.reshape(d_in, d_env, d_out).transpose(1, 0, 2))), trace, conv
 
 
-def _delta_min(kraus: np.ndarray, spaces: tuple, omega: TestEnsemble, cfg: OptimizerConfig, warm: list) -> list:
+def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, cfg: OptimizerConfig, warm: list) -> list:
     """delta_min at each loss of the Kraus stack kraus (t, r, d_out, d_in), whose
-    (input, output) spaces are spaces: one DeltaReport per loss.
+    (input, output) spaces are spaces and which must be trace preserving (tp):
+    one DeltaReport per loss.
 
     warm holds one (t, r_w, d_in, d_out) Kraus stack per warm start. The
     outputs, the Petz recovery of the ensemble average, the scores of Petz
@@ -436,7 +451,9 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, omega: TestEnsemble, cfg: Optim
     candidate is scored by the same pass. Only the returned recoveries are
     built as channels.
     """
-    members = _members(omega)
+    if not tp:
+        raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
+    members = _members(omega, spaces[0])
     p, rho, vecs, pure = members
     sigmas, amp = _outputs(kraus, rho), _amplitudes(kraus, vecs)
     cands = [_petz(kraus, np.tensordot(p, rho, 1)), *warm]
@@ -485,13 +502,8 @@ def delta_min(
     local optimum is found). The loss must be trace preserving, and each warm
     start a trace-preserving channel from its output back to its input.
     """
-    cfg = cfg or OptimizerConfig()
-    if _names(omega.space) != _names(loss.in_space):
-        raise ShapeError("ensemble space does not match the loss input space")
-    if not loss.trace_preserving:
-        raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
+    spaces = (loss.in_space, loss.out_space)
     for w in warm_starts:
-        if (w.in_space, w.out_space) != (loss.out_space, loss.in_space) or not w.trace_preserving:
-            raise ShapeError("a warm start must be a trace-preserving channel from the loss output to its input")
+        _check_recovery(w, spaces, "a warm start")
     warm = [w.kraus[None] for w in warm_starts]
-    return _delta_min(loss.kraus[None], (loss.in_space, loss.out_space), omega, cfg, warm)[0]
+    return _delta_min(loss.kraus[None], spaces, loss.trace_preserving, omega, cfg or OptimizerConfig(), warm)[0]

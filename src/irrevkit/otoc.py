@@ -115,7 +115,7 @@ def otoc_iep(
     stage keeps the whole system, so a free recovery undoes W and the
     coupling, and the value is 0 for every unitary W.
     """
-    if recovery is OPTIMIZE:
+    if recovery == OPTIMIZE:
         raise ValueError("otoc_iep does not take OPTIMIZE: a recovery on the whole system undoes W")
     return extract(_scenario_comb(s, unitary_channel(_w_tau(s).data, s.rho.space)), recovery, cfg)
 

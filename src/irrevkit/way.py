@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comb import CanonicalRecovery, ExtractionConfig, extract_epsilon, extract_eta
+from .comb import CanonicalRecovery, ExtractionConfig, _pointer, extract_epsilon, extract_eta
 from .errors import ConservationError, ShapeError, YanaseConditionError
 from .qcore import (
     DensityMatrix,
@@ -239,7 +239,7 @@ def way_bound_error(
     which can only overestimate the optimized error, keeping the check valid.
     Pass OPTIMIZE (with a cfg) to evaluate the minimized error instead.
     """
-    target = pointer_channel(meas, Label("P", len(meas.branches)))
+    target = pointer_channel(meas, _pointer(meas))
     return _way_bound(rho, a, meas, charges, impl, target, extract_epsilon, lhs, cfg)
 
 
@@ -274,7 +274,7 @@ def way_bound_error_yanase(
     x_p = _checked_charges(impl, charges)["alpha_out"].data
     if np.max(np.abs(x_p - np.diag(np.diag(x_p)))) > 1e-10:
         raise YanaseConditionError("pointer charge is not diagonal in the outcome basis")
-    target = pointer_channel(meas, Label("P", len(meas.branches)))
+    target = pointer_channel(meas, _pointer(meas))
     charges, fisher_beta = _bound_inputs(impl, target, charges)
     num = _commutator_expectation(rho, charges["alpha"], a)
     fisher_state = qfi(rho, charges["alpha"])

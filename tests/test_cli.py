@@ -283,6 +283,20 @@ class TestExitCodes:
         doc["payload"]["recovery"] = "optimize"
         assert main(["validate", write_doc(tmp_path, "o.json", doc)]) == 2
 
+    @pytest.mark.parametrize("thetas", [[0.01], [0.3, 0.3, 0.3]], ids=["one", "repeated"])
+    def test_theta_grid_of_one_distinct_value_is_2(self, corpus, tmp_path, capsys, thetas):
+        # the grid fit needs two distinct theta; validate, run and sweep all refuse fewer
+        doc = load_report(corpus / "eta-projective-qubit.json")
+        doc["payload"]["extraction"] = {"thetas": thetas}
+        src = write_doc(tmp_path, "g.json", doc)
+        assert main(["validate", src]) == 2
+        assert main(["run", src]) == 2
+        grid = ",".join(str(t) for t in thetas)
+        out = tmp_path / "g.csv"
+        assert main(["sweep", str(corpus / "eta-projective-qubit.json"), "-p", "theta", "-g", grid, "-o", str(out)]) == 2
+        assert "$.payload.extraction.thetas" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_conservation_failure_is_3(self, corpus, tmp_path):
         doc = load_report(corpus / "way-error-tight.json")
         charges = json.loads(json.dumps(doc["payload"]["implementation"]["charges"]))

@@ -33,7 +33,7 @@ from irrevkit import (
     validate_channel,
 )
 from irrevkit import irrev, qcore
-from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _grid, _two_copy_comb
+from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _two_copy_comb
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
@@ -121,6 +121,13 @@ class TestEpsilonExtraction:
         for cfg in (ExtractionConfig(), ExtractionConfig(method="analytic")):
             with pytest.raises(TypeError):
                 extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), "petz", cfg)
+
+    def test_optimize_is_the_recovery_word(self):
+        # scenario files and the library name optimization by the same word
+        assert OPTIMIZE == "optimize"
+        cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=60, restarts=0))
+        comb = _error_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
+        assert extract(comb, "optimize", cfg) == extract(comb, OPTIMIZE, cfg)
 
     def test_optimized_never_exceeds_canonical(self):
         cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=120, restarts=1))
@@ -310,15 +317,18 @@ class TestStackedGrid:
             assert np.max(np.abs(np.subtract(got, ref_grid(comb, fixed, self.THETAS)))) <= 1e-13, name
 
     def test_random_fixed_recovery_at_large_theta(self):
-        # _grid itself: under a random recovery delta^2 is not O(theta^2), so the fit would reject it
+        # the kernel on the loss stack itself: under a random recovery delta^2 is not
+        # O(theta^2), so the fit would reject it
         rng = np.random.default_rng(33)
         thetas = (0.7, 0.3, 1e-2)
         for name, comb in rand_combs(33, n=1):
             d_out = 2 * comb.stage.dim_out
             ops, _ = rand_kraus(rng, d_out, 2, d_out)
             fixed = KrausChannel(comb.out_space, (Q_LABEL,), ops)
-            got, _ = _grid(comb, fixed, thetas)
-            assert np.max(np.abs(got - ref_grid(comb, fixed, thetas))) <= 1e-13, name
+            spaces = ((Q_LABEL,), comb.out_space)
+            reps = irrev._delta_with_recovery(comb.kraus_stack(thetas), spaces, True, fixed, omega_pm())
+            got = [rep.delta**2 for rep in reps]
+            assert np.max(np.abs(np.subtract(got, ref_grid(comb, fixed, thetas)))) <= 1e-13, name
 
     def test_mismatched_recovery_space_rejected(self):
         rng = np.random.default_rng(34)
@@ -347,6 +357,22 @@ class TestStackedGrid:
         with pytest.raises(ShapeError):  # x's label is in the target with another dimension
             canonical_recovery(x, (Label("S", 3),), 0.0)
 
+    @pytest.mark.parametrize(
+        "meter",
+        [
+            pytest.param(lambda rho, a, meas: extract_epsilon(rho, a, meas, "canonical"), id="error"),
+            pytest.param(lambda rho, a, meas: extract_eta(rho, a, meas, "canonical"), id="disturbance"),
+            pytest.param(lambda rho, a, meas: extract_two_copy(rho, a, meas, "error", F_PM), id="two-copy-error"),
+            pytest.param(lambda rho, a, meas: extract_two_copy(rho, a, meas, "disturbance"), id="two-copy-disturbance"),
+        ],
+    )
+    def test_builders_reject_a_mismatched_observable_or_instrument(self, meter):
+        t = Label("T", 2)
+        with pytest.raises(ShapeError, match="state and observable live on different spaces"):
+            meter(RHO0, obs(SIGMA_X, t), proj_z(S))
+        with pytest.raises(ShapeError, match="instrument input space does not match the state"):
+            meter(RHO0, obs(SIGMA_X, S), proj_z(t))
+
     def test_stage_checked_at_construction(self):
         # a state on (A:2, B:3) metered by an instrument on (A:3, B:2): same names, same total dimension
         rng = np.random.default_rng(39)
@@ -367,9 +393,10 @@ class TestStackedGrid:
         z = obs(SIGMA_Z, S)
         recoveries = lambda: (canonical_recovery(z, (S,), 0.0),)
         comb = Comb(RHO0, z, keep_one, recoveries, branch_scale=1.0)
-        for cfg in (ExtractionConfig(), ANALYTIC):
+        fixed = recoveries()[0].channel
+        for recovery, cfg in (("canonical", ExtractionConfig()), ("canonical", ANALYTIC), (fixed, ExtractionConfig())):
             with pytest.raises(BranchProbabilityError):
-                extract(comb, "canonical", cfg)
+                extract(comb, recovery, cfg)
 
     def test_analytic_matches_second_derivative_reference(self):
         # below c2 ~ 1e-3 the reference's own cancellation error dominates
@@ -396,6 +423,9 @@ class TestStackedGrid:
             grid, exact = extract(comb), extract(comb, "canonical", ANALYTIC)
             assert abs(exact.value - grid.value) <= 1e-6 * grid.value
             assert abs(exact.branch_probability - grid.branch_probability) <= 1e-3 * grid.branch_probability
+            # a fixed recovery's grid runs through irrev's kernel, on the same q_k / branch_scale^2
+            fixed = extract(comb, comb.recoveries()[0].channel)
+            assert abs(fixed.branch_probability - grid.branch_probability) <= 1e-14 * grid.branch_probability
 
 
 class TestClosedForm:
@@ -517,6 +547,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="'extrapolated' nor 'analytic'") as info:
                 make()
             assert "'analytical'" in str(info.value)
+
+    @pytest.mark.parametrize("thetas", [(0.01,), (0.3, 0.3, 0.3), (), (0.01, 0.0), (0.01, -0.005)])
+    def test_theta_grid_needs_two_distinct_positive_values(self, thetas):
+        # through one distinct theta the theta^2, theta^4 fit is underdetermined: least
+        # squares returns its minimum-norm solution and the residual reads 0
+        for make in (lambda: ExtractionConfig(thetas=thetas), lambda: ExtractionConfig.from_json({"thetas": thetas})):
+            with pytest.raises(ValueError, match="two or more distinct values, all above 0"):
+                make()
 
     def test_iep_result_json(self):
         rep = extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), pm_pointer())

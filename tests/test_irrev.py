@@ -279,7 +279,7 @@ class TestObjectiveGradient:
         members = [(rand_pure if c == "p" else rand_state)(rng, d, lab) for c in kinds]
         omega = _ensemble(rng, members)
         sigmas = [apply(loss, rho) for rho in members]
-        obj = _Objective(irrev._members(omega), np.stack([s.data for s in sigmas]), d * d)
+        obj = _Objective(irrev._members(omega, omega.space), np.stack([s.data for s in sigmas]), d * d)
         shape = (d * d * d, d)
         v = _qr_retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         dv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -316,7 +316,7 @@ def _pure_case(rng, d_in: int, d_out: int):
 
 def _gap(loss, omega, value: float, recovery) -> float:
     """The certified gap of recovery, whose delta^2 is value, on a pure ensemble."""
-    p, rho, vecs, _ = irrev._members(omega)
+    p, rho, vecs, _ = irrev._members(omega, omega.space)
     sigmas = irrev._outputs(loss.kraus[None], rho)
     return float(irrev._certified_gap(p, vecs, sigmas, irrev._choi(recovery.kraus)[None], np.array([value]))[0])
 
