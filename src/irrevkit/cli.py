@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -392,9 +393,77 @@ TOP_SCHEMA = {
 _TOP_VALIDATOR = _Validator(TOP_SCHEMA)
 _PAYLOAD_VALIDATORS = {kind: _Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
 
+# JSON type -> exact Python types; "integer" leaves out 2.0, which jsonschema counts as one
+_JSON_TYPES = {
+    "object": {dict},
+    "array": {list},
+    "string": {str},
+    "number": _NUMBERS,
+    "integer": {int},
+    "boolean": {bool},
+}
+
+
+def _rest_accepted(arg, rest) -> bool:
+    """For items and additionalProperties: False admits no rest, a schema must accept each value."""
+    return not rest if arg is False else all(_accepts(arg, v) for v in rest)
+
+
+# keyword -> check(arg, x, schema), True only where the keyword passes in jsonschema.
+# Each check is exact-typed, so a keyword that jsonschema skips for a value of another
+# type fails here; every shipped schema states the type such a keyword needs.
+_KEYWORDS = {
+    "type": lambda arg, x, schema: type(arg) is str and type(x) in _JSON_TYPES.get(arg, ()),
+    "required": lambda arg, x, schema: type(x) is dict and all(k in x for k in arg),
+    "properties": lambda arg, x, schema: type(x) is dict
+    and all(_accepts(s, x[k]) for k, s in arg.items() if k in x),
+    "additionalProperties": lambda arg, x, schema: type(x) is dict
+    and _rest_accepted(arg, [v for k, v in x.items() if k not in schema.get("properties", {})]),
+    "prefixItems": lambda arg, x, schema: type(x) is list and all(_accepts(s, v) for s, v in zip(arg, x)),
+    "items": lambda arg, x, schema: type(x) is list and _rest_accepted(arg, x[len(schema.get("prefixItems", ())) :]),
+    "minItems": lambda arg, x, schema: type(x) is list and len(x) >= arg,
+    "maxItems": lambda arg, x, schema: type(x) is list and len(x) <= arg,
+    "minimum": lambda arg, x, schema: type(x) in _NUMBERS and x >= arg,
+    "exclusiveMinimum": lambda arg, x, schema: type(x) in _NUMBERS and x > arg,
+    "enum": lambda arg, x, schema: type(x) is str and x in arg,
+    "const": lambda arg, x, schema: type(x) is str and x == arg,
+    "pattern": lambda arg, x, schema: type(x) is str and re.search(arg, x) is not None,
+    # int/float only: set() then compares as jsonschema's uniq does
+    "uniqueItems": lambda arg, x, schema: arg is True
+    and type(x) is list
+    and all(type(v) in _NUMBERS for v in x)
+    and len(set(x)) == len(x),
+    # sound only while a oneOf's branches admit disjoint JSON types, so that a branch this
+    # walker leaves undecided can never be a second match (tests check the shipped schemas)
+    "oneOf": lambda arg, x, schema: sum(_accepts(s, x) for s in arg) == 1,
+    "irrevkitMatrix": lambda arg, x, schema: arg is _MATRIX and _is_matrix(x),
+}
+
+
+def _accepts(schema, x) -> bool:
+    """True only if the standard validator accepts x under schema, in one plain pass.
+
+    False means "undecided", never "invalid": foreign types (tuples, numpy scalars,
+    dict/list subclasses), a bool in a number slot and any keyword outside _KEYWORDS
+    all give False, and validate_document then asks jsonschema for the error.
+    """
+    if type(schema) is not dict:
+        return False
+    for key, arg in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is None or not check(arg, x, schema):
+            return False
+    return True
+
 
 def validate_document(doc) -> str | None:
-    """Return a human-readable pointer to the first failing field, or None."""
+    """Return a human-readable pointer to the first failing field, or None.
+
+    A document _accepts takes is valid; jsonschema runs only on the others, to
+    find and word the error.
+    """
+    if _accepts(TOP_SCHEMA, doc) and _accepts(PAYLOAD_SCHEMAS[doc["kind"]], doc["payload"]):
+        return None
     err = best_match(_TOP_VALIDATOR.iter_errors(doc))
     if err is not None:
         return f"{err.json_path}: {err.message}"
@@ -635,7 +704,8 @@ def _load(path: str):
             doc = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         return None, f"{path}: cannot read: {exc}"
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or a non-finite number
+    # JSONDecodeError, UnicodeDecodeError, a non-finite number, or nesting too deep for the parser
+    except (ValueError, RecursionError) as exc:
         return None, f"{path}: invalid JSON: {exc}"
     problem = validate_document(doc)
     if problem is not None:

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -13,8 +14,17 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import Label, Observable, cli, fixture_names
-from irrevkit.cli import PAYLOAD_SCHEMAS, TOP_SCHEMA, _MATRIX, _MATRIX_NODE, _is_matrix, main, validate_document
+from irrevkit import Label, Observable, build_fixture, cli, fixture_names
+from irrevkit.cli import (
+    PAYLOAD_SCHEMAS,
+    TOP_SCHEMA,
+    _MATRIX,
+    _MATRIX_NODE,
+    _accepts,
+    _is_matrix,
+    main,
+    validate_document,
+)
 from irrevkit.serialize import canonical_json, encode_observable
 
 
@@ -278,6 +288,14 @@ class TestExitCodes:
         assert main(["run", str(p)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["validate"], ["run"], ["sweep", "-p", "tau", "-g", "0"]], ids=lambda c: c[0])
+    def test_nesting_too_deep_is_2(self, tmp_path, capsys, command):
+        # the json parser raises RecursionError, not ValueError, on this
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        assert main(command[:1] + [str(p)] + command[1:]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_otoc_optimize_recovery_is_2(self, corpus, tmp_path):
         doc = load_report(corpus / "otoc-ising-chain.json")
         doc["payload"]["recovery"] = "optimize"
@@ -449,8 +467,12 @@ def reference_problem(doc):
     return None
 
 
+# True stands in for a bool in a number slot; the last five are near misses too: 2.0 for
+# a dim (jsonschema counts it an integer), a repeated theta, a space entry with an extra
+# key, a word outside an enum, and a tuple, which is not a JSON array
 REPLACEMENTS = [None, True, 0, 1, -2.5, "x", [], [1], [1, 2], [1, 2, 3], [[1]], [[1, 2]],
-                [[[1, 2]]], [["a"]], [[True]], [[1, [1, 2, 3]]], {}, {"a": 1}, [[1.0, 2.0], [3.0]]]
+                [[[1, 2]]], [["a"]], [[True]], [[1, [1, 2, 3]]], {}, {"a": 1}, [[1.0, 2.0], [3.0]],
+                2.0, [0.01, 0.01], {"name": "S", "dim": 2, "extra": 0}, "optimise", (1.0, 2.0)]
 
 
 def node_paths(obj, prefix=()):
@@ -471,7 +493,7 @@ def mutated(doc, rng):
         if rng.random() < 0.2:
             del parent[path[-1]]
         else:
-            parent[path[-1]] = json.loads(json.dumps(rng.choice(REPLACEMENTS)))
+            parent[path[-1]] = copy.deepcopy(rng.choice(REPLACEMENTS))
     return doc
 
 
@@ -537,3 +559,194 @@ class TestMatrixPredicate:
     def test_accepts_only_what_the_schema_accepts(self, x):
         if _is_matrix(x):
             assert MATRIX_SCHEMA.is_valid(x)
+        assert not _accepts(_MATRIX_NODE, x) or MATRIX_SCHEMA.is_valid(x)
+        assert not _accepts(_MATRIX, x) or MATRIX_SCHEMA.is_valid(x)
+
+
+DOCS = {n: json.loads(canonical_json(build_fixture(n))) for n in fixture_names()}
+# no fixture sets every extraction field, so each kind that takes them gets a copy that does
+EXTRACTION = {
+    "method": "analytic",
+    "thetas": [0.02, 0.01],
+    "fit_tol": 1e-6,
+    "optimizer": {"seed": 1, "max_iters": 5, "step": 0.1, "restarts": 0, "tol": 0.0},
+}
+DOCS |= {
+    f"{n}+extraction": dict(doc, payload=dict(doc["payload"], extraction=EXTRACTION))
+    for n, doc in DOCS.items()
+    if "extraction" in PAYLOAD_SCHEMAS[doc["kind"]]["properties"]
+}
+REFERENCE = {"top": Draft202012Validator(TOP_SCHEMA)} | {
+    kind: Draft202012Validator(standard_schema(schema)) for kind, schema in PAYLOAD_SCHEMAS.items()
+}
+
+
+def slot_paths(doc):
+    """node paths of doc down to its matrices; TestMatrixPredicate covers what is inside them"""
+    matrices = ("matrix", "kraus", "u")
+    return [p for p in node_paths(doc) if not any(k in matrices and len(p) - i > 1 for i, k in enumerate(p))]
+
+
+SLOTS = [(n, p) for n, doc in DOCS.items() for p in slot_paths(doc)[1:]]
+
+
+def shrunk(schema, x):
+    """x with each matrix under schema cut to [[1.0]], which every matrix slot takes"""
+    if schema is _MATRIX_NODE:
+        return [[1.0]]
+    if "oneOf" in schema:
+        return shrunk(next(b for b in schema["oneOf"] if _accepts(b, x)), x)
+    if type(x) is dict:
+        named = schema.get("properties", {})
+        return {k: shrunk(named[k], v) if k in named else v for k, v in x.items()}
+    if type(x) is list and type(schema.get("items")) is dict:
+        return [shrunk(schema["items"], v) for v in x]
+    return x
+
+
+@st.composite
+def near_misses(draw):
+    """A fixture document with one slot replaced or given an extra key, then maybe mutated."""
+    name, path = draw(st.sampled_from(SLOTS))
+    doc = copy.deepcopy(DOCS[name])
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if type(parent[path[-1]]) is dict and draw(st.booleans()):
+        parent[path[-1]]["extra"] = draw(st.sampled_from(REPLACEMENTS))
+    else:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    if draw(st.booleans()):
+        doc = mutated(doc, random.Random(draw(st.integers(0, 2**32))))
+    return doc
+
+
+class TestAcceptor:
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    @given(near_misses())
+    def test_accepts_only_what_the_schema_accepts(self, doc):
+        # every payload schema on every payload, not only its own kind's
+        if _accepts(TOP_SCHEMA, doc):
+            assert REFERENCE["top"].is_valid(doc)
+        payload = doc.get("payload")
+        for kind, schema in PAYLOAD_SCHEMAS.items():
+            if _accepts(schema, payload):
+                assert REFERENCE[kind].is_valid(payload), kind
+
+    def test_every_single_edit_is_sound(self):
+        # each slot of each schema, replaced by each value or given an extra key; slots that
+        # differ only by list index are one, and the matrices are cut down first, or the
+        # plain reference schemas take ~10 s
+        unsound, seen = [], set()
+        for name, doc in DOCS.items():
+            kind = doc["kind"]
+            doc = dict(doc, payload=shrunk(PAYLOAD_SCHEMAS[kind], doc["payload"]))
+            for path in slot_paths(doc)[1:]:
+                slot = (id(PAYLOAD_SCHEMAS[kind]), tuple(0 if type(k) is int else k for k in path))
+                if slot in seen:
+                    continue
+                seen.add(slot)
+                parent = doc
+                for k in path[:-1]:
+                    parent = parent[k]
+                original = parent[path[-1]]
+                edits = [*REPLACEMENTS, dict(original, extra=0)] if type(original) is dict else REPLACEMENTS
+                for value in edits:
+                    parent[path[-1]] = value
+                    if len(path) == 1 and _accepts(TOP_SCHEMA, doc) and not REFERENCE["top"].is_valid(doc):
+                        unsound.append((name, path, value, "top"))
+                    payload = doc["payload"]
+                    if _accepts(PAYLOAD_SCHEMAS[kind], payload) and not REFERENCE[kind].is_valid(payload):
+                        unsound.append((name, path, value, kind))
+                parent[path[-1]] = original
+        assert unsound == []
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            pytest.param("lt-error-qubit", ("state", "space", 0, "dim"), 2.0, id="dim-2.0"),
+            pytest.param("way-error-tight", ("tolerance",), True, id="bool-number"),
+            pytest.param("eta-projective-qubit+extraction", ("extraction", "thetas", 1), 0.02, id="repeated-theta"),
+            pytest.param("lt-error-qubit", ("state", "space", 0, "extra"), 0, id="extra-key"),
+            pytest.param("eta-projective-qubit", ("recovery",), "optimise", id="enum-word"),
+            pytest.param("lt-error-qubit", ("state", "space"), ({"name": "S", "dim": 2},), id="tuple"),
+        ],
+    )
+    def test_near_misses_are_left_to_jsonschema(self, name, path, value):
+        doc = copy.deepcopy(DOCS[name])
+        parent = doc["payload"]
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+        assert not _accepts(PAYLOAD_SCHEMAS[doc["kind"]], doc["payload"])
+        assert validate_document(doc) == reference_problem(doc)
+
+    @pytest.mark.parametrize(
+        "schema, x",
+        [
+            pytest.param({"type": "string", "maxLength": 2}, "ab", id="unknown-keyword"),
+            pytest.param({"type": ["string", "null"]}, "a", id="type-list"),
+            pytest.param(True, 1, id="boolean-schema"),
+            pytest.param({"type": "array", "uniqueItems": True}, ["a", "b"], id="unique-strings"),
+            pytest.param({"enum": [1, 2]}, 1, id="number-enum"),
+        ],
+    )
+    def test_what_it_does_not_know_is_undecided(self, schema, x):
+        assert Draft202012Validator(schema).is_valid(x)
+        assert not _accepts(schema, x)
+
+    def test_fixtures_and_sweep_points_skip_jsonschema(self, corpus, tmp_path, monkeypatch):
+        # a document _accepts leaves undecided would reach these and fail the test
+        class Undecided:
+            def iter_errors(self, instance):
+                raise AssertionError(f"left to jsonschema: {instance!r:.200}")
+
+        monkeypatch.setattr(cli, "_TOP_VALIDATOR", Undecided())
+        monkeypatch.setattr(cli, "_PAYLOAD_VALIDATORS", dict.fromkeys(PAYLOAD_SCHEMAS, Undecided()))
+        assert all(validate_document(doc) is None for doc in DOCS.values())
+        swept = 0
+        for n in fixture_names():
+            src = str(corpus / f"{n}.json")
+            assert main(["validate", src]) == 0
+            properties = PAYLOAD_SCHEMAS[DOCS[n]["kind"]]["properties"]
+            out = str(tmp_path / "sweep.csv")
+            if "scenario" in properties:
+                assert main(["sweep", src, "-p", "tau", "-g", "0,0.5", "-o", out]) == 0
+                swept += 1
+            if "extraction" in properties:
+                # a way bound keeps no theta grid, which sweep reports only after validating
+                code = 2 if DOCS[n]["kind"].startswith("way-") else 0
+                assert main(["sweep", src, "-p", "theta", "-g", "0.01,0.005", "-o", out]) == code
+                swept += 1
+        assert swept == 10
+
+
+def subschemas(schema):
+    yield schema
+    for key, arg in schema.items():
+        children = arg.values() if key == "properties" else arg if key in ("prefixItems", "oneOf") else [arg]
+        yield from (s for c in children if isinstance(c, dict) for s in subschemas(c))
+
+
+SHIPPED = [s for root in (TOP_SCHEMA, *PAYLOAD_SCHEMAS.values()) for s in subschemas(root)]
+JSON_TYPE_OF = {str: "string", int: "number", float: "number", bool: "boolean", dict: "object", list: "array"}
+
+
+class TestShippedSchemas:
+    def test_use_only_keywords_the_acceptor_decides(self):
+        assert set().union(*SHIPPED) <= set(cli._KEYWORDS)
+
+    def test_one_of_branches_admit_disjoint_types(self):
+        # a branch _accepts leaves undecided must not be able to match alongside one it accepts
+        def types(branch):
+            if "type" in branch:
+                return {"number" if branch["type"] == "integer" else branch["type"]}
+            values = branch["enum"] if "enum" in branch else [branch["const"]]
+            return {JSON_TYPE_OF[type(v)] for v in values}
+
+        one_ofs = [s["oneOf"] for s in SHIPPED if "oneOf" in s]
+        assert len(one_ofs) >= 5
+        for branches in one_ofs:
+            seen = [types(b) for b in branches]
+            assert all(seen), branches
+            assert sum(map(len, seen)) == len(set().union(*seen)), branches
