@@ -482,14 +482,19 @@ def node_paths(obj, prefix=()):
         yield from node_paths(v, prefix + (k,))
 
 
+def parent_of(doc, path):
+    """The container that holds the node at path."""
+    for k in path[:-1]:
+        doc = doc[k]
+    return doc
+
+
 def mutated(doc, rng):
     """doc with one to three nodes deleted or replaced; most nodes are matrix entries."""
     doc = json.loads(json.dumps(doc))
     for _ in range(rng.randint(1, 3)):
         path = rng.choice(list(node_paths(doc))[1:])
-        parent = doc
-        for k in path[:-1]:
-            parent = parent[k]
+        parent = parent_of(doc, path)
         if rng.random() < 0.2:
             del parent[path[-1]]
         else:
@@ -609,9 +614,7 @@ def near_misses(draw):
     """A fixture document with one slot replaced or given an extra key, then maybe mutated."""
     name, path = draw(st.sampled_from(SLOTS))
     doc = copy.deepcopy(DOCS[name])
-    parent = doc
-    for k in path[:-1]:
-        parent = parent[k]
+    parent = parent_of(doc, path)
     if type(parent[path[-1]]) is dict and draw(st.booleans()):
         parent[path[-1]]["extra"] = draw(st.sampled_from(REPLACEMENTS))
     else:
@@ -646,9 +649,7 @@ class TestAcceptor:
                 if slot in seen:
                     continue
                 seen.add(slot)
-                parent = doc
-                for k in path[:-1]:
-                    parent = parent[k]
+                parent = parent_of(doc, path)
                 original = parent[path[-1]]
                 edits = [*REPLACEMENTS, dict(original, extra=0)] if type(original) is dict else REPLACEMENTS
                 for value in edits:
@@ -674,10 +675,7 @@ class TestAcceptor:
     )
     def test_near_misses_are_left_to_jsonschema(self, name, path, value):
         doc = copy.deepcopy(DOCS[name])
-        parent = doc["payload"]
-        for k in path[:-1]:
-            parent = parent[k]
-        parent[path[-1]] = value
+        parent_of(doc["payload"], path)[path[-1]] = value
         assert not _accepts(PAYLOAD_SCHEMAS[doc["kind"]], doc["payload"])
         assert validate_document(doc) == reference_problem(doc)
 
