@@ -788,6 +788,8 @@ _SWEEP_COLUMNS = {
     "blw": (("value", "value"), ("fit_residual", "fit_residual")),
     "lt": (("value", "value"),),
 }
+# the kinds whose reports carry a theta grid, which a theta sweep writes out
+_THETA_KINDS = ("epsilon", "eta", "blw", "otoc", "otoc-cp")
 
 
 def _dig(result: dict, dotted: str):
@@ -815,6 +817,11 @@ def cmd_sweep(args) -> int:
     if doc is None:
         print(problem, file=sys.stderr)
         return EX_INPUT
+    kind = doc["kind"]
+    theta = args.parameter == "theta"
+    if theta and kind not in _THETA_KINDS:
+        print("scenario kind has no theta diagnostics", file=sys.stderr)
+        return EX_INPUT
     grid = [g.strip() for g in args.grid.split(",") if g.strip()]
     if not grid:
         print("empty sweep grid", file=sys.stderr)
@@ -824,10 +831,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"invalid grid entry: {exc}", file=sys.stderr)
         return EX_INPUT
-    kind = doc["kind"]
     seed = int(doc.get("seed", 0))
     out_path = args.output or os.path.splitext(os.path.abspath(args.scenario))[0] + ".sweep.csv"
-    theta = args.parameter == "theta"
     param = "scenario.tau" if kind in ("otoc", "otoc-cp", "way-otoc") and args.parameter == "tau" else args.parameter
 
     # one payload for the theta grid, else one per grid value

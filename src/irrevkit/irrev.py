@@ -58,6 +58,13 @@ class OptimizerConfig:
     restarts: int = 4
     tol: float = 1e-10
 
+    def __post_init__(self):
+        if not (self.max_iters >= 1 and self.restarts >= 0 and 0 < self.step < np.inf and 0 <= self.tol < np.inf):
+            raise ValueError(
+                f"optimizer needs max_iters >= 1, restarts >= 0, a finite step > 0 and a finite tol >= 0, "
+                f"not max_iters={self.max_iters!r}, restarts={self.restarts!r}, step={self.step!r}, tol={self.tol!r}"
+            )
+
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -286,6 +293,19 @@ def _qr_retract(a: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _step_retract(a: np.ndarray) -> np.ndarray:
+    """_qr_retract(a) for a trial step a = V + s G off the isometry V along its
+    tangent part G, by Cholesky QR: L = chol(A^H A), Q = A L^-H.
+
+    A^H A = 1 + s^2 G^H G >= 1, so tr(A^H A) bounds cond(A)^2, and Cholesky QR
+    loses orthogonality as cond(A)^2 eps. A step whose trace is above 1e3 or
+    not finite takes the Householder factor instead.
+    """
+    if not np.vdot(a, a).real <= 1e3:
+        return _qr_retract(a)
+    return a @ np.linalg.inv(np.linalg.cholesky(a.conj().T @ a)).conj().T
+
+
 class _Objective:
     """J(V) = sum_k p_k F^2(rho_k, tr_env V sigma_k V^H) and its gradient.
 
@@ -403,7 +423,7 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
     it = 0
     while it < cfg.max_iters:
         it += 1
-        cand = _qr_retract(v + step * g)
+        cand = _step_retract(v + step * g)
         jc, parts = obj.value(cand)
         if jc > j:
             improved = jc - j

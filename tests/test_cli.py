@@ -396,6 +396,18 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["way-error-tight", "way-disturbance-random"])
+    def test_theta_sweep_of_a_way_bound_is_2_before_computing(self, corpus, tmp_path, capsys, monkeypatch, name):
+        # a way-bound report keeps no theta grid, so the sweep is refused before any bound is run
+        def fail(*args):
+            raise AssertionError("computed")
+
+        monkeypatch.setattr(cli, "compute", fail)
+        out = tmp_path / "way.csv"
+        assert main(["sweep", str(corpus / f"{name}.json"), "-p", "theta", "-g", "0.01,0.005", "-o", str(out)]) == 2
+        assert "scenario kind has no theta diagnostics" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_parameter_is_2(self, corpus):
         assert main(["sweep", str(corpus / "otoc-ising-chain.json"), "-p", "no.such", "-g", "1"]) == 2
 
@@ -712,7 +724,7 @@ class TestAcceptor:
                 assert main(["sweep", src, "-p", "tau", "-g", "0,0.5", "-o", out]) == 0
                 swept += 1
             if "extraction" in properties:
-                # a way bound keeps no theta grid, which sweep reports only after validating
+                # a way bound keeps no theta grid, which sweep reports before validating the grid
                 code = 2 if DOCS[n]["kind"].startswith("way-") else 0
                 assert main(["sweep", src, "-p", "theta", "-g", "0.01,0.005", "-o", out]) == code
                 swept += 1

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -305,6 +306,67 @@ class TestObjectiveGradient:
         assert abs(analytic - fd) <= 1e-6 * abs(fd)
 
 
+class TestStepRetract:
+    """_step_retract is _qr_retract by Cholesky QR, with a Householder fallback."""
+
+    @staticmethod
+    def _step(rng, d_out: int, rank_one: bool):
+        """An isometry V of the ascent's shape and a unit tangent direction G at V."""
+        shape = (d_out**3, d_out)
+        v = _qr_retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if rank_one:  # a column off the range of V times a row: tangent as it is
+            x = np.outer(x[:, 0] - v @ (v.conj().T @ x[:, 0]), x[0])
+        g = irrev._tangent_part(v, x)
+        return v, g / np.linalg.norm(g)
+
+    @pytest.mark.parametrize("d_out", (2, 4, 6))
+    @pytest.mark.parametrize("rank_one", (False, True), ids=("full-rank", "rank-one"))
+    def test_matches_householder_at_every_step_size(self, monkeypatch, d_out, rank_one):
+        v, g = self._step(np.random.default_rng(200 + d_out), d_out, rank_one)
+        fallbacks = Counter()
+
+        def counted(a):
+            fallbacks["qr"] += 1
+            return _qr_retract(a)
+
+        monkeypatch.setattr(irrev, "_qr_retract", counted)
+        sizes = np.logspace(-3, 8, 23)  # s ||G||_F
+        for s in sizes:
+            a = v + s * g
+            q = irrev._step_retract(a)
+            assert np.abs(q.conj().T @ q - np.eye(d_out)).max() <= 1e-12
+            assert np.abs(q - _qr_retract(a)).max() <= 1e-11
+        # the small steps take Cholesky QR and the large ones Householder
+        assert 0 < fallbacks["qr"] < len(sizes)
+
+    @pytest.mark.parametrize("s", (np.nan, np.inf))
+    def test_non_finite_step_takes_householder_once(self, monkeypatch, s):
+        v, g = self._step(np.random.default_rng(210), 2, False)
+        calls = []
+        monkeypatch.setattr(irrev, "_qr_retract", lambda a: calls.append(a) or a)
+        with np.errstate(invalid="ignore"):
+            irrev._step_retract(v + s * g)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed, d", [(0, 2), (1, 4), (2, 6), (3, 3)])
+    def test_ascent_follows_the_householder_trajectory(self, monkeypatch, seed, d):
+        # the criterion-2 budget on seeded mixed cases, once as is and once with Householder steps
+        rng = np.random.default_rng(220 + seed)
+        lab = Label("S", d)
+        loss = KrausChannel((lab,), (lab,), rand_kraus(rng, d, d, 3)[0])
+        omega = _ensemble(rng, [rand_state(rng, d, lab), rand_state(rng, d, lab)])
+        cfg = OptimizerConfig(seed=seed, max_iters=40, restarts=0)
+        chol = delta_min(loss, omega, cfg)
+        monkeypatch.setattr(irrev, "_step_retract", _qr_retract)
+        house = delta_min(loss, omega, cfg)
+        assert len(chol.optimizer_trace) > 1
+        assert [i for i, _ in chol.optimizer_trace] == [i for i, _ in house.optimizer_trace]
+        for (_, a), (_, b) in zip(chol.optimizer_trace, house.optimizer_trace):
+            assert abs(a - b) <= 1e-10 * abs(b)
+        assert abs(chol.delta - house.delta) <= 1e-10 * house.delta
+
+
 def _pure_case(rng, d_in: int, d_out: int):
     """A random trace-preserving loss A -> B and two or three pure members."""
     a, b = Label("A", d_in), Label("B", d_out)
@@ -452,3 +514,25 @@ class TestReports:
 
     def test_optimizer_config_defaults(self):
         assert OptimizerConfig.from_json({}) == OptimizerConfig()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iters", 0),
+            ("max_iters", -3),
+            ("step", 0.0),
+            ("step", -1.0),
+            ("step", np.nan),
+            ("step", np.inf),
+            ("restarts", -1),
+            ("tol", -1e-12),
+            ("tol", np.nan),
+            ("tol", np.inf),
+        ],
+    )
+    def test_optimizer_config_rejects_out_of_range_fields(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field}={value!r}")):
+            OptimizerConfig(**{field: value})
+
+    def test_optimizer_config_admits_zero_tol_and_restarts(self):
+        assert OptimizerConfig(max_iters=1, restarts=0, tol=0.0).tol == 0.0
