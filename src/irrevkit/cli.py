@@ -822,6 +822,9 @@ def cmd_sweep(args) -> int:
     if theta and kind not in _THETA_KINDS:
         print("scenario kind has no theta diagnostics", file=sys.stderr)
         return EX_INPUT
+    if theta and doc["payload"].get("extraction", {}).get("method") == "analytic":
+        print('extraction method "analytic" keeps no theta grid to sweep', file=sys.stderr)
+        return EX_INPUT
     grid = [g.strip() for g in args.grid.split(",") if g.strip()]
     if not grid:
         print("empty sweep grid", file=sys.stderr)

@@ -26,12 +26,12 @@ of x, to irrev's stacked delta_with_recovery and delta_min kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import BranchProbabilityError, ExtractionError, ShapeError
+from .errors import BranchProbabilityError, CompositeSpaceError, ExtractionError, ShapeError
 from .irrev import OptimizerConfig, _delta_min, _delta_with_recovery
 from .oracles import _check_system, lt_disturbance, lt_error, outcome_values
 from .qcore import (
@@ -47,6 +47,7 @@ from .qcore import (
     _eigh_herm,
     _expm_herm,
     _names,
+    _trusted,
     embed,
     embed_matrix,
     instrument_channel,
@@ -83,8 +84,9 @@ SIGNS = np.array([1.0, -1.0])  # sigma_z = diag(s_q) on Q
 OPTIMIZE = "optimize"  # the recovery word selecting optimization instead of a fixed recovery
 
 
+@cache
 def omega_pm(q: Label = Q_LABEL) -> TestEnsemble:
-    """The fixed test ensemble {(1/2, |+>), (1/2, |->)} on the ancilla."""
+    """The fixed test ensemble {(1/2, |+>), (1/2, |->)} on the ancilla, built once per label."""
     return TestEnsemble(tuple((0.5, pure_state(v, (q,))) for v in KETS))
 
 
@@ -230,6 +232,8 @@ class Comb:
             raise ShapeError("stage input ({}) does not match the block ({})".format(*sp))
         if self.branch_scale is None and not self.stage.trace_preserving:
             raise ShapeError("a comb whose stage is a CP branch needs a branch_scale")
+        if Q_LABEL.name in _names(self.stage.out_space):
+            raise CompositeSpaceError(f"the stage output may not use the ancilla label {Q_LABEL.name!r}")
 
     @property
     def out_space(self) -> tuple:
@@ -293,12 +297,10 @@ def _two_copy_labels(rho: DensityMatrix):
 
 
 def _relabel_instrument(meas: Instrument, new_in: Label) -> Instrument:
-    d_out = len(meas.branches[0][1])
-    if d_out == meas.dim_in:
-        out = (new_in,)
-    else:
-        out = (Label(new_in.name + "o", d_out),)
-    return Instrument((new_in,), out, meas.branches)
+    """meas acting on new_in, which has meas's input dimension; the branches are meas's own."""
+    d_out = meas._kraus.shape[1]
+    out = (new_in,) if d_out == meas.dim_in else (Label(new_in.name + "o", d_out),)
+    return _trusted(Instrument, in_space=(new_in,), out_space=out, branches=meas.branches, _kraus=meas._kraus)
 
 
 def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: str, f=None) -> Comb:
@@ -309,7 +311,10 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     """
     _check_system(rho, gen, meas)
     s2, s1 = _two_copy_labels(rho)
-    block = DensityMatrix((s2, s1), np.kron(rho.data, rho.data))
+    if gen.space != rho.space or meas.in_space != rho.space:
+        name = rho.space[0].name
+        raise ShapeError(f"two-copy comb: the generator and the instrument must act on {name}:{s1.dim}")
+    block = _trusted(DensityMatrix, space=(s2, s1), data=np.kron(rho.data, rho.data))
     meas2 = _relabel_instrument(meas, s2)
     if kind == "error":
         p_label = _pointer(meas)
@@ -321,7 +326,7 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
         recoveries = lambda: (canonical_recovery(Observable(out2, gen.data), tuple(out2) + (s1,), 0.0),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
-    return Comb(block, Observable((s1,), gen.data), embed(stage, block.space), recoveries)
+    return Comb(block, _trusted(Observable, space=(s1,), data=gen.data), embed(stage, block.space), recoveries)
 
 
 def build_loss_error(rho: DensityMatrix, a: Observable, theta: float, meas: Instrument) -> LossProcess:

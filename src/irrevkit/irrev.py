@@ -38,6 +38,7 @@ from .qcore import (
     _fidelity,
     _names,
     _psd_sqrt,
+    _trusted,
     kraus_from_choi,
 )
 
@@ -238,7 +239,8 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
         raise ShapeError("sigma_ref must live on the loss input space")
     if not loss.trace_preserving:
         raise ShapeError("petz_recovery needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
-    return KrausChannel(loss.out_space, loss.in_space, _petz(loss.kraus[None], sigma_ref.data)[0])
+    ops = _petz(loss.kraus[None], sigma_ref.data)[0]
+    return _trusted(KrausChannel, in_space=loss.out_space, out_space=loss.in_space, kraus=ops, trace_preserving=True)
 
 
 def _choi(kraus: np.ndarray) -> np.ndarray:
@@ -498,7 +500,7 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, 
             if best is not start and gap is not None:
                 gap = float(_certified_gap(p, vecs, sigmas[i : i + 1], _choi(best[2])[None], np.array([best[0] ** 2]))[0])
         value, dk, ops, trace, conv = best
-        recovery = KrausChannel(spaces[1], spaces[0], ops)
+        recovery = _trusted(KrausChannel, in_space=spaces[1], out_space=spaces[0], kraus=ops, trace_preserving=True)
         reports.append(DeltaReport(value, tuple(enumerate(dk.tolist())), recovery, trace, conv, True, certified_gap=gap))
     return reports
 

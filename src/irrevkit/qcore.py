@@ -308,6 +308,20 @@ class TestEnsemble:
         return self.entries[0][1].space
 
 
+def _trusted(cls, **fields):
+    """A cls instance holding fields as given, without __post_init__: for values
+    the library builds from validated ones, whose checks hold by construction.
+    Spaces must already be tuples of Labels. Each array is stored as the public
+    constructors store it: C-contiguous, complex128 and read-only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value, dtype=complex)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def ket(i: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[i] = 1.0
@@ -451,7 +465,8 @@ def embed(ch: KrausChannel, full_space) -> KrausChannel:
     if ch.in_space == full:
         return ch
     target, ops = _lift(ch.kraus, ch.in_space, ch.out_space, full)
-    return KrausChannel(full, target, ops, ch.trace_preserving)
+    # K (x) 1 keeps ch's sum K'K (x) 1, so the lift needs no re-check
+    return _trusted(KrausChannel, in_space=full, out_space=target, kraus=ops, trace_preserving=ch.trace_preserving)
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
@@ -573,7 +588,7 @@ def unitary_channel(u: np.ndarray, in_space, out_space=None) -> KrausChannel:
 
 def instrument_channel(inst: Instrument) -> KrausChannel:
     """Sum over branches: the CPTP map rho -> sum_m M_m rho M_m'."""
-    return KrausChannel(inst.in_space, inst.out_space, inst._kraus)
+    return _trusted(KrausChannel, in_space=inst.in_space, out_space=inst.out_space, kraus=inst._kraus, trace_preserving=True)
 
 
 def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
@@ -585,7 +600,8 @@ def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
     # |m><s| M_m for every outcome slot m and output basis state s, slot outer
     kets = np.eye(n * dout, dtype=complex).reshape(n, dout, n, dout)
     ops = (kets @ inst._kraus[:, None]).reshape(n * dout, n, inst.dim_in)
-    return KrausChannel(inst.in_space, (pointer,), ops)
+    # sum_{m,s} M_m'|s><m|m><s|M_m = sum_m M_m'M_m, the instrument's own
+    return _trusted(KrausChannel, in_space=inst.in_space, out_space=(pointer,), kraus=ops, trace_preserving=True)
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:

@@ -408,6 +408,22 @@ class TestSweep:
         assert "scenario kind has no theta diagnostics" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["epsilon-projective-qubit", "blw-error-qubit", "otoc-ising-chain"])
+    def test_theta_sweep_of_an_analytic_extraction_is_2_before_computing(self, corpus, tmp_path, capsys, monkeypatch, name):
+        # the analytic value is exact and keeps no theta grid, so the sweep is refused before any extraction
+        def fail(*args):
+            raise AssertionError("computed")
+
+        doc = load_report(corpus / f"{name}.json")
+        doc["payload"].setdefault("extraction", {})["method"] = "analytic"
+        src = tmp_path / "analytic.json"
+        src.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "compute", fail)
+        out = tmp_path / "analytic.csv"
+        assert main(["sweep", str(src), "-p", "theta", "-g", "0.01,0.005", "-o", str(out)]) == 2
+        assert 'extraction method "analytic"' in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_parameter_is_2(self, corpus):
         assert main(["sweep", str(corpus / "otoc-ising-chain.json"), "-p", "no.such", "-g", "1"]) == 2
 

@@ -373,6 +373,21 @@ class TestStackedGrid:
         with pytest.raises(ShapeError, match="instrument input space does not match the state"):
             meter(RHO0, obs(SIGMA_X, S), proj_z(t))
 
+    @pytest.mark.parametrize("kind", ["error", "disturbance"])
+    def test_two_copy_rejects_a_generator_or_instrument_of_another_dimension(self, kind):
+        # same label name, another dimension: the two-copy block, stage and generator would not match
+        s3 = Label("S", 3)
+        with pytest.raises(ShapeError, match="must act on S:2"):
+            extract_two_copy(RHO0, obs(np.eye(3), s3), proj_z(S), kind, F_PM)
+        with pytest.raises(ShapeError, match="must act on S:2"):
+            extract_two_copy(RHO0, obs(SIGMA_X, S), proj_instrument(np.eye(3, dtype=complex), s3), kind, F_PM)
+
+    @pytest.mark.parametrize("recovery", ["canonical", OPTIMIZE])
+    def test_stage_output_may_not_use_the_ancilla_label(self, recovery):
+        q = Label(Q_LABEL.name, 2)
+        with pytest.raises(CompositeSpaceError, match="ancilla label 'Q'"):
+            extract_eta(pure_state([1, 0], (q,)), obs(SIGMA_X, q), proj_z(q), recovery)
+
     def test_stage_checked_at_construction(self):
         # a state on (A:2, B:3) metered by an instrument on (A:3, B:2): same names, same total dimension
         rng = np.random.default_rng(39)

@@ -25,7 +25,7 @@ from irrevkit import (
     unitary_channel,
     validate_channel,
 )
-from irrevkit import irrev
+from irrevkit import irrev, qcore
 from irrevkit.irrev import _Objective, _qr_retract
 from irrevkit.qcore import apply_raw
 from conftest import (
@@ -259,6 +259,11 @@ class TestDeltaMinWork:
         counts = Counter()
         for cls in (DensityMatrix, KrausChannel):
             monkeypatch.setattr(cls, "__post_init__", self._counting(counts, cls.__name__, cls.__post_init__))
+        # a value built from validated ones skips __post_init__: count those builds as well
+        trusted = qcore._trusted
+        counted = lambda cls, **fields: counts.update([cls.__name__]) or trusted(cls, **fields)
+        for module in (qcore, irrev):
+            monkeypatch.setattr(module, "_trusted", counted)
         rep = delta_min(loss, omega, OptimizerConfig(max_iters=20, restarts=1), (warm,))
         assert counts == Counter(KrausChannel=1)
         assert validate_channel(rep.recovery_used)["ok"]

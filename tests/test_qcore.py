@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from irrevkit import (
     KrausChannel,
     Label,
     Observable,
+    OptimizerConfig,
     ShapeError,
     StateValidityError,
     TestEnsemble,
@@ -17,6 +20,7 @@ from irrevkit import (
     apply_instrument,
     choi,
     compose,
+    delta_min,
     dual,
     embed,
     expectation,
@@ -26,6 +30,7 @@ from irrevkit import (
     maximally_mixed,
     minimal_kraus,
     partial_trace,
+    petz_recovery,
     pointer_channel,
     pure_state,
     purified_distance,
@@ -37,6 +42,7 @@ from irrevkit import (
     validate_channel,
     variance,
 )
+from irrevkit import comb, irrev, qcore
 from irrevkit.qcore import _fidelity, apply_raw, embed_matrix, space_dim
 from conftest import (
     SIGMA_X,
@@ -437,3 +443,82 @@ class TestMetrics:
     def test_space_mismatch_raises(self):
         with pytest.raises(CompositeSpaceError):
             uhlmann_fidelity(maximally_mixed((S,)), maximally_mixed((B,)))
+
+
+def _trusted_sites():
+    """(id, build) for each library site that builds a value by qcore._trusted.
+
+    build(rng) makes its inputs through the public constructors and returns
+    the values the site builds; the library must have built each by _trusted.
+    """
+    c3 = Label("C", 3)
+
+    def meter(rng, d_out=3):
+        ops, _ = rand_kraus(rng, 3, d_out, 2)
+        return Instrument((B,), (Label("O", d_out),) if d_out != 3 else (B,), (("a", ops[0]), ("b", ops[1])))
+
+    def two_copy(rng, kind):
+        rho, gen = rand_state(rng, 2, S), Observable((S,), rand_herm(rng, 2))
+        c = comb._two_copy_comb(rho, gen, proj_z(S), kind, {"0": 0.5, "1": -1.0})
+        return c.block, c.gen, c.stage
+
+    def delta_min_recovery(rng, *members):
+        omega = TestEnsemble(tuple((0.5, member(rng, 3, B)) for member in members))
+        return (delta_min(instrument_channel(meter(rng)), omega, OptimizerConfig(max_iters=10, restarts=0)).recovery_used,)
+
+    return [
+        ("pointer_channel", lambda rng: (pointer_channel(meter(rng, 2), Label("P", 2)),)),
+        ("instrument_channel", lambda rng: (instrument_channel(meter(rng, 2)),)),
+        ("embed", lambda rng: (embed(rand_channel(rng, (B,), (c3,), 2), (S, B)),)),
+        ("embed-cp-branch", lambda rng: (embed(rand_channel(rng, (B,), (S,), 1), (B, Label("D", 2))),)),
+        ("relabel_instrument", lambda rng: (comb._relabel_instrument(meter(rng), Label("B2", 3)),)),
+        ("relabel_instrument-new-output", lambda rng: (comb._relabel_instrument(meter(rng, 2), Label("B2", 3)),)),
+        ("two_copy_comb-error", lambda rng: two_copy(rng, "error")),
+        ("two_copy_comb-disturbance", lambda rng: two_copy(rng, "disturbance")),
+        ("petz_recovery", lambda rng: (petz_recovery(instrument_channel(meter(rng)), rand_state(rng, 3, B)),)),
+        ("delta_min-pure", lambda rng: delta_min_recovery(rng, rand_pure, rand_pure)),
+        ("delta_min-mixed", lambda rng: delta_min_recovery(rng, rand_state, lambda rng, d, b: rand_low_rank(rng, d, 2, b))),
+    ]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from _arrays(y)
+
+
+class TestTrustedBuilds:
+    """Values the library builds without re-validation are values the public constructors accept and store alike."""
+
+    @pytest.mark.parametrize("build", [b for _, b in _trusted_sites()], ids=[i for i, _ in _trusted_sites()])
+    def test_public_constructor_accepts_the_fields_and_stores_the_same_arrays(self, monkeypatch, build):
+        built = []
+        trusted = qcore._trusted
+
+        def recorded(cls, **fields):
+            built.append(trusted(cls, **fields))
+            return built[-1]
+
+        for module in (qcore, comb, irrev):
+            monkeypatch.setattr(module, "_trusted", recorded)
+        values = build(np.random.default_rng(71))
+        assert all(any(v is b for b in built) for v in values)
+        for v in built:
+            init = {f.name: getattr(v, f.name) for f in dataclasses.fields(v) if f.init}
+            public = type(v)(**init)
+            for f in dataclasses.fields(v):
+                assert _same(getattr(v, f.name), getattr(public, f.name)), f.name
+                for a in _arrays(getattr(v, f.name)):
+                    assert not a.flags.writeable and a.flags.c_contiguous and a.dtype == np.complex128, f.name
+            if isinstance(v, Instrument):  # each branch is a view of the one stack, as the public path keeps it
+                assert all(np.shares_memory(op, v._kraus) for _, op in v.branches)
