@@ -18,7 +18,7 @@ import re
 import sys
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
+from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from .comb import ExtractionConfig, canonical_recovery, extract_epsilon, extract_eta, extract_two_copy
@@ -123,16 +123,6 @@ def _is_matrix(x) -> bool:
     return True
 
 
-def _matrix_keyword(validator, matrix_schema, instance, schema):
-    """Keyword behind _MATRIX_NODE: errors, and their messages, come from _MATRIX."""
-    if not _is_matrix(instance):
-        yield from validator.descend(instance, matrix_schema)
-
-
-_Validator = validators.extend(Draft202012Validator, {"irrevkitMatrix": _matrix_keyword})
-# every matrix field; a plain Draft202012Validator ignores the keyword, so
-# tests swap _MATRIX back in to get the reference schemas
-_MATRIX_NODE = {"irrevkitMatrix": _MATRIX}
 _SPACE = {
     "type": "array",
     "minItems": 1,
@@ -146,7 +136,7 @@ _SPACE = {
 _OPERATOR = {
     "type": "object",
     "required": ["space", "matrix"],
-    "properties": {"space": _SPACE, "matrix": _MATRIX_NODE},
+    "properties": {"space": _SPACE, "matrix": _MATRIX},
     "additionalProperties": False,
 }
 _CHANNEL = {
@@ -155,7 +145,7 @@ _CHANNEL = {
     "properties": {
         "in_space": _SPACE,
         "out_space": _SPACE,
-        "kraus": {"type": "array", "minItems": 1, "items": _MATRIX_NODE},
+        "kraus": {"type": "array", "minItems": 1, "items": _MATRIX},
         "trace_preserving": {"type": "boolean"},
     },
     "additionalProperties": False,
@@ -172,7 +162,7 @@ _INSTRUMENT = {
             "items": {
                 "type": "object",
                 "required": ["outcome", "kraus"],
-                "properties": {"outcome": {"type": "string"}, "kraus": _MATRIX_NODE},
+                "properties": {"outcome": {"type": "string"}, "kraus": _MATRIX},
                 "additionalProperties": False,
             },
         },
@@ -231,7 +221,7 @@ _IMPLEMENTATION = {
     "required": ["rho_beta", "u", "charges", "partition"],
     "properties": {
         "rho_beta": _OPERATOR,
-        "u": _MATRIX_NODE,
+        "u": _MATRIX,
         "charges": _CHARGES,
         "partition": {
             "type": "object",
@@ -390,8 +380,8 @@ TOP_SCHEMA = {
 }
 
 
-_TOP_VALIDATOR = _Validator(TOP_SCHEMA)
-_PAYLOAD_VALIDATORS = {kind: _Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
+_TOP_VALIDATOR = Draft202012Validator(TOP_SCHEMA)
+_PAYLOAD_VALIDATORS = {kind: Draft202012Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
 
 # JSON type -> exact Python types; "integer" leaves out 2.0, which jsonschema counts as one
 _JSON_TYPES = {
@@ -436,7 +426,6 @@ _KEYWORDS = {
     # sound only while a oneOf's branches admit disjoint JSON types, so that a branch this
     # walker leaves undecided can never be a second match (tests check the shipped schemas)
     "oneOf": lambda arg, x, schema: sum(_accepts(s, x) for s in arg) == 1,
-    "irrevkitMatrix": lambda arg, x, schema: arg is _MATRIX and _is_matrix(x),
 }
 
 
@@ -447,6 +436,8 @@ def _accepts(schema, x) -> bool:
     dict/list subclasses), a bool in a number slot and any keyword outside _KEYWORDS
     all give False, and validate_document then asks jsonschema for the error.
     """
+    if schema is _MATRIX:
+        return _is_matrix(x)
     if type(schema) is not dict:
         return False
     for key, arg in schema.items():
@@ -865,10 +856,7 @@ def cmd_sweep(args) -> int:
         _, result, passed = computed
         violation = violation or passed is False
         if theta:
-            rows = result.get("theta_grid") or result.get("iep", {}).get("theta_grid")
-            if not rows:
-                print("scenario kind has no theta diagnostics", file=sys.stderr)
-                return EX_INPUT
+            rows = result.get("iep", result)["theta_grid"]
         else:
             rows.append([v] + [_dig(result, c) for _, c in columns])
 

@@ -52,18 +52,18 @@ OutcomeFunction = Mapping
 
 def outcome_values(meas: Instrument, f) -> np.ndarray:
     """Resolve an OutcomeFunction against an instrument's branch order."""
+    outcomes = [m for m, _ in meas.branches]
     if isinstance(f, Mapping):
-        vals = []
-        for m, _ in meas.branches:
-            if m not in f:
-                raise OutcomeFunctionError(f"outcome {m!r} missing from outcome function")
-            vals.append(float(f[m]))
-        return np.array(vals)
+        missing = [m for m in outcomes if m not in f]
+        if missing:
+            raise OutcomeFunctionError(f"outcome {missing[0]!r} missing from outcome function")
+        f = [f[m] for m in outcomes]
     vals = [float(v) for v in f]
-    if len(vals) != len(meas.branches):
-        raise OutcomeFunctionError(
-            f"{len(vals)} values for {len(meas.branches)} instrument outcomes"
-        )
+    if len(vals) != len(outcomes):
+        raise OutcomeFunctionError(f"{len(vals)} values for {len(outcomes)} instrument outcomes")
+    for m, v in zip(outcomes, vals):
+        if not math.isfinite(v):
+            raise OutcomeFunctionError(f"outcome {m!r} has the non-finite value {v}")
     return np.array(vals)
 
 

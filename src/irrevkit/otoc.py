@@ -130,7 +130,8 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
     clipped to unit operator norm t; both extraction modes renormalise the
     branch per ancilla state, so the value is invariant under that scaling,
     and report the mean branch probability of W~ (sampled on the grid, at
-    theta = 0 when analytic) with t divided out.
+    theta = 0 when analytic) with t divided out. A numerically zero W warns
+    and gives 0, at every theta of the grid when extrapolated.
     """
     cfg = cfg or ExtractionConfig()
     d = s.rho.dim
@@ -142,7 +143,8 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
     rms = math.sqrt(max(float(np.real(np.trace(w_tau @ w_tau))) / d, 0.0))
     if rms <= 1e-12:
         warnings.warn("W is numerically zero; normalization is degenerate, returning 0")
-        return IepResult(0.0, (), 0.0, cfg.method, rescale=0.0, branch_probability=0.0)
+        grid = () if cfg.method == "analytic" else tuple((float(t), 0.0) for t in cfg.thetas)
+        return IepResult(0.0, grid, 0.0, cfg.method, rescale=0.0, branch_probability=0.0)
     wt = w_tau / rms
     t = 1.0 / max(1.0, float(np.linalg.norm(wt, 2)))
     branch = KrausChannel(s.rho.space, s.rho.space, (t * wt,), trace_preserving=False)

@@ -19,7 +19,6 @@ from irrevkit.cli import (
     PAYLOAD_SCHEMAS,
     TOP_SCHEMA,
     _MATRIX,
-    _MATRIX_NODE,
     _accepts,
     _is_matrix,
     main,
@@ -371,6 +370,16 @@ class TestSweep:
         grid = load_report(rep_out)["result"]["theta_grid"]
         assert np.allclose(rows, grid)
 
+    def test_theta_sweep_of_a_vanishing_w_writes_zero_rows(self, corpus, tmp_path):
+        # a numerically zero W gives the value 0 at every theta of the grid
+        doc = load_report(corpus / "otoc-cp-qubit.json")
+        doc["payload"]["scenario"]["w0"]["matrix"] = [[0.0, 0.0], [0.0, 0.0]]
+        out = tmp_path / "zero.csv"
+        with pytest.warns(UserWarning, match="degenerate"):
+            code = main(["sweep", write_doc(tmp_path, "zero.json", doc), "-p", "theta", "-g", "0.01,0.005", "-o", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines() == ["theta,delta_squared", "0.01,0.0", "0.005,0.0"]
+
     def test_empty_grid_is_2(self, corpus):
         assert main(["sweep", str(corpus / "otoc-ising-chain.json"), "-p", "tau", "-g", " ,"]) == 2
 
@@ -472,24 +481,12 @@ class TestScenarioForms:
         assert main(["run", write_doc(tmp_path, "w.json", doc)]) == 2
 
 
-def standard_schema(schema):
-    """schema with the plain _MATRIX in place of each fast-path matrix node."""
-    if schema is _MATRIX_NODE:
-        return _MATRIX
-    if isinstance(schema, dict):
-        return {k: standard_schema(v) for k, v in schema.items()}
-    if isinstance(schema, list):
-        return [standard_schema(v) for v in schema]
-    return schema
-
-
 def reference_problem(doc):
     """validate_document's answer from plain Draft202012Validator instances."""
     err = best_match(Draft202012Validator(TOP_SCHEMA).iter_errors(doc))
     if err is not None:
         return f"{err.json_path}: {err.message}"
-    schema = standard_schema(PAYLOAD_SCHEMAS[doc["kind"]])
-    err = best_match(Draft202012Validator(schema).iter_errors(doc["payload"]))
+    err = best_match(Draft202012Validator(PAYLOAD_SCHEMAS[doc["kind"]]).iter_errors(doc["payload"]))
     if err is not None:
         return f"{err.json_path.replace('$', '$.payload', 1)}: {err.message}"
     return None
@@ -592,7 +589,6 @@ class TestMatrixPredicate:
     def test_accepts_only_what_the_schema_accepts(self, x):
         if _is_matrix(x):
             assert MATRIX_SCHEMA.is_valid(x)
-        assert not _accepts(_MATRIX_NODE, x) or MATRIX_SCHEMA.is_valid(x)
         assert not _accepts(_MATRIX, x) or MATRIX_SCHEMA.is_valid(x)
 
 
@@ -610,7 +606,7 @@ DOCS |= {
     if "extraction" in PAYLOAD_SCHEMAS[doc["kind"]]["properties"]
 }
 REFERENCE = {"top": Draft202012Validator(TOP_SCHEMA)} | {
-    kind: Draft202012Validator(standard_schema(schema)) for kind, schema in PAYLOAD_SCHEMAS.items()
+    kind: Draft202012Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()
 }
 
 
@@ -625,7 +621,7 @@ SLOTS = [(n, p) for n, doc in DOCS.items() for p in slot_paths(doc)[1:]]
 
 def shrunk(schema, x):
     """x with each matrix under schema cut to [[1.0]], which every matrix slot takes"""
-    if schema is _MATRIX_NODE:
+    if schema is _MATRIX:
         return [[1.0]]
     if "oneOf" in schema:
         return shrunk(next(b for b in schema["oneOf"] if _accepts(b, x)), x)
@@ -635,6 +631,22 @@ def shrunk(schema, x):
     if type(x) is list and type(schema.get("items")) is dict:
         return [shrunk(schema["items"], v) for v in x]
     return x
+
+
+def matrix_paths(schema, x, path=()):
+    """paths in x of the matrices under schema"""
+    if schema is _MATRIX:
+        yield path
+    elif "oneOf" in schema:
+        yield from matrix_paths(next(b for b in schema["oneOf"] if _accepts(b, x)), x, path)
+    elif type(x) is dict:
+        named = schema.get("properties", {})
+        for k, v in x.items():
+            if k in named:
+                yield from matrix_paths(named[k], v, path + (k,))
+    elif type(x) is list and type(schema.get("items")) is dict:
+        for i, v in enumerate(x):
+            yield from matrix_paths(schema["items"], v, path + (i,))
 
 
 @st.composite
@@ -776,3 +788,19 @@ class TestShippedSchemas:
             seen = [types(b) for b in branches]
             assert all(seen), branches
             assert sum(map(len, seen)) == len(set().union(*seen)), branches
+
+    def test_are_plain_draft_2020_12_schemas(self):
+        # any standard validator checks the matrices: none needs an extension keyword
+        for schema in (TOP_SCHEMA, *PAYLOAD_SCHEMAS.values()):
+            Draft202012Validator.check_schema(schema)
+        slots = 0
+        for doc in DOCS.values():
+            schema = PAYLOAD_SCHEMAS[doc["kind"]]
+            payload = shrunk(schema, doc["payload"])
+            for path in matrix_paths(schema, payload):
+                parent = parent_of(payload, path)
+                original, parent[path[-1]] = parent[path[-1]], "garbage"
+                assert not Draft202012Validator(schema).is_valid(payload), (doc["kind"], path)
+                parent[path[-1]] = original
+                slots += 1
+        assert slots >= 90

@@ -13,6 +13,7 @@ from irrevkit import (
     Label,
     Observable,
     OptimizerConfig,
+    OutcomeFunctionError,
     CompositeSpaceError,
     ShapeError,
     canonical_recovery,
@@ -272,6 +273,11 @@ class TestTwoCopy:
     def test_error_kind_requires_f(self):
         with pytest.raises((ValueError, TypeError)):
             extract_two_copy(RHO0, obs(SIGMA_Z, S), proj_x(), "error")
+
+    def test_infinite_outcome_value_names_f(self):
+        # the error names f, not the coupling observable built from it
+        with pytest.raises(OutcomeFunctionError, match="outcome '1'"):
+            extract_two_copy(RHO0, obs(SIGMA_Z, S), proj_x(), "error", f={"0": 1.0, "1": np.inf})
 
     def test_disturbance_kind(self):
         rep = extract_two_copy(RHO0, obs(SIGMA_Z, S), proj_x(), "disturbance")

@@ -40,6 +40,11 @@ class TestOutcomeValues:
         with pytest.raises((OutcomeFunctionError, IrrevkitError)):
             outcome_values(proj_z(S), {"0": 1.0})
 
+    @pytest.mark.parametrize("f", [{"0": 1.0, "1": np.nan}, [1.0, np.inf], [1.0, -np.inf]])
+    def test_non_finite_value_names_its_outcome(self, f):
+        with pytest.raises(OutcomeFunctionError, match="outcome '1'"):
+            outcome_values(proj_z(S), f)
+
 
 class TestOzawa:
     def test_sharp_measurement_of_its_own_observable(self):
@@ -53,6 +58,11 @@ class TestOzawa:
         rho = pure_state([1, 0], (S,))
         a = Observable((S,), SIGMA_X)
         assert abs(ozawa_error(rho, a, proj_z(S), F_PM) - 2.0) < 1e-12
+
+    def test_nan_outcome_value_rejected(self):
+        rho = pure_state([1, 0], (S,))
+        with pytest.raises(OutcomeFunctionError, match="outcome '0'"):
+            ozawa_error(rho, Observable((S,), SIGMA_X), proj_z(S), {"0": np.nan, "1": 1.0})
 
     def test_disturbance_of_conjugate_observable(self):
         rho = pure_state([1, 0], (S,))

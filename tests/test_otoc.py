@@ -345,7 +345,10 @@ class TestIepCp:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = otoc_iep_cp(s)
+            analytic = otoc_iep_cp(s, ANALYTIC)
         assert rep.value == 0.0
+        assert rep.theta_grid == tuple((t, 0.0) for t in ExtractionConfig().thetas)
+        assert analytic.value == 0.0 and analytic.theta_grid == ()
         assert any("degenerate" in str(w.message) for w in caught)
 
     def test_non_maximally_mixed_state_rejected(self):
