@@ -59,19 +59,6 @@ EX_INPUT = 2
 EX_NUMERIC = 3
 EX_VIOLATION = 4
 
-KINDS = (
-    "delta",
-    "epsilon",
-    "eta",
-    "blw",
-    "lt",
-    "way-error",
-    "way-disturbance",
-    "otoc",
-    "otoc-cp",
-    "way-otoc",
-)
-
 _NUMERIC_ERRORS = (
     ExtractionError,
     ConservationError,
@@ -270,6 +257,33 @@ _SCRAMBLING = {
     "additionalProperties": False,
 }
 _TOLERANCE = {"type": "number", "minimum": 0}
+_METER_PAYLOAD = {
+    "type": "object",
+    "required": ["state", "observable", "instrument"],
+    "properties": {
+        "state": _OPERATOR,
+        "observable": _OPERATOR,
+        "instrument": _INSTRUMENT,
+        "recovery": {"oneOf": [{"enum": ["canonical", "optimize"]}, _CANONICAL]},
+        "extraction": _EXTRACTION,
+    },
+    "additionalProperties": False,
+}
+_WAY_PAYLOAD = {
+    "type": "object",
+    "required": ["state", "observable", "instrument", "implementation"],
+    "properties": {
+        "state": _OPERATOR,
+        "observable": _OPERATOR,
+        "instrument": _INSTRUMENT,
+        "implementation": _IMPLEMENTATION,
+        "charges": _CHARGES,
+        "lhs": {"enum": ["canonical", "optimize"]},
+        "extraction": _EXTRACTION,
+        "tolerance": _TOLERANCE,
+    },
+    "additionalProperties": False,
+}
 
 PAYLOAD_SCHEMAS = {
     "delta": {
@@ -284,18 +298,8 @@ PAYLOAD_SCHEMAS = {
         },
         "additionalProperties": False,
     },
-    "epsilon": {
-        "type": "object",
-        "required": ["state", "observable", "instrument"],
-        "properties": {
-            "state": _OPERATOR,
-            "observable": _OPERATOR,
-            "instrument": _INSTRUMENT,
-            "recovery": {"oneOf": [{"enum": ["canonical", "optimize"]}, _CANONICAL]},
-            "extraction": _EXTRACTION,
-        },
-        "additionalProperties": False,
-    },
+    "epsilon": _METER_PAYLOAD,
+    "eta": _METER_PAYLOAD,
     "blw": {
         "type": "object",
         "required": ["kind", "state", "generator", "instrument"],
@@ -320,21 +324,8 @@ PAYLOAD_SCHEMAS = {
         },
         "additionalProperties": False,
     },
-    "way-error": {
-        "type": "object",
-        "required": ["state", "observable", "instrument", "implementation"],
-        "properties": {
-            "state": _OPERATOR,
-            "observable": _OPERATOR,
-            "instrument": _INSTRUMENT,
-            "implementation": _IMPLEMENTATION,
-            "charges": _CHARGES,
-            "lhs": {"enum": ["canonical", "optimize"]},
-            "extraction": _EXTRACTION,
-            "tolerance": _TOLERANCE,
-        },
-        "additionalProperties": False,
-    },
+    "way-error": _WAY_PAYLOAD,
+    "way-disturbance": _WAY_PAYLOAD,
     "otoc": {
         "type": "object",
         "required": ["scenario"],
@@ -363,8 +354,7 @@ PAYLOAD_SCHEMAS = {
         "additionalProperties": False,
     },
 }
-PAYLOAD_SCHEMAS["eta"] = PAYLOAD_SCHEMAS["epsilon"]
-PAYLOAD_SCHEMAS["way-disturbance"] = PAYLOAD_SCHEMAS["way-error"]
+KINDS = tuple(PAYLOAD_SCHEMAS)
 
 TOP_SCHEMA = {
     "type": "object",
@@ -643,22 +633,30 @@ def _run_way_otoc(payload: dict, seed: int):
     return _run_bound(payload, inputs, lambda charges: way_bound_otoc(s, charges, impl))
 
 
-_RUNNERS = {
-    "delta": _run_delta,
-    "epsilon": lambda p, s: _run_epsilon(p, s, extract_epsilon),
-    "eta": lambda p, s: _run_epsilon(p, s, extract_eta),
-    "blw": _run_blw,
-    "lt": _run_lt,
-    "way-error": lambda p, s: _run_way(p, s, way_bound_error),
-    "way-disturbance": lambda p, s: _run_way(p, s, way_bound_disturbance),
-    "otoc": _run_otoc,
-    "otoc-cp": _run_otoc_cp,
-    "way-otoc": _run_way_otoc,
+_FIT_COLUMNS = (("value", "value"), ("fit_residual", "fit_residual"))
+_BOUND_COLUMNS = (("lhs", "lhs"), ("rhs", "rhs"), ("slack", "slack"))
+_OTOC_COLUMNS = (("c_iep", "iep.value"), ("gap", "gap"))
+
+# kind -> (runner, sweep columns as (CSV header, dotted path in the result))
+_KIND_TABLE = {
+    "delta": (_run_delta, (("delta", "delta"), ("delta_squared", "delta_squared"))),
+    "epsilon": (lambda p, s: _run_epsilon(p, s, extract_epsilon), _FIT_COLUMNS),
+    "eta": (lambda p, s: _run_epsilon(p, s, extract_eta), _FIT_COLUMNS),
+    "blw": (_run_blw, _FIT_COLUMNS),
+    "lt": (_run_lt, (("value", "value"),)),
+    "way-error": (lambda p, s: _run_way(p, s, way_bound_error), _BOUND_COLUMNS),
+    "way-disturbance": (lambda p, s: _run_way(p, s, way_bound_disturbance), _BOUND_COLUMNS),
+    "otoc": (_run_otoc, (("c_direct", "direct"), *_OTOC_COLUMNS)),
+    "otoc-cp": (
+        _run_otoc_cp,
+        (("c_direct", "direct_normalized"), *_OTOC_COLUMNS, ("branch_probability", "iep.branch_probability")),
+    ),
+    "way-otoc": (_run_way_otoc, _BOUND_COLUMNS),
 }
 
 
 def compute(kind: str, payload: dict, seed: int):
-    return _RUNNERS[kind](payload, seed)
+    return _KIND_TABLE[kind][0](payload, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -762,23 +760,6 @@ def cmd_run(args) -> int:
     return max(run_one(path, args.output) for path in args.scenarios)
 
 
-_SWEEP_COLUMNS = {
-    "otoc": (("c_direct", "direct"), ("c_iep", "iep.value"), ("gap", "gap")),
-    "otoc-cp": (
-        ("c_direct", "direct_normalized"),
-        ("c_iep", "iep.value"),
-        ("gap", "gap"),
-        ("branch_probability", "iep.branch_probability"),
-    ),
-    "way-error": (("lhs", "lhs"), ("rhs", "rhs"), ("slack", "slack")),
-    "way-disturbance": (("lhs", "lhs"), ("rhs", "rhs"), ("slack", "slack")),
-    "way-otoc": (("lhs", "lhs"), ("rhs", "rhs"), ("slack", "slack")),
-    "delta": (("delta", "delta"), ("delta_squared", "delta_squared")),
-    "epsilon": (("value", "value"), ("fit_residual", "fit_residual")),
-    "eta": (("value", "value"), ("fit_residual", "fit_residual")),
-    "blw": (("value", "value"), ("fit_residual", "fit_residual")),
-    "lt": (("value", "value"),),
-}
 # the kinds whose reports carry a theta grid, which a theta sweep writes out
 _THETA_KINDS = ("epsilon", "eta", "blw", "otoc", "otoc-cp")
 
@@ -827,7 +808,7 @@ def cmd_sweep(args) -> int:
         return EX_INPUT
     seed = int(doc.get("seed", 0))
     out_path = args.output or os.path.splitext(os.path.abspath(args.scenario))[0] + ".sweep.csv"
-    param = "scenario.tau" if kind in ("otoc", "otoc-cp", "way-otoc") and args.parameter == "tau" else args.parameter
+    param = "scenario.tau" if args.parameter == "tau" and "scenario" in doc["payload"] else args.parameter
 
     # one payload for the theta grid, else one per grid value
     runs = []
@@ -844,7 +825,7 @@ def cmd_sweep(args) -> int:
             return EX_INPUT
         runs.append((v, payload))
 
-    columns = _SWEEP_COLUMNS[kind]
+    columns = _KIND_TABLE[kind][1]
     header = ["theta", "delta_squared"] if theta else [args.parameter] + [name for name, _ in columns]
     rows = []
     violation = False

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BranchProbabilityError, CompositeSpaceError, ExtractionError, ShapeError
-from .irrev import OptimizerConfig, _delta_min, _delta_with_recovery
+from .irrev import OptimizerConfig, _delta_min, _delta_with_recovery, _json_fields
 from .oracles import _check_system, lt_disturbance, lt_error, outcome_values
 from .qcore import (
     ID2,
@@ -152,19 +152,7 @@ class IepResult:
     certified_gap: float | None = None
 
     def to_json(self) -> dict:
-        d = {
-            "value": self.value,
-            "theta_grid": [[t, v] for t, v in self.theta_grid],
-            "fit_residual": self.fit_residual,
-            "method": self.method,
-        }
-        if self.rescale is not None:
-            d["rescale"] = self.rescale
-        if self.branch_probability is not None:
-            d["branch_probability"] = self.branch_probability
-        if self.certified_gap is not None:
-            d["certified_gap"] = self.certified_gap
-        return d
+        return _json_fields(self)
 
 
 @dataclass(frozen=True)
@@ -177,16 +165,13 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.method not in ("extrapolated", "analytic"):
             raise ValueError(f"extraction method {self.method!r} is neither 'extrapolated' nor 'analytic'")
-        if len(set(self.thetas)) < 2 or min(self.thetas) <= 0:
-            raise ValueError(f"the theta grid {self.thetas!r} needs two or more distinct values, all above 0")
+        if len(set(self.thetas)) < 2 or not all(0 < t < np.inf for t in self.thetas):
+            raise ValueError(f"the theta grid {self.thetas!r} needs two or more distinct values, all above 0 and finite")
+        if not 0 < self.fit_tol < np.inf:
+            raise ValueError(f"fit_tol needs a finite value above 0, not {self.fit_tol!r}")
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "thetas": list(self.thetas),
-            "fit_tol": self.fit_tol,
-            "optimizer": self.optimizer.to_json(),
-        }
+        return _json_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "ExtractionConfig":

@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 
+def _json_fields(obj, *skip: str) -> dict:
+    """A report or config dataclass as JSON: every field but skip under its own name,
+    None fields left out, a nested config through its own to_json."""
+    return {
+        f.name: v.to_json() if hasattr(v, "to_json") else v
+        for f in fields(obj)
+        if f.name not in skip and (v := getattr(obj, f.name)) is not None
+    }
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     seed: int = 0
@@ -67,13 +77,7 @@ class OptimizerConfig:
             )
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "max_iters": self.max_iters,
-            "step": self.step,
-            "restarts": self.restarts,
-            "tol": self.tol,
-        }
+        return _json_fields(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimizerConfig":
@@ -104,19 +108,7 @@ class DeltaReport:
     certified_gap: float | None = None
 
     def to_json(self) -> dict:
-        d = {
-            "delta": self.delta,
-            "per_state": [[k, v] for k, v in self.per_state],
-            "converged": self.converged,
-            "local_optimum": self.local_optimum,
-        }
-        if self.optimizer_trace is not None:
-            d["optimizer_trace"] = [[i, v] for i, v in self.optimizer_trace]
-        if self.branch_probabilities is not None:
-            d["branch_probabilities"] = list(self.branch_probabilities)
-        if self.certified_gap is not None:
-            d["certified_gap"] = self.certified_gap
-        return d
+        return _json_fields(self, "recovery_used")
 
 
 def _members(omega: TestEnsemble, space: tuple):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class ScramblingScenario:
                 raise CompositeSpaceError("scenario operators live on different spaces")
         object.__setattr__(self, "tau", float(self.tau))
 
+    @cached_property
+    def w_tau(self) -> Observable:
+        """W(tau), formed once per scenario (cached_property writes the instance dict)."""
+        return heisenberg(self.w0, self.h, self.tau)
+
 
 def heisenberg(w0: Observable, h: Observable, tau: float) -> Observable:
     """W(tau) = e^{iH tau} W0 e^{-iH tau} by exact eigendecomposition."""
@@ -83,7 +89,7 @@ def heisenberg(w0: Observable, h: Observable, tau: float) -> Observable:
 
 def otoc_direct(s: ScramblingScenario) -> float:
     """-Tr[rho [W(tau), V]^2]; non-negative for Hermitian operators."""
-    w = heisenberg(s.w0, s.h, s.tau).data
+    w = s.w_tau.data
     c = w @ s.v0.data - s.v0.data @ w
     return float(-np.real(np.trace(s.rho.data @ c @ c)))
 
@@ -93,7 +99,7 @@ def _w_tau(s: ScramblingScenario) -> Observable:
     w0 = s.w0.data
     if np.max(np.abs(w0 @ w0 - np.eye(w0.shape[0]))) > 1e-9:
         raise AssumptionError("W0 must square to the identity within 1e-9")
-    return heisenberg(s.w0, s.h, s.tau)
+    return s.w_tau
 
 
 def _scenario_comb(s: ScramblingScenario, stage: KrausChannel, branch_scale=None) -> Comb:
@@ -139,7 +145,7 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
         raise AssumptionError(
             "branch probability 1 requires the maximally mixed state; got a non-uniform rho"
         )
-    w_tau = heisenberg(s.w0, s.h, s.tau).data
+    w_tau = s.w_tau.data
     rms = math.sqrt(max(float(np.real(np.trace(w_tau @ w_tau))) / d, 0.0))
     if rms <= 1e-12:
         warnings.warn("W is numerically zero; normalization is degenerate, returning 0")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .comb import CanonicalRecovery, ExtractionConfig, _pointer, extract_epsilon, extract_eta
 from .errors import ConservationError, ShapeError, YanaseConditionError
+from .irrev import _json_fields
 from .qcore import (
     DensityMatrix,
     Instrument,
@@ -157,7 +158,7 @@ class WayReport:
     terms: dict
 
     def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "slack": self.slack, "terms": dict(self.terms)}
+        return _json_fields(self)
 
 
 def _commutator_expectation(rho: DensityMatrix, y: Observable, a: Observable) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import Label, Observable, build_fixture, cli, fixture_names
+from irrevkit import Label, Observable, build_fixture, cli, fixture_names, otoc
 from irrevkit.cli import (
     PAYLOAD_SCHEMAS,
     TOP_SCHEMA,
@@ -216,6 +216,95 @@ class TestExtractionModes:
         err = capsys.readouterr().err
         assert "needs a trace-preserving loss" in err and "fixed recovery" in err
         assert "apply_raw" not in err
+
+
+def key_paths(obj, prefix=""):
+    """The sorted dotted paths of every key in obj, walking through dicts only."""
+    paths = []
+    for k, v in obj.items():
+        paths.append(prefix + k)
+        if isinstance(v, dict):
+            paths += key_paths(v, prefix + k + ".")
+    return sorted(paths)
+
+
+EXTRACTION_KEYS = ["fit_tol", "method", "optimizer", "optimizer.max_iters", "optimizer.restarts", "optimizer.seed",
+                   "optimizer.step", "optimizer.tol", "thetas"]
+FIT_KEYS = ["fit_residual", "method", "theta_grid", "value"]
+BOUND_KEYS = ["lhs", "pass", "rhs", "slack", "terms", "terms.commutator_expectation", "terms.fisher_cost_upper"]
+# fixture -> report section -> its key paths; a section that is not listed must be absent
+LAYOUT = {
+    "blw-error-qubit": {"result": FIT_KEYS, "inputs.extraction": EXTRACTION_KEYS},
+    "delta-depolarizing": {
+        "result": ["certified_gap", "converged", "delta", "delta_squared", "local_optimum", "per_state"],
+        "inputs.optimizer": ["max_iters", "restarts", "seed", "step", "tol"],
+    },
+    "epsilon-projective-qubit": {"result": FIT_KEYS, "inputs.extraction": EXTRACTION_KEYS},
+    "eta-projective-qubit": {"result": FIT_KEYS, "inputs.extraction": EXTRACTION_KEYS},
+    "lt-error-qubit": {"result": ["pushforward", "pushforward.0", "pushforward.1", "value"]},
+    "otoc-cp-qubit": {
+        "result": ["direct_normalized", "gap", "iep", "iep.branch_probability", "iep.fit_residual", "iep.method",
+                   "iep.rescale", "iep.theta_grid", "iep.value"],
+        "inputs.extraction": EXTRACTION_KEYS,
+    },
+    "otoc-ising-chain": {
+        "result": ["direct", "gap", "iep", "iep.fit_residual", "iep.method", "iep.theta_grid", "iep.value"],
+        "inputs.extraction": EXTRACTION_KEYS,
+    },
+    "way-disturbance-random": {"result": BOUND_KEYS + ["terms.qfi_state", "terms.variance_out", "tolerance"]},
+    "way-error-tight": {"result": BOUND_KEYS + ["terms.qfi_state", "terms.variance_out", "tolerance"]},
+    "way-otoc-qubit": {"result": BOUND_KEYS + ["terms.spread_in", "terms.spread_out", "tolerance"]},
+}
+
+
+def layout(report_path):
+    report = load_report(report_path)
+    sections = {"result": key_paths(report["result"])}
+    for name in ("extraction", "optimizer"):
+        if name in report["inputs"]:
+            sections[f"inputs.{name}"] = key_paths(report["inputs"][name])
+    return sections
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("name", sorted(LAYOUT))
+    def test_fixture_report_keys(self, corpus, tmp_path, name):
+        out = tmp_path / "r.json"
+        assert main(["run", str(corpus / f"{name}.json"), "-o", str(out)]) == 0
+        assert layout(out) == LAYOUT[name]
+
+    def test_optimized_extraction_reports_its_certified_gap(self, corpus, tmp_path):
+        doc = load_report(corpus / "epsilon-projective-qubit.json")
+        doc["payload"].update(recovery="optimize", extraction=TestExtractionModes.BUDGET)
+        out = tmp_path / "r.json"
+        assert main(["run", write_doc(tmp_path, "o.json", doc), "-o", str(out)]) == 0
+        assert layout(out) == {"result": sorted(FIT_KEYS + ["certified_gap"]), "inputs.extraction": EXTRACTION_KEYS}
+
+    def test_cp_branch_delta_reports_its_branch_probabilities(self, corpus, tmp_path):
+        space = TestExtractionModes.branch_doc(corpus, "petz")["payload"]["loss"]["in_space"]
+        identity = {"in_space": space, "out_space": space, "kraus": [[[1.0, 0.0], [0.0, 1.0]]]}
+        out = tmp_path / "r.json"
+        doc = TestExtractionModes.branch_doc(corpus, identity)
+        assert main(["run", write_doc(tmp_path, "b.json", doc), "-o", str(out)]) == 0
+        assert layout(out) == {
+            "result": ["branch_probabilities", "converged", "delta", "delta_squared", "local_optimum", "per_state"],
+            "inputs.optimizer": LAYOUT["delta-depolarizing"]["inputs.optimizer"],
+        }
+
+
+class TestOtocDocuments:
+    @pytest.mark.parametrize("name", ["otoc-ising-chain", "otoc-cp-qubit", "way-otoc-qubit"])
+    def test_w_tau_is_formed_once(self, corpus, tmp_path, monkeypatch, name):
+        # the extraction or the bound and the direct value share one W(tau), so one eigh of H
+        doc = load_report(corpus / f"{name}.json")
+        scenario = doc["payload"]["scenario"]
+        if name != "otoc-ising-chain":  # the qubit fixtures have H = 0, which is never decomposed
+            scenario["h"] = {"space": scenario["w0"]["space"], "matrix": [[0.3, 0.7], [0.7, -0.3]]}
+        calls = []
+        heisenberg = otoc.heisenberg
+        monkeypatch.setattr(otoc, "heisenberg", lambda *args: calls.append(args) or heisenberg(*args))
+        assert main(["run", write_doc(tmp_path, "w.json", doc), "-o", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
 
 
 class TestParserReuse:
@@ -771,6 +860,12 @@ JSON_TYPE_OF = {str: "string", int: "number", float: "number", bool: "boolean", 
 
 
 class TestShippedSchemas:
+    def test_one_kind_list_in_one_order(self):
+        kinds = ["delta", "epsilon", "eta", "blw", "lt", "way-error", "way-disturbance", "otoc", "otoc-cp", "way-otoc"]
+        assert TOP_SCHEMA["properties"]["kind"]["enum"] == list(PAYLOAD_SCHEMAS) == list(cli._KIND_TABLE) == kinds
+        assert PAYLOAD_SCHEMAS["eta"] is PAYLOAD_SCHEMAS["epsilon"]
+        assert PAYLOAD_SCHEMAS["way-disturbance"] is PAYLOAD_SCHEMAS["way-error"]
+
     def test_use_only_keywords_the_acceptor_decides(self):
         assert set().union(*SHIPPED) <= set(cli._KEYWORDS)
 

@@ -569,12 +569,21 @@ class TestConfig:
                 make()
             assert "'analytical'" in str(info.value)
 
-    @pytest.mark.parametrize("thetas", [(0.01,), (0.3, 0.3, 0.3), (), (0.01, 0.0), (0.01, -0.005)])
+    @pytest.mark.parametrize(
+        "thetas", [(0.01,), (0.3, 0.3, 0.3), (), (0.01, 0.0), (0.01, -0.005), (np.nan, 0.01), (np.inf, 0.01)]
+    )
     def test_theta_grid_needs_two_distinct_positive_values(self, thetas):
         # through one distinct theta the theta^2, theta^4 fit is underdetermined: least
         # squares returns its minimum-norm solution and the residual reads 0
         for make in (lambda: ExtractionConfig(thetas=thetas), lambda: ExtractionConfig.from_json({"thetas": thetas})):
             with pytest.raises(ValueError, match="two or more distinct values, all above 0"):
+                make()
+
+    @pytest.mark.parametrize("fit_tol", [np.nan, np.inf, 0.0, -1e-6])
+    def test_fit_tol_must_be_finite_and_positive(self, fit_tol):
+        # nan would switch the fit gate off, and a tolerance <= 0 fails every fit
+        for make in (lambda: ExtractionConfig(fit_tol=fit_tol), lambda: ExtractionConfig.from_json({"fit_tol": fit_tol})):
+            with pytest.raises(ValueError, match="fit_tol needs a finite value above 0"):
                 make()
 
     def test_iep_result_json(self):
