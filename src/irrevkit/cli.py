@@ -1,8 +1,8 @@
 """Batch front end: validate JSON scenarios, run pipelines, emit reports and CSV.
 
-Exit codes: 0 success, 2 input/schema problem, 3 numerical failure
-(extraction, conservation, precondition), 4 inequality violation beyond the
-scenario tolerance. Reports are byte-identical across re-runs; wall-clock
+Exit codes: 0 success, 2 input/schema problem or unwritable output, 3 numerical
+failure (extraction, conservation, precondition), 4 inequality violation beyond
+the scenario tolerance. Reports are byte-identical across re-runs; wall-clock
 metadata goes to a separate .meta.json sidecar.
 """
 
@@ -18,8 +18,6 @@ import re
 import sys
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .comb import ExtractionConfig, canonical_recovery, extract_epsilon, extract_eta, extract_two_copy
 from .errors import (
@@ -370,8 +368,12 @@ TOP_SCHEMA = {
 }
 
 
-_TOP_VALIDATOR = Draft202012Validator(TOP_SCHEMA)
-_PAYLOAD_VALIDATORS = {kind: Draft202012Validator(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
+@functools.cache
+def _stock_validator(kind: str | None = None):
+    """The stock validator of TOP_SCHEMA or of one kind's payload: only a rejection imports jsonschema."""
+    from jsonschema import Draft202012Validator
+    return Draft202012Validator(TOP_SCHEMA if kind is None else PAYLOAD_SCHEMAS[kind])
+
 
 # JSON type -> exact Python types; "integer" leaves out 2.0, which jsonschema counts as one
 _JSON_TYPES = {
@@ -445,10 +447,11 @@ def validate_document(doc) -> str | None:
     """
     if _accepts(TOP_SCHEMA, doc) and _accepts(PAYLOAD_SCHEMAS[doc["kind"]], doc["payload"]):
         return None
-    err = best_match(_TOP_VALIDATOR.iter_errors(doc))
+    from jsonschema.exceptions import best_match
+    err = best_match(_stock_validator().iter_errors(doc))
     if err is not None:
         return f"{err.json_path}: {err.message}"
-    err = best_match(_PAYLOAD_VALIDATORS[doc["kind"]].iter_errors(doc["payload"]))
+    err = best_match(_stock_validator(doc["kind"]).iter_errors(doc["payload"]))
     if err is not None:
         path = err.json_path.replace("$", "$.payload", 1)
         return f"{path}: {err.message}"
@@ -747,7 +750,11 @@ def run_one(path: str, output: str | None = None) -> int:
     inputs, result, passed = computed
     report = {"schema": "irrevkit/1", "kind": kind, "seed": seed, "inputs": inputs, "result": result}
     out_path = output or _default_output(path, doc)
-    _write_report(out_path, report, path)
+    try:
+        _write_report(out_path, report, path)
+    except OSError as exc:
+        print(f"{path}: cannot write report: {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EX_INPUT
     ok = passed is None or passed
     _say(f"{path}: {'ok' if ok else 'VIOLATION'} -> {out_path}")
     return EX_OK if ok else EX_VIOLATION
@@ -841,10 +848,12 @@ def cmd_sweep(args) -> int:
         else:
             rows.append([v] + [_dig(result, c) for _, c in columns])
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
+    lines = [",".join(header)] + [",".join(repr(float(x)) for x in row) for row in rows]
+    try:
+        atomic_write_text(out_path, "\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"{args.scenario}: cannot write report: {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EX_INPUT
     _say(f"{args.scenario}: {len(rows)} rows -> {out_path}")
     return EX_VIOLATION if violation else EX_OK
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from itertools import chain
 
 import numpy as np
@@ -253,8 +252,15 @@ def _emit(o, out: list, nl: str) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    # a fresh hidden file beside path, created with mode 0o666 as by open(path, "w"), so the umask applies
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".irrevkit-")
+    while True:
+        tmp = os.path.join(directory, f".irrevkit-{os.urandom(8).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

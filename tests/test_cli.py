@@ -428,6 +428,24 @@ class TestExitCodes:
         assert rep["result"]["pass"] is False
 
 
+class TestUnwritableOutput:
+    def test_run_reports_it_as_2_and_goes_on(self, corpus, tmp_path, capsys):
+        doc = load_report(corpus / "lt-error-qubit.json")
+        doc["output"] = "missing/lt.report.json"
+        first = write_doc(tmp_path, "first.json", doc)
+        second = write_doc(tmp_path, "second.json", load_report(corpus / "blw-error-qubit.json"))
+        assert main(["run", first, second]) == 2
+        assert f"{first}: cannot write report: {tmp_path / 'missing' / 'lt.report.json'}: " in capsys.readouterr().err
+        assert load_report(tmp_path / "blw-error-qubit.report.json")["kind"] == "blw"
+        assert not (tmp_path / "missing").exists()
+
+    def test_sweep_csv_is_2(self, corpus, tmp_path, capsys):
+        src = str(corpus / "otoc-ising-chain.json")
+        out = tmp_path / "missing" / "chain.csv"
+        assert main(["sweep", src, "-p", "tau", "-g", "0,0.5", "-o", str(out)]) == 2
+        assert f"{src}: cannot write report: {out}: " in capsys.readouterr().err
+
+
 class TestSweep:
     def test_tau_sweep_rows(self, corpus, tmp_path):
         out = tmp_path / "chain.csv"
@@ -828,8 +846,7 @@ class TestAcceptor:
             def iter_errors(self, instance):
                 raise AssertionError(f"left to jsonschema: {instance!r:.200}")
 
-        monkeypatch.setattr(cli, "_TOP_VALIDATOR", Undecided())
-        monkeypatch.setattr(cli, "_PAYLOAD_VALIDATORS", dict.fromkeys(PAYLOAD_SCHEMAS, Undecided()))
+        monkeypatch.setattr(cli, "_stock_validator", lambda kind=None: Undecided())
         assert all(validate_document(doc) is None for doc in DOCS.values())
         swept = 0
         for n in fixture_names():
@@ -846,6 +863,56 @@ class TestAcceptor:
                 assert main(["sweep", src, "-p", "theta", "-g", "0.01,0.005", "-o", out]) == code
                 swept += 1
         assert swept == 10
+
+
+# in a fresh process, since this module imports jsonschema itself: the ten fixtures are
+# validated and run one by one and swept once over theta and once over tau, then a fixture
+# with one extra payload key is validated; argv is the ten paths, then the extra-key file
+COLD_START = """
+import json, sys
+import irrevkit, irrevkit.cli
+seen = {"import": "jsonschema" in sys.modules}
+from irrevkit.cli import main
+*paths, extra = sys.argv[1:]
+named = {p.rsplit("/", 1)[-1]: p for p in paths}
+codes = [main(["validate", p]) for p in paths] + [main(["run", p]) for p in paths]
+codes.append(main(["sweep", named["epsilon-projective-qubit.json"], "-p", "theta", "-g", "0.01,0.005"]))
+codes.append(main(["sweep", named["otoc-ising-chain.json"], "-p", "tau", "-g", "0,0.5"]))
+seen["valid"] = "jsonschema" in sys.modules
+rejected = main(["validate", extra])
+seen["rejected"] = "jsonschema" in sys.modules
+print(json.dumps({"codes": codes, "rejected": rejected, "seen": seen}))
+"""
+
+
+class TestColdStart:
+    @pytest.fixture(scope="class")
+    def cold(self, corpus, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cold")
+        paths = [str(shutil.copy(corpus / f"{n}.json", d)) for n in fixture_names()]
+        doc = load_report(corpus / "lt-error-qubit.json")
+        doc["payload"]["extra"] = 0
+        extra = write_doc(d, "extra.json", doc)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, *paths, extra], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1]), proc.stderr, doc, extra
+
+    def test_import_leaves_jsonschema_out(self, cold):
+        assert cold[0]["seen"]["import"] is False
+
+    def test_valid_runs_and_sweeps_leave_jsonschema_out(self, cold):
+        assert cold[0]["codes"] == [0] * 22
+        assert cold[0]["seen"]["valid"] is False
+
+    def test_a_rejection_is_worded_by_the_stock_validator(self, cold):
+        result, err, doc, extra = cold
+        assert result["rejected"] == 2
+        assert err == f"{extra}: schema violation at {reference_problem(doc)}\n"
+        assert "Additional properties" in err
+        assert result["seen"]["rejected"] is True
 
 
 def subschemas(schema):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -178,3 +180,24 @@ class TestAtomicWrite:
         assert p.read_text() == "second\n"
         leftovers = [q for q in tmp_path.iterdir() if q.name.startswith(".irrevkit-")]
         assert not leftovers
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        # as for a plain open(path, "w"): 0o666 less the umask
+        p = tmp_path / "out.json"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(p), "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
+
+    def test_a_taken_temporary_name_is_skipped(self, tmp_path, monkeypatch):
+        taken = tmp_path / f".irrevkit-{bytes(8).hex()}"
+        taken.write_text("someone else's")
+        draws = iter([bytes(8), bytes(8), b"\x01" * 8])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        atomic_write_text(str(tmp_path / "out.json"), "x\n")
+        assert taken.read_text() == "someone else's"
+        assert (tmp_path / "out.json").read_text() == "x\n"
+        assert sorted(q.name for q in tmp_path.iterdir()) == [taken.name, "out.json"]
