@@ -48,7 +48,6 @@ from .qcore import (
     _expm_herm,
     _names,
     _trusted,
-    embed,
     embed_matrix,
     instrument_channel,
     pointer_channel,
@@ -281,37 +280,37 @@ def _two_copy_labels(rho: DensityMatrix):
     return Label(base.name + "2", base.dim), Label(base.name + "1", base.dim)
 
 
-def _relabel_instrument(meas: Instrument, new_in: Label) -> Instrument:
-    """meas acting on new_in, which has meas's input dimension; the branches are meas's own."""
-    d_out = meas._kraus.shape[1]
-    out = (new_in,) if d_out == meas.dim_in else (Label(new_in.name + "o", d_out),)
-    return _trusted(Instrument, in_space=(new_in,), out_space=out, branches=meas.branches, _kraus=meas._kraus)
-
-
 def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: str, f=None) -> Comb:
     """Calibration comb on two copies: couple copy 1, measure copy 2.
 
     error: P_M on copy 2 -> (P, S1, Q), recovered through the pointer values
     f; disturbance: I_M on copy 2 -> (S2, S1, Q), recovered through gen.
+    Copy 2 is never coupled, so measuring it only prepares the readout K rho K^dag
+    beside copy 1: the block is copy 1 alone, and the stage's Kraus operators
+    are (K c) (x) 1_S1 over the readout's operators K and the columns c of
+    rho = sum c c^dag, trace preserving since sum c^dag K^dag K c = tr rho = 1.
     """
     _check_system(rho, gen, meas)
     s2, s1 = _two_copy_labels(rho)
     if gen.space != rho.space or meas.in_space != rho.space:
         name = rho.space[0].name
         raise ShapeError(f"two-copy comb: the generator and the instrument must act on {name}:{s1.dim}")
-    block = _trusted(DensityMatrix, space=(s2, s1), data=np.kron(rho.data, rho.data))
-    meas2 = _relabel_instrument(meas, s2)
     if kind == "error":
         p_label = _pointer(meas)
-        stage = pointer_channel(meas2, p_label)
+        readout, out = pointer_channel(meas, p_label).kraus, (p_label,)
         recoveries = lambda: (canonical_recovery(_pointer_observable(meas, f), (p_label, s1), 0.0),)
     elif kind == "disturbance":
-        stage = instrument_channel(meas2)
-        out2 = meas2.out_space
-        recoveries = lambda: (canonical_recovery(Observable(out2, gen.data), tuple(out2) + (s1,), 0.0),)
+        readout = meas._kraus
+        d_out = readout.shape[1]
+        out = (s2,) if d_out == s2.dim else (Label(s2.name + "o", d_out),)
+        recoveries = lambda: (canonical_recovery(Observable(out, gen.data), out + (s1,), 0.0),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
-    return Comb(block, _trusted(Observable, space=(s1,), data=gen.data), embed(stage, block.space), recoveries)
+    kc = (readout @ _block_columns(rho)).transpose(0, 2, 1)  # (r_K, r_c, d_out): the prepared vectors K c
+    ops = (kc[..., None, None] * np.eye(s1.dim)).reshape(-1, kc.shape[-1] * s1.dim, s1.dim) + 0.0
+    stage = _trusted(KrausChannel, in_space=(s1,), out_space=out + (s1,), kraus=ops, trace_preserving=True)
+    block = _trusted(DensityMatrix, space=(s1,), data=rho.data)
+    return Comb(block, _trusted(Observable, space=(s1,), data=gen.data), stage, recoveries)
 
 
 def build_loss_error(rho: DensityMatrix, a: Observable, theta: float, meas: Instrument) -> LossProcess:

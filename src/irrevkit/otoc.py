@@ -145,14 +145,14 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
         raise AssumptionError(
             "branch probability 1 requires the maximally mixed state; got a non-uniform rho"
         )
-    w_tau = s.w_tau.data
-    rms = math.sqrt(max(float(np.real(np.trace(w_tau @ w_tau))) / d, 0.0))
+    w = np.linalg.eigvalsh(s.w0.data)  # tr W(tau)^2 = sum w^2 and ||W(tau)||_2 = max |w|: unitary invariants
+    rms = math.sqrt(float(w @ w) / d)
     if rms <= 1e-12:
         warnings.warn("W is numerically zero; normalization is degenerate, returning 0")
         grid = () if cfg.method == "analytic" else tuple((float(t), 0.0) for t in cfg.thetas)
         return IepResult(0.0, grid, 0.0, cfg.method, rescale=0.0, branch_probability=0.0)
-    wt = w_tau / rms
-    t = 1.0 / max(1.0, float(np.linalg.norm(wt, 2)))
+    wt = s.w_tau.data / rms
+    t = 1.0 / max(1.0, float(np.max(np.abs(w))) / rms)
     branch = KrausChannel(s.rho.space, s.rho.space, (t * wt,), trace_preserving=False)
     rep = extract(_scenario_comb(s, branch, t), "canonical", cfg)
     return replace(rep, rescale=rms**2)

@@ -30,10 +30,11 @@ from irrevkit import (
     ozawa_error,
     otoc_iep,
     otoc_iep_cp,
+    pointer_channel,
     pure_state,
     validate_channel,
 )
-from irrevkit import irrev, qcore
+from irrevkit import comb as comb_module, irrev, qcore
 from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _two_copy_comb
 from conftest import (
     SIGMA_X,
@@ -44,12 +45,16 @@ from conftest import (
     rand_herm,
     rand_instrument,
     rand_kraus,
+    rand_pure,
     rand_state,
     rand_unitary,
     ref_analytic_c2,
+    ref_choi,
     ref_choi_gaps,
+    ref_embed,
     ref_embed_matrix,
     ref_grid,
+    ref_loss_ops,
 )
 
 S = Label("S", 2)
@@ -284,6 +289,76 @@ class TestTwoCopy:
         assert rep.value >= -1e-9
 
 
+def kron_two_copy_comb(comb: Comb, rho, gen: Observable, meas: Instrument, kind: str) -> Comb:
+    """comb's two-copy meter as a dense reference builds it: the block rho (x) rho on
+    (S2, S1), the coupling gen lifted onto copy 1 by ref_embed_matrix, and the measured
+    copy's stage, P_M or I_M on S2, lifted onto both by ref_embed; comb's recoveries."""
+    (s1,), out = comb.block.space, comb.stage.out_space[:-1]
+    s2 = Label(rho.space[0].name + "2", s1.dim)
+    sp = (s2, s1)
+    stage = KrausChannel((s2,), out, pointer_channel(meas, out[0]).kraus if kind == "error" else meas._kraus)
+    target, ops = ref_embed(stage, sp)
+    coupling = Observable(sp, ref_embed_matrix(gen.data, (s1,), sp))
+    return Comb(DensityMatrix(sp, np.kron(rho.data, rho.data)), coupling, KrausChannel(sp, target, ops), comb.recoveries)
+
+
+class TestTwoCopyPreparedReadout:
+    """The two-copy comb, copy 1 beside the prepared readout of copy 2, against the dense rho (x) rho comb."""
+
+    def check(self, rho, gen, meas, kind, recovery=None):
+        comb = _two_copy_comb(rho, gen, meas, kind, list(np.linspace(-1.0, 1.0, len(meas.branches))))
+        old = kron_two_copy_comb(comb, rho, gen, meas, kind)
+        assert old.out_space == comb.out_space
+        rec = recovery or comb.recoveries()[0]
+        got = [v for _, v in extract(comb, rec).theta_grid]
+        assert np.max(np.abs(np.subtract(got, ref_grid(old, rec, TestStackedGrid.THETAS)))) <= 1e-13
+        want = ref_analytic_c2(old, rec.x)
+        assert want >= 1e-3 and abs(extract(comb, rec, ANALYTIC).value - want) <= 1e-13 * want
+        for theta in (0.0, 0.05, 0.3):
+            gap = np.max(np.abs(ref_choi(list(comb.loss(theta).kraus)) - ref_choi(ref_loss_ops(old, theta))))
+            assert gap <= 1e-13, theta
+
+    @pytest.mark.parametrize("kind", ["error", "disturbance"])
+    @pytest.mark.parametrize("d, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_mixed_and_pure_states_match_the_kron_comb(self, kind, d, k):
+        rng = np.random.default_rng(50 + 2 * d + k)
+        lab = Label("S", d)
+        gen, meas = Observable((lab,), rand_herm(rng, d, norm=1.0)), rand_instrument(rng, d, k, lab)
+        for rho in (rand_state(rng, d, lab), rand_pure(rng, d, lab)):
+            self.check(rho, gen, meas, kind)
+
+    @pytest.mark.parametrize("d, d_out", [(2, 3), (3, 2)])
+    def test_non_square_disturbance_instrument_matches_the_kron_comb(self, d, d_out):
+        rng = np.random.default_rng(60 + d)
+        lab = Label("S", d)
+        ops, _ = rand_kraus(rng, d, d_out, 2)
+        meas = Instrument((lab,), (Label("O", d_out),), (("a", ops[0]), ("b", ops[1])))
+        s2o, s1 = Label("S2o", d_out), Label("S1", d)
+        rec = canonical_recovery(Observable((s2o,), rand_herm(rng, d_out, norm=1.0)), (s2o, s1), 0.0)
+        gen = Observable((lab,), rand_herm(rng, d, norm=1.0))
+        for rho in (rand_state(rng, d, lab), rand_pure(rng, d, lab)):
+            assert _two_copy_comb(rho, gen, meas, "disturbance").out_space == (s2o, s1, Q_LABEL)
+            self.check(rho, gen, meas, "disturbance", rec)
+
+    def test_no_embed_and_one_lift_for_the_recovery_generator(self, monkeypatch):
+        # copy 2 is never coupled, so nothing is lifted onto both copies: the only lift is
+        # the recovery generator's, from the readout onto (readout, S1)
+        def no_embed(*args):
+            raise AssertionError("embed called")
+
+        monkeypatch.setattr(qcore, "embed", no_embed)
+        monkeypatch.setattr(comb_module, "embed", no_embed, raising=False)
+        fulls, lift = [], qcore._lift
+        monkeypatch.setattr(qcore, "_lift", lambda *args: fulls.append(tuple(l.name for l in args[-1])) or lift(*args))
+        rng = np.random.default_rng(62)
+        rho = rand_state(rng, 2, S)
+        for kind, want in (("error", ("P", "S1")), ("disturbance", ("S2", "S1"))):
+            for cfg in (ExtractionConfig(), ANALYTIC):
+                fulls.clear()
+                extract_two_copy(rho, obs(rand_herm(rng, 2), S), proj_x(), kind, F_PM, cfg)
+                assert fulls == [want], (kind, cfg.method)
+
+
 def proj_x():
     basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     return proj_instrument(basis, S)
@@ -502,6 +577,7 @@ class TestFactorCoupling:
         # and not at all when it is diagonal already (the pointer generators); analytic needs none
         calls, diagonal = [], 0
         eigh = np.linalg.eigh
+        same_up_to_sign = lambda a, g: a.shape == g.shape and min(np.max(np.abs(a - g)), np.max(np.abs(a + g))) <= 1e-14
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
         for name, comb in rand_combs(38, n=2):
             rec = comb.recoveries()[0]
@@ -509,17 +585,14 @@ class TestFactorCoupling:
                 ref_embed_matrix(comb.gen.data, comb.gen.space, comb.block.space),
                 ref_embed_matrix(rec.x.data, rec.x.space, rec.target),
             )
-            doubled = {2 * len(g) for g in gens}
+            doubled = [np.kron(g, SIGMA_Z) for g in gens] + [np.kron(SIGMA_Z, g) for g in gens]  # coupled onto Q
             grid_want = [int(np.count_nonzero(g - np.diag(np.diag(g))) > 0) for g in gens]
             diagonal += grid_want.count(0)
             for cfg, want in ((ExtractionConfig(), grid_want), (ANALYTIC, [0, 0])):
                 calls.clear()
                 extract(comb, rec, cfg)
-                assert not [a.shape for a in calls if len(a) in doubled], (name, cfg.method)
-                hits = [
-                    sum(a.shape == g.shape and min(np.max(np.abs(a - g)), np.max(np.abs(a + g))) <= 1e-14 for a in calls)
-                    for g in gens
-                ]
+                assert not [a.shape for a in calls for g in doubled if same_up_to_sign(a, g)], (name, cfg.method)
+                hits = [sum(same_up_to_sign(a, g) for a in calls) for g in gens]
                 assert hits == want, (name, cfg.method)
         assert diagonal == 4
 

@@ -352,6 +352,29 @@ class TestIepCp:
         assert analytic.value == 0.0 and analytic.theta_grid == ()
         assert any("degenerate" in str(w.message) for w in caught)
 
+    def test_norms_come_from_the_eigenvalues_of_w0(self, monkeypatch):
+        # tr W(tau)^2 and ||W(tau)||_2 are W0's: no SVD of W(tau), and the same values as from it
+        rng = np.random.default_rng(46)
+        lab = Label("S", 4)
+        s = ScramblingScenario(*(Observable((lab,), rand_herm(rng, 4)) for _ in range(3)), 0.8)
+        w = s.w_tau.data
+        rms = np.sqrt(np.trace(w @ w).real / 4)
+        want = (rms**2, np.linalg.norm(w / rms, 2))
+
+        def no_svd(*args, **kw):
+            raise AssertionError("SVD called")
+
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *args, **kw: no_svd() if ord == 2 else norm(x, ord, *args, **kw))
+        branches = []
+        kraus_channel = otoc_module.KrausChannel
+        monkeypatch.setattr(otoc_module, "KrausChannel", lambda *args, **kw: branches.append(args[2][0]) or kraus_channel(*args, **kw))
+        rep = otoc_iep_cp(s, ANALYTIC)
+        assert abs(rep.rescale - want[0]) <= 1e-13 * want[0]
+        t = 1.0 / max(1.0, want[1])
+        assert t < 1.0 and np.max(np.abs(branches[0] - t * w / rms)) <= 1e-13
+
     def test_non_maximally_mixed_state_rejected(self):
         zero = Observable((S,), np.zeros((2, 2), dtype=complex))
         s = ScramblingScenario(

@@ -471,8 +471,6 @@ def _trusted_sites():
         ("instrument_channel", lambda rng: (instrument_channel(meter(rng, 2)),)),
         ("embed", lambda rng: (embed(rand_channel(rng, (B,), (c3,), 2), (S, B)),)),
         ("embed-cp-branch", lambda rng: (embed(rand_channel(rng, (B,), (S,), 1), (B, Label("D", 2))),)),
-        ("relabel_instrument", lambda rng: (comb._relabel_instrument(meter(rng), Label("B2", 3)),)),
-        ("relabel_instrument-new-output", lambda rng: (comb._relabel_instrument(meter(rng, 2), Label("B2", 3)),)),
         ("two_copy_comb-error", lambda rng: two_copy(rng, "error")),
         ("two_copy_comb-disturbance", lambda rng: two_copy(rng, "disturbance")),
         ("petz_recovery", lambda rng: (petz_recovery(instrument_channel(meter(rng)), rand_state(rng, 3, B)),)),
