@@ -232,7 +232,7 @@ class Comb:
         k is sum_q delta_kq (S_s E_q m_a) (x) |q>: the stage acts on each half,
         and Q, the last output factor, passes through.
         """
-        em = _flow(thetas)(_coupling(self.gen, self.block.space)) @ _block_columns(self.block)  # (t, 2, d, r_A)
+        em = _flow(thetas)(_coupling(self.gen, self.block.space)) @ self.block.sqrt_factor  # (t, 2, d, r_A)
         amp = self.stage.kraus @ (em[:, None] * ID2[:, :, None, None])[:, :, :, None]  # (t, k, 2, r_S, d_S, r_A)
         cols = amp.transpose(0, 1, 3, 5, 4, 2).reshape(len(em), len(ID2), -1, 2 * self.stage.dim_out)
         return cols.transpose(0, 2, 3, 1)
@@ -303,13 +303,20 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
         readout = meas._kraus
         d_out = readout.shape[1]
         out = (s2,) if d_out == s2.dim else (Label(s2.name + "o", d_out),)
-        recoveries = lambda: (canonical_recovery(Observable(out, gen.data), out + (s1,), 0.0),)
+
+        def recoveries():
+            if d_out != s2.dim:
+                raise ShapeError(
+                    "the canonical two-copy disturbance recovery couples the readout back through the generator,"
+                    f" so it needs an instrument that keeps the dimension, not {s1.dim} -> {d_out}"
+                )
+            return (canonical_recovery(Observable(out, gen.data), out + (s1,), 0.0),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
-    kc = (readout @ _block_columns(rho)).transpose(0, 2, 1)  # (r_K, r_c, d_out): the prepared vectors K c
+    kc = (readout @ rho.sqrt_factor).transpose(0, 2, 1)  # (r_K, r_c, d_out): the prepared vectors K c
     ops = (kc[..., None, None] * np.eye(s1.dim)).reshape(-1, kc.shape[-1] * s1.dim, s1.dim) + 0.0
     stage = _trusted(KrausChannel, in_space=(s1,), out_space=out + (s1,), kraus=ops, trace_preserving=True)
-    block = _trusted(DensityMatrix, space=(s1,), data=rho.data)
+    block = _trusted(DensityMatrix, space=(s1,), data=rho.data, sqrt_factor=rho.sqrt_factor)
     return Comb(block, _trusted(Observable, space=(s1,), data=gen.data), stage, recoveries)
 
 
@@ -339,11 +346,23 @@ def build_loss_two_copy(
 # theta^2 extraction
 
 
-def _fit_c2(grid: list, fit_tol: float):
-    th = np.array([t for t, _ in grid])
-    y = np.array([v for _, v in grid])
+@cache
+def _fit_operator(thetas: tuple):
+    """The design matrix [theta^2, theta^4] of a theta grid and its pseudo-inverse, formed
+    once per grid. Row 0 of the pseudo-inverse gives c2, so the sum of its absolute values
+    bounds how far an absolute error in each grid value moves c2."""
+    th = np.array(thetas)
     design = np.stack([th**2, th**4], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    pinv = np.linalg.pinv(design)
+    design.setflags(write=False)
+    pinv.setflags(write=False)
+    return design, pinv
+
+
+def _fit_c2(grid: list, fit_tol: float):
+    design, pinv = _fit_operator(tuple(t for t, _ in grid))
+    y = np.array([v for _, v in grid])
+    coef = pinv @ y
     pred = design @ coef
     scale = max(float(np.max(np.abs(y))), 1e-7)
     residual = float(np.max(np.abs(pred - y))) / scale
@@ -368,13 +387,6 @@ def _flow(thetas):
     """g -> the (t, 2, d, d) stack exp(-i theta s_q g) over the grid thetas and s_q = +1, -1, from one eigh."""
     th = np.multiply.outer(np.asarray(thetas, dtype=float), SIGNS)
     return lambda g: _expm_herm(g, th)
-
-
-def _block_columns(block: DensityMatrix) -> np.ndarray:
-    """(d, r) columns m = sqrt(lam_a) |v_a> over the block's eigenpairs above 1e-14, so rho = m m^dag."""
-    vals, vecs = _eigh_herm(block.data)
-    keep = vals > 1e-14
-    return vecs[:, keep] * np.sqrt(vals[keep])
 
 
 def _renormalised(comb: Comb, d2: np.ndarray, q: Callable[[], np.ndarray]):
@@ -408,7 +420,7 @@ def _canonical(comb: Comb, recovery: CanonicalRecovery, thetas=None):
     """
     if recovery.in_space != (out := comb.out_space):
         raise ShapeError(f"recovery input space {_names(recovery.in_space)} does not match the loss output {_names(out)}")
-    s, m, x = comb.stage.kraus, _block_columns(comb.block), _coupling(comb.gen, comb.block.space)
+    s, m, x = comb.stage.kraus, comb.block.sqrt_factor, _coupling(comb.gen, comb.block.space)
     if thetas is None:
         d2 = _sq_norms(((recovery.gen @ s - s @ x) @ m)[None])
         return _renormalised(comb, d2, lambda: _sq_norms((s @ m)[None]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -172,6 +173,17 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return space_dim(self.space)
+
+    @cached_property
+    def sqrt_factor(self) -> np.ndarray:
+        """Read-only, C-contiguous (d, r) columns m = sqrt(lam_a) |v_a> over the eigenpairs
+        above 1e-14, so rho = m m^dag; formed once per state (cached_property writes the
+        instance dict)."""
+        vals, vecs = _eigh_herm(self.data)
+        keep = vals > 1e-14
+        m = np.ascontiguousarray(vecs[:, keep] * np.sqrt(vals[keep]))
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import Label, Observable, build_fixture, cli, fixture_names, otoc
+from irrevkit import Instrument, Label, Observable, build_fixture, cli, fixture_names, otoc
 from irrevkit.cli import (
     PAYLOAD_SCHEMAS,
     TOP_SCHEMA,
@@ -24,7 +24,7 @@ from irrevkit.cli import (
     main,
     validate_document,
 )
-from irrevkit.serialize import canonical_json, encode_observable
+from irrevkit.serialize import canonical_json, encode_instrument, encode_observable
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +162,17 @@ class TestRun:
         assert proc.returncode == 0
         assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr, proc.stderr.decode()
         self._assert_all_reports(tmp_path)
+
+    def test_reports_are_byte_identical_across_runs_in_one_process(self, tmp_path):
+        # states keep their square-root factor and each theta grid its fit operator: nothing
+        # cached in the first pass may leak into the second; the sidecars hold a wall clock
+        reports = []
+        for name in ("first", "second"):
+            d = tmp_path / name
+            assert main(["fixtures", "--dir", str(d)]) == 0
+            assert main(["run", *sorted(str(p) for p in d.glob("*.json"))]) == 0
+            reports.append({p.name: p.read_bytes() for p in d.glob("*.report.json")})
+        assert len(reports[0]) == 10 and reports[0] == reports[1]
 
     def test_output_flag_rejected_for_batches(self, corpus, tmp_path):
         paths = [str(corpus / "lt-error-qubit.json"), str(corpus / "blw-error-qubit.json")]
@@ -402,6 +413,16 @@ class TestExitCodes:
         assert main(["sweep", str(corpus / "eta-projective-qubit.json"), "-p", "theta", "-g", grid, "-o", str(out)]) == 2
         assert "$.payload.extraction.thetas" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_two_copy_disturbance_through_an_instrument_that_changes_the_dimension_is_2(self, corpus, tmp_path, capsys):
+        # the canonical recovery couples the S:2 -> O:3 readout back through the S:2 generator
+        doc = load_report(corpus / "blw-error-qubit.json")
+        payload = doc["payload"]
+        del payload["f"]
+        payload["kind"] = "disturbance"
+        payload["instrument"] = encode_instrument(Instrument((Label("S", 2),), (Label("O", 3),), (("0", np.eye(3, 2)),)))
+        assert main(["run", write_doc(tmp_path, "iso.json", doc)]) == 2
+        assert "ShapeError: the canonical two-copy disturbance recovery" in capsys.readouterr().err
 
     def test_conservation_failure_is_3(self, corpus, tmp_path):
         doc = load_report(corpus / "way-error-tight.json")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from irrevkit import (
     Comb,
     DensityMatrix,
     ExtractionConfig,
+    ExtractionError,
     Instrument,
     KrausChannel,
     Label,
@@ -35,7 +38,7 @@ from irrevkit import (
     validate_channel,
 )
 from irrevkit import comb as comb_module, irrev, qcore
-from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _two_copy_comb
+from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _fit_c2, _fit_operator, _two_copy_comb
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
@@ -45,6 +48,7 @@ from conftest import (
     rand_herm,
     rand_instrument,
     rand_kraus,
+    rand_low_rank,
     rand_pure,
     rand_state,
     rand_unitary,
@@ -357,6 +361,137 @@ class TestTwoCopyPreparedReadout:
                 fulls.clear()
                 extract_two_copy(rho, obs(rand_herm(rng, 2), S), proj_x(), kind, F_PM, cfg)
                 assert fulls == [want], (kind, cfg.method)
+
+    def test_canonical_disturbance_needs_an_instrument_that_keeps_the_dimension(self):
+        # the canonical recovery couples the readout back through gen, which lives on S:2
+        rng = np.random.default_rng(63)
+        iso = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
+        meas = Instrument((S,), (Label("O", 3),), (("0", iso),))
+        gen = obs(rand_herm(rng, 2), S)
+        for cfg in (ExtractionConfig(), ANALYTIC):
+            with pytest.raises(ShapeError, match="needs an instrument that keeps the dimension"):
+                extract_two_copy(rand_state(rng, 2, S), gen, meas, "disturbance", cfg=cfg)
+        # an explicit recovery on (S2o, S1) needs no such generator
+        s2o = Label("S2o", 3)
+        rec = canonical_recovery(obs(rand_herm(rng, 3), s2o), (s2o, Label("S1", 2)), 0.0)
+        assert extract(_two_copy_comb(rand_state(rng, 2, S), gen, meas, "disturbance"), rec).value >= 0.0
+
+
+def old_block_columns(rho: DensityMatrix) -> np.ndarray:
+    """The square-root factor as comb formed it for each extraction before states kept theirs."""
+    vals, vecs = qcore._eigh_herm(rho.data)
+    keep = vals > 1e-14
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+class TestSharedFactor:
+    """Each state is decomposed once: every extraction on it reads its cached square-root factor."""
+
+    @staticmethod
+    def spy(monkeypatch, rho):
+        # count the decompositions of rho's matrix, wherever comb or qcore asks for one
+        hits, eigh = [], qcore._eigh_herm
+
+        def counted(h):
+            hits.append(h.shape == rho.data.shape and np.array_equal(h, rho.data))
+            return eigh(h)
+
+        monkeypatch.setattr(qcore, "_eigh_herm", counted)
+        monkeypatch.setattr(comb_module, "_eigh_herm", counted)
+        return hits
+
+    def test_one_decomposition_across_the_four_canonical_extractions(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        lab = Label("S", 3)
+        rho, a, b = rand_state(rng, 3, lab), obs(rand_herm(rng, 3), lab), obs(rand_herm(rng, 3), lab)
+        meas, f = rand_instrument(rng, 3, 2, lab), [0.5, -1.0]
+        x_ptr = Observable((Label("P", 2),), np.diag(f))
+        hits = self.spy(monkeypatch, rho)
+        for cfg in (ExtractionConfig(), ANALYTIC):
+            extract_epsilon(rho, a, meas, canonical_recovery(x_ptr, x_ptr.space, 0.0), cfg)
+            extract_eta(rho, b, meas, "canonical", cfg)
+        assert sum(hits) == 1
+
+    @pytest.mark.parametrize("kind", ["error", "disturbance"])
+    @pytest.mark.parametrize("method", ["extrapolated", "analytic"])
+    def test_one_decomposition_per_two_copy_extraction(self, monkeypatch, kind, method):
+        rng = np.random.default_rng(81)
+        rho = rand_state(rng, 2, S)
+        hits = self.spy(monkeypatch, rho)
+        extract_two_copy(rho, obs(rand_herm(rng, 2), S), proj_x(), kind, F_PM, ExtractionConfig(method=method))
+        assert sum(hits) == 1
+
+    def test_factor_and_grids_equal_the_old_formula_bit_for_bit(self):
+        rng = np.random.default_rng(82)
+        diagonal = DensityMatrix((S,), np.diag([0.75, 0.25]))
+        states = (RHO0, diagonal, rand_state(rng, 2, S), rand_pure(rng, 2, S), rand_low_rank(rng, 2, 1, S))
+        for rho in states:
+            m = rho.sqrt_factor
+            assert np.array_equal(m, old_block_columns(rho)) and not m.flags.writeable
+            assert rho.sqrt_factor is m
+        for name, comb in rand_combs(83, n=2):
+            old = dataclasses.replace(comb, block=qcore._trusted(
+                DensityMatrix, space=comb.block.space, data=comb.block.data, sqrt_factor=old_block_columns(comb.block)
+            ))
+            rec = comb.recoveries()[0]
+            for cfg in (ExtractionConfig(), ANALYTIC):
+                assert extract(comb, rec, cfg) == extract(old, rec, cfg), (name, cfg.method)
+            assert np.array_equal(comb.kraus_stack(TestStackedGrid.THETAS), old.kraus_stack(TestStackedGrid.THETAS)), name
+
+    def test_a_trusted_or_replaced_state_forms_its_own_factor(self):
+        rng = np.random.default_rng(84)
+        rho, other = rand_state(rng, 2, S), rand_state(rng, 2, S)
+        assert np.array_equal(rho.sqrt_factor, old_block_columns(rho))  # cached on rho from here on
+        replaced = dataclasses.replace(rho, data=other.data)
+        trusted = qcore._trusted(DensityMatrix, space=(S,), data=other.data)
+        for state in (replaced, trusted):
+            assert np.array_equal(state.sqrt_factor, old_block_columns(other))
+        # the two-copy block carries rho's own factor
+        assert _two_copy_comb(rho, obs(SIGMA_Z, S), proj_x(), "error", F_PM).block.sqrt_factor is rho.sqrt_factor
+
+
+class TestFitOperator:
+    """_fit_c2 reads one cached pseudo-inverse per theta grid in place of a least-squares solve per fit."""
+
+    def test_matches_lstsq_on_random_grids(self):
+        rng = np.random.default_rng(85)
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(20):
+                # descending, each theta 1.5-2.5 times the next, as the default grid halves
+                th = rng.uniform(5e-3, 5e-2) / np.cumprod(np.r_[1.0, rng.uniform(1.5, 2.5, n - 1)])
+                c2, c4 = rng.uniform(0.1, 3.0), rng.standard_normal()
+                y = c2 * th**2 + c4 * th**4 + 1e-3 * c2 * th**2 * rng.standard_normal(n)
+                design = np.stack([th**2, th**4], axis=1)
+                coef = np.linalg.lstsq(design, y, rcond=None)[0]
+                want = float(np.max(np.abs(design @ coef - y))) / max(float(np.max(np.abs(y))), 1e-7)
+                got, residual = _fit_c2([(float(t), float(v)) for t, v in zip(th, y)], np.inf)
+                assert abs(got - coef[0]) <= 1e-14 * abs(coef[0]), (n, got, coef[0])
+                assert abs(residual - want) <= 1e-14, (n, residual, want)
+
+    def test_failed_fit_keeps_its_diagnostics(self):
+        th = ExtractionConfig().thetas
+        grid = [(t, v) for t, v in zip(th, (1e-4, 1e-5, 3e-6, 1e-6))]
+        with pytest.raises(ExtractionError, match="quadratic fit residual") as info:
+            _fit_c2(grid, 1e-6)
+        diag = info.value.diagnostics
+        assert set(diag) == {"theta_grid", "coefficients", "residual"}
+        assert diag["theta_grid"] == [list(p) for p in grid] and len(diag["coefficients"]) == 2
+
+    def test_each_grid_gets_its_own_operator(self):
+        default = _fit_operator(ExtractionConfig().thetas)
+        other = _fit_operator((0.04, 0.02, 0.01))
+        assert _fit_operator(ExtractionConfig().thetas) is default
+        assert other[0].shape == (3, 2) and other[1].shape == (2, 3)
+        assert np.allclose(other[1] @ other[0], np.eye(2), atol=1e-12)
+        assert not (other[0].flags.writeable or other[1].flags.writeable)
+        # a non-default grid after the default one fits its own values exactly
+        rng = np.random.default_rng(86)
+        rho, b = rand_state(rng, 2, S), obs(rand_herm(rng, 2), S)
+        exact = extract_eta(rho, b, proj_x(), "canonical", ANALYTIC).value
+        for thetas in (ExtractionConfig().thetas, (0.04, 0.02, 0.01)):
+            rep = extract_eta(rho, b, proj_x(), "canonical", ExtractionConfig(thetas=thetas))
+            assert [t for t, _ in rep.theta_grid] == list(thetas)
+            assert abs(rep.value - exact) <= 1e-5 * exact
 
 
 def proj_x():

@@ -144,7 +144,8 @@ class TestIep:
     def test_shared_and_diagonal_generators_are_not_decomposed_again(self, monkeypatch):
         # the recovery's x' is V itself, so the grid decomposes V once; on the chain the block
         # is 1/d and V = Z_n is diagonal, so heisenberg's eigh of H is the only one. W(tau) is
-        # formed once per scenario, so a second extraction on s does not decompose H again
+        # formed once per scenario and rho keeps its square-root factor, so a second extraction
+        # on s decomposes neither H nor rho again
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
@@ -157,7 +158,7 @@ class TestIep:
             0.6,
             rand_state(rng, 3, lab),
         )
-        for cfg, want in ((None, (s.h, s.rho, s.v0)), (ANALYTIC, (s.rho,))):
+        for cfg, want in ((None, (s.h, s.rho, s.v0)), (ANALYTIC, ())):
             calls.clear()
             otoc_iep(s, cfg)
             assert len(calls) == len(want) and all(np.array_equal(a, b.data) for a, b in zip(calls, want))
