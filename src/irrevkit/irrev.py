@@ -35,8 +35,7 @@ from .qcore import (
     DensityMatrix,
     KrausChannel,
     TestEnsemble,
-    _fidelity,
-    _names,
+    _infidelity,
     _psd_sqrt,
     _trusted,
     kraus_from_choi,
@@ -112,16 +111,18 @@ class DeltaReport:
 
 
 def _members(omega: TestEnsemble, space: tuple):
-    """The ensemble, which must live on space, as arrays: weights p (n,), states
-    rho (n, d, d), their eigenvectors (n, d, d) in ascending order of eigenvalue,
-    and which members are pure (one eigenvalue above 1e-12), with psi_k the last
-    eigenvector."""
+    """The ensemble, which must live on space, as arrays: weights p (n,), states rho (n, d, d),
+    their eigenvectors (n, d, d) in ascending order of eigenvalue, which members are pure (one
+    eigenvalue above 1e-12), with psi_k the last eigenvector, and the factors m (n_m, d, d) of
+    the mixed ones, rho_k = m_k m_k^H over the eigenpairs above 1e-14 as in sqrt_factor (or None)."""
     if omega.space != space:
         raise ShapeError("ensemble space does not match the loss input space")
     p = np.array([w for w, _ in omega.entries])
     rho = np.stack([r.data for _, r in omega.entries])
     vals, vecs = np.linalg.eigh(rho)
-    return p, rho, vecs, np.count_nonzero(vals > TOL_EIG_SKIP, axis=-1) == 1
+    pure = np.count_nonzero(vals > TOL_EIG_SKIP, axis=-1) == 1
+    m = None if pure.all() else vecs[~pure] * np.sqrt(np.where(vals > 1e-14, vals, 0.0))[~pure, None, :]
+    return p, rho, vecs, pure, m
 
 
 def _pure_d2(amp: np.ndarray, vecs: np.ndarray, kraus: np.ndarray) -> np.ndarray:
@@ -143,28 +144,30 @@ def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
-def _amplitudes(kraus: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """(t, n, r, d_out) amplitudes L_i psi_k of the Kraus stack kraus (t, r, d_out, d_in)
-    on each member's top eigenvector, psi_k = vecs[k][:, -1]."""
-    return (kraus[:, None] @ vecs[:, None, :, -1:])[..., 0]
+def _amplitudes(kraus: np.ndarray, members: tuple) -> tuple:
+    """The Kraus stack kraus (t, r, d_out, d_in) on the members as _members gives them: the (t, n,
+    r, d_out) amplitudes L_i psi_k, and the (t, n_m, r, d_out, d) columns L_i m_k (or None)."""
+    _, _, vecs, _, m = members
+    return (kraus[:, None] @ vecs[:, None, :, -1:])[..., 0], None if m is None else kraus[:, None] @ m[:, None]
 
 
-def _distances(amp: np.ndarray, outs: np.ndarray, recovery: np.ndarray, members: tuple, q=1.0) -> np.ndarray:
-    """(t, n) distances D_k after each loss of a stack of t losses and the
-    recovery stack recovery (t, r_R, d_in, d_out) at it, for the members as
-    _members gives them. amp (t, n, r, d_out) holds the loss amplitudes L_i
-    psi_k of each member's top eigenvector, outs (t, n, d_out, d_out) the loss
-    outputs and q (t, n) the branch probabilities they are divided by. A pure
-    member scores _pure_d2 / q, a mixed one the purified distance of its round
-    trip, all mixed members and losses in one _fidelity pass."""
-    _, rho, vecs, pure = members
+def _distances(amps: tuple, recovery: np.ndarray, members: tuple, q=1.0) -> np.ndarray:
+    """(t, n) distances D_k after each loss of a stack of t losses, whose _amplitudes are
+    amps, and the recovery stack recovery (t, r_R, d_in, d_out) at it, for the members
+    as _members gives them. A pure member scores _pure_d2 / q, q (t, n) the branch
+    probabilities. A mixed one scores 1 - F^2 = h (2 - h), h = qcore._infidelity of its
+    factor m_k and its round trip's factor [R_j L_i m_k], which that kernel scales to
+    unit trace in place of the division by q: no output state is formed."""
+    (amp, lm), (_, _, vecs, pure, m) = amps, members
     # every member in the amplitude form, the mixed ones overwritten: a copied pure
     # subset of vecs would take another BLAS path
-    sq = _pure_d2(amp, vecs, recovery[:, None]) / q if pure.any() else np.empty(outs.shape[:2])
-    if not pure.all():
-        q = np.broadcast_to(q, sq.shape)[:, ~pure, None, None]
-        f = _fidelity(rho[~pure], _outputs(recovery, outs[:, ~pure] / q))
-        sq[:, ~pure] = np.maximum(0.0, 1.0 - f * f)
+    sq = _pure_d2(amp, vecs, recovery[:, None]) / q if pure.any() else np.empty(amp.shape[:2])
+    if lm is not None:
+        t, n_m, r_l, d_out, d = lm.shape
+        # every R_j on every column L_i m_k in one product, then gathered into (t, n_m, d_in, r_R r_L d)
+        phi = recovery.reshape(*recovery.shape[:-3], -1, d_out) @ lm.transpose(0, 3, 1, 2, 4).reshape(t, d_out, -1)
+        h = _infidelity(m, phi.reshape(t, -1, d, n_m, r_l * d).transpose(0, 3, 2, 1, 4).reshape(t, n_m, d, -1))
+        sq[:, ~pure] = h * (2.0 - h)
     return np.sqrt(sq)
 
 
@@ -185,16 +188,15 @@ def _delta_with_recovery(kraus: np.ndarray, spaces: tuple, tp: bool, recovery: K
     DeltaReport per loss, every loss and member in one array pass."""
     _check_recovery(recovery, spaces, "the recovery")
     members = _members(omega, spaces[0])
-    outs = _outputs(kraus, members[1])
     q, probs = 1.0, [None] * len(kraus)
     if not tp:
-        q = np.trace(outs, axis1=-2, axis2=-1).real
+        q = np.trace(_outputs(kraus, members[1]), axis1=-2, axis2=-1).real
         low = np.argwhere(q <= TOL_PROB)
         if low.size:
             i, k = low[0]
             raise BranchProbabilityError(f"branch probability {q[i, k]} for state {k} below 1e-12")
         probs = [tuple(row) for row in q.tolist()]
-    per = _distances(_amplitudes(kraus, members[2]), outs, recovery.kraus[None], members, q)
+    per = _distances(_amplitudes(kraus, members), recovery.kraus[None], members, q)
     return [
         DeltaReport(delta, tuple(enumerate(row)), recovery_used=recovery, branch_probabilities=b)
         for delta, row, b in zip(_rms(members[0], per).tolist(), per.tolist(), probs)
@@ -227,7 +229,7 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
     """
     if not isinstance(sigma_ref, DensityMatrix):
         raise StateValidityError("sigma_ref must be a DensityMatrix")
-    if _names(sigma_ref.space) != _names(loss.in_space):
+    if sigma_ref.space != loss.in_space:
         raise ShapeError("sigma_ref must live on the loss input space")
     if not loss.trace_preserving:
         raise ShapeError("petz_recovery needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
@@ -322,7 +324,7 @@ class _Objective:
     """
 
     def __init__(self, members: tuple, sigmas: np.ndarray, d_env: int):
-        p, rho, vecs, pure = members
+        p, rho, vecs, pure, _ = members
         self.d_env = d_env
         self.d_in = rho.shape[-1]
         self.d_out = sigmas.shape[-1]
@@ -468,10 +470,10 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, 
     if not tp:
         raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
     members = _members(omega, spaces[0])
-    p, rho, vecs, pure = members
-    sigmas, amp = _outputs(kraus, rho), _amplitudes(kraus, vecs)
+    p, rho, vecs, pure, _ = members
+    sigmas, amps = _outputs(kraus, rho), _amplitudes(kraus, members)
     cands = [_petz(kraus, np.tensordot(p, rho, 1)), *warm]
-    per = np.stack([_distances(amp, sigmas, c, members) for c in cands])  # (candidate, t, n)
+    per = np.stack([_distances(amps, c, members) for c in cands])  # (candidate, t, n)
     delta = _rms(p, per)
     win = np.argmin(delta, axis=0)  # ties keep the earlier candidate
     at = np.arange(len(kraus))
@@ -485,7 +487,7 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, 
         if gap is None or gap > cfg.tol:
             obj = _Objective(members, sigmas[i], kraus.shape[-1] * kraus.shape[-2])
             for ops, trace, conv in _ascents(obj, [c[i] for c in cands], cfg):
-                dk = _distances(amp[i : i + 1], sigmas[i : i + 1], ops[None], members)[0]
+                dk = _distances([a[i : i + 1] if a is not None else a for a in amps], ops[None], members)[0]
                 value = float(_rms(p, dk))
                 if value < best[0]:
                     best = (value, dk, ops, trace, conv)

@@ -28,7 +28,6 @@ from .qcore import (
     Label,
     Observable,
     _expm_herm,
-    _names,
     maximally_mixed,
     unitary_channel,
 )
@@ -68,9 +67,8 @@ class ScramblingScenario:
     def __post_init__(self):
         if self.rho is None:
             object.__setattr__(self, "rho", maximally_mixed(self.h.space))
-        names = _names(self.h.space)
         for other in (self.w0, self.v0, self.rho):
-            if _names(other.space) != names:
+            if other.space != self.h.space:
                 raise CompositeSpaceError("scenario operators live on different spaces")
         object.__setattr__(self, "tau", float(self.tau))
 

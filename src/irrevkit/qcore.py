@@ -483,12 +483,8 @@ def embed(ch: KrausChannel, full_space) -> KrausChannel:
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     """Channel second o first; spaces must match label for label."""
-    if _names(second.in_space) != _names(first.out_space) or [
-        l.dim for l in second.in_space
-    ] != [l.dim for l in first.out_space]:
-        raise ShapeError(
-            f"cannot compose: {_names(first.out_space)} -> {_names(second.in_space)}"
-        )
+    if second.in_space != first.out_space:
+        raise ShapeError(f"cannot compose: {_names(first.out_space)} -> {_names(second.in_space)}")
     # every product K2 K1, second's operator outer
     ops = second.kraus[:, None] @ first.kraus
     ops = ops.reshape(-1, second.dim_out, first.dim_in)
@@ -540,7 +536,7 @@ def dual(ch: KrausChannel) -> Callable[[Observable], Observable]:
     """Heisenberg-picture map O -> sum K' O K, from out_space back to in_space."""
 
     def adjoint(obs: Observable) -> Observable:
-        if _names(obs.space) != _names(ch.out_space):
+        if obs.space != ch.out_space:
             raise CompositeSpaceError("observable must live on the channel output space")
         acc = sum(ch.kraus.conj().transpose(0, 2, 1) @ obs.data @ ch.kraus)
         return Observable(ch.in_space, (acc + acc.conj().T) / 2)
@@ -617,7 +613,7 @@ def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
 
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float:
-    if _names(rho.space) != _names(obs.space):
+    if rho.space != obs.space:
         raise CompositeSpaceError("state and observable live on different spaces")
     return float(np.real(np.trace(rho.data @ obs.data)))
 
@@ -640,50 +636,54 @@ def _clipped_psd(a: np.ndarray) -> np.ndarray:
     return np.divide(out, tr, out=out, where=tr > 0)
 
 
-def _eig_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """vecs diag(sqrt(vals)) vecs^H for a (..., d) / (..., d, d) stack of
-    eigendecompositions, negative eigenvalues clipped to zero."""
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Square root of each matrix of the (..., d, d) stack a, negative eigenvalues clipped to zero."""
+    vals, vecs = _herm_eigh(a)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of each matrix of the (..., d, d) stack a, negative eigenvalues clipped to zero."""
-    return _eig_sqrt(*_herm_eigh(a))
+def _unit_square(x: np.ndarray) -> np.ndarray:
+    """Each (..., d, c) factor x brought to d columns with x x^H kept (R^H of the QR of
+    x^H when c > d, zero columns appended when c < d) and scaled to unit Frobenius norm."""
+    d, c = x.shape[-2:]
+    if c > d:
+        x = np.linalg.qr(x.conj().swapaxes(-1, -2), mode="r").conj().swapaxes(-1, -2)
+    elif c < d:
+        x = np.concatenate([x, np.zeros((*x.shape[:-1], d - c), dtype=x.dtype)], axis=-1)
+    return x / np.linalg.norm(x, axis=(-2, -1), keepdims=True)
 
 
-def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """F of each pair of the (..., d, d) stacks rho and sigma, as uhlmann_fidelity
-    documents: both sides clipped by _clipped_psd, then sqrt(<psi| other |psi>)
-    where rho, or else sigma, is pure, and the nuclear norm of sqrt(rho)
-    sqrt(sigma) elsewhere; clamped to [0, 1]."""
-    a, b = _clipped_psd(rho), _clipped_psd(sigma)
-    (av, aw), (bv, bw) = _herm_eigh(a), _herm_eigh(b)
-    a_pure = np.count_nonzero(av > TOL_EIG_SKIP, axis=-1) == 1
-    b_pure = np.count_nonzero(bv > TOL_EIG_SKIP, axis=-1) == 1
-    psi = np.where(a_pure[..., None], aw[..., -1], bw[..., -1])
-    other = np.where(a_pure[..., None, None], b, a)
-    overlap = (psi.conj()[..., None, :] @ other @ psi[..., None])[..., 0, 0].real
-    norm = np.sum(np.linalg.svd(_eig_sqrt(av, aw) @ _eig_sqrt(bv, bw), compute_uv=False), axis=-1)
-    f = np.where(a_pure | b_pure, np.sqrt(np.maximum(overlap, 0.0)), np.maximum(norm, 0.0))
-    return np.minimum(f, 1.0)
+def _infidelity(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """1 - F for each pair of the (..., d, a) and (..., d, b) stacks of factors m and n
+    of the states m m^H and n n^H scaled to unit trace, F being the largest overlap of
+    two purifications (Uhlmann): with both factors squared by _unit_square and n^H m =
+    W S P^H, F = tr S, and B^2 / 2 is returned, at most 1, for the squared Bures distance
+    B^2 = ||m - n W P^H||_F^2 = 2 (1 - F): a sum of squares, which does not cancel."""
+    m, n = _unit_square(m), _unit_square(n)
+    w, _, ph = np.linalg.svd(n.conj().swapaxes(-1, -2) @ m)
+    return np.minimum(np.linalg.norm(m - n @ (w @ ph), axis=(-2, -1)) ** 2 / 2, 1.0)
+
+
+def _state_infidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    if rho.space != sigma.space:
+        raise CompositeSpaceError("states live on different spaces")
+    return float(_infidelity(rho.sqrt_factor, sigma.sqrt_factor))
 
 
 def uhlmann_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F = tr sqrt(sqrt(rho) sigma sqrt(rho)), computed as the nuclear norm of
-    sqrt(rho) sqrt(sigma), or as sqrt(<psi| other |psi>) when either state is
-    pure (one eigenvalue above 1e-12), whose rounding-level ones it skips."""
-    if _names(rho.space) != _names(sigma.space):
-        raise CompositeSpaceError("states live on different spaces")
-    return float(_fidelity(rho.data, sigma.data))
+    """F = tr sqrt(sqrt(rho) sigma sqrt(rho)) = ||m^H n||_1 for the states' square-root
+    factors m and n (sqrt_factor), as 1 - B^2 / 2 from their Bures residual (_infidelity)."""
+    return 1.0 - _state_infidelity(rho, sigma)
 
 
 def purified_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    f = uhlmann_fidelity(rho, sigma)
-    return math.sqrt(max(0.0, 1.0 - f * f))
+    """sqrt(1 - F^2), with 1 - F^2 = h (2 - h) for h = 1 - F as _infidelity forms it."""
+    h = _state_infidelity(rho, sigma)
+    return math.sqrt(h * (2.0 - h))
 
 
 def variance(rho: DensityMatrix, z: Observable) -> float:
-    if _names(rho.space) != _names(z.space):
+    if rho.space != z.space:
         raise CompositeSpaceError("state and observable live on different spaces")
     m1 = np.real(np.trace(rho.data @ z.data))
     m2 = np.real(np.trace(rho.data @ z.data @ z.data))
@@ -696,7 +696,7 @@ def qfi(rho: DensityMatrix, x: Observable) -> float:
     Spectral form 2 sum_{ij} (li - lj)^2 / (li + lj) |<i|X|j>|^2 over eigenpairs
     of rho, skipping pairs with li + lj <= 1e-12.
     """
-    if _names(rho.space) != _names(x.space):
+    if rho.space != x.space:
         raise CompositeSpaceError("state and observable live on different spaces")
     a = _clipped_psd(rho.data)
     vals, vecs = np.linalg.eigh(a)

@@ -26,7 +26,6 @@ from .qcore import (
     Observable,
     _as_space,
     _expm_herm,
-    _names,
     _reorder,
     apply,
     choi,
@@ -85,7 +84,7 @@ class Implementation:
             )
         if np.max(np.abs(u.conj().T @ u - np.eye(d_in))) > 1e-9:
             raise ConservationError("U is not unitary within 1e-9")
-        if _names(self.rho_beta.space) != _names(self.in_beta):
+        if self.rho_beta.space != self.in_beta:
             raise ConservationError("rho_beta must live on the in_beta space")
         object.__setattr__(self, "u", u)
         _checked_charges(self)
@@ -397,7 +396,7 @@ def conserving_disturbance_implementation(
     sp = x_s.space
     d = x_s.dim
     n = x_beta.dim
-    if _names(rho_beta.space) != _names(x_beta.space):
+    if rho_beta.space != x_beta.space:
         raise ConservationError("rho_beta and x_beta must share a space")
     u = _conserving_unitary(rng, _total_charge(x_s.data, x_beta.data))
 

@@ -80,7 +80,7 @@ class TestDeltaWithRecovery:
 
     def test_pure_amplitude_form_matches_closed_forms(self):
         # pure members use sum ||(1 - |psi><psi|) R_j L_i psi||^2 = 1 - <psi|R(L(psi))|psi>,
-        # mixed ones (full rank, and rank d_in - 1) the purified distance itself, bit for bit;
+        # mixed ones (full rank, and rank d_in - 1) the purified distance itself, to 1e-14 in D^2;
         # a CP branch of the loss renormalises each output by its trace first
         rng = np.random.default_rng(5)
         for d_in, d_out in ((2, 2), (3, 2), (2, 4), (3, 3)):
@@ -101,7 +101,7 @@ class TestDeltaWithRecovery:
             assert rep.delta == np.sqrt(acc)
             checked = [(1, mixed), (2, low)] if d_in > 2 else [(1, mixed)]  # low is pure at d_in = 2
             for k, rho in checked:
-                assert rep.per_state[k][1] == purified_distance(rho, apply(rec, apply(loss, rho)))
+                assert abs(rep.per_state[k][1] ** 2 - purified_distance(rho, apply(rec, apply(loss, rho))) ** 2) < 1e-14
             branch = KrausChannel((a,), (b,), 0.8 * ops, trace_preserving=False)
             rep = delta_with_recovery(branch, rec, omega)
             for k, rho in checked:
@@ -109,7 +109,7 @@ class TestDeltaWithRecovery:
                 q = rep.branch_probabilities[k]
                 assert q == np.trace(raw).real
                 renormalised = DensityMatrix((b,), (raw + raw.conj().T) / (2 * q))
-                assert rep.per_state[k][1] == purified_distance(rho, apply(rec, renormalised))
+                assert abs(rep.per_state[k][1] ** 2 - purified_distance(rho, apply(rec, renormalised)) ** 2) < 1e-14
 
     def test_exact_recovery_has_no_fidelity_floor(self):
         u = rand_unitary(np.random.default_rng(6), 2)
@@ -117,6 +117,34 @@ class TestDeltaWithRecovery:
             unitary_channel(u, (Q,)), unitary_channel(u.conj().T, (Q,)), omega_pm(Q)
         )
         assert rep.delta < 1e-15
+
+    @pytest.mark.parametrize("d", (2, 4, 6))
+    def test_petz_on_its_own_mixed_member_has_no_fidelity_floor(self, d):
+        # the Petz recovery with respect to sigma returns L(sigma) to sigma exactly; 1 - F^2
+        # formed from F would read ~1e-8 here
+        rng = np.random.default_rng(70 + d)
+        lab = Label("S", d)
+        for _ in range(6):
+            loss = instrument_channel(rand_instrument(rng, d, 3, lab))
+            sigma = rand_state(rng, d, lab)
+            rep = delta_with_recovery(loss, petz_recovery(loss, sigma), TestEnsemble(((1.0, sigma),)))
+            assert rep.delta <= 1e-14
+
+    def test_isometry_with_its_inverse_has_no_fidelity_floor(self):
+        # a 2 -> 4 isometry V undone by V^dag, plus branches |0><e| on the complement of its
+        # range, on six full-rank mixed members and a pure one
+        rng = np.random.default_rng(71)
+        a, b = Label("A", 2), Label("B", 4)
+        q = rand_unitary(rng, 4)
+        v, rest = q[:, :2], q[:, 2:]
+        loss = KrausChannel((a,), (b,), (v,))
+        back = [v.conj().T] + [np.outer([1.0, 0.0], e.conj()) for e in rest.T]
+        recovery = KrausChannel((b,), (a,), back)
+        omega = TestEnsemble(((0.1, rand_pure(rng, 2, a)), *((0.15, rand_state(rng, 2, a)) for _ in range(6))))
+        rep = delta_with_recovery(loss, recovery, omega)
+        assert all(dk <= 1e-14 for _, dk in rep.per_state)
+        rep = delta_min(loss, omega, OptimizerConfig(max_iters=20, restarts=0), warm_starts=(recovery,))
+        assert all(dk <= 1e-14 for _, dk in rep.per_state)
 
 
 class TestPetz:
@@ -383,7 +411,7 @@ def _pure_case(rng, d_in: int, d_out: int):
 
 def _gap(loss, omega, value: float, recovery) -> float:
     """The certified gap of recovery, whose delta^2 is value, on a pure ensemble."""
-    p, rho, vecs, _ = irrev._members(omega, omega.space)
+    p, rho, vecs, _, _ = irrev._members(omega, omega.space)
     sigmas = irrev._outputs(loss.kraus[None], rho)
     return float(irrev._certified_gap(p, vecs, sigmas, irrev._choi(recovery.kraus)[None], np.array([value]))[0])
 

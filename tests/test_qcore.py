@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from irrevkit import (
     CompositeSpaceError,
+    ConservationError,
     DensityMatrix,
+    Implementation,
     Instrument,
     KrausChannel,
     Label,
     Observable,
     OptimizerConfig,
+    ScramblingScenario,
     ShapeError,
     StateValidityError,
     TestEnsemble,
@@ -20,6 +23,7 @@ from irrevkit import (
     apply_instrument,
     choi,
     compose,
+    conserving_disturbance_implementation,
     delta_min,
     dual,
     embed,
@@ -43,7 +47,7 @@ from irrevkit import (
     variance,
 )
 from irrevkit import comb, irrev, qcore
-from irrevkit.qcore import _fidelity, apply_raw, embed_matrix, space_dim
+from irrevkit.qcore import _infidelity, apply_raw, embed_matrix, space_dim
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
@@ -409,8 +413,9 @@ class TestMetrics:
 
     def test_stacked_kernel_matches_purified_distance_pair_by_pair(self):
         # every pairing of pure, rank-2 and full-rank qutrit states, plus pure round-trip
-        # outputs (rounding-level eigenvalues) on either side, so the pure shortcut fires
-        # for rho, for sigma and for neither; stacked as (2, n, 3, 3)
+        # outputs (rounding-level eigenvalues) on either side, so the factors have rank
+        # 1, 2 and 3 on both sides; their square-root factors, zero-padded to 3 columns,
+        # stacked as (2, n, 3, 3)
         rng = np.random.default_rng(40)
         draws = (
             lambda: rand_pure(rng, 3, B),
@@ -419,12 +424,15 @@ class TestMetrics:
             lambda: apply(unitary_channel(rand_unitary(rng, 3), (B,)), rand_pure(rng, 3, B)),
         )
         pairs = [(x(), y()) for _ in range(2) for x in draws for y in draws]
-        rho = np.stack([x.data for x, _ in pairs]).reshape(2, -1, 3, 3)
-        sigma = np.stack([y.data for _, y in pairs]).reshape(2, -1, 3, 3)
-        f = _fidelity(rho, sigma).ravel()
-        dist = np.sqrt(np.maximum(0.0, 1.0 - f * f))
+
+        def factors(states):
+            padded = [np.pad(s.sqrt_factor, ((0, 0), (0, 3 - s.sqrt_factor.shape[1]))) for s in states]
+            return np.stack(padded).reshape(2, -1, 3, 3)
+
+        h = _infidelity(factors(x for x, _ in pairs), factors(y for _, y in pairs)).ravel()
+        f, dist = 1.0 - h, np.sqrt(h * (2.0 - h))
         for k, (x, y) in enumerate(pairs):
-            assert f[k] == uhlmann_fidelity(x, y) == ref_fidelity(x.data, y.data)
+            assert f[k] == uhlmann_fidelity(x, y)
             assert dist[k] == purified_distance(x, y)
 
     def test_variance_known(self):
@@ -443,6 +451,65 @@ class TestMetrics:
     def test_space_mismatch_raises(self):
         with pytest.raises(CompositeSpaceError):
             uhlmann_fidelity(maximally_mixed((S,)), maximally_mixed((B,)))
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_full_rank_fidelity_matches_reference(self, d):
+        rng = np.random.default_rng(60 + d)
+        lab = Label("S", d)
+        for _ in range(5):
+            a, b = rand_state(rng, d, lab), rand_state(rng, d, lab)
+            assert abs(uhlmann_fidelity(a, b) - ref_fidelity(a.data, b.data)) <= 1e-14
+
+    @pytest.mark.parametrize("rank", (2, 3, 4))
+    def test_unitary_round_trip_has_no_fidelity_floor(self, rank):
+        # U^dag (U rho U^dag) U is rho again; 1 - F^2 formed from F would read ~1e-8
+        rng = np.random.default_rng(61 + rank)
+        lab = Label("S", 4)
+        rho = rand_low_rank(rng, 4, rank, lab) if rank < 4 else rand_state(rng, 4, lab)
+        u = rand_unitary(rng, 4)
+        back = apply(unitary_channel(u.conj().T, (lab,)), apply(unitary_channel(u, (lab,)), rho))
+        assert purified_distance(rho, back) <= 1e-14
+        assert purified_distance(back, rho) <= 1e-14
+
+
+def _space_mismatches():
+    """One case (call, error, message) for each check that two operands share a space:
+    every call pairs an operand on S:2 with one on S:3, a label of the same name and
+    another dimension."""
+    s3, a = Label("S", 3), Label("A", 2)
+    rho2, rho3 = maximally_mixed((S,)), maximally_mixed((s3,))
+    z2, z3 = Observable((S,), SIGMA_Z), Observable((s3,), np.diag([1.0, 0.0, -1.0]))
+    id2, id3 = identity_channel((S,)), identity_channel((s3,))
+    za = Observable((a,), SIGMA_Z)
+    charges = {"alpha": za, "beta": z2, "alpha_out": za, "beta_out": z2}
+    cases = {
+        "uhlmann_fidelity": (lambda: uhlmann_fidelity(rho2, rho3), CompositeSpaceError, "different spaces"),
+        "purified_distance": (lambda: purified_distance(rho3, rho2), CompositeSpaceError, "different spaces"),
+        "expectation": (lambda: expectation(rho2, z3), CompositeSpaceError, "different spaces"),
+        "variance": (lambda: variance(rho2, z3), CompositeSpaceError, "different spaces"),
+        "qfi": (lambda: qfi(rho2, z3), CompositeSpaceError, "different spaces"),
+        "compose": (lambda: compose(id3, id2), ShapeError, "cannot compose"),
+        "dual": (lambda: dual(id2)(z3), CompositeSpaceError, "channel output space"),
+        "petz_recovery": (lambda: petz_recovery(id2, rho3), ShapeError, "loss input space"),
+        "Implementation": (
+            lambda: Implementation(rho3, np.eye(4), charges, (a,), (S,), (a,), (S,)),
+            ConservationError,
+            "rho_beta must live",
+        ),
+        "conserving_disturbance_implementation": (
+            lambda: conserving_disturbance_implementation(z2, z2, rho3, np.random.default_rng(0)),
+            ConservationError,
+            "share a space",
+        ),
+        "ScramblingScenario": (lambda: ScramblingScenario(z2, z3, z2, 0.1), CompositeSpaceError, "different spaces"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("call, error, message", _space_mismatches())
+def test_space_checks_compare_dimensions(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _trusted_sites():
