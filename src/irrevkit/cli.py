@@ -459,7 +459,7 @@ def validate_document(doc) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# kind runners: each returns (inputs_echo, result_dict, passed_or_None)
+# kind runners: each returns (inputs, result_dict, passed_or_None)
 
 
 def _seeded(opt: dict, seed: int) -> dict:
@@ -503,7 +503,8 @@ def _echo_scenario(s: ScramblingScenario) -> dict:
     }
 
 
-# payload field -> (decode, encode)
+# payload field -> (decode, encode). A runner's inputs hold these fields decoded and every
+# other key as JSON; run_one alone encodes them for the report's echo, which a sweep never writes
 _FIELDS = {
     "loss": (decode_channel, encode_channel),
     "ensemble": (decode_ensemble, encode_ensemble),
@@ -513,17 +514,22 @@ _FIELDS = {
     "instrument": (decode_instrument, encode_instrument),
     "implementation": (decode_implementation, encode_implementation),
     "scenario": (_decode_scenario, _echo_scenario),
+    "sigma_ref": (decode_state, encode_state),
+    "charges": (
+        lambda obj: {k: decode_observable(v) for k, v in obj.items()},
+        lambda charges: {k: encode_observable(v) for k, v in charges.items()},
+    ),
 }
 
 
-def _decode(payload: dict, *names: str):
-    """Decode the named payload fields, in order; return the objects and their echo."""
-    objs = [_FIELDS[name][0](payload[name]) for name in names]
-    return objs, {name: _FIELDS[name][1](obj) for name, obj in zip(names, objs)}
+def _decode(payload: dict, *names: str) -> dict:
+    """The named payload fields, decoded in order, keyed by name."""
+    return {name: _FIELDS[name][0](payload[name]) for name in names}
 
 
 def _run_delta(payload: dict, seed: int):
-    (loss, omega), inputs = _decode(payload, "loss", "ensemble")
+    inputs = _decode(payload, "loss", "ensemble")
+    loss, omega = inputs.values()
     spec = payload.get("recovery", "optimize")
     cfg = OptimizerConfig.from_json(_seeded(payload.get("optimizer", {}), seed))
     inputs.update(recovery=spec, optimizer=cfg.to_json())
@@ -535,7 +541,7 @@ def _run_delta(payload: dict, seed: int):
         else:
             avg = sum(p * r.data for p, r in omega.entries)
             sigma = DensityMatrix(omega.space, avg / np.trace(avg))
-        inputs["sigma_ref"] = encode_state(sigma)
+        inputs["sigma_ref"] = sigma
         rep = delta_with_recovery(loss, petz_recovery(loss, sigma), omega)
     else:
         rep = delta_with_recovery(loss, decode_channel(spec), omega)
@@ -553,47 +559,44 @@ def _decode_recovery(payload: dict):
 
 
 def _run_epsilon(payload: dict, seed: int, extract):
-    (rho, obs, inst), inputs = _decode(payload, "state", "observable", "instrument")
+    inputs = _decode(payload, "state", "observable", "instrument")
     recovery, spec = _decode_recovery(payload)
     cfg = _extraction_config(payload, seed)
-    inputs.update(recovery=spec, extraction=cfg.to_json())
-    return inputs, extract(rho, obs, inst, recovery, cfg).to_json(), None
+    result = extract(*inputs.values(), recovery, cfg).to_json()
+    return {**inputs, "recovery": spec, "extraction": cfg.to_json()}, result, None
 
 
 def _run_blw(payload: dict, seed: int):
-    (rho, gen, inst), inputs = _decode(payload, "state", "generator", "instrument")
+    inputs = _decode(payload, "state", "generator", "instrument")
     kind = payload["kind"]
     f = payload.get("f")
     cfg = _extraction_config(payload, seed)
+    rep = extract_two_copy(*inputs.values(), kind, f=f, cfg=cfg)
     inputs.update(kind=kind, extraction=cfg.to_json())
     if f is not None:
         inputs["f"] = dict(f)
-    rep = extract_two_copy(rho, gen, inst, kind, f=f, cfg=cfg)
     return inputs, rep.to_json(), None
 
 
 def _run_lt(payload: dict, seed: int):
-    (rho, obs, inst), inputs = _decode(payload, "state", "observable", "instrument")
+    inputs = _decode(payload, "state", "observable", "instrument")
     which = payload["which"]
-    inputs["which"] = which
     if which == "error":
-        value, fstar = lt_error(rho, obs, inst)
+        value, fstar = lt_error(*inputs.values())
         result = {"value": value, "pushforward": {str(m): float(v) for m, v in fstar.items()}}
     else:
-        value, x = lt_disturbance(rho, obs, inst)
+        value, x = lt_disturbance(*inputs.values())
         result = {"value": value, "minimizer": encode_observable(x)}
-    return inputs, result, None
+    return {**inputs, "which": which}, result, None
 
 
 def _run_bound(payload: dict, inputs: dict, bound):
     """Decode the optional charges, run bound(charges), and add the pass verdict."""
-    charges = None
     if "charges" in payload:
-        charges = {k: decode_observable(v) for k, v in payload["charges"].items()}
-        inputs["charges"] = {k: encode_observable(v) for k, v in charges.items()}
+        inputs.update(_decode(payload, "charges"))
     tolerance = float(payload.get("tolerance", 1e-9))
     inputs["tolerance"] = tolerance
-    rep = bound(charges)
+    rep = bound(inputs.get("charges"))
     passed = rep.slack >= -tolerance
     result = rep.to_json()
     result["pass"] = passed
@@ -602,7 +605,8 @@ def _run_bound(payload: dict, inputs: dict, bound):
 
 
 def _run_way(payload: dict, seed: int, bound):
-    (rho, obs, inst, impl), inputs = _decode(payload, "state", "observable", "instrument", "implementation")
+    inputs = _decode(payload, "state", "observable", "instrument", "implementation")
+    rho, obs, inst, impl = inputs.values()
     lhs = payload.get("lhs", "canonical")
     cfg = _extraction_config(payload, seed) if "extraction" in payload else None
     inputs["lhs"] = lhs
@@ -612,27 +616,28 @@ def _run_way(payload: dict, seed: int, bound):
 
 
 def _run_otoc(payload: dict, seed: int):
-    (s,), inputs = _decode(payload, "scenario")
+    inputs = _decode(payload, "scenario")
     cfg = _extraction_config(payload, seed)
     inputs.update(extraction=cfg.to_json(), recovery="canonical")
-    rep = otoc_iep(s, cfg)
-    direct = otoc_direct(s)
+    rep = otoc_iep(inputs["scenario"], cfg)
+    direct = otoc_direct(inputs["scenario"])
     result = {"iep": rep.to_json(), "direct": direct, "gap": abs(rep.value - direct)}
     return inputs, result, None
 
 
 def _run_otoc_cp(payload: dict, seed: int):
-    (s,), inputs = _decode(payload, "scenario")
+    inputs = _decode(payload, "scenario")
     cfg = _extraction_config(payload, seed)
     inputs["extraction"] = cfg.to_json()
-    rep = otoc_iep_cp(s, cfg)
-    direct = otoc_direct(s) / rep.rescale if rep.rescale and rep.rescale > 0 else 0.0
+    rep = otoc_iep_cp(inputs["scenario"], cfg)
+    direct = otoc_direct(inputs["scenario"]) / rep.rescale if rep.rescale and rep.rescale > 0 else 0.0
     result = {"iep": rep.to_json(), "direct_normalized": direct, "gap": abs(rep.value - direct)}
     return inputs, result, None
 
 
 def _run_way_otoc(payload: dict, seed: int):
-    (s, impl), inputs = _decode(payload, "scenario", "implementation")
+    inputs = _decode(payload, "scenario", "implementation")
+    s, impl = inputs.values()
     return _run_bound(payload, inputs, lambda charges: way_bound_otoc(s, charges, impl))
 
 
@@ -732,7 +737,8 @@ def _checked_compute(path: str, kind: str, payload: dict, seed: int):
             detail["diagnostics"] = exc.diagnostics
         print(f"{path}: numerical failure: {canonical_json(detail)}", file=sys.stderr)
         return None, EX_NUMERIC
-    except (IrrevkitError, ValueError, KeyError, TypeError) as exc:
+    # OverflowError: an integer too large for a double, such as a matrix entry or tau of 400 digits
+    except (IrrevkitError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"{path}: invalid scenario content: {type(exc).__name__}: {exc}", file=sys.stderr)
         return None, EX_INPUT
 
@@ -748,7 +754,8 @@ def run_one(path: str, output: str | None = None) -> int:
     if computed is None:
         return code
     inputs, result, passed = computed
-    report = {"schema": "irrevkit/1", "kind": kind, "seed": seed, "inputs": inputs, "result": result}
+    echo = {k: _FIELDS[k][1](v) if k in _FIELDS else v for k, v in inputs.items()}
+    report = {"schema": "irrevkit/1", "kind": kind, "seed": seed, "inputs": echo, "result": result}
     out_path = output or _default_output(path, doc)
     try:
         _write_report(out_path, report, path)
@@ -778,17 +785,12 @@ def _dig(result: dict, dotted: str):
     return cur
 
 
-def _set_parameter(payload: dict, dotted: str, value: float) -> bool:
-    parts = dotted.split(".")
-    cur = payload
-    for part in parts[:-1]:
-        if not isinstance(cur, dict) or part not in cur:
-            return False
-        cur = cur[part]
-    if not isinstance(cur, dict) or parts[-1] not in cur:
-        return False
-    cur[parts[-1]] = value
-    return True
+def _with_parameter(node, parts: list, value: float):
+    """node with the key path parts set to value, copying only the dicts on it; None if a part is missing."""
+    if not isinstance(node, dict) or parts[0] not in node:
+        return None
+    child = value if len(parts) == 1 else _with_parameter(node[parts[0]], parts[1:], value)
+    return None if child is None else {**node, parts[0]: child}
 
 
 def cmd_sweep(args) -> int:
@@ -817,13 +819,14 @@ def cmd_sweep(args) -> int:
     out_path = args.output or os.path.splitext(os.path.abspath(args.scenario))[0] + ".sweep.csv"
     param = "scenario.tau" if args.parameter == "tau" and "scenario" in doc["payload"] else args.parameter
 
-    # one payload for the theta grid, else one per grid value
+    # one payload for the theta grid, else one per grid value, each a copy of the dicts on the swept path
     runs = []
     for v in [None] if theta else values:
-        payload = json.loads(json.dumps(doc["payload"]))
         if theta:
-            payload.setdefault("extraction", {})["thetas"] = values
-        elif not _set_parameter(payload, param, v):
+            payload = {**doc["payload"], "extraction": {**doc["payload"].get("extraction", {}), "thetas": values}}
+        else:
+            payload = _with_parameter(doc["payload"], param.split("."), v)
+        if payload is None:
             print(f"parameter {args.parameter!r} not found in payload", file=sys.stderr)
             return EX_INPUT
         problem = validate_document(dict(doc, payload=payload))

@@ -251,17 +251,24 @@ def _pointer_observable(meas: Instrument, f) -> Observable:
     return Observable((_pointer(meas),), np.diag(outcome_values(meas, f)).astype(complex))
 
 
+def _meter_comb(rho: DensityMatrix, x: Observable, meas: Instrument, stage: KrausChannel, recoveries) -> Comb:
+    """Comb(rho, x, stage, recoveries) for a stage on meas.in_space, after _check_system; an instrument
+    with the state's names at other dimensions meets the Comb's stage check first, which names both."""
+    if _names(meas.in_space) == _names(rho.space):
+        comb = Comb(rho, x, stage, recoveries)
+    _check_system(rho, x, meas)
+    return comb
+
+
 def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
     """P_M o U_{A,theta} o A_rho from Q to (P, Q); recovery at the pushforward values."""
-    _check_system(rho, a, meas)
     p_label = _pointer(meas)
     pushforward = lambda: (canonical_recovery(_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,), 0.0),)
-    return Comb(rho, a, pointer_channel(meas, p_label), pushforward)
+    return _meter_comb(rho, a, meas, pointer_channel(meas, p_label), pushforward)
 
 
 def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Comb:
     """I_M o U_{B,theta} o A_rho from Q to (S', Q); LT recovery, then B itself."""
-    _check_system(rho, b, meas)
     out_sp = meas.out_space
 
     def recoveries():
@@ -270,7 +277,7 @@ def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Co
             recs.append(canonical_recovery(Observable(out_sp, b.data), out_sp, 0.0))
         return tuple(recs)
 
-    return Comb(rho, b, instrument_channel(meas), recoveries)
+    return _meter_comb(rho, b, meas, instrument_channel(meas), recoveries)
 
 
 def _two_copy_labels(rho: DensityMatrix):
@@ -290,11 +297,10 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     are (K c) (x) 1_S1 over the readout's operators K and the columns c of
     rho = sum c c^dag, trace preserving since sum c^dag K^dag K c = tr rho = 1.
     """
-    _check_system(rho, gen, meas)
     s2, s1 = _two_copy_labels(rho)
-    if gen.space != rho.space or meas.in_space != rho.space:
-        name = rho.space[0].name
-        raise ShapeError(f"two-copy comb: the generator and the instrument must act on {name}:{s1.dim}")
+    if gen.dim != s1.dim or meas.dim_in != s1.dim:  # before _check_system, whose messages cover the names
+        raise ShapeError(f"two-copy comb: the generator and the instrument must act on {rho.space[0].name}:{s1.dim}")
+    _check_system(rho, gen, meas)
     if kind == "error":
         p_label = _pointer(meas)
         readout, out = pointer_channel(meas, p_label).kraus, (p_label,)

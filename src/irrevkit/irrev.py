@@ -36,6 +36,7 @@ from .qcore import (
     KrausChannel,
     TestEnsemble,
     _infidelity,
+    _outputs,
     _psd_sqrt,
     _trusted,
     kraus_from_choi,
@@ -133,15 +134,6 @@ def _pure_d2(amp: np.ndarray, vecs: np.ndarray, kraus: np.ndarray) -> np.ndarray
     bras = vecs[..., None, :, :-1].conj().swapaxes(-1, -2) @ kraus  # <psi^perp| R_j
     bras = bras.reshape(*bras.shape[:-3], -1, bras.shape[-1])
     return np.sum(np.abs(amp @ bras.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
-
-
-def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """(..., n, a, a) Hermitian parts of sum_i K_i rho_k K_i^H for the Kraus stack
-    kraus (..., r, a, b) and each state of rho (..., n, b, b), the leading axes
-    broadcast; the operators are added in order, as qcore.apply_raw adds them."""
-    k = kraus[..., None, :, :, :]
-    out = np.sum(k @ rho[..., None, :, :] @ k.conj().swapaxes(-1, -2), axis=-3)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def _amplitudes(kraus: np.ndarray, members: tuple) -> tuple:

@@ -29,12 +29,12 @@ from .qcore import (
     Instrument,
     Label,
     Observable,
-    _names,
     _psd_sqrt,
 )
 
 __all__ = [
     "OutcomeFunction",
+    "outcome_values",
     "ozawa_error",
     "ozawa_disturbance",
     "akg_unbiasedness_check",
@@ -68,9 +68,10 @@ def outcome_values(meas: Instrument, f) -> np.ndarray:
 
 
 def _check_system(rho: DensityMatrix, obs: Observable, meas: Instrument):
-    if _names(rho.space) != _names(obs.space):
+    """Refuse an observable or an instrument input on another space than the state's (names and dims)."""
+    if obs.space != rho.space:
         raise ShapeError("state and observable live on different spaces")
-    if _names(meas.in_space) != _names(rho.space):
+    if meas.in_space != rho.space:
         raise ShapeError("instrument input space does not match the state")
 
 

@@ -501,6 +501,15 @@ def apply_raw(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
     return sum(t @ k.conj().T for t, k in zip(ch.kraus @ mat, ch.kraus))
 
 
+def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(..., n, a, a) Hermitian parts of sum_i K_i rho_k K_i^H for the Kraus stack
+    kraus (..., r, a, b) and each state of rho (..., n, b, b), the leading axes
+    broadcast; the operators are added in order, as apply_raw adds them."""
+    k = kraus[..., None, :, :, :]
+    out = np.sum(k @ rho[..., None, :, :] @ k.conj().swapaxes(-1, -2), axis=-3)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
 def apply(ch, rho: DensityMatrix):
     """Apply a channel or instrument to a state; identity on untouched labels.
 
@@ -513,9 +522,7 @@ def apply(ch, rho: DensityMatrix):
     lifted = embed(ch, rho.space)
     if not lifted.trace_preserving:
         raise ShapeError("apply requires a trace-preserving channel; use apply_raw for CP branches")
-    out = apply_raw(lifted, rho.data)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(lifted.out_space, out)
+    return DensityMatrix(lifted.out_space, _outputs(lifted.kraus, rho.data[None])[0])
 
 
 def apply_instrument(inst: Instrument, rho: DensityMatrix):

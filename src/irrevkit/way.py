@@ -127,13 +127,9 @@ def realized_channel(impl: Implementation) -> KrausChannel:
     da_o = space_dim(impl.out_alpha)
     db_o = space_dim(impl.out_beta)
     ur = impl.u.reshape(da_o, db_o, da, db)
-    vals, vecs = np.linalg.eigh(impl.rho_beta.data)
-    keep = vals > 1e-14
-    # sqrt(lam) (1 (x) <j|) U (1 (x) |v>) for each kept ancilla eigenpair (outer) and j;
-    # one tensordot per vector, since a matrix tensordot signs zero entries differently
-    blocks = [
-        math.sqrt(lam) * np.tensordot(ur, v, axes=([3], [0])) for lam, v in zip(vals[keep], vecs.T[keep])
-    ]
+    # (1 (x) <j|) U (1 (x) m) for each column m of the ancilla state's square-root factor (outer)
+    # and j; one tensordot per column, since a matrix tensordot signs zero entries differently
+    blocks = [np.tensordot(ur, m, axes=([3], [0])) for m in impl.rho_beta.sqrt_factor.T]
     ops = np.stack(blocks).transpose(0, 2, 1, 3).reshape(-1, da_o, da)
     return KrausChannel(impl.in_alpha, impl.out_alpha, ops)
 
@@ -446,14 +442,8 @@ def swap_implementation(x: Observable, sigma: DensityMatrix):
         out_alpha=sp,
         out_beta=b,
     )
-    vals, vecs = np.linalg.eigh(sigma.data)
-    branches = []
-    k = 0
-    for lam, v in zip(vals, vecs.T):
-        if lam <= 1e-14:
-            continue
-        for j in range(d):
-            branches.append((str(k), math.sqrt(lam) * np.outer(v, ket(j, d).conj())))
-            k += 1
-    meas = Instrument(sp, sp, tuple(branches))
+    # |m><j| for each column m of sigma's square-root factor (outer) and j
+    m = sigma.sqrt_factor
+    branches = tuple((str(k), np.outer(m[:, k // d], ket(k % d, d).conj())) for k in range(m.shape[1] * d))
+    meas = Instrument(sp, sp, branches)
     return impl, meas

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import Instrument, Label, Observable, build_fixture, cli, fixture_names, otoc
+from irrevkit import Instrument, Label, Observable, build_fixture, cli, fixture_names, otoc, serialize
 from irrevkit.cli import (
     PAYLOAD_SCHEMAS,
     TOP_SCHEMA,
@@ -380,6 +380,27 @@ class TestExitCodes:
         assert main(["run", str(p)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            pytest.param("lt-error-qubit", ("state", "matrix", 0, 0), id="matrix-entry"),
+            pytest.param("otoc-ising-chain", ("scenario", "tau"), id="tau"),
+        ],
+    )
+    def test_integer_that_overflows_a_double_is_2(self, corpus, tmp_path, capsys, name, path):
+        # a JSON integer parses exactly, so 1 followed by 400 zeros is valid and overflows only when decoded
+        doc = load_report(corpus / f"{name}.json")
+        field = doc["payload"]
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = 10**400
+        src = write_doc(tmp_path, "big.json", doc)
+        assert main(["validate", src]) == 0
+        assert main(["run", src]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario content: OverflowError" in err
+        assert "Traceback" not in err
+
     def test_undecodable_file_is_2(self, tmp_path, capsys):
         p = tmp_path / "utf16.json"
         p.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -561,8 +582,48 @@ class TestSweep:
         assert 'extraction method "analytic"' in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_parameter_is_2(self, corpus):
-        assert main(["sweep", str(corpus / "otoc-ising-chain.json"), "-p", "no.such", "-g", "1"]) == 2
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            pytest.param("otoc-ising-chain", "no.such", id="missing-dict"),
+            pytest.param("otoc-ising-chain", "scenario.no_such", id="missing-key"),
+            pytest.param("otoc-ising-chain", "scenario.tau.x", id="through-a-number"),
+            pytest.param("otoc-ising-chain", "scenario.h.0", id="through-a-list"),
+            pytest.param("lt-error-qubit", "tau", id="tau-without-scenario"),
+        ],
+    )
+    def test_unknown_parameter_is_2(self, corpus, tmp_path, capsys, name, param):
+        out = tmp_path / "none.csv"
+        assert main(["sweep", str(corpus / f"{name}.json"), "-p", param, "-g", "1", "-o", str(out)]) == 2
+        assert f"parameter {param!r} not found in payload" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, param, grid",
+        [
+            pytest.param("otoc-ising-chain", "tau", "0,0.5", id="tau"),
+            pytest.param("epsilon-projective-qubit", "theta", "0.01,0.005", id="theta"),
+        ],
+    )
+    def test_sweep_encodes_no_echo_and_leaves_the_document_alone(self, corpus, tmp_path, monkeypatch, name, param, grid):
+        # only run writes a report, so only run encodes the decoded inputs back to JSON; a sweep
+        # point copies the dicts on the swept path and shares the rest with the loaded document
+        encoded, loaded = [], []
+        encode_matrix, load = serialize.encode_matrix, cli._load
+        monkeypatch.setattr(serialize, "encode_matrix", lambda m: encoded.append(m) or encode_matrix(m))
+
+        def spy(path):
+            doc, problem = load(path)
+            loaded.append((doc, copy.deepcopy(doc)))
+            return doc, problem
+
+        monkeypatch.setattr(cli, "_load", spy)
+        src = str(corpus / f"{name}.json")
+        assert main(["sweep", src, "-p", param, "-g", grid, "-o", str(tmp_path / "s.csv")]) == 0
+        assert encoded == []
+        assert len(loaded) == 1 and loaded[0][0] == loaded[0][1]
+        assert main(["run", src, "-o", str(tmp_path / "r.json")]) == 0
+        assert encoded
 
     def test_violating_sweep_is_4(self, corpus, tmp_path):
         doc = load_report(corpus / "way-error-tight.json")

@@ -7,9 +7,11 @@ from irrevkit import (
     Label,
     Observable,
     OutcomeFunctionError,
+    ShapeError,
     akg_unbiasedness_check,
     blw_calibration_error_qubit,
     bloch_from_state,
+    extract_epsilon,
     lt_disturbance,
     lt_error,
     maximally_mixed,
@@ -44,6 +46,24 @@ class TestOutcomeValues:
     def test_non_finite_value_names_its_outcome(self, f):
         with pytest.raises(OutcomeFunctionError, match="outcome '1'"):
             outcome_values(proj_z(S), f)
+
+
+class TestSystemCheck:
+    @pytest.mark.parametrize(
+        "meter",
+        [
+            pytest.param(lambda rho, a, meas: ozawa_error(rho, a, meas, F_PM), id="ozawa_error"),
+            pytest.param(ozawa_disturbance, id="ozawa_disturbance"),
+            pytest.param(lt_error, id="lt_error"),
+            pytest.param(lt_disturbance, id="lt_disturbance"),
+            pytest.param(lambda rho, a, meas: extract_epsilon(rho, a, meas, "canonical"), id="extract_epsilon"),
+        ],
+    )
+    def test_observable_of_another_dimension_is_refused(self, meter):
+        # the state's label name at another dimension: the whole spaces differ, not only their names
+        s3 = Label("S", 3)
+        with pytest.raises(ShapeError, match="state and observable live on different spaces"):
+            meter(maximally_mixed((S,)), Observable((s3,), np.eye(3)), proj_z(S))
 
 
 class TestOzawa:
