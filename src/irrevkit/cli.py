@@ -484,8 +484,9 @@ def _decode_scenario(obj: dict) -> ScramblingScenario:
     sites = obj.get("sites")
     h = obj["h"]
     if isinstance(h, list) and h and isinstance(h[0], list) and isinstance(h[0][0], str):
-        terms = [float(coeff) * _decode_local_op(ops, sites).data for ops, coeff in h]
-        h_obs = Observable(pauli_string(h[0][0]).space, sum(terms[1:], terms[0]))
+        ops = [_decode_local_op(o, sites) for o, _ in h]
+        terms = [float(coeff) * op.data for op, (_, coeff) in zip(ops, h)]
+        h_obs = Observable(ops[0].space, sum(terms[1:], terms[0]))
     else:
         h_obs = decode_observable(h)
     rho = decode_state(obj["rho"]) if "rho" in obj else None

@@ -56,7 +56,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "Q_LABEL",
     "OPTIMIZE",
     "Comb",
     "LossProcess",

@@ -33,7 +33,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "OutcomeFunction",
     "outcome_values",
     "ozawa_error",
     "ozawa_disturbance",

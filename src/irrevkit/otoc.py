@@ -28,6 +28,7 @@ from .qcore import (
     Label,
     Observable,
     _expm_herm,
+    _trusted,
     maximally_mixed,
     unitary_channel,
 )
@@ -80,9 +81,11 @@ class ScramblingScenario:
 
 def heisenberg(w0: Observable, h: Observable, tau: float) -> Observable:
     """W(tau) = e^{iH tau} W0 e^{-iH tau} by exact eigendecomposition."""
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     u = _expm_herm(h.data, -tau)
     w = u @ w0.data @ u.conj().T
-    return Observable(w0.space, (w + w.conj().T) / 2)
+    return _trusted(Observable, space=w0.space, data=(w + w.conj().T) / 2)
 
 
 def otoc_direct(s: ScramblingScenario) -> float:
@@ -219,7 +222,7 @@ def pauli_string(ops: str, name: str = "S") -> Observable:
     for c in ops:
         # np.kron's own product, bit for bit (signed zeros included), without its overhead
         mat = (mat[:, None, :, None] * PAULI[c][None, :, None, :]).reshape(2 * len(mat), 2 * len(mat))
-    return Observable((Label(name, 2 ** len(ops)),), mat)
+    return _trusted(Observable, space=(Label(name, 2 ** len(ops)),), data=mat)
 
 
 def ising_chain_scenario(tau: float, n: int = 3, rho: DensityMatrix | None = None) -> ScramblingScenario:

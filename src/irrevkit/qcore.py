@@ -30,21 +30,17 @@ TOL_PROB = 1e-12
 
 __all__ = [
     "Label",
-    "Space",
     "DensityMatrix",
     "Observable",
     "KrausChannel",
     "Instrument",
     "TestEnsemble",
     "space",
-    "space_dim",
     "tensor",
     "partial_trace",
     "embed",
-    "embed_matrix",
     "compose",
     "apply",
-    "apply_raw",
     "apply_instrument",
     "dual",
     "choi",
@@ -62,11 +58,6 @@ __all__ = [
     "qfi",
     "pure_state",
     "maximally_mixed",
-    "ket",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "ID2",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -349,7 +340,7 @@ def pure_state(vec, sp) -> DensityMatrix:
 def maximally_mixed(sp) -> DensityMatrix:
     sp = _as_space(sp)
     d = space_dim(sp)
-    return DensityMatrix(sp, np.eye(d) / d)
+    return _trusted(DensityMatrix, space=sp, data=np.eye(d) / d)
 
 
 def tensor(a, b):

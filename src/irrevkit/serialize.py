@@ -27,26 +27,7 @@ from .qcore import (
 )
 from .way import Implementation
 
-__all__ = [
-    "encode_matrix",
-    "decode_matrix",
-    "encode_space",
-    "decode_space",
-    "encode_state",
-    "decode_state",
-    "encode_observable",
-    "decode_observable",
-    "encode_channel",
-    "decode_channel",
-    "encode_instrument",
-    "decode_instrument",
-    "encode_ensemble",
-    "decode_ensemble",
-    "encode_implementation",
-    "decode_implementation",
-    "canonical_json",
-    "atomic_write_text",
-]
+__all__ = ["canonical_json"]
 
 
 def encode_matrix(m: np.ndarray) -> list:

@@ -27,6 +27,7 @@ from .qcore import (
     _as_space,
     _expm_herm,
     _reorder,
+    _trusted,
     apply,
     choi,
     dual,
@@ -425,6 +426,8 @@ def swap_implementation(x: Observable, sigma: DensityMatrix):
     """Swap system and an isodimensional ancilla carrying the same charge."""
     sp = x.space
     d = x.dim
+    if sigma.dim != d:
+        raise ShapeError(f"ancilla state has dimension {sigma.dim}, but the system has dimension {d}")
     b = tuple(Label(l.name + "b", l.dim) for l in sp)
     swap = _reorder(np.eye(d * d), (d, d), (1, 0), 0)
     charges = {
@@ -434,7 +437,7 @@ def swap_implementation(x: Observable, sigma: DensityMatrix):
         "beta_out": Observable(b, x.data),
     }
     impl = Implementation(
-        DensityMatrix(b, sigma.data),
+        _trusted(DensityMatrix, space=b, data=sigma.data, sqrt_factor=sigma.sqrt_factor),
         swap,
         charges,
         in_alpha=sp,

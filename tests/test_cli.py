@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import Instrument, Label, Observable, build_fixture, cli, fixture_names, otoc, serialize
+from irrevkit import Instrument, Label, Observable, build_fixture, cli, fixture_names, otoc, qcore, serialize
 from irrevkit.cli import (
     PAYLOAD_SCHEMAS,
     TOP_SCHEMA,
@@ -316,6 +316,18 @@ class TestOtocDocuments:
         monkeypatch.setattr(otoc, "heisenberg", lambda *args: calls.append(args) or heisenberg(*args))
         assert main(["run", write_doc(tmp_path, "w.json", doc), "-o", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1
+
+    def test_chain_decode_checks_only_the_summed_h(self, monkeypatch):
+        # Pauli-string terms and the default I/d are library-built, so decoding runs one
+        # Hermiticity check (on H) and no eigvalsh
+        herm, eig = [], []
+        herm_defect, eigvalsh = qcore._herm_defect, np.linalg.eigvalsh
+        monkeypatch.setattr(qcore, "_herm_defect", lambda a: herm.append(a.shape) or herm_defect(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: eig.append(a) or eigvalsh(*a, **kw))
+        s = cli._decode_scenario(build_fixture("otoc-ising-chain")["payload"]["scenario"])
+        assert herm == [(8, 8)]
+        assert not eig
+        assert s.h.space == s.w0.space == s.v0.space == s.rho.space == (Label("S", 8),)
 
 
 class TestParserReuse:

@@ -7,6 +7,7 @@ import pytest
 from irrevkit import (
     OPTIMIZE,
     AssumptionError,
+    DensityMatrix,
     ExtractionConfig,
     Label,
     Observable,
@@ -26,6 +27,7 @@ from irrevkit import (
     way_bound_otoc,
 )
 import irrevkit.otoc as otoc_module
+from irrevkit import qcore
 from irrevkit.comb import Q_LABEL, extract
 from conftest import (
     SIGMA_X,
@@ -445,3 +447,30 @@ class TestPauliStrings:
     def test_chain_too_short_rejected(self):
         with pytest.raises(ValueError):
             ising_chain_scenario(0.5, n=1)
+
+
+class TestTrustedValues:
+    """Pauli strings, W(tau) and I/d skip the public checks; each holds what the checked constructor would."""
+
+    def test_data_matches_the_checked_constructor(self):
+        sp = (Label("S", 8),)
+        kron = np.kron(np.kron(SIGMA_X, SIGMA_Y), SIGMA_Z)
+        h, w0, tau = ising_chain_scenario(0.0).h, pauli_string("XII"), 0.3
+        u = qcore._expm_herm(h.data, -tau)
+        w = u @ w0.data @ u.conj().T
+        cases = [
+            (pauli_string("XYZ"), Observable(sp, kron)),
+            (heisenberg(w0, h, tau), Observable(sp, (w + w.conj().T) / 2)),
+            (maximally_mixed(sp), DensityMatrix(sp, np.eye(8) / 8)),
+        ]
+        for trusted, checked in cases:
+            assert type(trusted) is type(checked) and trusted.space == checked.space
+            assert trusted.data.dtype == np.complex128 and trusted.data.flags.c_contiguous
+            assert not trusted.data.flags.writeable
+            assert trusted.data.tobytes() == checked.data.tobytes()
+
+    def test_non_finite_tau_rejected(self):
+        h = ising_chain_scenario(0.0, n=2).h
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                heisenberg(pauli_string("XI"), h, tau)

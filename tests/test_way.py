@@ -3,6 +3,7 @@ import pytest
 
 from irrevkit import (
     ConservationError,
+    DensityMatrix,
     Implementation,
     Label,
     Observable,
@@ -254,6 +255,21 @@ class TestSwap:
         assert check_conservation(impl) < 1e-9
         rep = way_bound_disturbance(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, None, impl)
         assert rep.slack >= -1e-9
+
+    def test_sigma_is_decomposed_once(self, monkeypatch):
+        # the ancilla state carries sigma's square-root factor into realized_channel
+        s3 = Label("S", 3)
+        sigma = DensityMatrix((Label("B", 3),), np.array([[0.5, 0.1j, 0.05], [-0.1j, 0.3, 0.0], [0.05, 0.0, 0.2]]))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
+        impl, _ = swap_implementation(Observable((s3,), np.diag([1.0, 0.0, -1.0])), sigma)
+        realized_channel(impl)
+        assert sum(a.shape == sigma.data.shape and np.array_equal(a, sigma.data) for a in calls) == 1
+
+    def test_ancilla_of_another_dimension_is_refused(self):
+        with pytest.raises(ShapeError, match="ancilla state has dimension 3, but the system has dimension 2"):
+            swap_implementation(Observable((S,), SIGMA_Z), maximally_mixed((Label("B", 3),)))
 
 
 class TestCommutantProjection:
