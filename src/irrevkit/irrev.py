@@ -143,6 +143,19 @@ def _amplitudes(kraus: np.ndarray, members: tuple) -> tuple:
     return (kraus[:, None] @ vecs[:, None, :, -1:])[..., 0], None if m is None else kraus[:, None] @ m[:, None]
 
 
+def _sigmas(amps: tuple, members: tuple) -> np.ndarray:
+    """(t, n, d_out, d_out) outputs sigma_k = L(rho_k) at each loss of a stack, from its
+    _amplitudes amps and the members as _members gives them: sum_i (L_i psi_k)(L_i psi_k)^H
+    for a pure member and sum_i (L_i m_k)(L_i m_k)^H for a mixed one, one product each."""
+    (amp, lm), pure = amps, members[3]
+    sigmas = amp.swapaxes(-1, -2) @ amp.conj()
+    if lm is not None:
+        t, n_m, r_l, d_out, d = lm.shape
+        cols = lm.transpose(0, 1, 3, 2, 4).reshape(t, n_m, d_out, r_l * d)  # [L_1 m_k, ..., L_r m_k]
+        sigmas[:, ~pure] = cols @ cols.conj().swapaxes(-1, -2)
+    return sigmas
+
+
 def _distances(amps: tuple, recovery: np.ndarray, members: tuple, q=1.0) -> np.ndarray:
     """(t, n) distances D_k after each loss of a stack of t losses, whose _amplitudes are
     amps, and the recovery stack recovery (t, r_R, d_in, d_out) at it, for the members
@@ -225,7 +238,7 @@ def petz_recovery(loss: KrausChannel, sigma_ref: DensityMatrix) -> KrausChannel:
         raise ShapeError("sigma_ref must live on the loss input space")
     if not loss.trace_preserving:
         raise ShapeError("petz_recovery needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
-    ops = _petz(loss.kraus[None], sigma_ref.data)[0]
+    ops = _petz(loss.kraus[None], sigma_ref.data, _outputs(loss.kraus[None], sigma_ref.data[None])[:, 0])[0]
     return _trusted(KrausChannel, in_space=loss.out_space, out_space=loss.in_space, kraus=ops, trace_preserving=True)
 
 
@@ -241,11 +254,12 @@ def _minimal(kraus: np.ndarray) -> np.ndarray:
     return kraus_from_choi(_choi(kraus), kraus.shape[-1], kraus.shape[-2])
 
 
-def _petz(kraus: np.ndarray, sigma_ref: np.ndarray) -> np.ndarray:
+def _petz(kraus: np.ndarray, sigma_ref: np.ndarray, out_ref: np.ndarray) -> np.ndarray:
     """(t, r, d_in, d_out) minimal Kraus stacks of the Petz recovery of each loss of
-    the stack kraus (t, r_L, d_out, d_in) with respect to sigma_ref, as petz_recovery
-    documents; ranks that differ over the stack are padded with zero operators."""
-    vals, vecs = np.linalg.eigh(_outputs(kraus, sigma_ref[None])[:, 0])
+    the stack kraus (t, r_L, d_out, d_in) with respect to sigma_ref, whose image under
+    each loss is out_ref (t, d_out, d_out), as petz_recovery documents; ranks that
+    differ over the stack are padded with zero operators."""
+    vals, vecs = np.linalg.eigh(out_ref)
     live = vals > TOL_EIG_SKIP
     inv_half = (vecs * np.where(live, vals, np.inf)[:, None, :] ** -0.5) @ vecs.conj().swapaxes(1, 2)
     ops = _psd_sqrt(sigma_ref) @ kraus.conj().swapaxes(-1, -2) @ inv_half[:, None]
@@ -463,8 +477,10 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, 
         raise ShapeError("delta_min needs a trace-preserving loss; a CP-branch loss takes a fixed recovery")
     members = _members(omega, spaces[0])
     p, rho, vecs, pure, _ = members
-    sigmas, amps = _outputs(kraus, rho), _amplitudes(kraus, members)
-    cands = [_petz(kraus, np.tensordot(p, rho, 1)), *warm]
+    amps = _amplitudes(kraus, members)
+    sigmas = _sigmas(amps, members)
+    # the loss is linear, so the image of the ensemble average is the average output
+    cands = [_petz(kraus, np.tensordot(p, rho, 1), np.tensordot(p, sigmas, (0, 1))), *warm]
     per = np.stack([_distances(amps, c, members) for c in cands])  # (candidate, t, n)
     delta = _rms(p, per)
     win = np.argmin(delta, axis=0)  # ties keep the earlier candidate

@@ -78,41 +78,26 @@ def ozawa_error(rho: DensityMatrix, a: Observable, meas: Instrument, f) -> float
     """Squared Ozawa error sum_m ||M_m (A - f(m)) sqrt(rho)||_HS^2."""
     _check_system(rho, a, meas)
     vals = outcome_values(meas, f)
-    rh = _psd_sqrt(rho.data)
-    total = 0.0
-    for (_, op), fm in zip(meas.branches, vals):
-        x = op @ (a.data - fm * np.eye(a.dim)) @ rh
-        total += float(np.real(np.vdot(x, x)))
-    return max(total, 0.0)
+    x = meas._kraus @ (a.data - vals[:, None, None] * np.eye(a.dim)) @ _psd_sqrt(rho.data)
+    return max(float(np.vdot(x, x).real), 0.0)
 
 
 def ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> float:
     """Squared Ozawa disturbance sum_m ||[M_m, B] sqrt(rho)||_HS^2."""
     _check_system(rho, b, meas)
-    if meas.dim_in != len(meas.branches[0][1]):
+    k = meas._kraus
+    if k.shape[-2] != k.shape[-1]:
         raise ShapeError("disturbance needs square Kraus operators (same in/out dimension)")
-    rh = _psd_sqrt(rho.data)
-    total = 0.0
-    for _, op in meas.branches:
-        x = (op @ b.data - b.data @ op) @ rh
-        total += float(np.real(np.vdot(x, x)))
-    return max(total, 0.0)
+    x = (k @ b.data - b.data @ k) @ _psd_sqrt(rho.data)
+    return max(float(np.vdot(x, x).real), 0.0)
 
 
 def akg_unbiasedness_check(meas: Instrument, a: Observable, f, tol: float = 1e-9):
     """Whether sum_m f(m) M_m' M_m reproduces A exactly (unbiased readout)."""
-    vals = outcome_values(meas, f)
-    acc = np.zeros((meas.dim_in, meas.dim_in), dtype=complex)
-    for (_, op), fm in zip(meas.branches, vals):
-        acc += fm * (op.conj().T @ op)
+    k = meas._kraus
+    acc = np.sum(outcome_values(meas, f)[:, None, None] * (k.conj().swapaxes(1, 2) @ k), axis=0)
     dev = float(np.max(np.abs(acc - a.data)))
     return dev <= tol, dev
-
-
-def _povm_probs(rho: DensityMatrix, meas: Instrument) -> np.ndarray:
-    return np.array(
-        [float(np.real(np.trace(op.conj().T @ op @ rho.data))) for _, op in meas.branches]
-    )
 
 
 def lt_error(rho: DensityMatrix, a: Observable, meas: Instrument):
@@ -123,14 +108,12 @@ def lt_error(rho: DensityMatrix, a: Observable, meas: Instrument):
     carry no weight and get f(m) = 0.
     """
     _check_system(rho, a, meas)
-    probs = _povm_probs(rho, meas)
+    k = meas._kraus
     jordan = (a.data @ rho.data + rho.data @ a.data) / 2
-    fstar = {}
-    for (m, op), p in zip(meas.branches, probs):
-        if p > TOL_PROB:
-            fstar[m] = float(np.real(np.trace(op.conj().T @ op @ jordan)) / p)
-        else:
-            fstar[m] = 0.0
+    # tr(M_m' M_m X) at X = rho and at the Jordan product, one product over the Kraus stack
+    probs, num = np.trace(k.conj().swapaxes(1, 2) @ k @ np.stack([rho.data, jordan])[:, None], axis1=-2, axis2=-1).real
+    f = np.divide(num, probs, out=np.zeros_like(probs), where=probs > TOL_PROB)
+    fstar = dict(zip(meas.outcomes, f.tolist()))
     return ozawa_error(rho, a, meas, fstar), fstar
 
 
@@ -143,28 +126,25 @@ def lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument):
     (pseudo-inverse). value = <B^2>_rho - 2<B o I'(X)>_rho + <I'(X^2)>_rho.
     """
     _check_system(rho, b, meas)
-    d_out = len(meas.branches[0][1])
-    sig = sum(op @ rho.data @ op.conj().T for _, op in meas.branches)
+    k, kh = meas._kraus, meas._kraus.conj().swapaxes(1, 2)
     jordan = (b.data @ rho.data + rho.data @ b.data) / 2
-    rhs = sum(op @ jordan @ op.conj().T for _, op in meas.branches)
+    sig, rhs = np.sum(k @ np.stack([rho.data, jordan])[:, None] @ kh, axis=1)  # I_M(rho), I_M(B o rho)
     svals, svecs = np.linalg.eigh((sig + sig.conj().T) / 2)
     r = svecs.conj().T @ rhs @ svecs
     denom = svals[:, None] + svals[None, :]
-    x = np.zeros((d_out, d_out), dtype=complex)
+    x = np.zeros_like(r)
     mask = denom > TOL_EIG_SKIP
     x[mask] = 2 * r[mask] / denom[mask]
     x = svecs @ x @ svecs.conj().T
     x = (x + x.conj().T) / 2
 
     # objective evaluated directly at the minimizer
-    dual_x = sum(op.conj().T @ x @ op for _, op in meas.branches)
-    dual_x2 = sum(op.conj().T @ x @ x @ op for _, op in meas.branches)
+    dual_x = np.sum(kh @ x @ k, axis=0)
+    dual_x2 = np.sum(kh @ x @ x @ k, axis=0)
     b2 = float(np.real(np.trace(b.data @ b.data @ rho.data)))
     cross = float(np.real(np.trace((b.data @ dual_x + dual_x @ b.data) @ rho.data)))
     quad = float(np.real(np.trace(dual_x2 @ rho.data)))
-    value = max(b2 - cross + quad, 0.0)
-    x_obs = Observable(meas.out_space, x)
-    return value, x_obs
+    return max(b2 - cross + quad, 0.0), Observable(meas.out_space, x)
 
 
 def blw_calibration_error_qubit(a, a_prime) -> float:

@@ -14,6 +14,7 @@ from irrevkit import (
     canonical_recovery,
     pure_state,
 )
+from irrevkit.qcore import _psd_sqrt
 
 # library type whose name matches the pytest collector pattern
 TestEnsemble.__test__ = False
@@ -333,3 +334,59 @@ def ref_choi_gaps(comb, theta: float) -> tuple:
         np.max(np.abs(ref_choi(list(loss.kraus)) - ref_choi(ref_loss_ops(comb, theta)))),
         np.max(np.abs(ref_choi(list(channel.kraus)) - ref_choi(ref_recovery_ops(rec.x, rec.target, theta)))),
     )
+
+
+# ---------------------------------------------------------------------------
+# reference closed forms: one loop per instrument branch, as the oracles were
+# written before they took the stacked Kraus array
+
+
+def ref_ozawa_error(rho: DensityMatrix, a: Observable, meas: Instrument, f: dict) -> float:
+    vals = [f[m] for m in meas.outcomes]
+    rh = _psd_sqrt(rho.data)
+    total = 0.0
+    for (_, op), fm in zip(meas.branches, vals):
+        x = op @ (a.data - fm * np.eye(a.dim)) @ rh
+        total += float(np.real(np.vdot(x, x)))
+    return max(total, 0.0)
+
+
+def ref_ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> float:
+    rh = _psd_sqrt(rho.data)
+    total = 0.0
+    for _, op in meas.branches:
+        x = (op @ b.data - b.data @ op) @ rh
+        total += float(np.real(np.vdot(x, x)))
+    return max(total, 0.0)
+
+
+def ref_lt_error(rho: DensityMatrix, a: Observable, meas: Instrument) -> tuple:
+    """(value, pushforward f) with f(m) = 0 on outcomes of probability <= 1e-12."""
+    jordan = (a.data @ rho.data + rho.data @ a.data) / 2
+    fstar = {}
+    for m, op in meas.branches:
+        p = float(np.real(np.trace(op.conj().T @ op @ rho.data)))
+        fstar[m] = float(np.real(np.trace(op.conj().T @ op @ jordan)) / p) if p > 1e-12 else 0.0
+    return ref_ozawa_error(rho, a, meas, fstar), fstar
+
+
+def ref_lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> tuple:
+    """(value, X matrix), X the pseudo-inverse solution of X s + s X = 2 I_M(B o rho), s = I_M(rho)."""
+    d_out = len(meas.branches[0][1])
+    sig = sum(op @ rho.data @ op.conj().T for _, op in meas.branches)
+    jordan = (b.data @ rho.data + rho.data @ b.data) / 2
+    rhs = sum(op @ jordan @ op.conj().T for _, op in meas.branches)
+    svals, svecs = np.linalg.eigh((sig + sig.conj().T) / 2)
+    r = svecs.conj().T @ rhs @ svecs
+    denom = svals[:, None] + svals[None, :]
+    x = np.zeros((d_out, d_out), dtype=complex)
+    mask = denom > 1e-12
+    x[mask] = 2 * r[mask] / denom[mask]
+    x = svecs @ x @ svecs.conj().T
+    x = (x + x.conj().T) / 2
+    dual_x = sum(op.conj().T @ x @ op for _, op in meas.branches)
+    dual_x2 = sum(op.conj().T @ x @ x @ op for _, op in meas.branches)
+    b2 = float(np.real(np.trace(b.data @ b.data @ rho.data)))
+    cross = float(np.real(np.trace((b.data @ dual_x + dual_x @ b.data) @ rho.data)))
+    quad = float(np.real(np.trace(dual_x2 @ rho.data)))
+    return max(b2 - cross + quad, 0.0), x

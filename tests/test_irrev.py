@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from irrevkit import (
+    OPTIMIZE,
     BranchProbabilityError,
     DensityMatrix,
+    ExtractionConfig,
     KrausChannel,
     Label,
+    Observable,
     OptimizerConfig,
     ShapeError,
     TestEnsemble,
@@ -16,6 +19,8 @@ from irrevkit import (
     choi,
     delta_min,
     delta_with_recovery,
+    extract_epsilon,
+    extract_eta,
     identity_channel,
     instrument_channel,
     maximally_mixed,
@@ -32,6 +37,7 @@ from conftest import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    rand_herm,
     rand_instrument,
     rand_kraus,
     rand_low_rank,
@@ -182,7 +188,7 @@ class TestStackedPetz:
         iso = rand_kraus(rng, 2, 4, 1)[0]
         kraus = np.stack([np.concatenate([iso, np.zeros_like(iso)]), rand_kraus(rng, 2, 4, 2)[0]])
         sigma = rand_state(rng, 2, a)
-        stacked = irrev._petz(kraus, sigma.data)
+        stacked = irrev._petz(kraus, sigma.data, irrev._outputs(kraus, sigma.data[None])[:, 0])
         ranks = []
         for ops, petz_ops in zip(kraus, stacked):
             loss = KrausChannel((a,), (b,), ops)
@@ -295,6 +301,55 @@ class TestDeltaMinWork:
         rep = delta_min(loss, omega, OptimizerConfig(max_iters=20, restarts=1), (warm,))
         assert counts == Counter(KrausChannel=1)
         assert validate_channel(rep.recovery_used)["ok"]
+
+
+class TestOutputs:
+    """delta_min forms each output sigma_k = L(rho_k) from the amplitude or factor
+    columns it scores with, and the Petz reference output as their average."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Counter:
+        counts = Counter()
+        counted = TestDeltaMinWork._counting(counts, "_outputs", qcore._outputs)
+        for module in (qcore, irrev):
+            monkeypatch.setattr(module, "_outputs", counted)
+        return counts
+
+    def test_optimize_extractions_form_no_output(self, calls):
+        rng = np.random.default_rng(90)
+        lab = Label("S", 3)
+        rho, meas = rand_state(rng, 3, lab), rand_instrument(rng, 3, 2, lab)
+        cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=20, restarts=0))
+        extract_epsilon(rho, Observable((lab,), rand_herm(rng, 3)), meas, OPTIMIZE, cfg)
+        extract_eta(rho, Observable((lab,), rand_herm(rng, 3)), meas, OPTIMIZE, cfg)
+        assert calls["_outputs"] == 0
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_delta_min_forms_no_output(self, calls, mixed):
+        rng = np.random.default_rng(91)
+        lab = Label("S", 3)
+        member = rand_state if mixed else rand_pure
+        omega = _ensemble(rng, [member(rng, 3, lab) for _ in range(2)])
+        delta_min(instrument_channel(rand_instrument(rng, 3, 2, lab)), omega, OptimizerConfig(max_iters=20, restarts=0))
+        assert calls["_outputs"] == 0
+
+    def test_petz_recovery_forms_one_output(self, calls):
+        rng = np.random.default_rng(92)
+        petz_recovery(instrument_channel(rand_instrument(rng, 3, 2, Label("S", 3))), rand_state(rng, 3))
+        assert calls["_outputs"] == 1
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_column_outputs_match_outputs(self, d):
+        # a stack of two losses A -> B on a pure, a full-rank and (from d = 3) a
+        # rank-deficient member, whose rounding-level eigenvalues the factor drops
+        rng = np.random.default_rng(93 + d)
+        a = Label("A", d)
+        kraus = np.stack([rand_kraus(rng, d, d + 1, 2)[0] for _ in range(2)])
+        omega = _ensemble(rng, [rand_pure(rng, d, a), rand_state(rng, d, a), rand_low_rank(rng, d, max(d - 1, 1), a)])
+        members = irrev._members(omega, omega.space)
+        assert members[3].tolist() == [True, False, d == 2]
+        sigmas = irrev._sigmas(irrev._amplitudes(kraus, members), members)
+        assert np.max(np.abs(sigmas - qcore._outputs(kraus, members[1]))) <= 1e-14
 
 
 def _ensemble(rng, members) -> TestEnsemble:

@@ -4,6 +4,7 @@ import pytest
 from irrevkit import (
     BlochError,
     DistributionError,
+    Instrument,
     Label,
     Observable,
     OutcomeFunctionError,
@@ -23,7 +24,19 @@ from irrevkit import (
     wasserstein2_discrete,
 )
 from irrevkit.errors import IrrevkitError
-from conftest import SIGMA_X, SIGMA_Z, proj_z, rand_herm, rand_instrument, rand_state
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    proj_z,
+    rand_herm,
+    rand_instrument,
+    rand_pure,
+    rand_state,
+    ref_lt_disturbance,
+    ref_lt_error,
+    ref_ozawa_disturbance,
+    ref_ozawa_error,
+)
 
 S = Label("S", 2)
 F_PM = {"0": 1.0, "1": -1.0}
@@ -138,6 +151,57 @@ class TestLt:
             meas = rand_instrument(rng, 2, 2, S)
             lt, _ = lt_disturbance(rho, b, meas)
             assert ozawa_disturbance(rho, b, meas) >= lt - 1e-10
+
+
+def _blocked(rng, d: int):
+    """A pure state psi and an instrument of d - 1 random branches on psi plus the
+    projector onto its complement: that outcome has probability 0, and I_M(rho) has
+    rank at most d - 1, so lt_disturbance drops eigenvalue pairs."""
+    lab = Label("S", d)
+    rho = rand_pure(rng, d, lab)
+    perp = np.eye(d) - rho.data
+    ops = [op @ rho.data for _, op in rand_instrument(rng, d, d - 1, lab).branches] + [perp]
+    return rho, Instrument((lab,), (lab,), tuple((str(i), op) for i, op in enumerate(ops)))
+
+
+def _full(rng, d: int):
+    lab = Label("S", d)
+    return rand_state(rng, d, lab), rand_instrument(rng, d, int(rng.integers(2, 5)), lab)
+
+
+class TestStackedOracles:
+    """The closed forms, one product over the Kraus stack, against one loop per branch."""
+
+    @staticmethod
+    def _close(got: float, want: float):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("make", [_full, _blocked], ids=["full-rank", "blocked"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_match_the_branch_loops(self, make, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(4):
+            rho, meas = make(rng, d)
+            lab = meas.in_space
+            a, b = (Observable(lab, rand_herm(rng, d)) for _ in range(2))
+            f = {m: float(v) for m, v in zip(meas.outcomes, rng.standard_normal(len(meas.outcomes)))}
+            self._close(ozawa_error(rho, a, meas, f), ref_ozawa_error(rho, a, meas, f))
+            self._close(ozawa_disturbance(rho, b, meas), ref_ozawa_disturbance(rho, b, meas))
+            (value, fstar), (ref_value, ref_f) = lt_error(rho, a, meas), ref_lt_error(rho, a, meas)
+            assert fstar == ref_f  # bit for bit
+            self._close(value, ref_value)
+            (value, x), (ref_value, ref_x) = lt_disturbance(rho, b, meas), ref_lt_disturbance(rho, b, meas)
+            self._close(value, ref_value)
+            assert np.max(np.abs(x.data - ref_x)) <= 1e-13 * np.max(np.abs(ref_x))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_blocked_case_reaches_both_guards(self, d):
+        # the zero-probability outcome gets f(m) = 0, and I_M(rho) is rank deficient
+        rho, meas = _blocked(np.random.default_rng(50 + d), d)
+        _, fstar = lt_error(rho, Observable(meas.in_space, rand_herm(np.random.default_rng(0), d)), meas)
+        assert fstar[str(d - 1)] == 0.0
+        out = sum(op @ rho.data @ op.conj().T for _, op in meas.branches)
+        assert np.linalg.matrix_rank(out, tol=1e-12) < d
 
 
 class TestBlwQubit:
