@@ -31,13 +31,14 @@ import numpy as np
 from .errors import BranchProbabilityError, ShapeError, StateValidityError
 from .qcore import (
     TOL_EIG_SKIP,
+    TOL_FACTOR,
     TOL_PROB,
     DensityMatrix,
     KrausChannel,
     TestEnsemble,
+    _herm_eigh,
     _infidelity,
     _outputs,
-    _psd_sqrt,
     _trusted,
     kraus_from_choi,
 )
@@ -115,14 +116,14 @@ def _members(omega: TestEnsemble, space: tuple):
     """The ensemble, which must live on space, as arrays: weights p (n,), states rho (n, d, d),
     their eigenvectors (n, d, d) in ascending order of eigenvalue, which members are pure (one
     eigenvalue above 1e-12), with psi_k the last eigenvector, and the factors m (n_m, d, d) of
-    the mixed ones, rho_k = m_k m_k^H over the eigenpairs above 1e-14 as in sqrt_factor (or None)."""
+    the mixed ones, rho_k = m_k m_k^H, a zero column where sqrt_factor drops an eigenpair (or None)."""
     if omega.space != space:
         raise ShapeError("ensemble space does not match the loss input space")
     p = np.array([w for w, _ in omega.entries])
     rho = np.stack([r.data for _, r in omega.entries])
     vals, vecs = np.linalg.eigh(rho)
     pure = np.count_nonzero(vals > TOL_EIG_SKIP, axis=-1) == 1
-    m = None if pure.all() else vecs[~pure] * np.sqrt(np.where(vals > 1e-14, vals, 0.0))[~pure, None, :]
+    m = None if pure.all() else vecs[~pure] * np.sqrt(np.where(vals > TOL_FACTOR, vals, 0.0))[~pure, None, :]
     return p, rho, vecs, pure, m
 
 
@@ -262,11 +263,12 @@ def _petz(kraus: np.ndarray, sigma_ref: np.ndarray, out_ref: np.ndarray) -> np.n
     vals, vecs = np.linalg.eigh(out_ref)
     live = vals > TOL_EIG_SKIP
     inv_half = (vecs * np.where(live, vals, np.inf)[:, None, :] ** -0.5) @ vecs.conj().swapaxes(1, 2)
-    ops = _psd_sqrt(sigma_ref) @ kraus.conj().swapaxes(-1, -2) @ inv_half[:, None]
+    svals, svecs = _herm_eigh(sigma_ref)  # one decomposition for the root and the repair kets
+    root = (svecs * np.sqrt(np.clip(svals, 0.0, None))) @ svecs.conj().T
+    ops = root @ kraus.conj().swapaxes(-1, -2) @ inv_half[:, None]
     if not live.all():
         # sqrt(s) |s><v| for each eigenpair of sigma_ref above 1e-12 (outer) and each
         # eigenvector v of the output, zero unless v spans the output's kernel
-        svals, svecs = np.linalg.eigh(sigma_ref)
         keep = svals > TOL_EIG_SKIP
         kets = (np.sqrt(svals[keep]) * svecs[:, keep]).T
         rows = vecs.conj().swapaxes(1, 2) * ~live[:, :, None]
@@ -319,9 +321,9 @@ class _Objective:
 
     - pure members, rho_k = |psi_k><psi_k|: amplitudes psi (n_p, d_in) and
       sigma_k (n_p, d_out, d_out), with F^2 = <psi_k| R(sigma_k) |psi_k>;
-    - mixed members: sqrt(rho_k) (n_m, d_in, d_in) and sigma_k
-      (n_m, d_out, d_out), with F^2 = (tr sqrt M_k)^2 for
-      M_k = sqrt(rho_k) R(sigma_k) sqrt(rho_k), all M_k in one stacked eigh.
+    - mixed members: the factors m_k (n_m, d_in, d_in) of _members and sigma_k
+      (n_m, d_out, d_out), with F^2 = (tr sqrt M_k)^2 for M_k = m_k^H R(sigma_k) m_k
+      (the spectrum of sqrt(rho_k) R(sigma_k) sqrt(rho_k)), all M_k in one stacked eigh.
 
     members are the ensemble as _members gives it and sigmas the (n, d_out,
     d_out) stack of the loss outputs. value returns J and the products and
@@ -330,12 +332,12 @@ class _Objective:
     """
 
     def __init__(self, members: tuple, sigmas: np.ndarray, d_env: int):
-        p, rho, vecs, pure, _ = members
+        p, rho, vecs, pure, m = members
         self.d_env = d_env
         self.d_in = rho.shape[-1]
         self.d_out = sigmas.shape[-1]
         self.pure = (p[pure], vecs[pure, :, -1], sigmas[pure]) if pure.any() else None
-        self.mixed = (p[~pure], _psd_sqrt(rho[~pure]), sigmas[~pure]) if not pure.all() else None
+        self.mixed = (p[~pure], m, sigmas[~pure]) if m is not None else None
 
     def value(self, v: np.ndarray):
         rows = v.reshape(self.d_in, -1)
@@ -347,10 +349,10 @@ class _Objective:
             asig = a @ sig
             total += np.vdot(a, p[:, None, None] * asig).real
         if self.mixed is not None:
-            p, rh, sig = self.mixed
+            p, m, sig = self.mixed
             vs = (v @ sig).reshape(len(p), self.d_in, -1)
             # eigh reads one triangle of the Hermitian M_k, so M_k is not symmetrized
-            mv, mw = np.linalg.eigh(rh @ (vs @ rows.conj().T) @ rh)
+            mv, mw = np.linalg.eigh(m.conj().swapaxes(1, 2) @ (vs @ rows.conj().T) @ m)
             root = np.sqrt(np.maximum(mv, 0.0))
             f = root.sum(axis=1)
             total += p @ (f * f)
@@ -364,12 +366,12 @@ class _Objective:
             p, psi, _ = self.pure
             grad = grad + (psi.T * p) @ asig.reshape(len(p), -1)
         if mixed is not None:
-            p, rh, _ = self.mixed
+            p, m, _ = self.mixed
             vs, mv, mw, root, f = mixed
-            # p_k F_k sqrt(rho_k) M_k^{-1/2} sqrt(rho_k) = x s x^H for x = sqrt(rho_k) W_k,
+            # p_k F_k m_k M_k^{-1/2} m_k^H = x s x^H for x = m_k W_k,
             # with M_k's kernel dropped from the inverse square root
             s = np.divide((p * f)[:, None], root, out=np.zeros_like(root), where=mv > TOL_EIG_SKIP)
-            x = rh @ mw
+            x = m @ mw
             w = (x * s[:, None, :]) @ x.conj().swapaxes(1, 2)
             grad = grad + np.sum(w @ vs, axis=0)
         return grad.reshape(-1, self.d_out)

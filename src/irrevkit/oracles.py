@@ -29,7 +29,6 @@ from .qcore import (
     Instrument,
     Label,
     Observable,
-    _psd_sqrt,
 )
 
 __all__ = [
@@ -75,20 +74,21 @@ def _check_system(rho: DensityMatrix, obs: Observable, meas: Instrument):
 
 
 def ozawa_error(rho: DensityMatrix, a: Observable, meas: Instrument, f) -> float:
-    """Squared Ozawa error sum_m ||M_m (A - f(m)) sqrt(rho)||_HS^2."""
+    """Squared Ozawa error sum_m ||M_m (A - f(m)) sqrt(rho)||_HS^2, formed through
+    m = rho.sqrt_factor: ||X m||_HS = ||X sqrt(rho)||_HS, as m m^H = rho."""
     _check_system(rho, a, meas)
     vals = outcome_values(meas, f)
-    x = meas._kraus @ (a.data - vals[:, None, None] * np.eye(a.dim)) @ _psd_sqrt(rho.data)
+    x = meas._kraus @ (a.data - vals[:, None, None] * np.eye(a.dim)) @ rho.sqrt_factor
     return max(float(np.vdot(x, x).real), 0.0)
 
 
 def ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> float:
-    """Squared Ozawa disturbance sum_m ||[M_m, B] sqrt(rho)||_HS^2."""
+    """Squared Ozawa disturbance sum_m ||[M_m, B] sqrt(rho)||_HS^2, through rho.sqrt_factor."""
     _check_system(rho, b, meas)
     k = meas._kraus
     if k.shape[-2] != k.shape[-1]:
         raise ShapeError("disturbance needs square Kraus operators (same in/out dimension)")
-    x = (k @ b.data - b.data @ k) @ _psd_sqrt(rho.data)
+    x = (k @ b.data - b.data @ k) @ rho.sqrt_factor
     return max(float(np.vdot(x, x).real), 0.0)
 
 

@@ -27,6 +27,7 @@ TOL_CHOI = 1e-9
 TOL_EIG_NEG = 1e-10
 TOL_EIG_SKIP = 1e-12
 TOL_PROB = 1e-12
+TOL_FACTOR = 1e-14  # eigenpairs above it span a square-root factor m, rho = m m^dag
 
 __all__ = [
     "Label",
@@ -168,10 +169,10 @@ class DensityMatrix:
     @cached_property
     def sqrt_factor(self) -> np.ndarray:
         """Read-only, C-contiguous (d, r) columns m = sqrt(lam_a) |v_a> over the eigenpairs
-        above 1e-14, so rho = m m^dag; formed once per state (cached_property writes the
-        instance dict)."""
+        above TOL_FACTOR, so rho = m m^dag: the one square root of a state the library
+        reads; formed once per state (cached_property writes the instance dict)."""
         vals, vecs = _eigh_herm(self.data)
-        keep = vals > 1e-14
+        keep = vals > TOL_FACTOR
         m = np.ascontiguousarray(vecs[:, keep] * np.sqrt(vals[keep]))
         m.setflags(write=False)
         return m
@@ -486,16 +487,10 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     return ch
 
 
-def apply_raw(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
-    """sum_i K_i M K_i' on a bare matrix already laid out on ch.in_space."""
-    # streamed in operator order: a stacked (r, d_out, d_out) sum holds r outputs at once
-    return sum(t @ k.conj().T for t, k in zip(ch.kraus @ mat, ch.kraus))
-
-
 def _outputs(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """(..., n, a, a) Hermitian parts of sum_i K_i rho_k K_i^H for the Kraus stack
     kraus (..., r, a, b) and each state of rho (..., n, b, b), the leading axes
-    broadcast; the operators are added in order, as apply_raw adds them."""
+    broadcast; the operators are added in order."""
     k = kraus[..., None, :, :, :]
     out = np.sum(k @ rho[..., None, :, :] @ k.conj().swapaxes(-1, -2), axis=-3)
     return (out + out.conj().swapaxes(-1, -2)) / 2
@@ -512,7 +507,7 @@ def apply(ch, rho: DensityMatrix):
         return apply_instrument(ch, rho)
     lifted = embed(ch, rho.space)
     if not lifted.trace_preserving:
-        raise ShapeError("apply requires a trace-preserving channel; use apply_raw for CP branches")
+        raise ShapeError("apply requires a trace-preserving channel; a CP branch is applied through its Instrument")
     return DensityMatrix(lifted.out_space, _outputs(lifted.kraus, rho.data[None])[0])
 
 
@@ -549,7 +544,7 @@ def choi(ch: KrausChannel) -> np.ndarray:
     return sum(v[:, :, None] * v.conj()[:, None, :])
 
 
-def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = 1e-14) -> np.ndarray:
+def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = TOL_FACTOR) -> np.ndarray:
     """(r, dim_out, dim_in) Kraus stack from the eigenvectors of c above tol.
 
     A (..., n, n) stack of Choi matrices gives a (..., r, dim_out, dim_in)
@@ -632,12 +627,6 @@ def _clipped_psd(a: np.ndarray) -> np.ndarray:
     out = (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     tr = np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
     return np.divide(out, tr, out=out, where=tr > 0)
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of each matrix of the (..., d, d) stack a, negative eigenvalues clipped to zero."""
-    vals, vecs = _herm_eigh(a)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _unit_square(x: np.ndarray) -> np.ndarray:

@@ -384,15 +384,12 @@ def conserving_disturbance_implementation(
 ):
     """Charge-conserving dilation of an instrument on the system itself.
 
-    U is a random unitary commuting with X_S + X_beta; tracing out the
-    ancilla realizes the induced instrument channel exactly, and the output
-    charges coincide with the input ones. rho_beta must be pure for the
-    induced instrument to be branch-per-basis-state; mixed ancillas still
-    give a valid Implementation (extra Kraus terms).
+    U is a random unitary commuting with X_S + X_beta, and the output charges
+    coincide with the input ones. The instrument's branches are the Kraus
+    operators of realized_channel, one per column of rho_beta's square-root
+    factor and ancilla basis state, so a mixed ancilla gives extra branches.
     """
     sp = x_s.space
-    d = x_s.dim
-    n = x_beta.dim
     if rho_beta.space != x_beta.space:
         raise ConservationError("rho_beta and x_beta must share a space")
     u = _conserving_unitary(rng, _total_charge(x_s.data, x_beta.data))
@@ -412,13 +409,8 @@ def conserving_disturbance_implementation(
         out_alpha=sp,
         out_beta=tuple(x_beta.space),
     )
-    vals, vecs = np.linalg.eigh(rho_beta.data)
-    order = int(np.argmax(vals))
-    if vals[order] < 1.0 - 1e-12:
-        ops = realized_channel(impl).kraus
-        meas = Instrument(sp, sp, tuple((str(k), op) for k, op in enumerate(ops)))
-    else:
-        meas = _induced_instrument(u, vecs[:, order], d, n, sp)
+    ops = realized_channel(impl).kraus
+    meas = Instrument(sp, sp, tuple((str(k), op) for k, op in enumerate(ops)))
     return impl, meas
 
 

@@ -14,7 +14,6 @@ from irrevkit import (
     canonical_recovery,
     pure_state,
 )
-from irrevkit.qcore import _psd_sqrt
 
 # library type whose name matches the pytest collector pattern
 TestEnsemble.__test__ = False
@@ -338,12 +337,19 @@ def ref_choi_gaps(comb, theta: float) -> tuple:
 
 # ---------------------------------------------------------------------------
 # reference closed forms: one loop per instrument branch, as the oracles were
-# written before they took the stacked Kraus array
+# written before they took the stacked Kraus array, with the full square root of
+# the state where the oracles read its square-root factor
+
+
+def ref_psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """The full square root of a Hermitian matrix, negative eigenvalues clipped to zero."""
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def ref_ozawa_error(rho: DensityMatrix, a: Observable, meas: Instrument, f: dict) -> float:
     vals = [f[m] for m in meas.outcomes]
-    rh = _psd_sqrt(rho.data)
+    rh = ref_psd_sqrt(rho.data)
     total = 0.0
     for (_, op), fm in zip(meas.branches, vals):
         x = op @ (a.data - fm * np.eye(a.dim)) @ rh
@@ -352,7 +358,7 @@ def ref_ozawa_error(rho: DensityMatrix, a: Observable, meas: Instrument, f: dict
 
 
 def ref_ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> float:
-    rh = _psd_sqrt(rho.data)
+    rh = ref_psd_sqrt(rho.data)
     total = 0.0
     for _, op in meas.branches:
         x = (op @ b.data - b.data @ op) @ rh

@@ -32,7 +32,6 @@ from irrevkit import (
 )
 from irrevkit import irrev, qcore
 from irrevkit.irrev import _Objective, _qr_retract
-from irrevkit.qcore import apply_raw
 from conftest import (
     SIGMA_X,
     SIGMA_Y,
@@ -44,6 +43,7 @@ from conftest import (
     rand_pure,
     rand_state,
     rand_unitary,
+    ref_apply_raw,
 )
 
 S = Label("S", 2)
@@ -111,7 +111,7 @@ class TestDeltaWithRecovery:
             branch = KrausChannel((a,), (b,), 0.8 * ops, trace_preserving=False)
             rep = delta_with_recovery(branch, rec, omega)
             for k, rho in checked:
-                raw = apply_raw(branch, rho.data)
+                raw = ref_apply_raw(branch.kraus, rho.data)
                 q = rep.branch_probabilities[k]
                 assert q == np.trace(raw).real
                 renormalised = DensityMatrix((b,), (raw + raw.conj().T) / (2 * q))
@@ -176,6 +176,19 @@ class TestPetz:
 
         back = apply(rec, apply(loss, sigma))
         assert np.max(np.abs(back.data - sigma.data)) < 1e-9
+
+    def test_sigma_ref_is_decomposed_once(self, monkeypatch):
+        # a 2 -> 3 isometry leaves a kernel in the output, so the repair kets are needed;
+        # they come from the decomposition that gives sqrt(sigma_ref)
+        a, b = Label("A", 2), Label("B", 3)
+        loss = KrausChannel((a,), (b,), (rand_kraus(np.random.default_rng(9), 2, 3, 1)[0][0],))
+        sigma = DensityMatrix((a,), np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda x, *args, **kw: calls.append(np.array(x)) or eigh(x, *args, **kw))
+        rec = petz_recovery(loss, sigma)
+        assert sum(x.shape == sigma.data.shape and np.array_equal(x, sigma.data) for x in calls) == 1
+        assert len(rec.kraus) > 1  # the kernel repair added its branches
 
 
 class TestStackedPetz:
@@ -358,14 +371,16 @@ def _ensemble(rng, members) -> TestEnsemble:
 
 
 class TestObjectiveGradient:
-    @pytest.mark.parametrize("d", (2, 4, 6))
-    # one character per member: p pure, m full-rank mixed
-    @pytest.mark.parametrize("kinds", ("pp", "mm", "pmm"))
+    # one character per member: p pure, m full-rank mixed, r mixed of rank 2
+    @pytest.mark.parametrize(
+        "kinds, d", [(k, d) for k in ("pp", "mm", "pmm") for d in (2, 4, 6)] + [("rm", 4), ("rm", 6)]
+    )
     def test_gradient_matches_central_difference(self, d, kinds):
         rng = np.random.default_rng(100 + d)
         lab = Label("S", d)
         loss = instrument_channel(rand_instrument(rng, d, 3, lab))
-        members = [(rand_pure if c == "p" else rand_state)(rng, d, lab) for c in kinds]
+        make = {"p": rand_pure, "m": rand_state, "r": lambda rng, d, lab: rand_low_rank(rng, d, 2, lab)}
+        members = [make[c](rng, d, lab) for c in kinds]
         omega = _ensemble(rng, members)
         sigmas = [apply(loss, rho) for rho in members]
         obj = _Objective(irrev._members(omega, omega.space), np.stack([s.data for s in sigmas]), d * d)
@@ -375,23 +390,46 @@ class TestObjectiveGradient:
         j, parts = obj.value(v)
         g = obj.grad(parts)
         # per-member reference from the Kraus operators K_e[j, o] = V[j * d_env + e, o]:
-        # F^2 = tr(rho tau) for pure rho, (tr sqrt(sqrt(rho) tau sqrt(rho)))^2 otherwise
+        # F^2 = tr(rho tau) for pure rho, (tr sqrt(sqrt(rho) tau sqrt(rho)))^2 otherwise. At
+        # rank 2 the root's kernel is rounding, whose square roots in tr sqrt(.) reach ~1e-9,
+        # so that trace is taken over the support: the spectrum of k^H tau k for the top
+        # two eigenpairs, k = vecs sqrt(vals), which is that of sqrt(rho) tau sqrt(rho) less zeros
         kraus = v.reshape(d, d * d, d).transpose(1, 0, 2)
         ref = 0.0
         for c, (p, rho), sig in zip(kinds, omega.entries, sigmas):
             tau = sum(k @ sig.data @ k.conj().T for k in kraus)
+            vals, vecs = np.linalg.eigh(rho.data)
             if c == "p":
                 ref += p * np.trace(rho.data @ tau).real
+            elif c == "r":
+                k = vecs[:, -2:] * np.sqrt(vals[-2:])
+                ref += p * np.sum(np.sqrt(np.linalg.eigvalsh(k.conj().T @ tau @ k))) ** 2
             else:
-                vals, vecs = np.linalg.eigh(rho.data)
-                rh = (vecs * np.sqrt(vals)) @ vecs.conj().T
+                rh = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
                 ref += p * np.sum(np.sqrt(np.linalg.eigvalsh(rh @ tau @ rh))) ** 2
         assert abs(j - ref) <= 1e-12
+        # V e^{i phi} is the same recovery: J must not move beyond rounding, rank-deficient
+        # members included (their off-support rows of M_k are exact zeros)
+        assert abs(j - obj.value(v * np.exp(0.3j))[0]) <= 1e-14
         h = 1e-5
         fd = (obj.value(v + h * dv)[0] - obj.value(v - h * dv)[0]) / (2 * h)
         # G = dJ/d(conj V), so the directional derivative is 2 Re <G, dV>
         analytic = 2 * np.real(np.vdot(g, dv))
         assert abs(analytic - fd) <= 1e-6 * abs(fd)
+
+    def test_construction_runs_no_eigh(self, monkeypatch):
+        # the mixed group reads the factors _members formed, so building J decomposes nothing
+        rng = np.random.default_rng(7)
+        lab = Label("S", 4)
+        members = [rand_pure(rng, 4, lab), rand_state(rng, 4, lab), rand_low_rank(rng, 4, 2, lab)]
+        omega = _ensemble(rng, members)
+        ens = irrev._members(omega, omega.space)
+        sigmas = irrev._outputs(instrument_channel(rand_instrument(rng, 4, 3, lab)).kraus, ens[1])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda x, *args, **kw: calls.append(x) or eigh(x, *args, **kw))
+        _Objective(ens, sigmas, 16)
+        assert calls == []
 
 
 class TestStepRetract:

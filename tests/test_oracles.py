@@ -170,7 +170,9 @@ def _full(rng, d: int):
 
 
 class TestStackedOracles:
-    """The closed forms, one product over the Kraus stack, against one loop per branch."""
+    """The closed forms, one product over the Kraus stack and the Ozawa pair through the
+    state's square-root factor, against one loop per branch through the full square root
+    (the blocked case's state is pure, so its factor has one column)."""
 
     @staticmethod
     def _close(got: float, want: float):

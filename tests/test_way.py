@@ -28,6 +28,7 @@ from irrevkit import (
     way_bound_otoc,
     y_operator,
 )
+from irrevkit import way
 from conftest import SIGMA_X, SIGMA_Z, proj_x, rand_herm, rand_state
 
 S = Label("S", 2)
@@ -246,6 +247,25 @@ class TestDisturbanceBound:
         rep = way_bound_disturbance(RHO_PLUS_I, Observable((S,), SIGMA_X), meas, None, impl)
         assert rep.rhs > 0.01
         assert rep.slack >= -1e-9
+
+    def test_instrument_is_the_realized_channel(self, monkeypatch):
+        # the branches are realized_channel's Kraus operators, read from rho_beta's cached
+        # square-root factor: one decomposition of a pure, non-diagonal ancilla, and for it
+        # the induced instrument (I (x) <m|) U (I (x) |chi>), chi its eigenvector
+        b_label = Label("B1", 2)
+        rho_beta = pure_state([0.6, 0.3 + 0.7j], (b_label,))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.array(a)) or eigh(a, *args, **kw))
+        impl, meas = conserving_disturbance_implementation(
+            Observable((S,), SIGMA_Z), Observable((b_label,), SIGMA_Z.astype(complex)), rho_beta, np.random.default_rng(3)
+        )
+        realized_channel(impl)
+        assert sum(a.shape == rho_beta.data.shape and np.array_equal(a, rho_beta.data) for a in calls) == 1
+        chi = eigh(rho_beta.data)[1][:, -1]
+        induced = way._induced_instrument(impl.u, chi, 2, 2, (S,))
+        assert meas.outcomes == induced.outcomes
+        assert np.max(np.abs(meas._kraus - induced._kraus)) <= 1e-15
 
 
 class TestSwap:
