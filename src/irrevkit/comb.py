@@ -105,7 +105,8 @@ class CanonicalRecovery:
     x lives on some input factor(s); target lists every non-Q input label,
     all of which are traced out. Construction only embeds x on the target
     (gen, x itself when it already lives on the whole target), checking x's
-    labels. The uncoupling exp(i theta x (x) sigma_z) is exp(i theta s_q gen)
+    labels; the two-copy combs form gen directly (see _two_copy_recovery).
+    The uncoupling exp(i theta x (x) sigma_z) is exp(i theta s_q gen)
     on the Q = q half, s_q = +1, -1, so `kraus_stack` serves every grid theta
     from one eigendecomposition of gen; `channel`, the member at this theta,
     is built when it is first read. Extraction reads gen alone.
@@ -182,6 +183,9 @@ class ExtractionConfig:
         )
 
 
+_DEFAULT_CFG = ExtractionConfig()
+
+
 def canonical_recovery(x: Observable, target, theta: float) -> CanonicalRecovery:
     """R_{X,target} on target + Q: undo the X coupling, trace out target, dephase Q."""
     return CanonicalRecovery(x, target, theta)
@@ -246,8 +250,8 @@ def _pointer(meas: Instrument) -> Label:
 
 
 def _pointer_observable(meas: Instrument, f) -> Observable:
-    """sum_m f(m) |m><m| on the pointer P."""
-    return Observable((_pointer(meas),), np.diag(outcome_values(meas, f)).astype(complex))
+    """sum_m f(m) |m><m| on the pointer P; outcome_values checks f, and a real diagonal is Hermitian."""
+    return _trusted(Observable, space=(_pointer(meas),), data=np.diag(outcome_values(meas, f)))
 
 
 def _meter_comb(rho: DensityMatrix, x: Observable, meas: Instrument, stage: KrausChannel, recoveries) -> Comb:
@@ -273,7 +277,7 @@ def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Co
     def recoveries():
         recs = [canonical_recovery(lt_disturbance(rho, b, meas)[1], out_sp, 0.0)]
         if meas.dim_in == space_dim(out_sp):
-            recs.append(canonical_recovery(Observable(out_sp, b.data), out_sp, 0.0))
+            recs.append(canonical_recovery(_trusted(Observable, space=out_sp, data=b.data), out_sp, 0.0))
         return tuple(recs)
 
     return _meter_comb(rho, b, meas, instrument_channel(meas), recoveries)
@@ -286,6 +290,15 @@ def _two_copy_labels(rho: DensityMatrix):
     return Label(base.name + "2", base.dim), Label(base.name + "1", base.dim)
 
 
+def _two_copy_recovery(x: Observable, s1: Label) -> CanonicalRecovery:
+    """The canonical recovery through x on the readout, on (readout, S1), from checked arrays: its
+    generator x (x) 1_S1 is the one broadcast product _lift forms for a leading label, and the
+    readout name (P, S2 or S2o) differs from S1's by construction."""
+    d = x.dim * s1.dim
+    gen = (x.data[:, None, :, None] * np.eye(s1.dim)[:, None]).reshape(d, d) + 0.0
+    return _trusted(CanonicalRecovery, x=x, target=x.space + (s1,), theta=0.0, gen=gen)
+
+
 def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: str, f=None) -> Comb:
     """Calibration comb on two copies: couple copy 1, measure copy 2.
 
@@ -295,6 +308,8 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     beside copy 1: the block is copy 1 alone, and the stage's Kraus operators
     are (K c) (x) 1_S1 over the readout's operators K and the columns c of
     rho = sum c c^dag, trace preserving since sum c^dag K^dag K c = tr rho = 1.
+    Neither the stage nor the recovery lifts an operator onto both copies: each is one
+    broadcast product over 1_S1, built from the arrays checked here.
     """
     s2, s1 = _two_copy_labels(rho)
     if gen.dim != s1.dim or meas.dim_in != s1.dim:  # before _check_system, whose messages cover the names
@@ -303,7 +318,7 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     if kind == "error":
         p_label = _pointer(meas)
         readout, out = pointer_channel(meas, p_label).kraus, (p_label,)
-        recoveries = lambda: (canonical_recovery(_pointer_observable(meas, f), (p_label, s1), 0.0),)
+        recoveries = lambda: (_two_copy_recovery(_pointer_observable(meas, f), s1),)
     elif kind == "disturbance":
         readout = meas._kraus
         d_out = readout.shape[1]
@@ -315,7 +330,7 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
                     "the canonical two-copy disturbance recovery couples the readout back through the generator,"
                     f" so it needs an instrument that keeps the dimension, not {s1.dim} -> {d_out}"
                 )
-            return (canonical_recovery(Observable(out, gen.data), out + (s1,), 0.0),)
+            return (_two_copy_recovery(_trusted(Observable, space=out, data=gen.data), s1),)
     else:
         raise ValueError(f"unknown two-copy kind {kind!r}")
     kc = (readout @ rho.sqrt_factor).transpose(0, 2, 1)  # (r_K, r_c, d_out): the prepared vectors K c
@@ -369,8 +384,8 @@ def _fit_c2(grid: list, fit_tol: float):
     y = np.array([v for _, v in grid])
     coef = pinv @ y
     pred = design @ coef
-    scale = max(float(np.max(np.abs(y))), 1e-7)
-    residual = float(np.max(np.abs(pred - y))) / scale
+    scale = max(float(np.abs(y).max()), 1e-7)
+    residual = float(np.abs(pred - y).max()) / scale
     if residual > fit_tol:
         raise ExtractionError(
             f"quadratic fit residual {residual:.3e} exceeds tolerance {fit_tol:.1e}",
@@ -461,7 +476,7 @@ def extract(comb: Comb, recovery="canonical", cfg: ExtractionConfig | None = Non
     CPTP recoveries. cfg.method="analytic" needs a canonical recovery and
     returns the commutator form c2 = sum_s ||(x' S_s - S_s x) m||^2 exactly.
     """
-    cfg = cfg or ExtractionConfig()
+    cfg = cfg or _DEFAULT_CFG
     words = ("canonical", OPTIMIZE)
     if not (isinstance(recovery, (CanonicalRecovery, KrausChannel)) or isinstance(recovery, str) and recovery in words):
         raise TypeError(f"unsupported recovery {recovery!r}")

@@ -482,7 +482,9 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, 
     amps = _amplitudes(kraus, members)
     sigmas = _sigmas(amps, members)
     # the loss is linear, so the image of the ensemble average is the average output
-    cands = [_petz(kraus, np.tensordot(p, rho, 1), np.tensordot(p, sigmas, (0, 1))), *warm]
+    rho_avg = (p @ rho.reshape(len(p), -1)).reshape(rho.shape[1:])
+    sigma_avg = (p @ sigmas.swapaxes(0, 1).reshape(len(p), -1)).reshape(sigmas[:, 0].shape)
+    cands = [_petz(kraus, rho_avg, sigma_avg), *warm]
     per = np.stack([_distances(amps, c, members) for c in cands])  # (candidate, t, n)
     delta = _rms(p, per)
     win = np.argmin(delta, axis=0)  # ties keep the earlier candidate

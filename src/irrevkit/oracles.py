@@ -29,6 +29,7 @@ from .qcore import (
     Instrument,
     Label,
     Observable,
+    _trusted,
 )
 
 __all__ = [
@@ -144,7 +145,7 @@ def lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument):
     b2 = float(np.real(np.trace(b.data @ b.data @ rho.data)))
     cross = float(np.real(np.trace((b.data @ dual_x + dual_x @ b.data) @ rho.data)))
     quad = float(np.real(np.trace(dual_x2 @ rho.data)))
-    return max(b2 - cross + quad, 0.0), Observable(meas.out_space, x)
+    return max(b2 - cross + quad, 0.0), _trusted(Observable, space=meas.out_space, data=x)
 
 
 def blw_calibration_error_qubit(a, a_prime) -> float:

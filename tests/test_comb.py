@@ -272,6 +272,30 @@ class TestEtaExtraction:
             explicit = extract_eta(rho, b, meas, canonical_recovery(x_lt, x_lt.space, 0.0), cfg)
             assert extract_eta(rho, b, meas, "canonical", cfg).value == explicit.value
 
+    def test_library_built_observables_match_the_checked_constructor(self):
+        # the LT minimizer, B on the output, the pointer values and the two-copy readout
+        # generator skip the constructor check; each holds what the checked constructor would
+        rng = np.random.default_rng(25)
+        for d, k in ((2, 2), (3, 2), (2, 4)):
+            lab, out = Label("S", d), Label("O", d)
+            rho, b = rand_state(rng, d, lab), Observable((lab,), rand_herm(rng, d, norm=1.0))
+            meas = Instrument((lab,), (out,), rand_instrument(rng, d, k, lab).branches)
+            x_lt = lt_disturbance(rho, b, meas)[1]
+            pointer = _error_comb(rho, b, meas).recoveries()[0].x
+            f = [lt_error(rho, b, meas)[1][m] for m in meas.outcomes]
+            cases = [
+                (x_lt, Observable((out,), np.array(x_lt.data))),
+                (_disturbance_comb(rho, b, meas).recoveries()[1].x, Observable((out,), b.data)),
+                (pointer, Observable((Label("P", k),), np.diag(f).astype(complex))),
+                (_two_copy_comb(rho, b, meas, "error", f).recoveries()[0].x, Observable((Label("P", k),), np.diag(f))),
+                (_two_copy_comb(rho, b, meas, "disturbance").recoveries()[0].x, Observable((Label("S2", d),), b.data)),
+            ]
+            for trusted, checked in cases:
+                assert type(trusted) is type(checked) and trusted.space == checked.space
+                assert trusted.data.dtype == np.complex128 and trusted.data.flags.c_contiguous
+                assert not trusted.data.flags.writeable
+                assert trusted.data.tobytes() == checked.data.tobytes()
+
 
 class TestTwoCopy:
     def test_frozen_qubit_calibration(self):
@@ -344,9 +368,9 @@ class TestTwoCopyPreparedReadout:
             assert _two_copy_comb(rho, gen, meas, "disturbance").out_space == (s2o, s1, Q_LABEL)
             self.check(rho, gen, meas, "disturbance", rec)
 
-    def test_no_embed_and_one_lift_for_the_recovery_generator(self, monkeypatch):
-        # copy 2 is never coupled, so nothing is lifted onto both copies: the only lift is
-        # the recovery generator's, from the readout onto (readout, S1)
+    def test_no_embed_and_no_lift(self, monkeypatch):
+        # copy 2 is never coupled, so nothing is lifted onto both copies: the stage and the
+        # recovery generator on (readout, S1) are each one broadcast product over 1_S1
         def no_embed(*args):
             raise AssertionError("embed called")
 
@@ -356,11 +380,65 @@ class TestTwoCopyPreparedReadout:
         monkeypatch.setattr(qcore, "_lift", lambda *args: fulls.append(tuple(l.name for l in args[-1])) or lift(*args))
         rng = np.random.default_rng(62)
         rho = rand_state(rng, 2, S)
-        for kind, want in (("error", ("P", "S1")), ("disturbance", ("S2", "S1"))):
+        for kind in ("error", "disturbance"):
             for cfg in (ExtractionConfig(), ANALYTIC):
-                fulls.clear()
                 extract_two_copy(rho, obs(rand_herm(rng, 2), S), proj_x(), kind, F_PM, cfg)
-                assert fulls == [want], (kind, cfg.method)
+                assert fulls == [], (kind, cfg.method)
+
+    @staticmethod
+    def signed_zero_herm(rng, d: int) -> np.ndarray:
+        """A random Hermitian matrix with some entries 0 and some -0.0, in both parts."""
+        x = rand_herm(rng, d)
+        for i, j in zip(*np.triu_indices(d)):
+            zero = rng.integers(4)
+            if zero and i == j:
+                x[i, i] = complex(-0.0 if zero == 1 else 0.0, 0.0)
+            elif zero:
+                x[i, j] = complex(-0.0 if zero == 1 else 0.0, -0.0 if zero == 2 else 0.0)
+                x[j, i] = np.conj(x[i, j])
+        return x
+
+    def test_recovery_generator_matches_embed_matrix_bitwise(self):
+        # x (x) 1_S1 formed directly equals the lifted generator byte for byte, signed zeros included
+        rng = np.random.default_rng(64)
+        for _ in range(300):
+            d_r, d1 = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            readout, s1 = Label(str(rng.choice(["P", "S2", "S2o"])), d_r), Label("S1", d1)
+            x = Observable((readout,), self.signed_zero_herm(rng, d_r))
+            rec, want = comb_module._two_copy_recovery(x, s1), canonical_recovery(x, (readout, s1), 0.0)
+            assert (rec.x, rec.target, rec.theta, rec.in_space) == (want.x, want.target, want.theta, want.in_space)
+            assert rec.gen.tobytes() == qcore.embed_matrix(x.data, (readout,), (readout, s1)).tobytes()
+            assert rec.gen.tobytes() == want.gen.tobytes() and not rec.gen.flags.writeable
+        # both kinds, through the comb: pointer values and generators with signed zeros
+        for _ in range(60):
+            d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+            lab = Label("S", d)
+            rho, meas = rand_state(rng, d, lab), rand_instrument(rng, d, k, lab)
+            f = [float(v) for v in rng.choice([0.0, -0.0, 1.5, -0.25], size=k)]
+            gen = Observable((lab,), self.signed_zero_herm(rng, d))
+            for kind, readout in (("error", Label("P", k)), ("disturbance", Label("S2", d))):
+                (rec,) = _two_copy_comb(rho, gen, meas, kind, f).recoveries()
+                assert rec.x.space == (readout,) and rec.target == (readout, Label("S1", d)), kind
+                assert rec.gen.tobytes() == qcore.embed_matrix(rec.x.data, (readout,), rec.target).tobytes(), kind
+
+    def test_extraction_builds_the_recovery_from_checked_arrays(self, monkeypatch):
+        # no canonical_recovery, embed_matrix, _lift, kron or checking Observable constructor
+        rng = np.random.default_rng(65)
+        lab = Label("S", 3)
+        rho, gen, meas = rand_state(rng, 3, lab), obs(rand_herm(rng, 3), lab), rand_instrument(rng, 3, 2, lab)
+        run = lambda: [extract_two_copy(rho, gen, meas, kind, [0.5, -1.0], cfg)
+                       for kind in ("error", "disturbance") for cfg in (None, ANALYTIC)]
+        want = run()
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return call
+
+        for owner, name in ((comb_module, "canonical_recovery"), (comb_module, "embed_matrix"), (qcore, "embed_matrix"),
+                            (qcore, "_lift"), (np, "kron"), (Observable, "__post_init__")):
+            monkeypatch.setattr(owner, name, refuse(name))
+        assert run() == want
 
     def test_canonical_disturbance_needs_an_instrument_that_keeps_the_dimension(self):
         # the canonical recovery couples the readout back through gen, which lives on S:2
@@ -736,9 +814,13 @@ class TestFactorCoupling:
         # embed or embed_matrix (both go through qcore._lift) ever sees Q
         fulls, lift = [], qcore._lift
         monkeypatch.setattr(qcore, "_lift", lambda *args: fulls.append(args[-1]) or lift(*args))
-        for _, comb in rand_combs(39, n=1):
+        comb, rec = permuted_comb(39, ("C", "A"), ("B",))
+        # a canonical recovery through an x on a strict sub-space of its target lifts x onto the target
+        sub = dataclasses.replace(comb, recoveries=lambda: (canonical_recovery(rec.x, rec.target, 0.0),))
+        for _, comb in [*rand_combs(39, n=1), ("sub-space recovery", sub)]:
             for recovery, cfg in (("canonical", ExtractionConfig()), ("canonical", ANALYTIC), (OPTIMIZE, None)):
                 extract(comb, recovery, cfg)
+        assert rec.target in fulls
         for cfg in (ExtractionConfig(), ANALYTIC):
             otoc_iep(ising_chain_scenario(0.3, 3), cfg)
             otoc_iep_cp(ising_chain_scenario(0.3, 3), cfg)
