@@ -32,7 +32,7 @@ from .fixtures import write_fixtures
 from .irrev import OptimizerConfig, delta_min, delta_with_recovery, petz_recovery
 from .oracles import lt_disturbance, lt_error
 from .otoc import ScramblingScenario, otoc_direct, otoc_iep, otoc_iep_cp, pauli_string, way_bound_otoc
-from .qcore import DensityMatrix, Observable
+from .qcore import DensityMatrix, Observable, _trusted
 from .serialize import (
     atomic_write_text,
     canonical_json,
@@ -541,7 +541,7 @@ def _run_delta(payload: dict, seed: int):
             sigma = decode_state(payload["sigma_ref"])
         else:
             avg = sum(p * r.data for p, r in omega.entries)
-            sigma = DensityMatrix(omega.space, avg / np.trace(avg))
+            sigma = _trusted(DensityMatrix, space=omega.space, data=avg / np.trace(avg))
         inputs["sigma_ref"] = sigma
         rep = delta_with_recovery(loss, petz_recovery(loss, sigma), omega)
     else:

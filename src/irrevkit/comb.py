@@ -119,6 +119,7 @@ class CanonicalRecovery:
 
     def __post_init__(self):
         object.__setattr__(self, "target", _as_space(self.target))
+        _as_space(self.in_space)  # the target may not use the ancilla's label
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "gen", _coupling(self.x, self.target))
 
@@ -137,7 +138,8 @@ class CanonicalRecovery:
 
     @cached_property
     def channel(self) -> KrausChannel:
-        return KrausChannel(self.in_space, (Q_LABEL,), self.kraus_stack((self.theta,))[0])
+        ops = self.kraus_stack((self.theta,))[0]
+        return _trusted(KrausChannel, in_space=self.in_space, out_space=(Q_LABEL,), kraus=ops, trace_preserving=True)
 
 
 @dataclass(frozen=True)
@@ -241,8 +243,8 @@ class Comb:
         return cols.transpose(0, 2, 3, 1)
 
     def loss(self, theta: float) -> KrausChannel:
-        ops = self.kraus_stack((theta,))[0]
-        return KrausChannel((Q_LABEL,), self.out_space, ops, self.stage.trace_preserving)
+        ops, tp = self.kraus_stack((theta,))[0], self.stage.trace_preserving
+        return _trusted(KrausChannel, in_space=(Q_LABEL,), out_space=self.out_space, kraus=ops, trace_preserving=tp)
 
 
 def _pointer(meas: Instrument) -> Label:

@@ -30,9 +30,8 @@ from .qcore import (
     _expm_herm,
     _trusted,
     maximally_mixed,
-    unitary_channel,
 )
-from .way import Implementation, WayReport, _bound_inputs, _commutator_expectation, _report, y_operator
+from .way import Implementation, WayReport, _bound_inputs, _commutator_expectation, _implementation, _report, y_operator
 
 __all__ = [
     "ScramblingScenario",
@@ -95,12 +94,14 @@ def otoc_direct(s: ScramblingScenario) -> float:
     return float(-np.real(np.trace(s.rho.data @ c @ c)))
 
 
-def _w_tau(s: ScramblingScenario) -> Observable:
-    """W(tau) for the trace-preserving protocol, which needs W0^2 = identity."""
+def _w_tau(s: ScramblingScenario) -> KrausChannel:
+    """Conjugation by W(tau) for the trace-preserving protocol, which needs W0^2 = identity:
+    then the Hermitian W(tau) is unitary, so the channel is built unchecked."""
     w0 = s.w0.data
     if np.max(np.abs(w0 @ w0 - np.eye(w0.shape[0]))) > 1e-9:
         raise AssumptionError("W0 must square to the identity within 1e-9")
-    return s.w_tau
+    sp = s.rho.space
+    return _trusted(KrausChannel, in_space=sp, out_space=sp, kraus=s.w_tau.data[None], trace_preserving=True)
 
 
 def _scenario_comb(s: ScramblingScenario, stage: KrausChannel, branch_scale=None) -> Comb:
@@ -124,7 +125,7 @@ def otoc_iep(
     """
     if recovery == OPTIMIZE:
         raise ValueError("otoc_iep does not take OPTIMIZE: a recovery on the whole system undoes W")
-    return extract(_scenario_comb(s, unitary_channel(_w_tau(s).data, s.rho.space)), recovery, cfg)
+    return extract(_scenario_comb(s, _w_tau(s)), recovery, cfg)
 
 
 def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> IepResult:
@@ -154,7 +155,9 @@ def otoc_iep_cp(s: ScramblingScenario, cfg: ExtractionConfig | None = None) -> I
         return IepResult(0.0, grid, 0.0, cfg.method, rescale=0.0, branch_probability=0.0)
     wt = s.w_tau.data / rms
     t = 1.0 / max(1.0, float(np.max(np.abs(w))) / rms)
-    branch = KrausChannel(s.rho.space, s.rho.space, (t * wt,), trace_preserving=False)
+    sp = s.rho.space
+    # ||t W~||_2 <= 1, so sum K'K = (t W~)^2 <= 1: a CP branch by construction
+    branch = _trusted(KrausChannel, in_space=sp, out_space=sp, kraus=(t * wt)[None], trace_preserving=False)
     rep = extract(_scenario_comb(s, branch, t), "canonical", cfg)
     return replace(rep, rescale=rms**2)
 
@@ -166,7 +169,7 @@ def way_bound_otoc(s: ScramblingScenario, charges: dict | None, impl: Implementa
     Y = X - D'(X_out). The denominator replaces the state-dependent Fisher
     terms of the measurement bounds by the charges' spectral spreads.
     """
-    target = unitary_channel(_w_tau(s).data, s.rho.space)
+    target = _w_tau(s)
     charges, fisher_beta = _bound_inputs(impl, target, charges)
     num = _commutator_expectation(s.rho, y_operator(target, charges), s.v0)
     spread_in, spread_out = (float(np.ptp(np.linalg.eigvalsh(charges[k].data))) for k in ("alpha", "alpha_out"))
@@ -190,7 +193,7 @@ def conserving_otoc_implementation(
     lam, and ancilla state, while the realized channel is exactly
     conjugation by W(tau).
     """
-    w = _w_tau(s).data
+    w = _w_tau(s).kraus[0]
     n = x_beta.dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u = _qr_retract(g)
@@ -203,15 +206,7 @@ def conserving_otoc_implementation(
         "alpha_out": Observable(x_s.space, (x_out_a + x_out_a.conj().T) / 2),
         "beta_out": Observable(x_beta.space, (x_out_b + x_out_b.conj().T) / 2),
     }
-    return Implementation(
-        rho_beta,
-        np.kron(w, u),
-        charges,
-        in_alpha=x_s.space,
-        in_beta=tuple(x_beta.space),
-        out_alpha=x_s.space,
-        out_beta=tuple(x_beta.space),
-    )
+    return _implementation(rho_beta, np.kron(w, u), charges)
 
 
 def pauli_string(ops: str, name: str = "S") -> Observable:

@@ -2,7 +2,8 @@
 
 Everything is a plain complex numpy array plus an ordered tuple of labels
 describing the tensor factors. Objects are immutable after construction;
-operations are pure functions.
+operations are pure functions. A value that holds arrays compares and hashes
+by identity.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _herm_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Trace-one positive-semidefinite matrix on a labeled space."""
 
@@ -178,7 +179,7 @@ class DensityMatrix:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian matrix on a labeled space."""
 
@@ -222,7 +223,7 @@ def _kraus_stack(ops, din: int, dout: int, trace_preserving: bool = True) -> np.
     return _freeze(k, ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CP map given by Kraus operators K_i: in_space -> out_space.
 
@@ -254,7 +255,7 @@ class KrausChannel:
         return space_dim(self.out_space)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Outcome-labeled measurement {M_m}, one Kraus operator per outcome.
 
@@ -264,7 +265,7 @@ class Instrument:
     in_space: Space
     out_space: Space
     branches: tuple = field(repr=False)  # tuple[(outcome, M_m), ...]
-    _kraus: np.ndarray = field(init=False, repr=False, compare=False)
+    _kraus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sin = _as_space(self.in_space)
@@ -313,10 +314,20 @@ class TestEnsemble:
 
 
 def _trusted(cls, **fields):
-    """A cls instance holding fields as given, without __post_init__: for values
-    the library builds from validated ones, whose checks hold by construction.
-    Spaces must already be tuples of Labels. Each array is stored as the public
-    constructors store it: C-contiguous, complex128 and read-only."""
+    """A cls instance holding fields as given, without __post_init__.
+
+    The one validation rule: the public constructors check what comes from
+    outside (user arrays, decoded documents), and every value the library
+    derives from values it has already checked is built here and not checked
+    again, so it carries the defects its inputs were allowed and no tolerance
+    is compounded by a second check. Three kinds of build stay checked: every
+    decode of a document; the builders that take user input (pure_state,
+    unitary_channel, identity_channel, the Implementation templates); and
+    apply_instrument, whose renormalised branch divides rounding by p.
+
+    Spaces must already be tuples of Labels. Each ndarray is stored as the
+    public constructors store it: C-contiguous, complex128 and read-only; any
+    other field, a tuple of arrays included, is stored as given."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -346,12 +357,8 @@ def maximally_mixed(sp) -> DensityMatrix:
 
 def tensor(a, b):
     """Kronecker product with concatenated labels; operand order is kept."""
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        sp = _joined_space(a.space, b.space)
-        return DensityMatrix(sp, np.kron(a.data, b.data))
-    if isinstance(a, Observable) and isinstance(b, Observable):
-        sp = _joined_space(a.space, b.space)
-        return Observable(sp, np.kron(a.data, b.data))
+    if type(a) is type(b) and type(a) in (DensityMatrix, Observable):
+        return _trusted(type(a), space=_joined_space(a.space, b.space), data=np.kron(a.data, b.data))
     if isinstance(a, KrausChannel) and isinstance(b, KrausChannel):
         sin = _joined_space(a.in_space, b.in_space)
         sout = _joined_space(a.out_space, b.out_space)
@@ -359,7 +366,8 @@ def tensor(a, b):
         # kron of every pair, a's operator outer: (ra, rb, oa, ob, ia, ib)
         ops = ka[:, None, :, None, :, None] * kb[None, :, None, :, None, :]
         ops = ops.reshape(len(ka) * len(kb), a.dim_out * b.dim_out, a.dim_in * b.dim_in)
-        return KrausChannel(sin, sout, ops, a.trace_preserving and b.trace_preserving)
+        tp = a.trace_preserving and b.trace_preserving
+        return _trusted(KrausChannel, in_space=sin, out_space=sout, kraus=ops, trace_preserving=tp)
     raise ShapeError(f"tensor: unsupported operand kinds {type(a).__name__}, {type(b).__name__}")
 
 
@@ -393,7 +401,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
             t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
     new_space = tuple(l for l in rho.space if l.name in keep_names)
     d = space_dim(new_space)
-    return DensityMatrix(new_space, t.reshape(d, d))
+    return _trusted(DensityMatrix, space=new_space, data=t.reshape(d, d))
 
 
 def _reorder(a: np.ndarray, dims: Sequence[int], order: Sequence[int], axis: int) -> np.ndarray:
@@ -481,7 +489,7 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     ops = second.kraus[:, None] @ first.kraus
     ops = ops.reshape(-1, second.dim_out, first.dim_in)
     tp = second.trace_preserving and first.trace_preserving
-    ch = KrausChannel(first.in_space, second.out_space, ops, tp)
+    ch = _trusted(KrausChannel, in_space=first.in_space, out_space=second.out_space, kraus=ops, trace_preserving=tp)
     if len(ops) > ch.dim_in * ch.dim_out:
         ch = minimal_kraus(ch)
     return ch
@@ -508,7 +516,7 @@ def apply(ch, rho: DensityMatrix):
     lifted = embed(ch, rho.space)
     if not lifted.trace_preserving:
         raise ShapeError("apply requires a trace-preserving channel; a CP branch is applied through its Instrument")
-    return DensityMatrix(lifted.out_space, _outputs(lifted.kraus, rho.data[None])[0])
+    return _trusted(DensityMatrix, space=lifted.out_space, data=_outputs(lifted.kraus, rho.data[None])[0])
 
 
 def apply_instrument(inst: Instrument, rho: DensityMatrix):
@@ -532,7 +540,7 @@ def dual(ch: KrausChannel) -> Callable[[Observable], Observable]:
         if obs.space != ch.out_space:
             raise CompositeSpaceError("observable must live on the channel output space")
         acc = sum(ch.kraus.conj().transpose(0, 2, 1) @ obs.data @ ch.kraus)
-        return Observable(ch.in_space, (acc + acc.conj().T) / 2)
+        return _trusted(Observable, space=ch.in_space, data=(acc + acc.conj().T) / 2)
 
     return adjoint
 
@@ -562,8 +570,8 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = TOL_F
 
 def minimal_kraus(ch: KrausChannel) -> KrausChannel:
     """Re-extract at most dim_in*dim_out Kraus operators from the Choi matrix."""
-    ops = kraus_from_choi(choi(ch), ch.dim_in, ch.dim_out)
-    return KrausChannel(ch.in_space, ch.out_space, ops, ch.trace_preserving)
+    ops, tp = kraus_from_choi(choi(ch), ch.dim_in, ch.dim_out), ch.trace_preserving
+    return _trusted(KrausChannel, in_space=ch.in_space, out_space=ch.out_space, kraus=ops, trace_preserving=tp)
 
 
 def validate_channel(ch: KrausChannel) -> dict:

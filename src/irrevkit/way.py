@@ -55,14 +55,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implementation:
     """Unitary dilation U: alpha + beta -> alpha' + beta' with charges.
 
     rho_beta is the ancilla input on in_beta. charges maps the four slots
     "alpha", "beta", "alpha_out", "beta_out" to Observables on the matching
     (possibly composite) spaces. U is laid out with rows on
-    out_alpha (x) out_beta and columns on in_alpha (x) in_beta.
+    out_alpha (x) out_beta and columns on in_alpha (x) in_beta. It compares and hashes by identity.
     """
 
     rho_beta: DensityMatrix
@@ -94,6 +94,11 @@ class Implementation:
 # each charge slot and the partition its operator acts on
 _SLOTS = ("alpha", "beta", "alpha_out", "beta_out")
 _PARTS = ("in_alpha", "in_beta", "out_alpha", "out_beta")
+
+
+def _implementation(rho_beta: DensityMatrix, u: np.ndarray, charges: dict) -> Implementation:
+    """The Implementation whose partitions are the spaces of the matching charges."""
+    return Implementation(rho_beta, u, charges, **{part: charges[slot].space for slot, part in zip(_SLOTS, _PARTS)})
 
 
 def _checked_charges(impl: Implementation, charges: dict | None = None) -> dict:
@@ -132,14 +137,17 @@ def realized_channel(impl: Implementation) -> KrausChannel:
     # and j; one tensordot per column, since a matrix tensordot signs zero entries differently
     blocks = [np.tensordot(ur, m, axes=([3], [0])) for m in impl.rho_beta.sqrt_factor.T]
     ops = np.stack(blocks).transpose(0, 2, 1, 3).reshape(-1, da_o, da)
-    return KrausChannel(impl.in_alpha, impl.out_alpha, ops)
+    # sum K'K = tr_beta[(1 (x) rho_beta) U'U], trace preserving as U is unitary and rho_beta a state
+    return _trusted(KrausChannel, in_space=impl.in_alpha, out_space=impl.out_alpha, kraus=ops, trace_preserving=True)
 
 
 def y_operator(meas_channel: KrausChannel, charges: dict) -> Observable:
     """Y = X_alpha - dual(meas_channel)(X_alpha_out), Hermitian on the input."""
-    pulled = dual(meas_channel)(charges["alpha_out"])
-    y = charges["alpha"].data - pulled.data
-    return Observable(charges["alpha"].space, (y + y.conj().T) / 2)
+    x = charges["alpha"]
+    if x.dim != meas_channel.dim_in:
+        raise ShapeError(f"charge 'alpha' has dimension {x.dim}, but the channel input has {meas_channel.dim_in}")
+    y = x.data - dual(meas_channel)(charges["alpha_out"]).data
+    return _trusted(Observable, space=x.space, data=(y + y.conj().T) / 2)
 
 
 _TOL_CONS = 1e-9  # max-abs conservation deviation
@@ -207,7 +215,7 @@ def _way_bound(rho, obs, meas, charges, impl, target, extract, lhs, cfg) -> WayR
     num = _commutator_expectation(rho, y_operator(target, charges), obs)
     fisher_state = qfi(rho, charges["alpha"])
     out_state = apply(target, rho)
-    var_out = variance(out_state, Observable(out_state.space, charges["alpha_out"].data))
+    var_out = variance(out_state, _trusted(Observable, space=out_state.space, data=charges["alpha_out"].data))
     den = math.sqrt(max(fisher_beta, 0.0)) + math.sqrt(max(fisher_state, 0.0)) + 2 * math.sqrt(
         max(var_out, 0.0)
     )
@@ -363,15 +371,7 @@ def conserving_error_implementation(
         "alpha_out": Observable((p_label,), pointer_shift * np.eye(n, dtype=complex)),
         "beta_out": Observable(out_beta, x_tot),
     }
-    impl = Implementation(
-        rho_beta,
-        u_out,
-        charges,
-        in_alpha=sp,
-        in_beta=(b1, b2),
-        out_alpha=(p_label,),
-        out_beta=out_beta,
-    )
+    impl = _implementation(rho_beta, u_out, charges)
     meas = _induced_instrument(u_meas, chi, d, n, sp)
     return impl, meas
 
@@ -400,15 +400,7 @@ def conserving_disturbance_implementation(
         "alpha_out": Observable(sp, x_s.data),
         "beta_out": x_beta,
     }
-    impl = Implementation(
-        rho_beta,
-        u,
-        charges,
-        in_alpha=sp,
-        in_beta=tuple(x_beta.space),
-        out_alpha=sp,
-        out_beta=tuple(x_beta.space),
-    )
+    impl = _implementation(rho_beta, u, charges)
     ops = realized_channel(impl).kraus
     meas = Instrument(sp, sp, tuple((str(k), op) for k, op in enumerate(ops)))
     return impl, meas
@@ -428,15 +420,8 @@ def swap_implementation(x: Observable, sigma: DensityMatrix):
         "alpha_out": Observable(sp, x.data),
         "beta_out": Observable(b, x.data),
     }
-    impl = Implementation(
-        _trusted(DensityMatrix, space=b, data=sigma.data, sqrt_factor=sigma.sqrt_factor),
-        swap,
-        charges,
-        in_alpha=sp,
-        in_beta=b,
-        out_alpha=sp,
-        out_beta=b,
-    )
+    beta = _trusted(DensityMatrix, space=b, data=sigma.data, sqrt_factor=sigma.sqrt_factor)
+    impl = _implementation(beta, swap, charges)
     # |m><j| for each column m of sigma's square-root factor (outer) and j
     m = sigma.sqrt_factor
     branches = tuple((str(k), np.outer(m[:, k // d], ket(k % d, d).conj())) for k in range(m.shape[1] * d))

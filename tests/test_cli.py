@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -14,7 +15,19 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from irrevkit import Instrument, Label, Observable, build_fixture, cli, fixture_names, otoc, qcore, serialize
+from irrevkit import (
+    DensityMatrix,
+    Instrument,
+    KrausChannel,
+    Label,
+    Observable,
+    build_fixture,
+    cli,
+    fixture_names,
+    otoc,
+    qcore,
+    serialize,
+)
 from irrevkit.cli import (
     PAYLOAD_SCHEMAS,
     TOP_SCHEMA,
@@ -328,6 +341,46 @@ class TestOtocDocuments:
         assert herm == [(8, 8)]
         assert not eig
         assert s.h.space == s.w0.space == s.v0.space == s.rho.space == (Label("S", 8),)
+
+
+class TestValidationBoundary:
+    """compute checks what it decodes and nothing it derives from the decoded values."""
+
+    # __post_init__ runs of DensityMatrix / Observable / KrausChannel in cli.compute
+    CHECKED = {
+        "otoc-cp-qubit": (1, 3, 0),
+        "otoc-ising-chain": (0, 1, 0),
+        "way-error-tight": (2, 5, 0),
+        "way-disturbance-random": (2, 5, 0),
+        "way-otoc-qubit": (1, 7, 0),
+    }
+
+    @pytest.mark.parametrize("name", list(CHECKED))
+    def test_builds_checked_values_only_for_what_it_decodes(self, monkeypatch, name):
+        doc = build_fixture(name)
+        classes = (DensityMatrix, Observable, KrausChannel)
+        counts = dict.fromkeys(classes, 0)
+        for cls in classes:
+
+            def counted(obj, check=cls.__post_init__):
+                counts[type(obj)] += 1
+                return check(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        cli.compute(doc["kind"], doc["payload"], doc["seed"])
+        assert tuple(counts.values()) == self.CHECKED[name]
+
+    @pytest.mark.parametrize("name", ["way-error-tight", "way-disturbance-random"])
+    def test_instrument_at_the_edge_of_its_tolerance_passes(self, corpus, tmp_path, name):
+        # sum M'M = 1 + 5e-10 is within the instrument's 1e-9, so the states the bound derives
+        # from it are not checked again at a state's 1e-10
+        doc = load_report(corpus / f"{name}.json")
+        c = math.sqrt(1 + 5e-10)
+        for branch in doc["payload"]["instrument"]["branches"]:
+            branch["kraus"] = [[[c * re, c * im] for re, im in row] for row in branch["kraus"]]
+        out = tmp_path / "edge.report.json"
+        assert main(["run", write_doc(tmp_path, "edge.json", doc), "-o", str(out)]) == 0
+        assert load_report(out)["result"]["pass"] is True
 
 
 class TestParserReuse:

@@ -89,6 +89,11 @@ class TestAncilla:
         rec = canonical_recovery(Observable((P,), SIGMA_Z), (P,), 0.1)
         assert tuple(rec.channel.out_space) == (Q_LABEL,)
 
+    def test_canonical_recovery_refuses_a_target_with_the_ancilla_label(self):
+        # its channel is built unchecked on target + Q, so a second Q must be refused up front
+        with pytest.raises(CompositeSpaceError, match="duplicate labels"):
+            canonical_recovery(Observable((P,), SIGMA_Z), (P, Q_LABEL), 0.1)
+
 
 class TestEpsilonExtraction:
     def test_frozen_qubit_value_extrapolated(self):

@@ -371,8 +371,8 @@ class TestIepCp:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(np.linalg, "norm", lambda x, ord=None, *args, **kw: no_svd() if ord == 2 else norm(x, ord, *args, **kw))
         branches = []
-        kraus_channel = otoc_module.KrausChannel
-        monkeypatch.setattr(otoc_module, "KrausChannel", lambda *args, **kw: branches.append(args[2][0]) or kraus_channel(*args, **kw))
+        trusted = otoc_module._trusted
+        monkeypatch.setattr(otoc_module, "_trusted", lambda cls, **kw: branches.append(kw["kraus"][0]) or trusted(cls, **kw))
         rep = otoc_iep_cp(s, ANALYTIC)
         assert abs(rep.rescale - want[0]) <= 1e-13 * want[0]
         t = 1.0 / max(1.0, want[1])

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from irrevkit import (
     choi,
     compose,
     conserving_disturbance_implementation,
+    conserving_error_implementation,
     delta_min,
     dual,
     embed,
@@ -46,7 +48,7 @@ from irrevkit import (
     validate_channel,
     variance,
 )
-from irrevkit import comb, irrev, qcore
+from irrevkit import cli, comb, irrev, otoc, qcore, serialize, way
 from irrevkit.qcore import _infidelity, embed_matrix, space_dim
 from conftest import (
     SIGMA_X,
@@ -530,6 +532,43 @@ def _trusted_sites():
         omega = TestEnsemble(tuple((0.5, member(rng, 3, B)) for member in members))
         return (delta_min(instrument_channel(meter(rng)), omega, OptimizerConfig(max_iters=10, restarts=0)).recovery_used,)
 
+    def joint_state(rng):
+        return DensityMatrix((S, B), rand_state(rng, 6).data)
+
+    def spied(module, name, call, arg):
+        """The argument at position arg of the one call call() makes to module.name."""
+        with mock.patch.object(module, name, wraps=getattr(module, name)) as spy:
+            call()
+        return (spy.call_args.args[arg],)
+
+    def herm(rng, label):
+        return Observable((label,), rand_herm(rng, label.dim))
+
+    def scenario(rng, w0):
+        h, v = herm(rng, B), herm(rng, B)
+        return ScramblingScenario(h, Observable((B,), np.diag(w0)), v, 0.6)
+
+    def way_inputs(rng):  # (Implementation, Instrument)
+        return conserving_error_implementation(Observable((S,), SIGMA_Z), [0.0, 1.0], [1.0, 1.0j], rng)
+
+    def y_operator(rng):
+        impl, meas = way_inputs(rng)
+        return (way.y_operator(pointer_channel(meas, Label("P", 2)), impl.charges),)
+
+    def way_relabelled_charge(rng):
+        impl, meas = way_inputs(rng)
+        call = lambda: way.way_bound_error(rand_state(rng, 2, S), Observable((S,), SIGMA_X), meas, None, impl)
+        return spied(way, "variance", call, 1)
+
+    def cp_branch(rng):  # |W0| is not flat, so the branch is clipped below unit norm
+        return spied(otoc, "_scenario_comb", lambda: otoc.otoc_iep_cp(scenario(rng, [1.0, -1.0, 0.5])), 1)
+
+    def petz_reference(rng):
+        omega = TestEnsemble(((0.25, rand_state(rng, 3, B)), (0.75, rand_state(rng, 3, B))))
+        loss = instrument_channel(meter(rng))
+        payload = {"loss": serialize.encode_channel(loss), "ensemble": serialize.encode_ensemble(omega), "recovery": "petz"}
+        return (cli._run_delta(payload, 0)[0]["sigma_ref"],)
+
     return [
         ("pointer_channel", lambda rng: (pointer_channel(meter(rng, 2), Label("P", 2)),)),
         ("instrument_channel", lambda rng: (instrument_channel(meter(rng, 2)),)),
@@ -540,6 +579,23 @@ def _trusted_sites():
         ("petz_recovery", lambda rng: (petz_recovery(instrument_channel(meter(rng)), rand_state(rng, 3, B)),)),
         ("delta_min-pure", lambda rng: delta_min_recovery(rng, rand_pure, rand_pure)),
         ("delta_min-mixed", lambda rng: delta_min_recovery(rng, rand_state, lambda rng, d, b: rand_low_rank(rng, d, 2, b))),
+        ("tensor-states", lambda rng: (tensor(rand_state(rng, 2, S), rand_state(rng, 3, B)),)),
+        ("tensor-observables", lambda rng: (tensor(herm(rng, S), herm(rng, B)),)),
+        ("tensor-channels", lambda rng: (tensor(rand_channel(rng, (S,), (S,), 2), rand_channel(rng, (B,), (c3,), 1)),)),
+        ("partial_trace", lambda rng: (partial_trace(joint_state(rng), [B]),)),
+        ("compose", lambda rng: (compose(rand_channel(rng, (B,), (c3,), 2), rand_channel(rng, (S,), (B,), 2)),)),
+        ("compose-minimal", lambda rng: (compose(rand_channel(rng, (S,), (S,), 3), rand_channel(rng, (S,), (S,), 2)),)),
+        ("apply", lambda rng: (apply(rand_channel(rng, (B,), (c3,), 2), joint_state(rng)),)),
+        ("dual", lambda rng: (dual(rand_channel(rng, (S,), (B,), 2))(herm(rng, B)),)),
+        ("minimal_kraus", lambda rng: (minimal_kraus(rand_channel(rng, (S,), (B,), 8)),)),
+        ("realized_channel", lambda rng: (way.realized_channel(way_inputs(rng)[0]),)),
+        ("y_operator", y_operator),
+        ("way_bound-relabelled-charge", way_relabelled_charge),
+        ("w_tau", lambda rng: (otoc._w_tau(scenario(rng, [1.0, -1.0, 1.0])),)),
+        ("otoc_iep_cp-branch", cp_branch),
+        ("Comb.loss", lambda rng: (comb._error_comb(rand_state(rng, 2, S), herm(rng, S), proj_z(S)).loss(0.1),)),
+        ("CanonicalRecovery.channel", lambda rng: (comb.canonical_recovery(herm(rng, S), (S, B), 0.3).channel,)),
+        ("petz-sigma_ref", petz_reference),
     ]
 
 
@@ -571,7 +627,7 @@ class TestTrustedBuilds:
             built.append(trusted(cls, **fields))
             return built[-1]
 
-        for module in (qcore, comb, irrev):
+        for module in (qcore, comb, irrev, way, otoc, cli):
             monkeypatch.setattr(module, "_trusted", recorded)
         values = build(np.random.default_rng(71))
         assert all(any(v is b for b in built) for v in values)
@@ -584,3 +640,73 @@ class TestTrustedBuilds:
                     assert not a.flags.writeable and a.flags.c_contiguous and a.dtype == np.complex128, f.name
             if isinstance(v, Instrument):  # each branch is a view of the one stack, as the public path keeps it
                 assert all(np.shares_memory(op, v._kraus) for _, op in v.branches)
+
+
+def _edge_cases():
+    """(call) for each operation on inputs at the edge of their constructors' tolerances: state
+    trace 1 + 0.6e-10, Hermiticity defect 0.6e-10 and trace-preservation defect 6e-10. The
+    operations that combine two inputs stack their defects beyond a single tolerance."""
+    rho = DensityMatrix((S,), np.diag([0.6, 0.4 + 0.6e-10]))
+    sigma = DensityMatrix((B,), np.diag([0.5, 0.3, 0.2 + 0.6e-10]))
+    joint = DensityMatrix((S, B), np.kron(rho.data, np.diag([0.5, 0.3, 0.2])))
+    x = Observable((S,), np.array([[1.0, 1.0 + 0.6e-10], [1.0, -1.0]]))
+    y = Observable((B,), np.array([[0.0, 1.0 + 0.6e-10, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    ops = np.array([np.sqrt(0.5) * np.eye(2), np.sqrt(0.3) * had, np.sqrt(0.2) * SIGMA_Z])
+    ch = KrausChannel((S,), (S,), np.sqrt(1 + 6e-10) * ops)  # nine products: compose re-extracts
+    cb = KrausChannel((B,), (B,), np.sqrt(1 + 6e-10) * np.eye(3)[None])
+    cases = {
+        "apply": lambda: apply(ch, rho),
+        "compose": lambda: compose(cb, cb),
+        "compose-minimal": lambda: compose(ch, ch),
+        "tensor-states": lambda: tensor(rho, sigma),
+        "tensor-observables": lambda: tensor(x, y),
+        "tensor-channels": lambda: tensor(ch, cb),
+        "partial_trace": lambda: partial_trace(joint, [S]),
+        "dual": lambda: dual(ch)(x),
+        "minimal_kraus": lambda: minimal_kraus(ch),
+    }
+    return [pytest.param(call, id=name) for name, call in cases.items()]
+
+
+@pytest.mark.parametrize("call", _edge_cases())
+def test_operations_take_inputs_at_the_edge_of_their_tolerances(call):
+    # a value derived from checked ones is not checked again, so no tolerance compounds
+    assert isinstance(call(), (DensityMatrix, Observable, KrausChannel))
+
+
+def _array_holders():
+    """Two distinct but equal instances of each class that holds arrays."""
+    rng = np.random.default_rng(12)
+    ops = rand_kraus(rng, 2, 2, 2)[0]
+    z = Observable((S,), SIGMA_Z)
+    impl = lambda: conserving_disturbance_implementation(z, z, pure_state([1, 0], (S,)), np.random.default_rng(3))[0]
+    return {
+        "DensityMatrix": lambda: DensityMatrix((S,), np.eye(2) / 2),
+        "Observable": lambda: Observable((S,), np.eye(2)),
+        "KrausChannel": lambda: KrausChannel((S,), (S,), ops),
+        "Instrument": lambda: Instrument((S,), (S,), (("0", ops[0]), ("1", ops[1]))),
+        "Implementation": impl,
+    }
+
+
+class TestIdentityEquality:
+    @pytest.mark.parametrize("make", list(_array_holders().values()), ids=list(_array_holders()))
+    def test_equal_values_are_distinct_and_hashable(self, make):
+        a, b = make(), make()
+        assert not a == b and a != b
+        assert a == a
+        assert len({a, b, a}) == 2
+
+    def test_values_holding_them_compare_without_raising(self):
+        rho, z = DensityMatrix((S,), np.eye(2) / 2), Observable((S,), SIGMA_Z)
+        holders = [
+            lambda: comb.canonical_recovery(z, (S,), 0.0),
+            lambda: comb._error_comb(rho, z, proj_z(S)),
+            lambda: TestEnsemble(((1.0, rho),)),
+            lambda: delta_min(identity_channel((S,)), TestEnsemble(((1.0, rho),)), OptimizerConfig(max_iters=2, restarts=0)),
+        ]
+        for make in holders:
+            a, b = make(), make()
+            assert a == a
+            assert (a == b) in (True, False)

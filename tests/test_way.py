@@ -165,6 +165,13 @@ class TestImplementation:
         # pointer carries no charge here, so nothing is subtracted from X_S
         assert np.max(np.abs(y.data - SIGMA_Z)) < 1e-10
 
+    def test_y_operator_refuses_a_charge_of_another_dimension(self):
+        # Y is built unchecked, so a 1-dim X_alpha must not broadcast against the 2-dim pull-back
+        impl, meas = tight_instance()
+        charges = {**impl.charges, "alpha": Observable((Label("A", 1),), [[1.0]])}
+        with pytest.raises(ShapeError, match="charge 'alpha' has dimension 1"):
+            y_operator(pointer_channel(meas, Label("P", 2)), charges)
+
 
 class TestErrorBound:
     def test_tight_instance_saturates(self):
