@@ -13,7 +13,8 @@ builds such a Y from its best candidate and reports the certified gap between
 the value and that bound; when the Petz recovery or a warm start already
 closes the gap, it returns without any gradient search. For mixed members
 the value comes from projected gradient ascent on a Stinespring isometry and
-is only a local optimum.
+is only a local optimum. An ascent from Petz or a warm start runs on that
+start's Kraus rank; a random restart has d_in * d_out Kraus operators.
 
 delta_with_recovery and delta_min are the one-loss cases of two kernels over
 a stack of losses, such as the theta grid of a comb: the outputs, the Petz
@@ -82,8 +83,12 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimizerConfig":
-        """Missing fields keep their defaults; given ones take their default's type."""
-        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
+        """Missing fields keep their defaults; given ones take their default's type. A seed
+        or count given as a float must be integral (2.0 reads as 2): ValueError otherwise."""
+        given = {f.name: (type(f.default), d[f.name]) for f in fields(cls) if f.name in d}
+        if bad := {k: x for k, (t, x) in given.items() if t is int and isinstance(x, float) and not x.is_integer()}:
+            raise ValueError(f"optimizer seed, max_iters and restarts must be integers, not {bad}")
+        return cls(**{k: t(x) for k, (t, x) in given.items()})
 
 
 @dataclass(frozen=True)
@@ -277,17 +282,12 @@ def _petz(kraus: np.ndarray, sigma_ref: np.ndarray, out_ref: np.ndarray) -> np.n
     return _minimal(ops)
 
 
-def _isometry(ops: np.ndarray, d_env: int) -> np.ndarray:
-    """Stack Kraus operators into V with V[i*d_env + e, o] = K_e[i, o].
-
-    More than d_env = dim_in * dim_out operators are first re-extracted to at
-    most that many from their Choi matrix.
-    """
-    ops = ops if len(ops) <= d_env else _minimal(ops)
+def _isometry(ops: np.ndarray) -> np.ndarray:
+    """Stack the r Kraus operators ops (r, d_in, d_out) into V with V[i*r + e, o] = K_e[i, o], no
+    zero operators added (the ascent acts on V's input factor only, so a zero environment block
+    stays zero); more than d_in * d_out are first re-extracted to at most that many from their Choi matrix."""
     r, d_in, d_out = ops.shape
-    v = np.zeros((d_in, d_env, d_out), dtype=complex)
-    v[:, :r] = ops.transpose(1, 0, 2)
-    return v.reshape(-1, d_out)
+    return (ops if r <= d_in * d_out else _minimal(ops)).transpose(1, 0, 2).reshape(-1, d_out)
 
 
 def _qr_retract(a: np.ndarray) -> np.ndarray:
@@ -313,9 +313,9 @@ def _step_retract(a: np.ndarray) -> np.ndarray:
 class _Objective:
     """J(V) = sum_k p_k F^2(rho_k, tr_env V sigma_k V^H) and its gradient.
 
-    V has shape (d_in * d_env, d_out) with V[j * d_env + e, o] = K_e[j, o],
-    the recovery's Kraus operators stacked as in _isometry; its
-    row view reshapes it to (d_in, d_env * d_out). The ensemble is split once,
+    V has shape (d_in * r, d_out) with V[j * r + e, o] = K_e[j, o], the
+    recovery's r Kraus operators stacked as in _isometry, r read from V's
+    shape; its row view reshapes it to (d_in, r * d_out). The ensemble is split once,
     at construction, into two stacked groups, each evaluated per call with one
     batched matmul chain:
 
@@ -331,9 +331,8 @@ class _Objective:
     shaped like V, so that dJ = 2 Re <G, dV> = 2 Re sum(conj(G) * dV).
     """
 
-    def __init__(self, members: tuple, sigmas: np.ndarray, d_env: int):
+    def __init__(self, members: tuple, sigmas: np.ndarray):
         p, rho, vecs, pure, m = members
-        self.d_env = d_env
         self.d_in = rho.shape[-1]
         self.d_out = sigmas.shape[-1]
         self.pure = (p[pure], vecs[pure, :, -1], sigmas[pure]) if pure.any() else None
@@ -345,7 +344,7 @@ class _Objective:
         asig = mixed = None
         if self.pure is not None:
             p, psi, sig = self.pure
-            a = (psi.conj() @ rows).reshape(len(p), self.d_env, self.d_out)
+            a = (psi.conj() @ rows).reshape(len(p), -1, self.d_out)
             asig = a @ sig
             total += np.vdot(a, p[:, None, None] * asig).real
         if self.mixed is not None:
@@ -447,17 +446,16 @@ def _ascend(obj: _Objective, v0: np.ndarray, cfg: OptimizerConfig):
 
 def _ascents(obj: _Objective, kraus: list, cfg: OptimizerConfig):
     """(Kraus stack, trace, converged) of the ascent from each recovery Kraus
-    stack in kraus, then from cfg.restarts random isometries drawn from cfg.seed."""
-    d_in, d_env, d_out = obj.d_in, obj.d_env, obj.d_out
-    starts = [_isometry(ops, d_env) for ops in kraus]
+    stack in kraus, on its own Kraus rank, then from cfg.restarts random
+    isometries with d_in * d_out Kraus operators, drawn from cfg.seed."""
+    d_in, d_out = obj.d_in, obj.d_out
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts):
-        a = rng.standard_normal((d_in * d_env, d_out)) + 1j * rng.standard_normal((d_in * d_env, d_out))
-        starts.append(_qr_retract(a))
-    for v0 in starts:
+    shape = (d_in * d_in * d_out, d_out)
+    draws = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(cfg.restarts)]
+    for v0 in [*map(_isometry, kraus), *map(_qr_retract, draws)]:
         v, _, trace, conv = _ascend(obj, v0, cfg)
         # contiguous, as the returned channel stores it, so the score is that channel's
-        yield np.ascontiguousarray(_minimal(v.reshape(d_in, d_env, d_out).transpose(1, 0, 2))), trace, conv
+        yield np.ascontiguousarray(_minimal(v.reshape(d_in, -1, d_out).transpose(1, 0, 2))), trace, conv
 
 
 def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, cfg: OptimizerConfig, warm: list) -> list:
@@ -497,7 +495,7 @@ def _delta_min(kraus: np.ndarray, spaces: tuple, tp: bool, omega: TestEnsemble, 
     for i, c, gap in zip(at, win.tolist(), gaps):
         best = start = (float(delta[c, i]), per[c, i], cands[c][i], ((0, float(delta[c, i]) ** 2),), True)
         if gap is None or gap > cfg.tol:
-            obj = _Objective(members, sigmas[i], kraus.shape[-1] * kraus.shape[-2])
+            obj = _Objective(members, sigmas[i])
             for ops, trace, conv in _ascents(obj, [c[i] for c in cands], cfg):
                 dk = _distances([a[i : i + 1] if a is not None else a for a in amps], ops[None], members)[0]
                 value = float(_rms(p, dk))

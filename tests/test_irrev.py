@@ -383,7 +383,7 @@ class TestObjectiveGradient:
         members = [make[c](rng, d, lab) for c in kinds]
         omega = _ensemble(rng, members)
         sigmas = [apply(loss, rho) for rho in members]
-        obj = _Objective(irrev._members(omega, omega.space), np.stack([s.data for s in sigmas]), d * d)
+        obj = _Objective(irrev._members(omega, omega.space), np.stack([s.data for s in sigmas]))
         shape = (d * d * d, d)
         v = _qr_retract(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         dv = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -428,7 +428,7 @@ class TestObjectiveGradient:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda x, *args, **kw: calls.append(x) or eigh(x, *args, **kw))
-        _Objective(ens, sigmas, 16)
+        _Objective(ens, sigmas)
         assert calls == []
 
 
@@ -491,6 +491,51 @@ class TestStepRetract:
         for (_, a), (_, b) in zip(chol.optimizer_trace, house.optimizer_trace):
             assert abs(a - b) <= 1e-10 * abs(b)
         assert abs(chol.delta - house.delta) <= 1e-10 * house.delta
+
+
+class TestAscentRank:
+    """The ascent runs on its start's own Kraus operators; random restarts on d_in * d_out."""
+
+    @pytest.mark.parametrize("kinds", ("mr", "pp"), ids=("mixed", "pure"))
+    @pytest.mark.parametrize("d", (2, 4, 6))
+    def test_padded_blocks_stay_zero(self, d, kinds):
+        # the same Petz start once with zero operators up to d_in * d_out, once without
+        rng = np.random.default_rng(300 + d)
+        lab = Label("S", d)
+        loss = KrausChannel((lab,), (lab,), rand_kraus(rng, d, d, 3)[0])
+        make = {"p": rand_pure, "m": rand_state, "r": lambda rng, d, lab: rand_low_rank(rng, d, 2, lab)}
+        omega = _ensemble(rng, [make[c](rng, d, lab) for c in kinds])
+        members = irrev._members(omega, omega.space)
+        obj = _Objective(members, irrev._outputs(loss.kraus, members[1]))
+        avg = DensityMatrix((lab,), sum(p * rho.data for p, rho in omega.entries))
+        ops = petz_recovery(loss, avg).kraus
+        r = len(ops)
+        padded = np.zeros((d, d * d, d), dtype=complex)
+        padded[:, :r] = ops.transpose(1, 0, 2)
+        cfg = OptimizerConfig(max_iters=40, restarts=0)
+        v, j, trace, conv = irrev._ascend(obj, padded.reshape(-1, d), cfg)
+        v_r, j_r, trace_r, conv_r = irrev._ascend(obj, irrev._isometry(ops), cfg)
+        assert r < d * d and len(trace) > 1
+        assert np.all(v.reshape(d, d * d, d)[:, r:] == 0.0)
+        assert v_r.shape == (d * r, d)
+        assert [i for i, _ in trace] == [i for i, _ in trace_r] and conv == conv_r
+        assert abs(j - j_r) <= 1e-12 * abs(j)
+
+    def test_objective_sees_the_start_rank(self, monkeypatch):
+        rng = np.random.default_rng(310)
+        a, b = Label("A", 3), Label("B", 2)
+        loss = KrausChannel((a,), (b,), rand_kraus(rng, 3, 2, 2)[0])
+        omega = _ensemble(rng, [rand_state(rng, 3, a), rand_low_rank(rng, 3, 2, a)])
+        avg = DensityMatrix((a,), sum(p * rho.data for p, rho in omega.entries))
+        r = len(petz_recovery(loss, avg).kraus)
+        shapes = []
+        value = _Objective.value
+        monkeypatch.setattr(_Objective, "value", lambda obj, v: shapes.append(v.shape) or value(obj, v))
+        delta_min(loss, omega, OptimizerConfig(max_iters=5, restarts=1))
+        # the Petz ascent, then the random restart
+        assert r < 3 * 2
+        assert list(dict.fromkeys(shapes)) == [(3 * r, 2), (3 * 3 * 2, 2)]
+        assert shapes == sorted(shapes, key=lambda s: s != (3 * r, 2))
 
 
 def _pure_case(rng, d_in: int, d_out: int):
@@ -640,6 +685,17 @@ class TestReports:
 
     def test_optimizer_config_defaults(self):
         assert OptimizerConfig.from_json({}) == OptimizerConfig()
+
+    @pytest.mark.parametrize("field", ("seed", "max_iters", "restarts"))
+    @pytest.mark.parametrize("value", (2.9, 1.5, np.nan, np.inf))
+    def test_optimizer_config_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"must be integers, not {{'{field}'"):
+            OptimizerConfig.from_json({field: value})
+
+    def test_optimizer_config_reads_integral_floats_as_ints(self):
+        cfg = OptimizerConfig.from_json({"seed": 3.0, "max_iters": 2.0, "restarts": 1.0, "step": 1})
+        assert cfg == OptimizerConfig(seed=3, max_iters=2, restarts=1, step=1.0)
+        assert [type(x) for x in (cfg.seed, cfg.max_iters, cfg.restarts, cfg.step)] == [int, int, int, float]
 
     @pytest.mark.parametrize(
         "field, value",
