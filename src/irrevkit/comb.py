@@ -322,7 +322,7 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
         readout, out = pointer_channel(meas, p_label).kraus, (p_label,)
         recoveries = lambda: (_two_copy_recovery(_pointer_observable(meas, f), s1),)
     elif kind == "disturbance":
-        readout = meas._kraus
+        readout = meas.kraus
         d_out = readout.shape[1]
         out = (s2,) if d_out == s2.dim else (Label(s2.name + "o", d_out),)
 

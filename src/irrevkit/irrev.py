@@ -25,6 +25,7 @@ stacked caller gets the same checks as the public functions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -72,6 +73,14 @@ class OptimizerConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        """A seed or count given as a float must be integral (2.0 is stored as 2): ValueError
+        otherwise. Every real field is stored as its default's type."""
+        given = {f.name: (type(f.default), getattr(self, f.name)) for f in fields(self)}
+        if bad := {k: x for k, (t, x) in given.items() if t is int and isinstance(x, float) and not x.is_integer()}:
+            raise ValueError(f"optimizer seed, max_iters and restarts must be integers, not {bad}")
+        for k, (t, x) in given.items():
+            if isinstance(x, numbers.Real):  # anything else is left for the range check or default_rng to refuse
+                object.__setattr__(self, k, t(x))
         if not (self.max_iters >= 1 and self.restarts >= 0 and 0 < self.step < np.inf and 0 <= self.tol < np.inf):
             raise ValueError(
                 f"optimizer needs max_iters >= 1, restarts >= 0, a finite step > 0 and a finite tol >= 0, "
@@ -83,12 +92,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "OptimizerConfig":
-        """Missing fields keep their defaults; given ones take their default's type. A seed
-        or count given as a float must be integral (2.0 reads as 2): ValueError otherwise."""
-        given = {f.name: (type(f.default), d[f.name]) for f in fields(cls) if f.name in d}
-        if bad := {k: x for k, (t, x) in given.items() if t is int and isinstance(x, float) and not x.is_integer()}:
-            raise ValueError(f"optimizer seed, max_iters and restarts must be integers, not {bad}")
-        return cls(**{k: t(x) for k, (t, x) in given.items()})
+        """Missing fields keep their defaults."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .qcore import (
     Instrument,
     Label,
     Observable,
+    _herm_eigh,
     _trusted,
 )
 
@@ -51,7 +52,7 @@ OutcomeFunction = Mapping
 
 def outcome_values(meas: Instrument, f) -> np.ndarray:
     """Resolve an OutcomeFunction against an instrument's branch order."""
-    outcomes = [m for m, _ in meas.branches]
+    outcomes = meas.outcomes
     if isinstance(f, Mapping):
         missing = [m for m in outcomes if m not in f]
         if missing:
@@ -79,14 +80,14 @@ def ozawa_error(rho: DensityMatrix, a: Observable, meas: Instrument, f) -> float
     m = rho.sqrt_factor: ||X m||_HS = ||X sqrt(rho)||_HS, as m m^H = rho."""
     _check_system(rho, a, meas)
     vals = outcome_values(meas, f)
-    x = meas._kraus @ (a.data - vals[:, None, None] * np.eye(a.dim)) @ rho.sqrt_factor
+    x = meas.kraus @ (a.data - vals[:, None, None] * np.eye(a.dim)) @ rho.sqrt_factor
     return max(float(np.vdot(x, x).real), 0.0)
 
 
 def ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> float:
     """Squared Ozawa disturbance sum_m ||[M_m, B] sqrt(rho)||_HS^2, through rho.sqrt_factor."""
     _check_system(rho, b, meas)
-    k = meas._kraus
+    k = meas.kraus
     if k.shape[-2] != k.shape[-1]:
         raise ShapeError("disturbance needs square Kraus operators (same in/out dimension)")
     x = (k @ b.data - b.data @ k) @ rho.sqrt_factor
@@ -95,7 +96,7 @@ def ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> fl
 
 def akg_unbiasedness_check(meas: Instrument, a: Observable, f, tol: float = 1e-9):
     """Whether sum_m f(m) M_m' M_m reproduces A exactly (unbiased readout)."""
-    k = meas._kraus
+    k = meas.kraus
     acc = np.sum(outcome_values(meas, f)[:, None, None] * (k.conj().swapaxes(1, 2) @ k), axis=0)
     dev = float(np.max(np.abs(acc - a.data)))
     return dev <= tol, dev
@@ -109,7 +110,7 @@ def lt_error(rho: DensityMatrix, a: Observable, meas: Instrument):
     carry no weight and get f(m) = 0.
     """
     _check_system(rho, a, meas)
-    k = meas._kraus
+    k = meas.kraus
     jordan = (a.data @ rho.data + rho.data @ a.data) / 2
     # tr(M_m' M_m X) at X = rho and at the Jordan product, one product over the Kraus stack
     probs, num = np.trace(k.conj().swapaxes(1, 2) @ k @ np.stack([rho.data, jordan])[:, None], axis1=-2, axis2=-1).real
@@ -127,10 +128,10 @@ def lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument):
     (pseudo-inverse). value = <B^2>_rho - 2<B o I'(X)>_rho + <I'(X^2)>_rho.
     """
     _check_system(rho, b, meas)
-    k, kh = meas._kraus, meas._kraus.conj().swapaxes(1, 2)
+    k, kh = meas.kraus, meas.kraus.conj().swapaxes(1, 2)
     jordan = (b.data @ rho.data + rho.data @ b.data) / 2
     sig, rhs = np.sum(k @ np.stack([rho.data, jordan])[:, None] @ kh, axis=1)  # I_M(rho), I_M(B o rho)
-    svals, svecs = np.linalg.eigh((sig + sig.conj().T) / 2)
+    svals, svecs = _herm_eigh(sig)
     r = svecs.conj().T @ rhs @ svecs
     denom = svals[:, None] + svals[None, :]
     x = np.zeros_like(r)

@@ -78,9 +78,11 @@ class Label:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise CompositeSpaceError("label name must be a non-empty string")
-        object.__setattr__(self, "dim", int(self.dim))
-        if self.dim < 1:
-            raise CompositeSpaceError(f"label {self.name!r}: dim must be a positive integer")
+        # an integral float, as jsonschema passes "dim": 2.0, is stored as an int
+        dim = self.dim
+        if not (isinstance(dim, (int, float, np.integer, np.floating)) and 1 <= dim < math.inf and dim == int(dim)):
+            raise CompositeSpaceError(f"label {self.name!r}: dim must be a positive integer, not {dim!r}")
+        object.__setattr__(self, "dim", int(dim))
 
 
 Space = tuple  # tuple[Label, ...]
@@ -94,7 +96,7 @@ def space(*factors) -> Space:
             labels.append(f)
         else:
             name, dim = f
-            labels.append(Label(name, int(dim)))
+            labels.append(Label(name, dim))
     _check_unique(labels)
     return tuple(labels)
 
@@ -259,13 +261,13 @@ class KrausChannel:
 class Instrument:
     """Outcome-labeled measurement {M_m}, one Kraus operator per outcome.
 
-    Each M_m in branches is a read-only view into one (n, d_out, d_in) stack.
+    Each M_m in branches is a read-only view into kraus, the (n, d_out, d_in) stack.
     """
 
     in_space: Space
     out_space: Space
     branches: tuple = field(repr=False)  # tuple[(outcome, M_m), ...]
-    _kraus: np.ndarray = field(init=False, repr=False)
+    kraus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sin = _as_space(self.in_space)
@@ -278,7 +280,7 @@ class Instrument:
         object.__setattr__(self, "in_space", sin)
         object.__setattr__(self, "out_space", sout)
         object.__setattr__(self, "branches", tuple(zip(outcomes, ops)))
-        object.__setattr__(self, "_kraus", ops)
+        object.__setattr__(self, "kraus", ops)
 
     @property
     def outcomes(self) -> tuple:
@@ -559,7 +561,7 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = TOL_F
     stack, r the largest count kept, the smaller ranks padded with zero
     operators.
     """
-    vals, vecs = np.linalg.eigh((c + c.conj().swapaxes(-1, -2)) / 2)
+    vals, vecs = _herm_eigh(c)
     r = int(np.max(np.count_nonzero(vals > tol, axis=-1)))
     if not r:
         return np.zeros((*c.shape[:-2], 1, dim_out, dim_in), dtype=complex)
@@ -597,7 +599,7 @@ def unitary_channel(u: np.ndarray, in_space, out_space=None) -> KrausChannel:
 
 def instrument_channel(inst: Instrument) -> KrausChannel:
     """Sum over branches: the CPTP map rho -> sum_m M_m rho M_m'."""
-    return _trusted(KrausChannel, in_space=inst.in_space, out_space=inst.out_space, kraus=inst._kraus, trace_preserving=True)
+    return _trusted(KrausChannel, in_space=inst.in_space, out_space=inst.out_space, kraus=inst.kraus, trace_preserving=True)
 
 
 def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
@@ -608,7 +610,7 @@ def pointer_channel(inst: Instrument, pointer: Label) -> KrausChannel:
     dout = space_dim(inst.out_space)
     # |m><s| M_m for every outcome slot m and output basis state s, slot outer
     kets = np.eye(n * dout, dtype=complex).reshape(n, dout, n, dout)
-    ops = (kets @ inst._kraus[:, None]).reshape(n * dout, n, inst.dim_in)
+    ops = (kets @ inst.kraus[:, None]).reshape(n * dout, n, inst.dim_in)
     # sum_{m,s} M_m'|s><m|m><s|M_m = sum_m M_m'M_m, the instrument's own
     return _trusted(KrausChannel, in_space=inst.in_space, out_space=(pointer,), kraus=ops, trace_preserving=True)
 

@@ -63,7 +63,7 @@ def encode_space(sp) -> list:
 
 
 def decode_space(obj) -> tuple:
-    return tuple(Label(e["name"], int(e["dim"])) for e in obj)
+    return tuple(Label(e["name"], e["dim"]) for e in obj)
 
 
 def encode_state(rho: DensityMatrix) -> dict:

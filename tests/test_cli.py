@@ -1,4 +1,5 @@
 import copy
+import csv
 import io
 import json
 import math
@@ -21,10 +22,13 @@ from irrevkit import (
     KrausChannel,
     Label,
     Observable,
+    TestEnsemble,
     build_fixture,
     cli,
+    conserving_disturbance_implementation,
     fixture_names,
     otoc,
+    pure_state,
     qcore,
     serialize,
 )
@@ -37,7 +41,19 @@ from irrevkit.cli import (
     main,
     validate_document,
 )
-from irrevkit.serialize import canonical_json, encode_instrument, encode_observable
+from irrevkit.serialize import (
+    canonical_json,
+    encode_channel,
+    encode_ensemble,
+    encode_implementation,
+    encode_instrument,
+    encode_observable,
+    encode_state,
+)
+
+# the command line in a fresh process that imports this checkout, a numpy warning an error as in-process
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "irrevkit.cli"]
+ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +72,13 @@ def write_doc(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def run_report(tmp_path, doc, name="doc"):
+    """The report that run writes for doc, which must exit 0."""
+    out = tmp_path / f"{name}.report.json"
+    assert main(["run", write_doc(tmp_path, f"{name}.json", doc), "-o", str(out)]) == 0
+    return load_report(out)
 
 
 class TestFixtures:
@@ -77,7 +100,8 @@ class TestRun:
         rep = load_report(out)
         assert rep["schema"] == "irrevkit/1"
         assert rep["kind"] == "lt"
-        assert abs(rep["result"]["value"] - 1.0) < 1e-9
+        # sigma_x read out in z on |0> meets its closed form: value 1 and the zero pushforward
+        assert rep["result"] == {"value": 1.0, "pushforward": {"0": 0.0, "1": 0.0}}
         assert os.path.exists(str(out) + ".meta.json")
 
     def test_epsilon_report_value(self, corpus, tmp_path):
@@ -160,21 +184,40 @@ class TestRun:
         sys.stdout.close()
         self._assert_all_reports(tmp_path)
 
-    def test_closed_pipe_reader_leaves_no_traceback(self, corpus, tmp_path):
-        # the read end is closed before the first status line is written
+    @pytest.mark.parametrize("lines_read", [0, 1], ids=["before-the-first-line", "after-one-line"])
+    def test_closed_pipe_reader_leaves_no_traceback(self, corpus, tmp_path, lines_read):
+        # the read end is closed before the first status line is written, or once one line is
+        # read, as `| head -n 1` does; unbuffered, so each status line is written when printed
         paths = self._batch(corpus, tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         r, w = os.pipe()
-        os.close(r)
+        reader = os.fdopen(r)
+        if not lines_read:
+            reader.close()
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "irrevkit.cli", "run", *paths], stdout=w, stderr=subprocess.PIPE, env=env
+            proc = subprocess.Popen(
+                [*CLI, "run", *paths], stdout=w, stderr=subprocess.PIPE, env=dict(ENV, PYTHONUNBUFFERED="1")
             )
         finally:
             os.close(w)
+        if lines_read:
+            assert reader.readline().startswith(paths[0])
+            reader.close()
+        err = proc.communicate()[1]
         assert proc.returncode == 0
-        assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr, proc.stderr.decode()
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
         self._assert_all_reports(tmp_path)
+
+    def test_reports_are_byte_identical_across_processes(self, corpus, tmp_path):
+        # each run in its own process and a fresh directory; the .meta.json sidecars, which hold
+        # a wall clock and the scenario path, are left out
+        written = []
+        for name in ("first", "second"):
+            d = tmp_path / name
+            d.mkdir()
+            proc = subprocess.run([*CLI, "run", *self._batch(corpus, d)], capture_output=True, env=ENV)
+            assert proc.returncode == 0, proc.stderr.decode()
+            written.append({p.name: p.read_bytes() for p in d.iterdir() if not p.name.endswith(".meta.json")})
+        assert len(written[0]) == 20 and written[0] == written[1]
 
     def test_reports_are_byte_identical_across_runs_in_one_process(self, tmp_path):
         # states keep their square-root factor and each theta grid its fit operator: nothing
@@ -240,6 +283,138 @@ class TestExtractionModes:
         err = capsys.readouterr().err
         assert "needs a trace-preserving loss" in err and "fixed recovery" in err
         assert "apply_raw" not in err
+
+
+def document(kind, payload):
+    return {"schema": "irrevkit/1", "kind": kind, "seed": 0, "payload": payload}
+
+
+def edited(name, edit=None, **fields):
+    """A builder of the corpus fixture `name` with fields set in its payload, then edit applied to it."""
+
+    def build(corpus):
+        doc = load_report(corpus / f"{name}.json")
+        doc["payload"].update(fields)
+        if edit:
+            edit(doc["payload"])
+        return doc
+
+    return build
+
+
+def two_copy_disturbance(payload):
+    """The two-copy blw payload made a disturbance of one unitary branch turning z into x."""
+    del payload["f"]
+    r = 1 / math.sqrt(2)
+    payload["kind"] = "disturbance"
+    payload["instrument"]["branches"] = [{"outcome": "0", "kraus": [[[r, 0.0], [r, 0.0]], [[-r, 0.0], [r, 0.0]]]}]
+
+
+def eight_site_chain(payload):
+    """The Ising chain of the fixture at 8 sites and tau = 0.3, where the OTOC is ~3e-28."""
+    n = 8
+    terms = [["I" * i + "ZZ" + "I" * (n - 2 - i), 1.0] for i in range(n - 1)]
+    terms += [["I" * i + "X" + "I" * (n - 1 - i), 1.0] for i in range(n)]
+    payload["scenario"] = {"sites": n, "h": terms, "w0": "X" + "I" * (n - 1), "v0": "I" * (n - 1) + "Z", "tau": 0.3}
+
+
+def mixed_qutrit_delta(**fields):
+    """A delta document over a full-rank and a rank-deficient mixed qutrit member."""
+    s = (Label("S", 3),)
+    loss = KrausChannel(s, s, (np.sqrt(0.7) * np.eye(3), np.sqrt(0.3) * np.roll(np.eye(3), 1, axis=0)))
+    members = ((0.5, DensityMatrix(s, np.diag([0.5, 0.3, 0.2]))), (0.5, DensityMatrix(s, np.diag([0.6, 0.4, 0.0]))))
+    ensemble = encode_ensemble(TestEnsemble(members))
+    return document("delta", {"loss": encode_channel(loss), "ensemble": ensemble, **fields})
+
+
+def exact_round_trip():
+    """A 2 -> 4 isometry undone by an explicit inverse channel on non-diagonal mixed qubit members."""
+    s, b = (Label("S", 2),), (Label("B", 4),)
+    f = np.exp(0.5j * np.pi * np.outer(range(4), range(4))) / 2  # the 4-point Fourier matrix
+    v, rest = f[:, :2], f[:, 2:]
+    loss = KrausChannel(s, b, (v,))
+    back = KrausChannel(b, s, (v.conj().T, *(np.outer([1.0, 0.0], e.conj()) for e in rest.T)))
+    rhos = [[[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], [[0.55, 0.3j], [-0.3j, 0.45]], [[0.4, -0.25], [-0.25, 0.6]]]
+    members = tuple((1 / 3, DensityMatrix(s, np.array(r))) for r in rhos)
+    ensemble = encode_ensemble(TestEnsemble(members))
+    return document("delta", {"loss": encode_channel(loss), "ensemble": ensemble, "recovery": encode_channel(back)})
+
+
+def mixed_ancilla_disturbance():
+    """A charge-conserving disturbance implementation with a mixed ancilla: its instrument has
+    four branches, the Kraus operators of the realized channel."""
+    s, b = (Label("S", 2),), (Label("B1", 2),)
+    z = Observable(s, np.diag([1.0, -1.0]))
+    rho_beta = DensityMatrix(b, np.array([[0.7, 0.2j], [-0.2j, 0.3]]))
+    impl, meas = conserving_disturbance_implementation(z, Observable(b, z.data), rho_beta, np.random.default_rng(0))
+    assert len(meas.branches) == 4
+    payload = {
+        "state": encode_state(pure_state([1, 1j], s)),
+        "observable": encode_observable(Observable(s, np.array([[0, 1], [1, 0]]))),
+        "instrument": encode_instrument(meas),
+        "implementation": encode_implementation(impl),
+    }
+    return document("way-disturbance", payload)
+
+
+# (a builder of the document from the corpus, what the result of its report meets)
+REPORT_CHECKS = [
+    # the Ising-chain OTOC by the weak-coupling comb agrees with the direct commutator value
+    pytest.param(edited("otoc-ising-chain"), lambda r: 0 <= r["gap"] <= 1e-6, id="chain"),
+    # the gap at 8 sites is relative to the direct value, since an absolute bound would pass at
+    # any relative error. Both values are built from one W(tau), whose rounding puts them ~7%
+    # above the extended-precision series reference 3.0947e-28, so this checks agreement, not accuracy
+    pytest.param(
+        edited("otoc-ising-chain", eight_site_chain), lambda r: 0 <= r["gap"] <= 1e-8 * r["direct"], id="chain-8"
+    ),
+    # the two-copy blw fixture, whose measured copy only prepares a readout beside the coupled
+    # copy, meets its closed form blw_calibration_error_qubit(z, x)^2 = 2, and so does its disturbance
+    pytest.param(edited("blw-error-qubit"), lambda r: abs(r["value"] - 2.0) <= 1e-8, id="blw-error"),
+    pytest.param(
+        edited("blw-error-qubit", two_copy_disturbance), lambda r: abs(r["value"] - 2.0) <= 1e-8, id="blw-disturbance"
+    ),
+    # the disturbance twin of the lt fixture gives value 1 and the zero minimizer
+    pytest.param(
+        edited("lt-error-qubit", which="disturbance"),
+        lambda r: r["value"] == 1.0 and not np.any(r["minimizer"]["matrix"]),
+        id="lt-disturbance",
+    ),
+    # the optimized delta fixture is certified optimal by its dual bound, and so is the epsilon
+    # fixture under OPTIMIZE: one stacked pass over the grid, certified at every theta
+    pytest.param(edited("delta-depolarizing"), lambda r: 0 <= r["certified_gap"] <= 1e-10, id="delta-certified"),
+    pytest.param(
+        edited("epsilon-projective-qubit", recovery="optimize"),
+        lambda r: 0 <= r["certified_gap"] <= 1e-10,
+        id="epsilon-optimize",
+    ),
+    # the tight error bound still holds with the optimized error as its left-hand side
+    pytest.param(edited("way-error-tight", lhs="optimize"), lambda r: r["pass"] is True, id="way-optimize"),
+    # the factor-form fidelity kernel scores Petz and the ascended recovery, zero eigenvalues included
+    pytest.param(
+        lambda corpus: mixed_qutrit_delta(recovery="optimize", optimizer={"max_iters": 60, "restarts": 1}),
+        lambda r: 0 <= r["delta"] <= 1,
+        id="delta-mixed",
+    ),
+    # the round trip is exact, so delta sits at rounding level, not at sqrt(eps)
+    pytest.param(lambda corpus: exact_round_trip(), lambda r: 0 <= r["delta"] <= 1e-14, id="delta-exact"),
+    pytest.param(lambda corpus: mixed_ancilla_disturbance(), lambda r: r["pass"] is True, id="way-mixed-ancilla"),
+]
+
+
+class TestReportValues:
+    @pytest.mark.parametrize("build, holds", REPORT_CHECKS)
+    def test_report_meets_its_closed_form_or_bound(self, corpus, tmp_path, build, holds):
+        result = run_report(tmp_path, build(corpus))["result"]
+        assert holds(result), result
+
+    def test_long_optimized_delta_does_not_exceed_petz(self, tmp_path):
+        # at a long budget the ascent's step grows
+        docs = {
+            "petz": mixed_qutrit_delta(recovery="petz", optimizer={"max_iters": 60, "restarts": 1}),
+            "long": mixed_qutrit_delta(recovery="optimize", optimizer={"max_iters": 2000, "restarts": 2}),
+        }
+        delta = {name: run_report(tmp_path, doc, name)["result"]["delta"] for name, doc in docs.items()}
+        assert delta["long"] <= delta["petz"] + 1e-9
 
 
 def key_paths(obj, prefix=""):
@@ -481,22 +656,29 @@ class TestExitCodes:
         assert main(command[:1] + [str(p)] + command[1:]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_string_in_a_matrix_is_2_and_named_by_its_path(self, corpus, tmp_path, capsys):
+        doc = load_report(corpus / "way-error-tight.json")
+        doc["payload"]["state"]["matrix"][0][0] = "x"
+        assert main(["validate", write_doc(tmp_path, "s.json", doc)]) == 2
+        assert "$.payload.state.matrix[0][0]" in capsys.readouterr().err
+
     def test_otoc_optimize_recovery_is_2(self, corpus, tmp_path):
         doc = load_report(corpus / "otoc-ising-chain.json")
         doc["payload"]["recovery"] = "optimize"
         assert main(["validate", write_doc(tmp_path, "o.json", doc)]) == 2
 
+    @pytest.mark.parametrize("name", ["eta-projective-qubit", "epsilon-projective-qubit"])
     @pytest.mark.parametrize("thetas", [[0.01], [0.3, 0.3, 0.3]], ids=["one", "repeated"])
-    def test_theta_grid_of_one_distinct_value_is_2(self, corpus, tmp_path, capsys, thetas):
+    def test_theta_grid_of_one_distinct_value_is_2(self, corpus, tmp_path, capsys, thetas, name):
         # the grid fit needs two distinct theta; validate, run and sweep all refuse fewer
-        doc = load_report(corpus / "eta-projective-qubit.json")
+        doc = load_report(corpus / f"{name}.json")
         doc["payload"]["extraction"] = {"thetas": thetas}
         src = write_doc(tmp_path, "g.json", doc)
         assert main(["validate", src]) == 2
         assert main(["run", src]) == 2
         grid = ",".join(str(t) for t in thetas)
         out = tmp_path / "g.csv"
-        assert main(["sweep", str(corpus / "eta-projective-qubit.json"), "-p", "theta", "-g", grid, "-o", str(out)]) == 2
+        assert main(["sweep", str(corpus / f"{name}.json"), "-p", "theta", "-g", grid, "-o", str(out)]) == 2
         assert "$.payload.extraction.thetas" in capsys.readouterr().err
         assert not out.exists()
 
@@ -568,6 +750,24 @@ class TestSweep:
         assert first[0] == 0.0
         assert abs(first[1]) < 1e-12
         assert abs(first[2]) < 1e-6
+
+    def test_one_point_sweep_writes_what_run_reports(self, corpus, tmp_path):
+        # sweep and run share one compute path: a one-point sweep of the dotted path scenario.tau
+        # writes the c_iep that run reports for the same document at that tau, digit for digit
+        src = corpus / "otoc-ising-chain.json"
+        out = tmp_path / "tau-half.csv"
+        assert main(["sweep", str(src), "-p", "scenario.tau", "-g", "0.5", "-o", str(out)]) == 0
+        (row,) = csv.DictReader(out.open())
+        doc = load_report(src)
+        doc["payload"]["scenario"]["tau"] = 0.5
+        assert row["c_iep"] == repr(run_report(tmp_path, doc)["result"]["iep"]["value"])
+
+    @pytest.mark.parametrize("name", ["way-otoc-qubit", "otoc-cp-qubit"])
+    def test_tau_sweep_of_any_scenario_document(self, corpus, tmp_path, name):
+        # -p tau sets scenario.tau in every scenario document, not only the chain's: a header and 3 rows
+        out = tmp_path / "tau.csv"
+        assert main(["sweep", str(corpus / f"{name}.json"), "-p", "tau", "-g", "0,0.5,1.0", "-o", str(out)]) == 0
+        assert out.read_text().count("\n") == 4
 
     def test_theta_sweep_reproduces_grid_diagnostics(self, corpus, tmp_path):
         out = tmp_path / "theta.csv"
@@ -1040,9 +1240,8 @@ class TestColdStart:
         doc = load_report(corpus / "lt-error-qubit.json")
         doc["payload"]["extra"] = 0
         extra = write_doc(d, "extra.json", doc)
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         proc = subprocess.run(
-            [sys.executable, "-c", COLD_START, *paths, extra], capture_output=True, text=True, env=env
+            [sys.executable, "-c", COLD_START, *paths, extra], capture_output=True, text=True, env=ENV
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1]), proc.stderr, doc, extra
@@ -1097,6 +1296,17 @@ class TestShippedSchemas:
             seen = [types(b) for b in branches]
             assert all(seen), branches
             assert sum(map(len, seen)) == len(set().union(*seen)), branches
+
+    def test_stock_validator_takes_every_fixture_file(self, corpus):
+        # and refuses a string for its state matrix
+        for n in fixture_names():
+            doc = load_report(corpus / f"{n}.json")
+            Draft202012Validator(TOP_SCHEMA).validate(doc)
+            validator = Draft202012Validator(PAYLOAD_SCHEMAS[doc["kind"]])
+            validator.validate(doc["payload"])
+            if "state" in doc["payload"]:
+                doc["payload"]["state"]["matrix"] = "garbage"
+                assert not validator.is_valid(doc["payload"]), n
 
     def test_are_plain_draft_2020_12_schemas(self):
         # any standard validator checks the matrices: none needs an extension keyword

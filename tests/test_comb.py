@@ -19,8 +19,10 @@ from irrevkit import (
     OutcomeFunctionError,
     CompositeSpaceError,
     ShapeError,
+    build_loss_disturbance,
     canonical_recovery,
     delta_min,
+    delta_with_recovery,
     extract,
     extract_epsilon,
     extract_eta,
@@ -277,6 +279,21 @@ class TestEtaExtraction:
             explicit = extract_eta(rho, b, meas, canonical_recovery(x_lt, x_lt.space, 0.0), cfg)
             assert extract_eta(rho, b, meas, "canonical", cfg).value == explicit.value
 
+    def test_loss_process_is_the_comb_loss_of_the_grid(self):
+        # scored under the canonical recovery at theta, the loss channel gives extract_eta's grid point
+        rng = np.random.default_rng(26)
+        for _ in range(6):
+            d, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            lab = Label("S", d)
+            rho, b = rand_state(rng, d, lab), Observable((lab,), rand_herm(rng, d, norm=1.0))
+            meas = rand_instrument(rng, d, k, lab)
+            x_lt = lt_disturbance(rho, b, meas)[1]
+            for theta, d2 in extract_eta(rho, b, meas, "canonical").theta_grid:
+                loss = build_loss_disturbance(rho, b, theta, meas).channel
+                assert validate_channel(loss)["ok"]
+                rec = canonical_recovery(x_lt, meas.out_space, theta).channel
+                assert abs(delta_with_recovery(loss, rec, omega_pm()).delta ** 2 - d2) <= 1e-12 * d2
+
     def test_library_built_observables_match_the_checked_constructor(self):
         # the LT minimizer, B on the output, the pointer values and the two-copy readout
         # generator skip the constructor check; each holds what the checked constructor would
@@ -329,7 +346,7 @@ def kron_two_copy_comb(comb: Comb, rho, gen: Observable, meas: Instrument, kind:
     (s1,), out = comb.block.space, comb.stage.out_space[:-1]
     s2 = Label(rho.space[0].name + "2", s1.dim)
     sp = (s2, s1)
-    stage = KrausChannel((s2,), out, pointer_channel(meas, out[0]).kraus if kind == "error" else meas._kraus)
+    stage = KrausChannel((s2,), out, pointer_channel(meas, out[0]).kraus if kind == "error" else meas.kraus)
     target, ops = ref_embed(stage, sp)
     coupling = Observable(sp, ref_embed_matrix(gen.data, (s1,), sp))
     return Comb(DensityMatrix(sp, np.kron(rho.data, rho.data)), coupling, KrausChannel(sp, target, ops), comb.recoveries)

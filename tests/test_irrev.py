@@ -686,16 +686,20 @@ class TestReports:
     def test_optimizer_config_defaults(self):
         assert OptimizerConfig.from_json({}) == OptimizerConfig()
 
+    @pytest.mark.parametrize("build", (OptimizerConfig.from_json, lambda d: OptimizerConfig(**d)), ids=("json", "init"))
     @pytest.mark.parametrize("field", ("seed", "max_iters", "restarts"))
     @pytest.mark.parametrize("value", (2.9, 1.5, np.nan, np.inf))
-    def test_optimizer_config_rejects_non_integral_counts(self, field, value):
+    def test_optimizer_config_rejects_non_integral_counts(self, build, field, value):
         with pytest.raises(ValueError, match=f"must be integers, not {{'{field}'"):
-            OptimizerConfig.from_json({field: value})
+            build({field: value})
 
-    def test_optimizer_config_reads_integral_floats_as_ints(self):
-        cfg = OptimizerConfig.from_json({"seed": 3.0, "max_iters": 2.0, "restarts": 1.0, "step": 1})
+    @pytest.mark.parametrize("build", (OptimizerConfig.from_json, lambda d: OptimizerConfig(**d)), ids=("json", "init"))
+    def test_optimizer_config_reads_integral_floats_as_ints(self, build):
+        cfg = build({"seed": 3.0, "max_iters": 2.0, "restarts": 1.0, "step": 1})
         assert cfg == OptimizerConfig(seed=3, max_iters=2, restarts=1, step=1.0)
         assert [type(x) for x in (cfg.seed, cfg.max_iters, cfg.restarts, cfg.step)] == [int, int, int, float]
+        # the counts reach range() and default_rng as ints
+        assert delta_min(depolarizing(Q), omega_pm(Q), cfg).delta > 0
 
     @pytest.mark.parametrize(
         "field, value",

@@ -78,14 +78,20 @@ class TestSpaces:
     def test_space_dims_multiply(self):
         sp = space(S, B)
         assert tuple(sp) == (S, B)
+        # jsonschema takes "dim": 2.0 as an integer, so an integral float reads as its int
+        built = space(("S", 2.0), ("B", 3))
+        assert built == sp and type(built[0].dim) is int
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(CompositeSpaceError):
             space(S, Label("S", 3))
 
-    def test_label_requires_positive_dim(self):
-        with pytest.raises((ValueError, ShapeError, CompositeSpaceError)):
-            Label("S", 0)
+    @pytest.mark.parametrize("dim", [0, 2.9])
+    def test_label_requires_positive_dim(self, dim):
+        with pytest.raises(CompositeSpaceError, match="dim must be a positive integer"):
+            Label("S", dim)
+        with pytest.raises(CompositeSpaceError, match="dim must be a positive integer"):
+            space(("S", dim))
 
 
 class TestStates:
@@ -639,7 +645,7 @@ class TestTrustedBuilds:
                 for a in _arrays(getattr(v, f.name)):
                     assert not a.flags.writeable and a.flags.c_contiguous and a.dtype == np.complex128, f.name
             if isinstance(v, Instrument):  # each branch is a view of the one stack, as the public path keeps it
-                assert all(np.shares_memory(op, v._kraus) for _, op in v.branches)
+                assert all(np.shares_memory(op, v.kraus) for _, op in v.branches)
 
 
 def _edge_cases():

@@ -272,7 +272,7 @@ class TestDisturbanceBound:
         chi = eigh(rho_beta.data)[1][:, -1]
         induced = way._induced_instrument(impl.u, chi, 2, 2, (S,))
         assert meas.outcomes == induced.outcomes
-        assert np.max(np.abs(meas._kraus - induced._kraus)) <= 1e-15
+        assert np.max(np.abs(meas.kraus - induced.kraus)) <= 1e-15
 
 
 class TestSwap:
