@@ -38,6 +38,7 @@ from .qcore import (
     DensityMatrix,
     KrausChannel,
     TestEnsemble,
+    _as_int,
     _herm_eigh,
     _infidelity,
     _outputs,
@@ -73,13 +74,13 @@ class OptimizerConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        """A seed or count given as a float must be integral (2.0 is stored as 2): ValueError
-        otherwise. Every real field is stored as its default's type."""
+        """A seed or count must be an integral real (2.0 is stored as 2): ValueError otherwise.
+        Every real field is stored as its default's type."""
         given = {f.name: (type(f.default), getattr(self, f.name)) for f in fields(self)}
-        if bad := {k: x for k, (t, x) in given.items() if t is int and isinstance(x, float) and not x.is_integer()}:
+        if bad := {k: x for k, (t, x) in given.items() if t is int and _as_int(x) is None}:
             raise ValueError(f"optimizer seed, max_iters and restarts must be integers, not {bad}")
         for k, (t, x) in given.items():
-            if isinstance(x, numbers.Real):  # anything else is left for the range check or default_rng to refuse
+            if isinstance(x, numbers.Real):  # a step or tol that is not real is left for the range check to refuse
                 object.__setattr__(self, k, t(x))
         if not (self.max_iters >= 1 and self.restarts >= 0 and 0 < self.step < np.inf and 0 <= self.tol < np.inf):
             raise ValueError(

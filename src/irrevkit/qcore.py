@@ -9,6 +9,7 @@ by identity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -78,11 +79,20 @@ class Label:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise CompositeSpaceError("label name must be a non-empty string")
-        # an integral float, as jsonschema passes "dim": 2.0, is stored as an int
-        dim = self.dim
-        if not (isinstance(dim, (int, float, np.integer, np.floating)) and 1 <= dim < math.inf and dim == int(dim)):
-            raise CompositeSpaceError(f"label {self.name!r}: dim must be a positive integer, not {dim!r}")
-        object.__setattr__(self, "dim", int(dim))
+        dim = _as_int(self.dim)
+        if dim is None or dim < 1:
+            raise CompositeSpaceError(f"label {self.name!r}: dim must be a positive integer, not {self.dim!r}")
+        object.__setattr__(self, "dim", dim)
+
+
+def _as_int(x) -> int | None:
+    """x as an int when it is an integral real number (2.0 reads as 2, as jsonschema passes
+    "dim": 2.0 as an integer); None otherwise, for the caller to refuse in its own words."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x):
+        return int(x)
+    return None
 
 
 Space = tuple  # tuple[Label, ...]

@@ -207,14 +207,17 @@ class TestRun:
         assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()
         self._assert_all_reports(tmp_path)
 
-    def test_reports_are_byte_identical_across_processes(self, corpus, tmp_path):
-        # each run in its own process and a fresh directory; the .meta.json sidecars, which hold
-        # a wall clock and the scenario path, are left out
+    def test_documents_and_reports_are_byte_identical_across_processes(self, tmp_path):
+        # each side writes its own fixtures and runs them, every step in its own process, under
+        # a hash seed of its own, in a fresh directory; the .meta.json sidecars, which hold a
+        # wall clock and the scenario path, are left out
         written = []
-        for name in ("first", "second"):
-            d = tmp_path / name
-            d.mkdir()
-            proc = subprocess.run([*CLI, "run", *self._batch(corpus, d)], capture_output=True, env=ENV)
+        for seed in ("1", "2"):
+            d = tmp_path / seed
+            env = dict(ENV, PYTHONHASHSEED=seed)
+            proc = subprocess.run([*CLI, "fixtures", "--dir", str(d)], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr.decode()
+            proc = subprocess.run([*CLI, "run", *sorted(str(p) for p in d.glob("*.json"))], capture_output=True, env=env)
             assert proc.returncode == 0, proc.stderr.decode()
             written.append({p.name: p.read_bytes() for p in d.iterdir() if not p.name.endswith(".meta.json")})
         assert len(written[0]) == 20 and written[0] == written[1]

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -688,7 +689,7 @@ class TestReports:
 
     @pytest.mark.parametrize("build", (OptimizerConfig.from_json, lambda d: OptimizerConfig(**d)), ids=("json", "init"))
     @pytest.mark.parametrize("field", ("seed", "max_iters", "restarts"))
-    @pytest.mark.parametrize("value", (2.9, 1.5, np.nan, np.inf))
+    @pytest.mark.parametrize("value", (2.9, 1.5, np.nan, np.inf, np.float32(2.5), Fraction(5, 2)))
     def test_optimizer_config_rejects_non_integral_counts(self, build, field, value):
         with pytest.raises(ValueError, match=f"must be integers, not {{'{field}'"):
             build({field: value})

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestSpaces:
         with pytest.raises(CompositeSpaceError):
             space(S, Label("S", 3))
 
-    @pytest.mark.parametrize("dim", [0, 2.9])
+    @pytest.mark.parametrize("dim", [0, 2.9, np.float32(2.5), Fraction(5, 2)])
     def test_label_requires_positive_dim(self, dim):
         with pytest.raises(CompositeSpaceError, match="dim must be a positive integer"):
             Label("S", dim)
