@@ -37,6 +37,7 @@ from .serialize import (
     atomic_write_text,
     canonical_json,
     decode_channel,
+    decode_charges,
     decode_ensemble,
     decode_implementation,
     decode_instrument,
@@ -44,6 +45,7 @@ from .serialize import (
     decode_space,
     decode_state,
     encode_channel,
+    encode_charges,
     encode_ensemble,
     encode_implementation,
     encode_instrument,
@@ -516,10 +518,7 @@ _FIELDS = {
     "implementation": (decode_implementation, encode_implementation),
     "scenario": (_decode_scenario, _echo_scenario),
     "sigma_ref": (decode_state, encode_state),
-    "charges": (
-        lambda obj: {k: decode_observable(v) for k, v in obj.items()},
-        lambda charges: {k: encode_observable(v) for k, v in charges.items()},
-    ),
+    "charges": (decode_charges, encode_charges),
 }
 
 

@@ -58,15 +58,14 @@ from .qcore import (
 __all__ = [
     "OPTIMIZE",
     "Comb",
-    "LossProcess",
     "CanonicalRecovery",
     "IepResult",
     "ExtractionConfig",
     "omega_pm",
-    "build_loss_error",
-    "build_loss_disturbance",
-    "build_loss_two_copy",
     "canonical_recovery",
+    "error_comb",
+    "disturbance_comb",
+    "two_copy_comb",
     "extract",
     "extract_epsilon",
     "extract_eta",
@@ -86,16 +85,6 @@ OPTIMIZE = "optimize"  # the recovery word selecting optimization instead of a f
 def omega_pm(q: Label = Q_LABEL) -> TestEnsemble:
     """The fixed test ensemble {(1/2, |+>), (1/2, |->)} on the ancilla, built once per label."""
     return TestEnsemble(tuple((0.5, pure_state(v, (q,))) for v in KETS))
-
-
-@dataclass(frozen=True)
-class LossProcess:
-    kind: str  # "error" | "disturbance"
-    rho: DensityMatrix
-    generator: Observable
-    theta: float
-    meas: Instrument
-    channel: KrausChannel = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -265,14 +254,14 @@ def _meter_comb(rho: DensityMatrix, x: Observable, meas: Instrument, stage: Krau
     return comb
 
 
-def _error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
+def error_comb(rho: DensityMatrix, a: Observable, meas: Instrument) -> Comb:
     """P_M o U_{A,theta} o A_rho from Q to (P, Q); recovery at the pushforward values."""
     p_label = _pointer(meas)
     pushforward = lambda: (canonical_recovery(_pointer_observable(meas, lt_error(rho, a, meas)[1]), (p_label,), 0.0),)
     return _meter_comb(rho, a, meas, pointer_channel(meas, p_label), pushforward)
 
 
-def _disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Comb:
+def disturbance_comb(rho: DensityMatrix, b: Observable, meas: Instrument) -> Comb:
     """I_M o U_{B,theta} o A_rho from Q to (S', Q); LT recovery, then B itself."""
     out_sp = meas.out_space
 
@@ -301,11 +290,12 @@ def _two_copy_recovery(x: Observable, s1: Label) -> CanonicalRecovery:
     return _trusted(CanonicalRecovery, x=x, target=x.space + (s1,), theta=0.0, gen=gen)
 
 
-def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: str, f=None) -> Comb:
+def two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: str, f=None) -> Comb:
     """Calibration comb on two copies: couple copy 1, measure copy 2.
 
     error: P_M on copy 2 -> (P, S1, Q), recovered through the pointer values
-    f; disturbance: I_M on copy 2 -> (S2, S1, Q), recovered through gen.
+    f, which only recoveries() reads (ValueError without them); disturbance:
+    I_M on copy 2 -> (S2, S1, Q), recovered through gen.
     Copy 2 is never coupled, so measuring it only prepares the readout K rho K^dag
     beside copy 1: the block is copy 1 alone, and the stage's Kraus operators
     are (K c) (x) 1_S1 over the readout's operators K and the columns c of
@@ -320,7 +310,11 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     if kind == "error":
         p_label = _pointer(meas)
         readout, out = pointer_channel(meas, p_label).kraus, (p_label,)
-        recoveries = lambda: (_two_copy_recovery(_pointer_observable(meas, f), s1),)
+
+        def recoveries():
+            if f is None:
+                raise ValueError("two-copy error extraction needs outcome values f")
+            return (_two_copy_recovery(_pointer_observable(meas, f), s1),)
     elif kind == "disturbance":
         readout = meas.kraus
         d_out = readout.shape[1]
@@ -340,28 +334,6 @@ def _two_copy_comb(rho: DensityMatrix, gen: Observable, meas: Instrument, kind: 
     stage = _trusted(KrausChannel, in_space=(s1,), out_space=out + (s1,), kraus=ops, trace_preserving=True)
     block = _trusted(DensityMatrix, space=(s1,), data=rho.data, sqrt_factor=rho.sqrt_factor)
     return Comb(block, _trusted(Observable, space=(s1,), data=gen.data), stage, recoveries)
-
-
-def build_loss_error(rho: DensityMatrix, a: Observable, theta: float, meas: Instrument) -> LossProcess:
-    """P_M o U_{A,theta} o A_rho from Q to (P, Q)."""
-    channel = _error_comb(rho, a, meas).loss(theta)
-    return LossProcess("error", rho, a, float(theta), meas, channel)
-
-
-def build_loss_disturbance(
-    rho: DensityMatrix, b: Observable, theta: float, meas: Instrument
-) -> LossProcess:
-    """I_M o U_{B,theta} o A_rho from Q to (S', Q)."""
-    channel = _disturbance_comb(rho, b, meas).loss(theta)
-    return LossProcess("disturbance", rho, b, float(theta), meas, channel)
-
-
-def build_loss_two_copy(
-    rho: DensityMatrix, gen: Observable, theta: float, meas: Instrument, kind: str
-) -> LossProcess:
-    """Two-copy calibration comb: (P, S1, Q) for error, (S2, S1, Q) for disturbance."""
-    channel = _two_copy_comb(rho, gen, meas, kind).loss(theta)
-    return LossProcess(kind, rho, gen, float(theta), meas, channel)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +499,7 @@ def extract_epsilon(
     recovery is as in `extract`; "canonical" and the OPTIMIZE warm start are
     the recovery at the pushforward (least-squares) pointer values.
     """
-    return extract(_error_comb(rho, a, meas), recovery, cfg)
+    return extract(error_comb(rho, a, meas), recovery, cfg)
 
 
 def extract_eta(
@@ -543,7 +515,7 @@ def extract_eta(
     generator, and OPTIMIZE is warm-started from it and, when the
     instrument keeps the dimension, from B itself.
     """
-    return extract(_disturbance_comb(rho, b, meas), recovery, cfg)
+    return extract(disturbance_comb(rho, b, meas), recovery, cfg)
 
 
 def extract_two_copy(
@@ -556,9 +528,7 @@ def extract_two_copy(
 ) -> IepResult:
     """Squared calibration error/disturbance from the two-copy comb.
 
-    error kind: f gives the pointer values (defaults required); disturbance
-    kind: the recovery couples the measured copy back through `gen`.
+    error kind: f gives the pointer values (required); disturbance kind: the
+    recovery couples the measured copy back through `gen`.
     """
-    if kind == "error" and f is None:
-        raise ValueError("two-copy error extraction needs outcome values f")
-    return extract(_two_copy_comb(rho, gen, meas, kind, f), "canonical", cfg)
+    return extract(two_copy_comb(rho, gen, meas, kind, f), "canonical", cfg)

@@ -25,7 +25,7 @@ from .qcore import (
     TestEnsemble,
     _as_space,
 )
-from .way import Implementation
+from .way import _PARTS, Implementation
 
 __all__ = ["canonical_json"]
 
@@ -126,30 +126,29 @@ def decode_ensemble(obj) -> TestEnsemble:
     return TestEnsemble(tuple((float(e["weight"]), decode_state(e["state"])) for e in obj))
 
 
+def encode_charges(charges: dict) -> dict:
+    return {k: encode_observable(v) for k, v in charges.items()}
+
+
+def decode_charges(obj) -> dict:
+    return {k: decode_observable(v) for k, v in obj.items()}
+
+
 def encode_implementation(impl: Implementation) -> dict:
     return {
         "rho_beta": encode_state(impl.rho_beta),
         "u": encode_matrix(impl.u),
-        "charges": {k: encode_observable(v) for k, v in impl.charges.items()},
-        "partition": {
-            "in_alpha": encode_space(impl.in_alpha),
-            "in_beta": encode_space(impl.in_beta),
-            "out_alpha": encode_space(impl.out_alpha),
-            "out_beta": encode_space(impl.out_beta),
-        },
+        "charges": encode_charges(impl.charges),
+        "partition": {part: encode_space(getattr(impl, part)) for part in _PARTS},
     }
 
 
 def decode_implementation(obj) -> Implementation:
-    part = obj["partition"]
     return Implementation(
         decode_state(obj["rho_beta"]),
         decode_matrix(obj["u"]),
-        {k: decode_observable(v) for k, v in obj["charges"].items()},
-        in_alpha=decode_space(part["in_alpha"]),
-        in_beta=decode_space(part["in_beta"]),
-        out_alpha=decode_space(part["out_alpha"]),
-        out_beta=decode_space(part["out_beta"]),
+        decode_charges(obj["charges"]),
+        **{part: decode_space(obj["partition"][part]) for part in _PARTS},
     )
 
 

@@ -83,7 +83,7 @@ class Implementation:
             raise ConservationError(
                 f"U must be square over matching partitions, got {u.shape} for {d_out}x{d_in}"
             )
-        if np.max(np.abs(u.conj().T @ u - np.eye(d_in))) > 1e-9:
+        if not (np.isfinite(u).all() and np.max(np.abs(u.conj().T @ u - np.eye(d_in))) <= 1e-9):
             raise ConservationError("U is not unitary within 1e-9")
         if self.rho_beta.space != self.in_beta:
             raise ConservationError("rho_beta must live on the in_beta space")
@@ -178,13 +178,13 @@ def _bound_inputs(impl: Implementation, target: KrausChannel, charges: dict | No
     """
     charges = _checked_charges(impl, charges)
     dev = check_conservation(impl, charges)
-    if dev > _TOL_CONS:
+    if not dev <= _TOL_CONS:
         raise ConservationError(f"conservation violated by {dev:.3e} (> {_TOL_CONS:.0e})")
     realized = realized_channel(impl)
     if realized.dim_in != target.dim_in or realized.dim_out != target.dim_out:
         raise ConservationError("implementation and measurement channel dimensions differ")
     gap = float(np.max(np.abs(choi(realized) - choi(target))))
-    if gap > _TOL_CHOI:
+    if not gap <= _TOL_CHOI:
         raise ConservationError(
             f"implementation realizes a different channel (Choi gap {gap:.3e} > {_TOL_CHOI:.0e})"
         )

@@ -23,8 +23,6 @@ from irrevkit import (
     TestEnsemble,
     blw_calibration_error_qubit,
     build_fixture,
-    build_loss_error,
-    build_loss_two_copy,
     canonical_recovery,
     check_conservation,
     conserving_disturbance_implementation,
@@ -32,6 +30,7 @@ from irrevkit import (
     conserving_otoc_implementation,
     delta_min,
     delta_with_recovery,
+    error_comb,
     extract_epsilon,
     extract_eta,
     extract_two_copy,
@@ -52,6 +51,7 @@ from irrevkit import (
     qfi,
     realized_channel,
     state_from_bloch,
+    two_copy_comb,
     uhlmann_fidelity,
     validate_channel,
     variance,
@@ -156,7 +156,7 @@ def test_criterion_2_optimized_recovery_never_loses(corpus):
             can_d = extract_eta(rho, b, meas, _system_recovery(b, meas)).value
             low_d = extract_eta(rho, b, meas, OPTIMIZE, opt).value
             worst_gap = max(worst_gap, low_d - can_d)
-        loss = build_loss_error(rho, a, 0.05, meas).channel
+        loss = error_comb(rho, a, meas).loss(0.05)
         p = float(rng.uniform(0.2, 0.8))
         omega = TestEnsemble(
             (
@@ -470,7 +470,7 @@ def test_criterion_9_metric_properties_and_channel_validity(corpus):
                 canonical_recovery(Observable(meas.out_space, b.data), meas.out_space, theta).channel,
                 f"recovery_s[{i},{theta}]",
             )
-        loss = build_loss_error(rho, a, 0.05, meas).channel
+        loss = error_comb(rho, a, meas).loss(0.05)
         check(loss, f"loss[{i}]")
         check(petz_recovery(loss, maximally_mixed(loss.in_space)), f"petz[{i}]")
 
@@ -487,13 +487,12 @@ def test_criterion_9_metric_properties_and_channel_validity(corpus):
     )
     check(realized_channel(impl), "realized conserving channel")
 
-    two_copy = build_loss_two_copy(
+    two_copy = two_copy_comb(
         state_from_bloch(np.array([0.0, 0.0, 1.0]), lab),
         Observable((lab,), SIGMA_Z),
-        0.05,
         proj_instrument(np.eye(2, dtype=complex), lab),
         "error",
-    ).channel
+    ).loss(0.05)
     check(two_copy, "two-copy loss")
 
     ok = sym <= 1e-10 and tri <= 1e-8 and not bad

@@ -26,8 +26,10 @@ from irrevkit import (
     build_fixture,
     cli,
     conserving_disturbance_implementation,
+    delta_with_recovery,
     fixture_names,
     otoc,
+    petz_recovery,
     pure_state,
     qcore,
     serialize,
@@ -233,6 +235,13 @@ class TestRun:
             reports.append({p.name: p.read_bytes() for p in d.glob("*.report.json")})
         assert len(reports[0]) == 10 and reports[0] == reports[1]
 
+    def test_document_without_output_writes_its_report_beside_itself(self, corpus, tmp_path):
+        doc = load_report(corpus / "lt-error-qubit.json")
+        want = run_report(tmp_path, doc, "want")
+        del doc["output"]
+        assert main(["run", write_doc(tmp_path, "plain.json", doc)]) == 0
+        assert load_report(tmp_path / "plain.report.json") == want
+
     def test_output_flag_rejected_for_batches(self, corpus, tmp_path):
         paths = [str(corpus / "lt-error-qubit.json"), str(corpus / "blw-error-qubit.json")]
         assert main(["run", *paths, "-o", str(tmp_path / "x.json")]) == 2
@@ -418,6 +427,15 @@ class TestReportValues:
         }
         delta = {name: run_report(tmp_path, doc, name)["result"]["delta"] for name, doc in docs.items()}
         assert delta["long"] <= delta["petz"] + 1e-9
+
+    def test_petz_delta_at_an_explicit_reference_state(self, tmp_path):
+        # sigma_ref replaces the ensemble average as the Petz reference, and the report echoes it
+        sigma = DensityMatrix((Label("S", 3),), np.diag([0.2, 0.3, 0.5]))
+        doc = mixed_qutrit_delta(recovery="petz", sigma_ref=encode_state(sigma))
+        report = run_report(tmp_path, doc)
+        loss, omega = serialize.decode_channel(doc["payload"]["loss"]), serialize.decode_ensemble(doc["payload"]["ensemble"])
+        assert report["result"]["delta"] == delta_with_recovery(loss, petz_recovery(loss, sigma), omega).delta
+        assert report["inputs"]["sigma_ref"] == encode_state(sigma)
 
 
 def key_paths(obj, prefix=""):
@@ -644,6 +662,13 @@ class TestExitCodes:
         assert "invalid scenario content: OverflowError" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    def test_unreadable_path_is_2(self, tmp_path, capsys, command, what):
+        path = tmp_path / "absent.json" if what == "missing" else tmp_path
+        assert main([command, str(path)]) == 2
+        assert f"{path}: cannot read: " in capsys.readouterr().err
+
     def test_undecodable_file_is_2(self, tmp_path, capsys):
         p = tmp_path / "utf16.json"
         p.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -694,6 +719,12 @@ class TestExitCodes:
         payload["instrument"] = encode_instrument(Instrument((Label("S", 2),), (Label("O", 3),), (("0", np.eye(3, 2)),)))
         assert main(["run", write_doc(tmp_path, "iso.json", doc)]) == 2
         assert "ShapeError: the canonical two-copy disturbance recovery" in capsys.readouterr().err
+
+    def test_two_copy_error_without_f_is_2(self, corpus, tmp_path, capsys):
+        doc = load_report(corpus / "blw-error-qubit.json")
+        del doc["payload"]["f"]
+        assert main(["run", write_doc(tmp_path, "nof.json", doc)]) == 2
+        assert "ValueError: two-copy error extraction needs outcome values f" in capsys.readouterr().err
 
     def test_conservation_failure_is_3(self, corpus, tmp_path):
         doc = load_report(corpus / "way-error-tight.json")

@@ -19,10 +19,11 @@ from irrevkit import (
     OutcomeFunctionError,
     CompositeSpaceError,
     ShapeError,
-    build_loss_disturbance,
     canonical_recovery,
     delta_min,
     delta_with_recovery,
+    disturbance_comb,
+    error_comb,
     extract,
     extract_epsilon,
     extract_eta,
@@ -37,10 +38,11 @@ from irrevkit import (
     otoc_iep_cp,
     pointer_channel,
     pure_state,
+    two_copy_comb,
     validate_channel,
 )
 from irrevkit import comb as comb_module, irrev, qcore
-from irrevkit.comb import Q_LABEL, _disturbance_comb, _error_comb, _fit_c2, _fit_operator, _two_copy_comb
+from irrevkit.comb import Q_LABEL, _fit_c2, _fit_operator
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
@@ -139,11 +141,18 @@ class TestEpsilonExtraction:
             with pytest.raises(TypeError):
                 extract_epsilon(RHO0, obs(SIGMA_X, S), proj_z(S), "petz", cfg)
 
+    @pytest.mark.parametrize("recovery", ["fixed", OPTIMIZE])
+    def test_analytic_extraction_needs_a_canonical_recovery(self, recovery):
+        comb = error_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
+        recovery = pm_pointer().channel if recovery == "fixed" else recovery
+        with pytest.raises(ValueError, match="analytic extraction needs a canonical recovery"):
+            extract(comb, recovery, ANALYTIC)
+
     def test_optimize_is_the_recovery_word(self):
         # scenario files and the library name optimization by the same word
         assert OPTIMIZE == "optimize"
         cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=60, restarts=0))
-        comb = _error_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
+        comb = error_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
         assert extract(comb, "optimize", cfg) == extract(comb, OPTIMIZE, cfg)
 
     def test_optimized_never_exceeds_canonical(self):
@@ -215,7 +224,7 @@ class TestStackedOptimize:
         rng = np.random.default_rng(42)
         for d, k in ((2, 2), (3, 3), (4, 2)):
             rho, a, b, meas = _meter(rng, d, k)
-            for comb in (_error_comb(rho, a, meas), _disturbance_comb(rho, b, meas)):
+            for comb in (error_comb(rho, a, meas), disturbance_comb(rho, b, meas)):
                 rep = extract(comb, OPTIMIZE, CRITERION_2)
                 values, gap = self.per_theta(comb, CRITERION_2)
                 got = np.array([v for _, v in rep.theta_grid])
@@ -236,7 +245,7 @@ class TestStackedOptimize:
             "disturbance": [4.851313149542029e-06, 1.212852000587053e-06, 3.032144822327776e-07, 7.580371318871918e-08],
         }
         for (name, comb), starts in zip(
-            (("error", _error_comb(rho, a, meas)), ("disturbance", _disturbance_comb(rho, b, meas))), (2, 3)
+            (("error", error_comb(rho, a, meas)), ("disturbance", disturbance_comb(rho, b, meas))), (2, 3)
         ):
             del calls[:]
             rep = extract(comb, OPTIMIZE, cfg)
@@ -289,7 +298,7 @@ class TestEtaExtraction:
             meas = rand_instrument(rng, d, k, lab)
             x_lt = lt_disturbance(rho, b, meas)[1]
             for theta, d2 in extract_eta(rho, b, meas, "canonical").theta_grid:
-                loss = build_loss_disturbance(rho, b, theta, meas).channel
+                loss = disturbance_comb(rho, b, meas).loss(theta)
                 assert validate_channel(loss)["ok"]
                 rec = canonical_recovery(x_lt, meas.out_space, theta).channel
                 assert abs(delta_with_recovery(loss, rec, omega_pm()).delta ** 2 - d2) <= 1e-12 * d2
@@ -303,14 +312,14 @@ class TestEtaExtraction:
             rho, b = rand_state(rng, d, lab), Observable((lab,), rand_herm(rng, d, norm=1.0))
             meas = Instrument((lab,), (out,), rand_instrument(rng, d, k, lab).branches)
             x_lt = lt_disturbance(rho, b, meas)[1]
-            pointer = _error_comb(rho, b, meas).recoveries()[0].x
+            pointer = error_comb(rho, b, meas).recoveries()[0].x
             f = [lt_error(rho, b, meas)[1][m] for m in meas.outcomes]
             cases = [
                 (x_lt, Observable((out,), np.array(x_lt.data))),
-                (_disturbance_comb(rho, b, meas).recoveries()[1].x, Observable((out,), b.data)),
+                (disturbance_comb(rho, b, meas).recoveries()[1].x, Observable((out,), b.data)),
                 (pointer, Observable((Label("P", k),), np.diag(f).astype(complex))),
-                (_two_copy_comb(rho, b, meas, "error", f).recoveries()[0].x, Observable((Label("P", k),), np.diag(f))),
-                (_two_copy_comb(rho, b, meas, "disturbance").recoveries()[0].x, Observable((Label("S2", d),), b.data)),
+                (two_copy_comb(rho, b, meas, "error", f).recoveries()[0].x, Observable((Label("P", k),), np.diag(f))),
+                (two_copy_comb(rho, b, meas, "disturbance").recoveries()[0].x, Observable((Label("S2", d),), b.data)),
             ]
             for trusted, checked in cases:
                 assert type(trusted) is type(checked) and trusted.space == checked.space
@@ -326,8 +335,14 @@ class TestTwoCopy:
         assert abs(rep.value - 2.0) < 1e-6
 
     def test_error_kind_requires_f(self):
-        with pytest.raises((ValueError, TypeError)):
-            extract_two_copy(RHO0, obs(SIGMA_Z, S), proj_x(), "error")
+        # only the recovery reads the pointer values, so the comb's loss builds and every extraction names f
+        comb = two_copy_comb(RHO0, obs(SIGMA_Z, S), proj_x(), "error")
+        assert validate_channel(comb.loss(0.05))["ok"]
+        cfg = ExtractionConfig(optimizer=OptimizerConfig(max_iters=5, restarts=0))
+        for run in (lambda: extract_two_copy(RHO0, obs(SIGMA_Z, S), proj_x(), "error"),
+                    lambda: extract(comb, "canonical"), lambda: extract(comb, OPTIMIZE, cfg)):
+            with pytest.raises(ValueError, match="two-copy error extraction needs outcome values f"):
+                run()
 
     def test_infinite_outcome_value_names_f(self):
         # the error names f, not the coupling observable built from it
@@ -356,7 +371,7 @@ class TestTwoCopyPreparedReadout:
     """The two-copy comb, copy 1 beside the prepared readout of copy 2, against the dense rho (x) rho comb."""
 
     def check(self, rho, gen, meas, kind, recovery=None):
-        comb = _two_copy_comb(rho, gen, meas, kind, list(np.linspace(-1.0, 1.0, len(meas.branches))))
+        comb = two_copy_comb(rho, gen, meas, kind, list(np.linspace(-1.0, 1.0, len(meas.branches))))
         old = kron_two_copy_comb(comb, rho, gen, meas, kind)
         assert old.out_space == comb.out_space
         rec = recovery or comb.recoveries()[0]
@@ -387,7 +402,7 @@ class TestTwoCopyPreparedReadout:
         rec = canonical_recovery(Observable((s2o,), rand_herm(rng, d_out, norm=1.0)), (s2o, s1), 0.0)
         gen = Observable((lab,), rand_herm(rng, d, norm=1.0))
         for rho in (rand_state(rng, d, lab), rand_pure(rng, d, lab)):
-            assert _two_copy_comb(rho, gen, meas, "disturbance").out_space == (s2o, s1, Q_LABEL)
+            assert two_copy_comb(rho, gen, meas, "disturbance").out_space == (s2o, s1, Q_LABEL)
             self.check(rho, gen, meas, "disturbance", rec)
 
     def test_no_embed_and_no_lift(self, monkeypatch):
@@ -439,7 +454,7 @@ class TestTwoCopyPreparedReadout:
             f = [float(v) for v in rng.choice([0.0, -0.0, 1.5, -0.25], size=k)]
             gen = Observable((lab,), self.signed_zero_herm(rng, d))
             for kind, readout in (("error", Label("P", k)), ("disturbance", Label("S2", d))):
-                (rec,) = _two_copy_comb(rho, gen, meas, kind, f).recoveries()
+                (rec,) = two_copy_comb(rho, gen, meas, kind, f).recoveries()
                 assert rec.x.space == (readout,) and rec.target == (readout, Label("S1", d)), kind
                 assert rec.gen.tobytes() == qcore.embed_matrix(rec.x.data, (readout,), rec.target).tobytes(), kind
 
@@ -474,7 +489,7 @@ class TestTwoCopyPreparedReadout:
         # an explicit recovery on (S2o, S1) needs no such generator
         s2o = Label("S2o", 3)
         rec = canonical_recovery(obs(rand_herm(rng, 3), s2o), (s2o, Label("S1", 2)), 0.0)
-        assert extract(_two_copy_comb(rand_state(rng, 2, S), gen, meas, "disturbance"), rec).value >= 0.0
+        assert extract(two_copy_comb(rand_state(rng, 2, S), gen, meas, "disturbance"), rec).value >= 0.0
 
 
 def old_block_columns(rho: DensityMatrix) -> np.ndarray:
@@ -547,7 +562,7 @@ class TestSharedFactor:
         for state in (replaced, trusted):
             assert np.array_equal(state.sqrt_factor, old_block_columns(other))
         # the two-copy block carries rho's own factor
-        assert _two_copy_comb(rho, obs(SIGMA_Z, S), proj_x(), "error", F_PM).block.sqrt_factor is rho.sqrt_factor
+        assert two_copy_comb(rho, obs(SIGMA_Z, S), proj_x(), "error", F_PM).block.sqrt_factor is rho.sqrt_factor
 
 
 class TestFitOperator:
@@ -609,10 +624,10 @@ def rand_combs(seed: int, n: int = 3):
         a = Observable((lab,), rand_herm(rng, d, norm=1.0))
         meas = rand_instrument(rng, d, k, lab)
         f = list(rng.standard_normal(k))
-        yield "error", _error_comb(rho, a, meas)
-        yield "disturbance", _disturbance_comb(rho, a, meas)
-        yield "two-copy error", _two_copy_comb(rho, a, meas, "error", f)
-        yield "two-copy disturbance", _two_copy_comb(rho, a, meas, "disturbance")
+        yield "error", error_comb(rho, a, meas)
+        yield "disturbance", disturbance_comb(rho, a, meas)
+        yield "two-copy error", two_copy_comb(rho, a, meas, "error", f)
+        yield "two-copy disturbance", two_copy_comb(rho, a, meas, "disturbance")
 
 
 class TestStackedGrid:
@@ -652,7 +667,7 @@ class TestStackedGrid:
         pointer = canonical_recovery(Observable((P,), SIGMA_Z), (P,), 0.0)
         with pytest.raises(ShapeError):  # pointer recovery on the disturbance comb's (S, Q)
             extract_eta(rho, obs(SIGMA_X, S), proj_z(S), pointer)
-        comb = _two_copy_comb(rho, obs(SIGMA_X, S), proj_z(S), "disturbance")
+        comb = two_copy_comb(rho, obs(SIGMA_X, S), proj_z(S), "disturbance")
         rec = comb.recoveries()[0]
         with pytest.raises(ShapeError):  # right labels, wrong order
             extract(comb, canonical_recovery(rec.x, tuple(reversed(rec.target)), 0.0))
@@ -850,7 +865,7 @@ class TestFactorCoupling:
 
     def test_comb_generator_labels_checked(self):
         # a generator whose label names match the block but whose dimension does not
-        comb = _disturbance_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
+        comb = disturbance_comb(RHO0, obs(SIGMA_X, S), proj_z(S))
         wrong = Comb(comb.block, Observable((Label("S", 3),), np.eye(3)), comb.stage, comb.recoveries)
         with pytest.raises(ShapeError):
             extract(wrong)

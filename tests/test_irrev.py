@@ -75,6 +75,12 @@ class TestDeltaWithRecovery:
         )
         assert rep.delta < 1e-7
 
+    @pytest.mark.parametrize("run", [lambda loss, omega: delta_with_recovery(loss, loss, omega), delta_min],
+                             ids=["delta_with_recovery", "delta_min"])
+    def test_ensemble_on_another_space_is_refused(self, run):
+        with pytest.raises(ShapeError, match="ensemble space does not match the loss input space"):
+            run(identity_channel((Q,)), omega_pm(Label("R", 2)))
+
     def test_depolarizing_with_identity_recovery(self):
         # output is I/2 regardless of input: D_F(|+/-><+/-|, I/2) = 1/sqrt(2)
         rep = delta_with_recovery(depolarizing(Q), identity_channel((Q,)), omega_pm(Q))

@@ -365,6 +365,16 @@ class TestInstruments:
         assert abs(probs["0"] - 0.5) < 1e-12
         assert abs(sum(probs.values()) - 1) < 1e-12
 
+    def test_apply_to_an_instrument_is_apply_instrument(self):
+        # a branch of probability 1e-12 or less comes back without a state
+        rho = pure_state([1, 1e-7], (S,))
+        out = apply(proj_z(S), rho)
+        want = apply_instrument(proj_z(S), rho)
+        assert [(m, p) for m, p, _ in out] == [(m, p) for m, p, _ in want]
+        assert np.array_equal(out[0][2].data, want[0][2].data)
+        (m, p, state) = out[1]
+        assert m == "1" and 0 < p <= 1e-12 and state is None and want[1][2] is None
+
     def test_pointer_channel_is_diagonal(self):
         p = Label("P", 2)
         rho = pure_state([1, 1j], (S,))
@@ -532,7 +542,7 @@ def _trusted_sites():
 
     def two_copy(rng, kind):
         rho, gen = rand_state(rng, 2, S), Observable((S,), rand_herm(rng, 2))
-        c = comb._two_copy_comb(rho, gen, proj_z(S), kind, {"0": 0.5, "1": -1.0})
+        c = comb.two_copy_comb(rho, gen, proj_z(S), kind, {"0": 0.5, "1": -1.0})
         return c.block, c.gen, c.stage
 
     def delta_min_recovery(rng, *members):
@@ -600,7 +610,7 @@ def _trusted_sites():
         ("way_bound-relabelled-charge", way_relabelled_charge),
         ("w_tau", lambda rng: (otoc._w_tau(scenario(rng, [1.0, -1.0, 1.0])),)),
         ("otoc_iep_cp-branch", cp_branch),
-        ("Comb.loss", lambda rng: (comb._error_comb(rand_state(rng, 2, S), herm(rng, S), proj_z(S)).loss(0.1),)),
+        ("Comb.loss", lambda rng: (comb.error_comb(rand_state(rng, 2, S), herm(rng, S), proj_z(S)).loss(0.1),)),
         ("CanonicalRecovery.channel", lambda rng: (comb.canonical_recovery(herm(rng, S), (S, B), 0.3).channel,)),
         ("petz-sigma_ref", petz_reference),
     ]
@@ -709,7 +719,7 @@ class TestIdentityEquality:
         rho, z = DensityMatrix((S,), np.eye(2) / 2), Observable((S,), SIGMA_Z)
         holders = [
             lambda: comb.canonical_recovery(z, (S,), 0.0),
-            lambda: comb._error_comb(rho, z, proj_z(S)),
+            lambda: comb.error_comb(rho, z, proj_z(S)),
             lambda: TestEnsemble(((1.0, rho),)),
             lambda: delta_min(identity_channel((S,)), TestEnsemble(((1.0, rho),)), OptimizerConfig(max_iters=2, restarts=0)),
         ]

@@ -5,6 +5,7 @@ from irrevkit import (
     ConservationError,
     DensityMatrix,
     Implementation,
+    Instrument,
     Label,
     Observable,
     ScramblingScenario,
@@ -134,6 +135,15 @@ class TestImplementation:
                 impl.out_beta,
             )
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_unitary_rejected(self, entry):
+        # a NaN fails every comparison, so the unitarity defect must be required to be small
+        impl, _ = swap_implementation(Observable((S,), SIGMA_Z), maximally_mixed((Label("B1", 2),)))
+        u = impl.u.copy()
+        u[0, 0] = entry
+        with pytest.raises(ConservationError, match="U is not unitary"):
+            Implementation(impl.rho_beta, u, impl.charges, impl.in_alpha, impl.in_beta, impl.out_alpha, impl.out_beta)
+
     @pytest.mark.parametrize("slot", ["alpha", "beta", "alpha_out", "beta_out"])
     def test_charge_dimension_checked_per_slot(self, slot):
         impl, _ = tight_instance()
@@ -214,6 +224,14 @@ class TestErrorBound:
         impl, _ = tight_instance()
         with pytest.raises(ConservationError):
             way_bound_error(RHO_PLUS_I, Observable((S,), SIGMA_X), proj_x(S), None, impl)
+
+    def test_realized_channel_of_other_dimensions_rejected(self):
+        # the qubit implementation cannot realize the pointer channel of a qutrit measurement
+        impl, _ = tight_instance()
+        s3 = Label("S", 3)
+        meas = Instrument((s3,), (s3,), tuple((str(i), np.diag(np.eye(3)[i]).astype(complex)) for i in range(3)))
+        with pytest.raises(ConservationError, match="implementation and measurement channel dimensions differ"):
+            way_bound_error(pure_state([1, 0, 0], (s3,)), Observable((s3,), np.eye(3)), meas, None, impl)
 
     def test_yanase_condition_gate(self):
         impl, meas = tight_instance()
