@@ -25,7 +25,8 @@ of x, to irrev's stacked delta_with_recovery and delta_min kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import Callable
 
@@ -109,7 +110,7 @@ class CanonicalRecovery:
     def __post_init__(self):
         object.__setattr__(self, "target", _as_space(self.target))
         _as_space(self.in_space)  # the target may not use the ancilla's label
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", float(_thetas(self.theta)))
         object.__setattr__(self, "gen", _coupling(self.x, self.target))
 
     @property
@@ -153,6 +154,8 @@ class ExtractionConfig:
     optimizer: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
+        object.__setattr__(self, "thetas", tuple(map(float, self.thetas)))
+        object.__setattr__(self, "fit_tol", float(self.fit_tol))
         if self.method not in ("extrapolated", "analytic"):
             raise ValueError(f"extraction method {self.method!r} is neither 'extrapolated' nor 'analytic'")
         if len(set(self.thetas)) < 2 or not all(0 < t < np.inf for t in self.thetas):
@@ -165,13 +168,8 @@ class ExtractionConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "ExtractionConfig":
-        base = cls()
-        return cls(
-            method=str(d.get("method", base.method)),
-            thetas=tuple(float(t) for t in d.get("thetas", base.thetas)),
-            fit_tol=float(d.get("fit_tol", base.fit_tol)),
-            optimizer=OptimizerConfig.from_json(d.get("optimizer", {})),
-        )
+        given = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        return cls(**given | {"optimizer": OptimizerConfig.from_json(d.get("optimizer", {}))})
 
 
 _DEFAULT_CFG = ExtractionConfig()
@@ -377,9 +375,18 @@ def _coupling(x: Observable, sp) -> np.ndarray:
     return x.data if tuple(x.space) == tuple(sp) else embed_matrix(x.data, x.space, sp)
 
 
+def _thetas(thetas) -> np.ndarray:
+    """A theta or a grid of them as a float array; a non-finite theta raises ValueError."""
+    th = np.asarray(thetas, dtype=float)
+    for t in th.ravel().tolist():  # math.isfinite: faster than numpy on a few values
+        if not math.isfinite(t):
+            raise ValueError(f"theta must be finite, got {t}")
+    return th
+
+
 def _flow(thetas):
     """g -> the (t, 2, d, d) stack exp(-i theta s_q g) over the grid thetas and s_q = +1, -1, from one eigh."""
-    th = np.multiply.outer(np.asarray(thetas, dtype=float), SIGNS)
+    th = np.multiply.outer(_thetas(thetas), SIGNS)
     return lambda g: _expm_herm(g, th)
 
 

@@ -241,10 +241,10 @@ def build_fixture(name: str) -> dict:
     return _BUILDERS[name]()
 
 
-def write_fixtures(directory: str, names=None) -> list:
+def write_fixtures(directory: str) -> list:
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for name in names or fixture_names():
+    for name in fixture_names():
         doc = build_fixture(name)
         path = os.path.join(directory, f"{name}.json")
         atomic_write_text(path, canonical_json(doc))

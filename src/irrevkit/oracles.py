@@ -94,12 +94,12 @@ def ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> fl
     return max(float(np.vdot(x, x).real), 0.0)
 
 
-def akg_unbiasedness_check(meas: Instrument, a: Observable, f, tol: float = 1e-9):
-    """Whether sum_m f(m) M_m' M_m reproduces A exactly (unbiased readout)."""
+def akg_unbiasedness_check(meas: Instrument, a: Observable, f):
+    """Whether sum_m f(m) M_m' M_m reproduces A within 1e-9 (unbiased readout)."""
     k = meas.kraus
     acc = np.sum(outcome_values(meas, f)[:, None, None] * (k.conj().swapaxes(1, 2) @ k), axis=0)
     dev = float(np.max(np.abs(acc - a.data)))
-    return dev <= tol, dev
+    return dev <= 1e-9, dev
 
 
 def lt_error(rho: DensityMatrix, a: Observable, meas: Instrument):
@@ -149,10 +149,16 @@ def lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument):
     return max(b2 - cross + quad, 0.0), _trusted(Observable, space=meas.out_space, data=x)
 
 
+def _bloch_vector(r) -> np.ndarray:
+    rv = np.asarray(r, dtype=float).reshape(3)
+    if not all(map(math.isfinite, rv.tolist())):  # faster than numpy on three values
+        raise BlochError(f"Bloch vector {rv.tolist()} is not finite")
+    return rv
+
+
 def blw_calibration_error_qubit(a, a_prime) -> float:
     """Qubit calibration distance sqrt(2 |a . (a - a')|) between Bloch vectors."""
-    av = np.asarray(a, dtype=float).reshape(3)
-    bv = np.asarray(a_prime, dtype=float).reshape(3)
+    av, bv = _bloch_vector(a), _bloch_vector(a_prime)
     na = float(np.linalg.norm(av))
     if abs(na - 1.0) > 1e-9:
         raise BlochError(f"reference Bloch vector must be unit, got norm {na}")
@@ -172,9 +178,11 @@ def wasserstein2_discrete(xs, px, ys, py) -> float:
     py = np.asarray(py, dtype=float).reshape(-1)
     if xs.shape != px.shape or ys.shape != py.shape:
         raise DistributionError("values and weights must have matching lengths")
+    if not all(np.isfinite(v).all() for v in (xs, px, ys, py)):
+        raise DistributionError("values and weights must be finite")
     if np.any(px < -TOL_PROB) or np.any(py < -TOL_PROB):
         raise DistributionError("negative probability mass")
-    if abs(px.sum() - py.sum()) > 1e-9:
+    if not abs(px.sum() - py.sum()) <= 1e-9:
         raise DistributionError(f"total masses differ: {px.sum()} vs {py.sum()}")
     ox = np.argsort(xs)
     oy = np.argsort(ys)
@@ -210,7 +218,7 @@ def bloch_from_state(rho: DensityMatrix):
 
 
 def state_from_bloch(r, label: Label = Label("S", 2)) -> DensityMatrix:
-    rv = np.asarray(r, dtype=float).reshape(3)
+    rv = _bloch_vector(r)
     if np.linalg.norm(rv) > 1.0 + 1e-12:
         raise BlochError("Bloch vector outside the unit ball")
     m = 0.5 * (ID2 + rv[0] * SIGMA_X + rv[1] * SIGMA_Y + rv[2] * SIGMA_Z)

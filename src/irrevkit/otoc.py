@@ -209,19 +209,19 @@ def conserving_otoc_implementation(
     return _implementation(rho_beta, np.kron(w, u), charges)
 
 
-def pauli_string(ops: str, name: str = "S") -> Observable:
-    """Tensor product of single-qubit Paulis, e.g. "XIZ", on one fused label."""
+def pauli_string(ops: str) -> Observable:
+    """Tensor product of single-qubit Paulis, e.g. "XIZ", on one fused label S."""
     if not ops or any(c not in PAULI for c in ops):
         raise ValueError(f"pauli string must be nonempty over IXYZ, got {ops!r}")
     mat = np.array([[1.0 + 0.0j]])
     for c in ops:
         # np.kron's own product, bit for bit (signed zeros included), without its overhead
         mat = (mat[:, None, :, None] * PAULI[c][None, :, None, :]).reshape(2 * len(mat), 2 * len(mat))
-    return _trusted(Observable, space=(Label(name, 2 ** len(ops)),), data=mat)
+    return _trusted(Observable, space=(Label("S", 2 ** len(ops)),), data=mat)
 
 
-def ising_chain_scenario(tau: float, n: int = 3, rho: DensityMatrix | None = None) -> ScramblingScenario:
-    """Transverse-field Ising chain; W = X on the first site, V = Z on the last."""
+def ising_chain_scenario(tau: float, n: int = 3) -> ScramblingScenario:
+    """Transverse-field Ising chain; W = X on the first site, V = Z on the last, at infinite temperature."""
     if n < 2:
         raise ValueError("chain needs at least two sites")
     h = np.zeros((2**n, 2**n), dtype=complex)
@@ -231,4 +231,4 @@ def ising_chain_scenario(tau: float, n: int = 3, rho: DensityMatrix | None = Non
         h += pauli_string("I" * i + "X" + "I" * (n - 1 - i)).data
     w = pauli_string("X" + "I" * (n - 1))
     v = pauli_string("I" * (n - 1) + "Z")
-    return ScramblingScenario(Observable(w.space, h), w, v, tau, rho)
+    return ScramblingScenario(Observable(w.space, h), w, v, tau)

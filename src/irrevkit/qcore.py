@@ -137,6 +137,8 @@ def _as_matrix(data, dim: int | None = None) -> np.ndarray:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise ShapeError(f"matrix dimension {a.shape[0]} does not match space dimension {dim}")
+    if not np.isfinite(a).all():  # before any arithmetic, where inf - inf would warn
+        raise StateValidityError("matrix entries must be finite")
     return a
 
 
@@ -221,13 +223,15 @@ def _kraus_stack(ops, din: int, dout: int, trace_preserving: bool = True) -> np.
         raise ShapeError(f"Kraus stack shape {k.shape} != (r, {dout}, {din})")
     if not len(k):
         raise ShapeError("at least one Kraus operator is needed")
+    if not np.isfinite(k).all():
+        raise ShapeError("Kraus operator entries must be finite")
     m = k.reshape(-1, din)
     gram = m.conj().T @ m
     if trace_preserving:
         if not np.max(np.abs(gram - np.eye(din))) <= TOL_TP:
             raise ShapeError(f"Kraus operators not trace preserving within {TOL_TP}")
     else:
-        # non-finite iff some Kraus entry is; eigvalsh returns finite garbage on NaN input
+        # non-finite only where the products overflow; eigvalsh returns finite garbage on NaN input
         tr = gram.trace().real
         hi = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) if np.isfinite(tr) else tr
         if not hi <= 1.0 + TOL_TP:
@@ -357,7 +361,10 @@ def ket(i: int, dim: int) -> np.ndarray:
 
 def pure_state(vec, sp) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
+    norm = np.linalg.norm(v) if np.isfinite(v).all() else 0.0
+    if not norm > 0.0:
+        raise StateValidityError("a state vector needs finite entries and a nonzero norm")
+    v = v / norm
     return DensityMatrix(_as_space(sp), np.outer(v, v.conj()))
 
 
@@ -564,19 +571,19 @@ def choi(ch: KrausChannel) -> np.ndarray:
     return sum(v[:, :, None] * v.conj()[:, None, :])
 
 
-def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int, tol: float = TOL_FACTOR) -> np.ndarray:
-    """(r, dim_out, dim_in) Kraus stack from the eigenvectors of c above tol.
+def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """(r, dim_out, dim_in) Kraus stack from the eigenvectors of c above TOL_FACTOR.
 
     A (..., n, n) stack of Choi matrices gives a (..., r, dim_out, dim_in)
     stack, r the largest count kept, the smaller ranks padded with zero
     operators.
     """
     vals, vecs = _herm_eigh(c)
-    r = int(np.max(np.count_nonzero(vals > tol, axis=-1)))
+    r = int(np.max(np.count_nonzero(vals > TOL_FACTOR, axis=-1)))
     if not r:
         return np.zeros((*c.shape[:-2], 1, dim_out, dim_in), dtype=complex)
     # eigh sorts ascending, so the kept eigenpairs are the last r of the largest rank
-    w = np.sqrt(np.where(vals > tol, vals, 0.0))[..., None, -r:]
+    w = np.sqrt(np.where(vals > TOL_FACTOR, vals, 0.0))[..., None, -r:]
     return (w * vecs[..., -r:]).swapaxes(-1, -2).reshape(*c.shape[:-2], r, dim_out, dim_in)
 
 
@@ -601,10 +608,9 @@ def identity_channel(sp) -> KrausChannel:
     return KrausChannel(sp, sp, (np.eye(space_dim(sp)),))
 
 
-def unitary_channel(u: np.ndarray, in_space, out_space=None) -> KrausChannel:
-    sin = _as_space(in_space)
-    sout = _as_space(out_space) if out_space is not None else sin
-    return KrausChannel(sin, sout, (np.asarray(u, dtype=complex),))
+def unitary_channel(u: np.ndarray, in_space) -> KrausChannel:
+    sp = _as_space(in_space)
+    return KrausChannel(sp, sp, (np.asarray(u, dtype=complex),))
 
 
 def instrument_channel(inst: Instrument) -> KrausChannel:

@@ -292,11 +292,13 @@ def way_bound_error_yanase(
 # implementation templates
 
 
-def commutant_projection(h: np.ndarray, x_tot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def commutant_projection(h: np.ndarray, x_tot: np.ndarray) -> np.ndarray:
     """Project a Hermitian onto the commutant of x_tot (block-diagonal part)."""
+    if not (np.isfinite(h).all() and np.isfinite(x_tot).all()):
+        raise ValueError("h and x_tot must be finite")
     vals, vecs = np.linalg.eigh(x_tot)
     hm = vecs.conj().T @ h @ vecs
-    mask = np.abs(vals[:, None] - vals[None, :]) <= tol
+    mask = np.abs(vals[:, None] - vals[None, :]) <= 1e-9  # eigenvalues within 1e-9 share a block
     hm = hm * mask
     out = vecs @ hm @ vecs.conj().T
     return (out + out.conj().T) / 2
@@ -322,16 +324,15 @@ def conserving_error_implementation(
     pointer_values,
     chi,
     rng=None,
-    pointer_shift: float = 0.0,
     u_meas: np.ndarray | None = None,
 ):
     """Doubled-pointer dilation of a pointer measurement.
 
     The ancilla is a pointer register P1 (charge diagonal with the given
-    values, state chi) plus a copy register P2 (constant charge
-    pointer_shift). A charge-conserving unitary entangles S with P1 (random
-    in the commutant unless u_meas is given), then a controlled cyclic shift
-    copies the pointer onto P2; tracing out (S, P1) leaves exactly the
+    values, state chi) plus a copy register P2 of charge zero. A
+    charge-conserving unitary entangles S with P1 (random in the commutant
+    unless u_meas is given), then a controlled cyclic shift copies the
+    pointer onto P2; tracing out (S, P1) leaves exactly the
     dephased pointer channel. Returns (Implementation, Instrument).
     """
     sp = x_s.space
@@ -367,8 +368,8 @@ def conserving_error_implementation(
     out_beta = tuple(Label(l.name + "r", l.dim) for l in sp) + (Label("B1r", n),)
     charges = {
         "alpha": x_s,
-        "beta": Observable((b1, b2), _total_charge(x_p1, pointer_shift * np.eye(n))),
-        "alpha_out": Observable((p_label,), pointer_shift * np.eye(n, dtype=complex)),
+        "beta": Observable((b1, b2), _total_charge(x_p1, np.zeros((n, n)))),
+        "alpha_out": Observable((p_label,), np.zeros((n, n), dtype=complex)),
         "beta_out": Observable(out_beta, x_tot),
     }
     impl = _implementation(rho_beta, u_out, charges)

@@ -1,5 +1,6 @@
 """The public API is declared once: each module's __all__ is what `from irrevkit import ...` gives."""
 
+import inspect
 import types
 
 import irrevkit
@@ -23,3 +24,58 @@ def test_every_public_top_level_name_is_declared():
         value = getattr(irrevkit, name)
         submodule = isinstance(value, types.ModuleType) and value.__name__ == f"irrevkit.{name}"
         assert name.startswith("_") or submodule or name in declared, name
+
+
+# every (callable, parameter) of the public API that has a default; the result records are left out
+OPTIONS = {
+    ("Comb", "branch_scale"),
+    ("ExtractionConfig", "fit_tol"),
+    ("ExtractionConfig", "method"),
+    ("ExtractionConfig", "optimizer"),
+    ("ExtractionConfig", "thetas"),
+    ("KrausChannel", "trace_preserving"),
+    ("OptimizerConfig", "max_iters"),
+    ("OptimizerConfig", "restarts"),
+    ("OptimizerConfig", "seed"),
+    ("OptimizerConfig", "step"),
+    ("OptimizerConfig", "tol"),
+    ("ScramblingScenario", "rho"),
+    ("check_conservation", "charges"),
+    ("conserving_error_implementation", "rng"),
+    ("conserving_error_implementation", "u_meas"),
+    ("conserving_otoc_implementation", "lam"),
+    ("delta_min", "cfg"),
+    ("delta_min", "warm_starts"),
+    ("extract", "cfg"),
+    ("extract", "recovery"),
+    ("extract_epsilon", "cfg"),
+    ("extract_eta", "cfg"),
+    ("extract_two_copy", "cfg"),
+    ("extract_two_copy", "f"),
+    ("ising_chain_scenario", "n"),
+    ("omega_pm", "q"),
+    ("otoc_iep", "cfg"),
+    ("otoc_iep", "recovery"),
+    ("otoc_iep_cp", "cfg"),
+    ("state_from_bloch", "label"),
+    ("two_copy_comb", "f"),
+    ("way_bound_disturbance", "cfg"),
+    ("way_bound_disturbance", "lhs"),
+    ("way_bound_error", "cfg"),
+    ("way_bound_error", "lhs"),
+    ("way_bound_error_yanase", "cfg"),
+    ("way_bound_error_yanase", "lhs"),
+}
+
+
+def test_the_option_surface_is_the_recorded_one():
+    """A new knob, or a dropped one, shows up here as a test edit."""
+    found = set()
+    for mod in MODULES:
+        for name in mod.__all__:
+            value = getattr(mod, name)
+            if callable(value) and name not in ("DeltaReport", "IepResult"):
+                params = inspect.signature(value).parameters.values()
+                found |= {(name, p.name) for p in params if p.default is not p.empty}
+    assert len(OPTIONS) == 37
+    assert found == OPTIONS

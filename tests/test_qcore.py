@@ -158,6 +158,37 @@ class TestNonFinite:
         with pytest.raises((ShapeError, StateValidityError)):
             build()
 
+    # inf - inf and inf * 0 are NaN, which numpy warns about (an error here) unless inf is refused first
+    @pytest.mark.parametrize("x", [np.inf, -np.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            pytest.param(lambda x: DensityMatrix((S,), np.diag([x, 1.0])), StateValidityError, id="state-diagonal"),
+            pytest.param(lambda x: DensityMatrix((S,), [[0.5, x], [x, 0.5]]), StateValidityError, id="state-coherence"),
+            pytest.param(lambda x: Observable((S,), np.diag([1.0, x])), StateValidityError, id="observable"),
+            pytest.param(lambda x: KrausChannel((S,), (S,), (np.diag([1.0, x]),)), ShapeError, id="channel"),
+            pytest.param(
+                lambda x: KrausChannel((S,), (S,), (np.diag([0.5, x]),), trace_preserving=False),
+                ShapeError,
+                id="cp-branch",
+            ),
+            pytest.param(
+                lambda x: Instrument((S,), (S,), (("0", np.diag([1.0, x])), ("1", np.diag([0.0, 1.0])))),
+                ShapeError,
+                id="instrument",
+            ),
+            pytest.param(lambda x: unitary_channel(np.diag([1.0, x]), (S,)), ShapeError, id="unitary-channel"),
+            pytest.param(lambda x: pure_state([1.0, x], (S,)), StateValidityError, id="pure-state"),
+        ],
+    )
+    def test_inf_rejected(self, build, error, x):
+        with pytest.raises(error, match="finite"):
+            build(x)
+
+    def test_zero_vector_is_no_pure_state(self):
+        with pytest.raises(StateValidityError, match="nonzero norm"):
+            pure_state([0.0, 0.0], (S,))
+
 
 class TestChannels:
     def test_tp_violation_rejected(self):
