@@ -90,8 +90,13 @@ def ozawa_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument) -> fl
     k = meas.kraus
     if k.shape[-2] != k.shape[-1]:
         raise ShapeError("disturbance needs square Kraus operators (same in/out dimension)")
-    x = (k @ b.data - b.data @ k) @ rho.sqrt_factor
-    return max(float(np.vdot(x, x).real), 0.0)
+    return _disturbance(rho, b, k, b.data)
+
+
+def _disturbance(rho: DensityMatrix, b: Observable, k: np.ndarray, x: np.ndarray) -> float:
+    """sum_m ||(X M_m - M_m B) sqrt(rho)||_HS^2 over the Kraus stack k, through rho.sqrt_factor."""
+    y = (x @ k - k @ b.data) @ rho.sqrt_factor
+    return max(float(np.vdot(y, y).real), 0.0)
 
 
 def akg_unbiasedness_check(meas: Instrument, a: Observable, f):
@@ -125,7 +130,8 @@ def lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument):
     Returns (value, X) with Hermitian X on the instrument output solving
     X sigma' + sigma' X = 2 I_M(B o rho) in the eigenbasis of
     sigma' = I_M(rho); eigenvalue pairs summing below 1e-12 are dropped
-    (pseudo-inverse). value = <B^2>_rho - 2<B o I'(X)>_rho + <I'(X^2)>_rho.
+    (pseudo-inverse). value is the Ozawa form sum_m ||(X M_m - M_m B) sqrt(rho)||_HS^2
+    at that X, which ozawa_disturbance takes at X = B.
     """
     _check_system(rho, b, meas)
     k, kh = meas.kraus, meas.kraus.conj().swapaxes(1, 2)
@@ -139,18 +145,13 @@ def lt_disturbance(rho: DensityMatrix, b: Observable, meas: Instrument):
     x[mask] = 2 * r[mask] / denom[mask]
     x = svecs @ x @ svecs.conj().T
     x = (x + x.conj().T) / 2
-
-    # objective evaluated directly at the minimizer
-    dual_x = np.sum(kh @ x @ k, axis=0)
-    dual_x2 = np.sum(kh @ x @ x @ k, axis=0)
-    b2 = float(np.real(np.trace(b.data @ b.data @ rho.data)))
-    cross = float(np.real(np.trace((b.data @ dual_x + dual_x @ b.data) @ rho.data)))
-    quad = float(np.real(np.trace(dual_x2 @ rho.data)))
-    return max(b2 - cross + quad, 0.0), _trusted(Observable, space=meas.out_space, data=x)
+    return _disturbance(rho, b, k, x), _trusted(Observable, space=meas.out_space, data=x)
 
 
 def _bloch_vector(r) -> np.ndarray:
-    rv = np.asarray(r, dtype=float).reshape(3)
+    rv = np.asarray(r, dtype=float).reshape(-1)
+    if rv.size != 3:
+        raise BlochError(f"a Bloch vector has three entries, got {rv.size}")
     if not all(map(math.isfinite, rv.tolist())):  # faster than numpy on three values
         raise BlochError(f"Bloch vector {rv.tolist()} is not finite")
     return rv
@@ -178,6 +179,8 @@ def wasserstein2_discrete(xs, px, ys, py) -> float:
     py = np.asarray(py, dtype=float).reshape(-1)
     if xs.shape != px.shape or ys.shape != py.shape:
         raise DistributionError("values and weights must have matching lengths")
+    if not (xs.size and ys.size):
+        raise DistributionError("each distribution needs at least one point")
     if not all(np.isfinite(v).all() for v in (xs, px, ys, py)):
         raise DistributionError("values and weights must be finite")
     if np.any(px < -TOL_PROB) or np.any(py < -TOL_PROB):
@@ -186,23 +189,13 @@ def wasserstein2_discrete(xs, px, ys, py) -> float:
         raise DistributionError(f"total masses differ: {px.sum()} vs {py.sum()}")
     ox = np.argsort(xs)
     oy = np.argsort(ys)
-    xs, px = xs[ox], np.clip(px[ox], 0.0, None)
-    ys, py = ys[oy], np.clip(py[oy], 0.0, None)
-    i = j = 0
-    cost = 0.0
-    mx, my = px[0], py[0]
-    while i < len(xs) and j < len(ys):
-        step = min(mx, my)
-        cost += step * (xs[i] - ys[j]) ** 2
-        mx -= step
-        my -= step
-        if mx <= TOL_PROB:
-            i += 1
-            mx = px[i] if i < len(xs) else 0.0
-        if my <= TOL_PROB:
-            j += 1
-            my = py[j] if j < len(ys) else 0.0
-    return math.sqrt(max(cost, 0.0))
+    cx, cy = np.cumsum(np.clip(px[ox], 0.0, None)), np.cumsum(np.clip(py[oy], 0.0, None))
+    # quantile coupling: each interval between breakpoints of either cumulative mass,
+    # up to the lighter total, pairs one atom per side; the heavier side's surplus stays uncoupled
+    t = np.unique(np.minimum(np.concatenate(([0.0], cx, cy)), min(cx[-1], cy[-1])))
+    mid = (t[1:] + t[:-1]) / 2
+    gap = xs[ox][np.searchsorted(cx, mid)] - ys[oy][np.searchsorted(cy, mid)]
+    return math.sqrt(float(np.dot(np.diff(t), gap * gap)))
 
 
 def bloch_from_state(rho: DensityMatrix):

@@ -226,7 +226,8 @@ def _kraus_stack(ops, din: int, dout: int, trace_preserving: bool = True) -> np.
     if not np.isfinite(k).all():
         raise ShapeError("Kraus operator entries must be finite")
     m = k.reshape(-1, din)
-    gram = m.conj().T @ m
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow; the checks below refuse them
+        gram = m.conj().T @ m
     if trace_preserving:
         if not np.max(np.abs(gram - np.eye(din))) <= TOL_TP:
             raise ShapeError(f"Kraus operators not trace preserving within {TOL_TP}")
@@ -359,12 +360,21 @@ def ket(i: int, dim: int) -> np.ndarray:
     return v
 
 
-def pure_state(vec, sp) -> DensityMatrix:
+def _unit_vector(vec) -> np.ndarray:
+    """vec / ||vec|| as a flat complex array; StateValidityError unless finite and nonzero."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v) if np.isfinite(v).all() else 0.0
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v) if np.isfinite(v).all() else 0.0
+    if norm == math.inf:  # huge finite entries: scaled by the largest component first
+        v = v / max(np.max(np.abs(v.real)), np.max(np.abs(v.imag)))
+        norm = np.linalg.norm(v)
     if not norm > 0.0:
         raise StateValidityError("a state vector needs finite entries and a nonzero norm")
-    v = v / norm
+    return v / norm
+
+
+def pure_state(vec, sp) -> DensityMatrix:
+    v = _unit_vector(vec)
     return DensityMatrix(_as_space(sp), np.outer(v, v.conj()))
 
 

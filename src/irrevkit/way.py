@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comb import CanonicalRecovery, ExtractionConfig, _pointer, extract_epsilon, extract_eta
-from .errors import ConservationError, ShapeError, YanaseConditionError
+from .errors import ConservationError, ShapeError, StateValidityError, YanaseConditionError
 from .irrev import _json_fields
 from .qcore import (
     DensityMatrix,
@@ -28,6 +28,7 @@ from .qcore import (
     _expm_herm,
     _reorder,
     _trusted,
+    _unit_vector,
     apply,
     choi,
     dual,
@@ -268,10 +269,8 @@ def way_bound_error_yanase(
     meas: Instrument,
     charges: dict | None,
     impl: Implementation,
-    lhs="canonical",
-    cfg: ExtractionConfig | None = None,
 ) -> WayReport:
-    """Simplified error bound |<[X,A]>| / sqrt(F_beta + F_rho(X)).
+    """Simplified error bound |<[X,A]>| / sqrt(F_beta + F_rho(X)) against the analytic canonical error.
 
     Requires the pointer charge to commute with every pointer projector,
     i.e. to be diagonal in the outcome basis.
@@ -284,7 +283,7 @@ def way_bound_error_yanase(
     num = _commutator_expectation(rho, charges["alpha"], a)
     fisher_state = qfi(rho, charges["alpha"])
     den = math.sqrt(max(fisher_beta + fisher_state, 0.0))
-    lhs_val = _lhs(extract_epsilon, rho, a, meas, lhs, cfg)
+    lhs_val = _lhs(extract_epsilon, rho, a, meas, "canonical", None)
     return _report(lhs_val, num, den, fisher_cost_upper=fisher_beta, qfi_state=fisher_state)
 
 
@@ -335,12 +334,18 @@ def conserving_error_implementation(
     pointer onto P2; tracing out (S, P1) leaves exactly the
     dephased pointer channel. Returns (Implementation, Instrument).
     """
+    if rng is None and u_meas is None:
+        raise ValueError("conserving_error_implementation needs rng or u_meas")
     sp = x_s.space
     d = x_s.dim
     vals = np.asarray(pointer_values, dtype=float).reshape(-1)
+    if not np.isfinite(vals).all():
+        raise ValueError("pointer_values must be finite")
     n = vals.size
-    chi = np.asarray(chi, dtype=complex).reshape(n)
-    chi = chi / np.linalg.norm(chi)
+    chi = np.asarray(chi, dtype=complex).reshape(-1)
+    if chi.size != n:
+        raise StateValidityError(f"chi needs one amplitude per pointer value: {chi.size} for {n}")
+    chi = _unit_vector(chi)
 
     b1 = Label("B1", n)
     b2 = Label("B2", n)

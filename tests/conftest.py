@@ -1,6 +1,8 @@
 """Seeded random generators and reference implementations shared across the test modules."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 
@@ -17,6 +19,22 @@ from irrevkit import (
 
 # library type whose name matches the pytest collector pattern
 TestEnsemble.__test__ = False
+
+
+def _hang(signum, frame):
+    raise TimeoutError("no answer within the deadline")
+
+
+@contextlib.contextmanager
+def deadline(seconds: int = 5):
+    """Raise TimeoutError in the body once seconds have passed, so a call that never returns fails."""
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

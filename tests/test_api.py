@@ -63,8 +63,6 @@ OPTIONS = {
     ("way_bound_disturbance", "lhs"),
     ("way_bound_error", "cfg"),
     ("way_bound_error", "lhs"),
-    ("way_bound_error_yanase", "cfg"),
-    ("way_bound_error_yanase", "lhs"),
 }
 
 
@@ -77,5 +75,5 @@ def test_the_option_surface_is_the_recorded_one():
             if callable(value) and name not in ("DeltaReport", "IepResult"):
                 params = inspect.signature(value).parameters.values()
                 found |= {(name, p.name) for p in params if p.default is not p.empty}
-    assert len(OPTIONS) == 37
+    assert len(OPTIONS) == 35
     assert found == OPTIONS

@@ -1,7 +1,5 @@
 """Public entries that take raw numbers refuse NaN and ±inf with their documented error, and none hangs."""
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -11,19 +9,23 @@ from irrevkit import (
     Instrument,
     Label,
     Observable,
+    StateValidityError,
     blw_calibration_error_qubit,
     canonical_recovery,
     commutant_projection,
+    conserving_error_implementation,
     error_comb,
     maximally_mixed,
     state_from_bloch,
     wasserstein2_discrete,
 )
+from conftest import deadline
 
 S = Label("S", 2)
 Z = Observable((S,), np.diag([1.0, -1.0]))
 PROJ_Z = Instrument((S,), (S,), (("0", np.diag([1.0, 0.0])), ("1", np.diag([0.0, 1.0]))))
 COMB = error_comb(maximally_mixed((S,)), Z, PROJ_Z)
+CNOT = np.eye(4)[[0, 1, 3, 2]]
 
 # entry -> (call with the bad number x, documented error)
 TABLE = {
@@ -37,22 +39,26 @@ TABLE = {
     "Comb.kraus_stack": (lambda x: COMB.kraus_stack((1e-2, x)), ValueError),
     "commutant_projection-h": (lambda x: commutant_projection(np.diag([1.0, x]), Z.data), ValueError),
     "commutant_projection-x_tot": (lambda x: commutant_projection(Z.data, np.diag([1.0, x])), ValueError),
+    "conserving_error_implementation-pointer_values": (
+        lambda x: conserving_error_implementation(Z, [0.0, x], [1.0, 0.0], u_meas=CNOT),
+        ValueError,
+    ),
+    "conserving_error_implementation-chi": (
+        lambda x: conserving_error_implementation(Z, [0.0, 1.0], [1.0, x], u_meas=CNOT),
+        StateValidityError,
+    ),
 }
-
-
-def _hang(signum, frame):
-    raise TimeoutError("no answer within 5 s")
 
 
 @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("entry", sorted(TABLE))
 def test_non_finite_input_is_refused(entry, x):
     call, error = TABLE[entry]
-    previous = signal.signal(signal.SIGALRM, _hang)
-    signal.alarm(5)
-    try:
-        with pytest.raises(error, match="finite"):
-            call(x)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with deadline(5), pytest.raises(error, match="finite"):
+        call(x)
+
+
+def test_error_implementation_needs_rng_or_u_meas():
+    # without either there is no measurement unitary to build, so the call stops before any arithmetic
+    with deadline(5), pytest.raises(ValueError, match="needs rng or u_meas"):
+        conserving_error_implementation(Z, [0.0, 1.0], [1.0, 0.0])

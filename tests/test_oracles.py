@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from irrevkit import (
     BlochError,
     DistributionError,
+    ExtractionConfig,
     Instrument,
     Label,
     Observable,
@@ -13,6 +17,7 @@ from irrevkit import (
     blw_calibration_error_qubit,
     bloch_from_state,
     extract_epsilon,
+    extract_eta,
     lt_disturbance,
     lt_error,
     maximally_mixed,
@@ -206,6 +211,31 @@ class TestStackedOracles:
         assert np.linalg.matrix_rank(out, tol=1e-12) < d
 
 
+def _weak_meter(rng, d: int, eps: float) -> Instrument:
+    """M_+- = sqrt((1 +- eps G) / 2) for a random Hermitian G of operator norm 1."""
+    lab = Label("S", d)
+    g, v = np.linalg.eigh(rand_herm(rng, d, norm=1.0))
+    ops = [(v * np.sqrt((1 + s * eps * g) / 2)) @ v.conj().T for s in (1, -1)]
+    return Instrument((lab,), (lab,), (("+", ops[0]), ("-", ops[1])))
+
+
+class TestWeakMeter:
+    """A weak meter barely disturbs B, so an objective expanded as <B^2> - 2<B o I'(X)> + <I'(X^2)>
+    cancels terms of size <B^2>; the Ozawa form at X keeps its relative accuracy, and meets the
+    analytic extraction under the comb's canonical recovery, which is generated by that X."""
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lt_disturbance_meets_the_analytic_extraction(self, d, eps):
+        rng = np.random.default_rng(60 + d)
+        for _ in range(5):
+            meas = _weak_meter(rng, d, eps)
+            rho, b = rand_state(rng, d, Label("S", d)), Observable(meas.in_space, rand_herm(rng, d))
+            value = lt_disturbance(rho, b, meas)[0]
+            want = extract_eta(rho, b, meas, "canonical", ExtractionConfig(method="analytic")).value
+            assert abs(value - want) <= 1e-13 * want
+
+
 class TestBlwQubit:
     def test_orthogonal_directions(self):
         assert abs(blw_calibration_error_qubit([0, 0, 1], [1, 0, 0]) - np.sqrt(2)) < 1e-12
@@ -239,6 +269,44 @@ class TestWasserstein:
             wasserstein2_discrete([0, 1], [0.9, 0.3], [0, 1], [0.5, 0.5])
 
 
+def _exact_w2(xs, px, ys, py) -> float:
+    """The monotone coupling in rational arithmetic, up to the lighter total."""
+    a, b = (sorted(zip(map(Fraction, v), map(Fraction, p))) for v, p in ((xs, px), (ys, py)))
+    i = j = 0
+    cost, mx, my = Fraction(0), a[0][1], b[0][1]
+    while i < len(a) and j < len(b):
+        step = min(mx, my)
+        cost, mx, my = cost + step * (a[i][0] - b[j][0]) ** 2, mx - step, my - step
+        if not mx:
+            i += 1
+            mx = a[i][1] if i < len(a) else 0
+        if not my:
+            j += 1
+            my = b[j][1] if j < len(b) else 0
+    return math.sqrt(cost)
+
+
+class TestQuantileMerge:
+    def test_meets_the_exact_coupling(self):
+        # ties (integer support), zero-mass atoms and a mass mismatch below 1e-9 among the draws
+        rng = np.random.default_rng(8)
+        for i in range(300):
+            n, m = rng.integers(1, 7, size=2)
+            xs, ys = rng.standard_normal(n), rng.standard_normal(m)
+            if i % 3 == 0:
+                xs, ys = np.round(xs), np.round(ys)
+            px, py = rng.random(n), rng.random(m)
+            if i % 5 == 0 and n > 1:
+                px[0] = 0.0
+            px, py = px / px.sum(), py / py.sum() * (1 + rng.uniform(-9e-10, 9e-10) * (i % 2))
+            got, want = wasserstein2_discrete(xs, px, ys, py), _exact_w2(xs, px, ys, py)
+            assert abs(got - want) <= 1e-13 * want or got == want, (i, got, want)
+
+    def test_heavier_side_surplus_stays_uncoupled(self):
+        # the 1e-10 of extra mass at 5 would add 1e-10 * 25 to the cost if it were coupled
+        assert wasserstein2_discrete([0.0], [1.0], [0.0, 5.0], [1.0, 1e-10]) == 0.0
+
+
 class TestBloch:
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -252,3 +320,15 @@ class TestBloch:
     def test_outside_ball_rejected(self):
         with pytest.raises(BlochError):
             state_from_bloch([0.9, 0.9, 0.9], S)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: state_from_bloch([0, 1]), id="state_from_bloch"),
+            pytest.param(lambda: blw_calibration_error_qubit([0, 0, 1], [1, 0]), id="blw-comparison"),
+            pytest.param(lambda: blw_calibration_error_qubit([0, 0, 0, 1], [0, 0, 1]), id="blw-reference"),
+        ],
+    )
+    def test_wrong_length_rejected(self, call):
+        with pytest.raises(BlochError, match="three entries"):
+            call()

@@ -189,6 +189,15 @@ class TestNonFinite:
         with pytest.raises(StateValidityError, match="nonzero norm"):
             pure_state([0.0, 0.0], (S,))
 
+    # finite entries whose products overflow: numpy's overflow warning (an error here) must not come first
+    @pytest.mark.parametrize("tp", [True, False], ids=["channel", "cp-branch"])
+    def test_overflowing_kraus_entries_rejected(self, tp):
+        with pytest.raises(ShapeError, match="trace preserv"):
+            KrausChannel((S,), (S,), (np.diag([1e200, 0.5]),), trace_preserving=tp)
+
+    def test_huge_state_vector_is_normalised(self):
+        assert np.array_equal(pure_state([1e200, 1e200], (S,)).data, pure_state([1.0, 1.0], (S,)).data)
+
 
 class TestChannels:
     def test_tp_violation_rejected(self):

@@ -201,3 +201,11 @@ class TestAtomicWrite:
         assert taken.read_text() == "someone else's"
         assert (tmp_path / "out.json").read_text() == "x\n"
         assert sorted(q.name for q in tmp_path.iterdir()) == [taken.name, "out.json"]
+
+    def test_a_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        # os.replace cannot put a file over a directory: the written temporary is removed, the error raised
+        target = tmp_path / "out.json"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write_text(str(target), "x\n")
+        assert [q.name for q in tmp_path.iterdir()] == ["out.json"]
